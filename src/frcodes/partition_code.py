@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 from .gf import GF, Field
 from .groupsearch import GROUP_CAP, GroupClosure, LinearMap, group_closure
 from .storage import CodeParams, RepairingCollection, StateSet
-from .subspace import Subspace, full_space, span, standard_basis_vector, subspaces
+from .subspace import Subspace, _pack, full_space, span, standard_basis_vector, subspaces
 
 __all__ = [
     "PartitionModel",
@@ -40,6 +40,13 @@ __all__ = [
     "maximum_collections",
     "unique_maximum_collection",
 ]
+
+
+def _require(holds: bool, claim: str) -> None:
+    # the checks below guard internal constructions, and must hold under
+    # python -O as well, so they raise instead of asserting
+    if not holds:
+        raise RuntimeError(f"partition code check failed: {claim}")
 
 
 def partition_params() -> CodeParams:
@@ -120,24 +127,25 @@ def build_partition() -> PartitionModel:
     labels = {u.key: b for b, u in enumerate(members)}
     model = PartitionModel(base, field8, 5, plane, field_block, members, labels)
 
-    assert model.members[0] == span(base, 5, [standard_basis_vector(5, 3),
-                                              standard_basis_vector(5, 4)])
-    assert field_block.dim == 3
-    assert all(u.dim == 2 for u in members)
-    assert len(labels) == 8
+    _require(model.members[0] == span(base, 5, [standard_basis_vector(5, 3),
+                                                standard_basis_vector(5, 4)]),
+             "the graph of 0 is the plane of the last two coordinates")
+    _require(field_block.dim == 3, "the field block has dimension 3")
+    _require(all(u.dim == 2 for u in members), "every graph space is a plane")
+    _require(len(labels) == 8, "the eight graph spaces are distinct")
     covered = {tuple(v) for v in field_block.vectors() if any(v)}
-    assert len(covered) == 7
+    _require(len(covered) == 7, "the field block has 7 nonzero vectors")
     for u in members:
         part = {tuple(v) for v in u.vectors() if any(v)}
-        assert len(part) == 3
-        assert not covered & part
+        _require(len(part) == 3, "every graph space has 3 nonzero vectors")
+        _require(not covered & part, "the parts of the partition are disjoint")
         covered |= part
     everything = {tuple(v) for v in full_space(base, 5).vectors() if any(v)}
-    assert covered == everything
-    for a, b in itertools.combinations(members, 2):
-        assert (a & b).dim == 0
-    for a, b, c in itertools.combinations(members, 3):
-        assert (a + b + c).dim == 5
+    _require(covered == everything, "the parts cover every nonzero vector")
+    _require(all((a & b).dim == 0 for a, b in itertools.combinations(members, 2)),
+             "the graph spaces meet pairwise trivially")
+    _require(all((a + b + c).dim == 5 for a, b, c in itertools.combinations(members, 3)),
+             "every three graph spaces span the whole space")
     return model
 
 
@@ -158,7 +166,7 @@ def repair_label(beta: int, gamma: int, delta: int) -> int:
     total = field8.add(field8.add(field8.mul(beta, gamma), field8.mul(beta, delta)),
                        field8.mul(gamma, delta))
     label = field8.frobenius(total, 2)
-    assert label not in (beta, gamma, delta)
+    _require(label not in (beta, gamma, delta), "the newcomer label is fresh")
     return label
 
 
@@ -166,8 +174,8 @@ def code_states(model: Optional[PartitionModel] = None) -> StateSet:
     """All 56 states of the code, verified with their unique newcomers.
 
     Every 3-subset of the graph spaces is one collection; verification
-    computes all valid newcomers per collection and asserts the only one
-    is the graph with the closed-form label.
+    computes all valid newcomers per collection and checks that the only
+    one is the graph with the closed-form label.
     """
     if model is None:
         model = build_partition()
@@ -177,12 +185,13 @@ def code_states(model: Optional[PartitionModel] = None) -> StateSet:
                    for b, g, d in itertools.combinations(range(8), 3)]
     states = StateSet(params, collections)
     report = states.verify(all_newcomers=True)
-    assert report.ok
+    _require(report.ok, "the 56 states pass verification")
     for b, g, d in itertools.combinations(range(8), 3):
         key = RepairingCollection([model.members[b], model.members[g],
                                    model.members[d]]).key
         expected = model.members[repair_label(b, g, d)]
-        assert states.transitions[key] == (expected,)
+        _require(states.transitions[key] == (expected,),
+                 "each collection's only newcomer is the graph of its repair label")
     return states
 
 
@@ -279,50 +288,73 @@ def symmetry_group(model: Optional[PartitionModel] = None,
     return group_closure(generators, cap=cap)
 
 
-def _packed_vectors(space: Subspace) -> list[int]:
-    out = []
-    for v in space.vectors():
-        packed = 0
-        for j, x in enumerate(v):
-            if x:
-                packed |= 1 << j
-        out.append(packed)
-    return out
+def _vector_mask(a: int, b: int) -> int:
+    # the three nonzero vectors of the plane with packed basis a, b, as
+    # bits of a 2^m-bit mask; the mask identifies the plane
+    return (1 << a) | (1 << b) | (1 << (a ^ b))
 
 
-def _clique_search(model: PartitionModel, collect_all: bool,
-                   ) -> tuple[int, list[tuple[int, ...]]]:
-    # maximum families of planes with trivial pairwise intersections and
-    # all triples spanning, by branch and bound over the 155 planes in
-    # canonical key order; vectors are packed so that a plane is a bit
-    # mask and a pair's span is the xor set of their vectors
-    planes = list(subspaces(model.base, model.m, 2))
-    packed = [_packed_vectors(u) for u in planes]
-    masks = []
-    for vecs in packed:
-        mask = 0
-        for v in vecs:
-            if v:
-                mask |= 1 << v
-        masks.append(mask)
+@dataclass(frozen=True, eq=False)
+class _PlaneTables:
+    """The planes of F_2^5 as indices, with the bitsets of the clique search.
+
+    planes is in ascending canonical-key order, and a plane's index is
+    its position there; index maps the vector mask of a plane back to
+    its index.  Bit y of disjoint[x] is set when planes x and y meet
+    trivially.  For such a pair, bit d of outside[x][y] is set when
+    plane d is not contained in the 4-space x + y, so that x, y and d
+    span F_2^5; outside[x][y] is 0 for every other pair.
+    """
+
+    planes: tuple[Subspace, ...]
+    index: dict[int, int]
+    disjoint: tuple[int, ...]
+    outside: tuple[tuple[int, ...], ...]
+
+
+def _plane_tables(model: PartitionModel) -> _PlaneTables:
+    planes = tuple(subspaces(model.base, model.m, 2))
     count = len(planes)
-    pair_mask: dict[tuple[int, int], int] = {}
+    masks = [_vector_mask(*u._bits) for u in planes]
+    points = [(0, *u._bits, u._bits[0] ^ u._bits[1]) for u in planes]
+    disjoint = [0] * count
+    outside = [[0] * count for _ in range(count)]
+    # a 4-space is one of 31, so each is scanned against the planes once
+    not_inside: dict[int, int] = {}
     for x in range(count):
         for y in range(x + 1, count):
             if masks[x] & masks[y]:
                 continue
-            mask = 0
-            for vx in packed[x]:
-                for vy in packed[y]:
-                    if vx ^ vy:
-                        mask |= 1 << (vx ^ vy)
-            pair_mask[(x, y)] = mask
+            disjoint[x] |= 1 << y
+            disjoint[y] |= 1 << x
+            span = 0
+            for u in points[x]:
+                for v in points[y]:
+                    span |= 1 << (u ^ v)
+            rest = not_inside.get(span)
+            if rest is None:
+                rest = sum(1 << d for d in range(count) if masks[d] & ~span)
+                not_inside[span] = rest
+            outside[x][y] = outside[y][x] = rest
+    index = {mask: x for x, mask in enumerate(masks)}
+    return _PlaneTables(planes, index, tuple(disjoint),
+                        tuple(tuple(row) for row in outside))
 
+
+def _clique_search(tables: _PlaneTables, collect_all: bool,
+                   fixed: Optional[int] = None,
+                   ) -> tuple[int, list[tuple[int, ...]]]:
+    # maximum families of planes with trivial pairwise intersections and
+    # all triples spanning, by branch and bound over plane-index bitsets;
+    # with fixed, only the families containing that plane are searched.
+    # Witnesses are tuples of plane indices; without collect_all only
+    # the first family of the best size is kept.
+    disjoint, outside = tables.disjoint, tables.outside
     best_size = 0
     witnesses: list[tuple[int, ...]] = []
     chosen: list[int] = []
 
-    def extend(candidates: list[int]) -> None:
+    def extend(candidates: int) -> None:
         nonlocal best_size, witnesses
         size = len(chosen)
         if size > best_size:
@@ -330,58 +362,133 @@ def _clique_search(model: PartitionModel, collect_all: bool,
             witnesses = [tuple(chosen)]
         elif collect_all and size == best_size and size > 0:
             witnesses.append(tuple(chosen))
-        if size + len(candidates) < best_size:
-            return
-        if not collect_all and size + len(candidates) == best_size:
-            return
-        for idx, c in enumerate(candidates):
+        while candidates:
+            room = size + candidates.bit_count()
+            if room < best_size or (room == best_size and not collect_all):
+                return
+            low = candidates & -candidates
+            candidates ^= low
+            c = low.bit_length() - 1
             # adding c introduces the pairs (x, c); a later plane stays
             # viable if it avoids c and escapes the span of each new pair
-            narrowed = []
-            for d in candidates[idx + 1:]:
-                if masks[c] & masks[d]:
-                    continue
-                for x in chosen:
-                    key = (x, c) if x < c else (c, x)
-                    if not masks[d] & ~pair_mask[key]:
-                        break
-                else:
-                    narrowed.append(d)
+            narrowed = candidates & disjoint[c]
+            row = outside[c]
+            for x in chosen:
+                narrowed &= row[x]
             chosen.append(c)
             extend(narrowed)
             chosen.pop()
 
-    extend(list(range(count)))
-    keyed = [tuple(planes[x].key for x in w) for w in witnesses
-             if len(w) == best_size]
-    return best_size, keyed
+    if fixed is None:
+        extend((1 << len(tables.planes)) - 1)
+    else:
+        chosen.append(fixed)
+        extend(disjoint[fixed])
+    return best_size, witnesses
+
+
+def _member_indices(tables: _PlaneTables, model: PartitionModel) -> list[int]:
+    out = []
+    for u in model.members:
+        _require(u.dim == 2, "every graph space is a plane")
+        out.append(tables.index[_vector_mask(*u._bits)])
+    return out
+
+
+def _is_clique(tables: _PlaneTables, family: Sequence[int]) -> bool:
+    for i, x in enumerate(family):
+        for j, y in enumerate(family[:i]):
+            if not tables.disjoint[x] >> y & 1:
+                return False
+            if any(not tables.outside[x][y] >> z & 1 for z in family[:j]):
+                return False
+    return True
+
+
+def _plane_permutations(tables: _PlaneTables,
+                        model: PartitionModel) -> list[tuple[int, ...]]:
+    # the permutation of plane indices induced by each generator of
+    # GL(5, 2); row j of a map's matrix is the image of basis vector j
+    perms = []
+    for g in _general_linear_generators(model):
+        rows = [_pack(r) for r in g.rows]
+
+        def image(v: int) -> int:
+            out = 0
+            for j, r in enumerate(rows):
+                if v >> j & 1:
+                    out ^= r
+            return out
+
+        perms.append(tuple(tables.index[_vector_mask(*(image(v) for v in u._bits))]
+                           for u in tables.planes))
+    return perms
+
+
+def _orbit(family: frozenset[int], perms: Sequence[tuple[int, ...]],
+           cap: int) -> set[frozenset[int]]:
+    # the orbit of a family of plane indices under the group that the
+    # generator permutations generate
+    orbit = {family}
+    frontier = [family]
+    while frontier:
+        current = frontier.pop()
+        for perm in perms:
+            image = frozenset(perm[x] for x in current)
+            if image not in orbit:
+                if len(orbit) >= cap:
+                    raise RuntimeError(f"orbit exceeded {cap} families")
+                orbit.add(image)
+                frontier.append(image)
+    return orbit
 
 
 def max_collection_size(model: Optional[PartitionModel] = None) -> int:
     """Largest family of planes that pairwise meet trivially and triple-span.
 
-    Runs the exhaustive branch-and-bound over all 155 planes of F_2^5
-    and confirms the eight graph spaces attain the maximum before
-    returning it.
+    An invertible linear map of F_2^5 keeps the dimensions of
+    intersections and spans, so GL(5, 2) carries such families to
+    families of the same size.  It is also transitive on the 155 planes,
+    so every family is the image of one that contains plane 0, the
+    first in canonical key order, and the branch-and-bound only searches
+    the families through plane 0.  Transitivity is checked, not assumed:
+    the orbit of plane 0 under the two generators of GL(5, 2) must cover
+    all 155 planes.  The graph spaces must pass the pairwise and triple
+    checks in subspace arithmetic, form a family in the bitset tables of
+    the search, and be no larger than the returned maximum.  A failed
+    check raises RuntimeError.
     """
     if model is None:
         model = build_partition()
-    for a, b in itertools.combinations(model.members, 2):
-        assert (a & b).dim == 0
-    for a, b, c in itertools.combinations(model.members, 3):
-        assert (a + b + c).dim == 5
-    best, _ = _clique_search(model, collect_all=False)
-    assert best >= len(model.members)
+    _require(all((a & b).dim == 0 for a, b in itertools.combinations(model.members, 2)),
+             "the graph spaces meet pairwise trivially")
+    _require(all((a + b + c).dim == 5
+                 for a, b, c in itertools.combinations(model.members, 3)),
+             "every three graph spaces span the whole space")
+    tables = _plane_tables(model)
+    family = _member_indices(tables, model)
+    _require(len(set(family)) >= 8 and _is_clique(tables, family),
+             "the graph spaces are a family of at least 8 planes in the search tables")
+    orbit = _orbit(frozenset([0]), _plane_permutations(tables, model), len(tables.planes))
+    _require(len(orbit) == len(tables.planes),
+             "the linear group is transitive on the planes")
+    best, _ = _clique_search(tables, collect_all=False, fixed=0)
+    _require(best >= len(family), "the maximum is at least the number of graph spaces")
     return best
 
 
 def maximum_collections(model: Optional[PartitionModel] = None,
                         ) -> tuple[tuple[bytes, ...], ...]:
-    """Every maximum family, as sorted tuples of subspace keys."""
+    """Every maximum family, as sorted tuples of subspace keys.
+
+    The search runs over all 155 planes with no symmetry reduction.
+    """
     if model is None:
         model = build_partition()
-    _, keyed = _clique_search(model, collect_all=True)
-    return tuple(sorted(tuple(sorted(w)) for w in keyed))
+    tables = _plane_tables(model)
+    _, witnesses = _clique_search(tables, collect_all=True)
+    return tuple(sorted(tuple(sorted(tables.planes[x].key for x in w))
+                        for w in witnesses))
 
 
 def _general_linear_generators(model: PartitionModel) -> list[LinearMap]:
@@ -402,26 +509,16 @@ def unique_maximum_collection(model: Optional[PartitionModel] = None,
     Compares the exhaustive count of maximum families against the orbit
     of the canonical one under the invertible maps of F_2^5; equality
     means every maximum family is linearly equivalent to the graphs.
-    Without a precomputed witness list this rebuilds it, which is
-    noticeably slower than max_collection_size.
+    The orbit is walked on plane indices, with each generator applied
+    once to all 155 planes.  Without a precomputed witness list this
+    rebuilds it, which is noticeably slower than max_collection_size.
     """
     if model is None:
         model = build_partition()
     if witnesses is None:
         witnesses = maximum_collections(model)
-    found = set(witnesses)
-    generators = _general_linear_generators(model)
-    canonical = tuple(sorted(u.key for u in model.members))
-    orbit = {canonical}
-    frontier = [tuple(model.members)]
-    while frontier:
-        family = frontier.pop()
-        for g in generators:
-            image = tuple(g.apply(u) for u in family)
-            signature = tuple(sorted(u.key for u in image))
-            if signature not in orbit:
-                if len(orbit) >= orbit_cap:
-                    raise RuntimeError(f"orbit exceeded {orbit_cap} families")
-                orbit.add(signature)
-                frontier.append(image)
-    return orbit == found
+    tables = _plane_tables(model)
+    orbit = _orbit(frozenset(_member_indices(tables, model)),
+                   _plane_permutations(tables, model), orbit_cap)
+    keyed = {tuple(sorted(tables.planes[x].key for x in family)) for family in orbit}
+    return keyed == set(witnesses)

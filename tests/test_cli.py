@@ -118,6 +118,14 @@ class TestPartition:
         states = document_to_states(parse_fsc(out.read_text()))
         assert len(states) == 56
 
+    def test_partition_max_check(self, capsys):
+        assert cli.main(["partition", "--max-check"]) == 0
+        text = capsys.readouterr().out
+        assert text.splitlines() == [
+            "56 states verified, unique newcomer per collection",
+            "maximum collection size: 8",
+        ]
+
 
 class TestSimulate:
     def test_simulate_and_transcript(self, tmp_path, capsys):

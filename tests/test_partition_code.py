@@ -2,13 +2,22 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from frcodes import partition_code
 from frcodes.gf import GF
 from frcodes.groupsearch import LinearMap, orbit_code
 from frcodes.partition_code import (
+    _clique_search,
+    _general_linear_generators,
+    _plane_permutations,
+    _plane_tables,
     build_partition,
     canonical_seed_state,
     code_states,
@@ -24,10 +33,25 @@ from frcodes.partition_code import (
     unique_maximum_collection,
 )
 from frcodes.storage import RepairingCollection
-from frcodes.subspace import full_space, span, standard_basis_vector
+from frcodes.subspace import full_space, span, standard_basis_vector, subspaces
 
 F2 = GF(2)
 F8 = GF(2, 3)
+
+
+@pytest.fixture(scope="module")
+def plane_tables(partition_model):
+    return _plane_tables(partition_model)
+
+
+@pytest.fixture(scope="module")
+def maximum_witnesses(partition_model):
+    """Every maximum family, from the exhaustive search without symmetry."""
+    return maximum_collections(partition_model)
+
+
+def _packed(v):
+    return sum(1 << j for j, x in enumerate(v) if x)
 
 
 def test_build_partition_shapes(partition_model):
@@ -198,8 +222,109 @@ def test_max_collection_size(partition_model):
     assert max_collection_size(partition_model) == 8
 
 
-def test_unique_maximum_collection(partition_model):
-    witnesses = maximum_collections(partition_model)
+def test_max_collection_size_rejects_repeated_member(partition_model):
+    members = partition_model.members
+    broken = dataclasses.replace(partition_model, members=members[:7] + members[:1])
+    with pytest.raises(RuntimeError, match="meet pairwise trivially"):
+        max_collection_size(broken)
+
+
+def test_max_collection_size_checks_transitivity(partition_model, monkeypatch):
+    # the cycle alone moves plane 0 through at most five planes, so the
+    # search through plane 0 would no longer stand for every plane
+    generators = _general_linear_generators(partition_model)
+    monkeypatch.setattr(partition_code, "_general_linear_generators",
+                        lambda model: generators[:1])
+    with pytest.raises(RuntimeError, match="transitive"):
+        max_collection_size(partition_model)
+
+
+def test_plane_tables_against_subspace_arithmetic(plane_tables):
+    tables = plane_tables
+    planes = tables.planes
+    assert len(planes) == 155
+    assert [p.key for p in planes] == sorted(p.key for p in planes)
+    for x, plane in enumerate(planes):
+        mask = sum(1 << _packed(v) for v in plane.vectors() if any(v))
+        assert tables.index[mask] == x
+        assert not tables.disjoint[x] >> x & 1
+    for x, y in itertools.combinations(range(len(planes)), 2):
+        trivial = (planes[x] & planes[y]).dim == 0
+        assert bool(tables.disjoint[x] >> y & 1) == trivial
+        assert bool(tables.disjoint[y] >> x & 1) == trivial
+        if not trivial:
+            assert tables.outside[x][y] == tables.outside[y][x] == 0
+    pairs = [(x, y) for x in range(len(planes)) for y in range(len(planes))
+             if tables.disjoint[x] >> y & 1]
+    assert len(pairs) == 155 * 112
+    for x, y in random.Random(1307).sample(pairs, 200):
+        pair_span = planes[x] + planes[y]
+        for d, plane in enumerate(planes):
+            spans = (pair_span + plane).dim == 5
+            assert bool(tables.outside[x][y] >> d & 1) == spans
+
+
+def test_plane_permutations_match_linear_maps(partition_model, plane_tables):
+    planes = plane_tables.planes
+    index = {p.key: x for x, p in enumerate(planes)}
+    generators = _general_linear_generators(partition_model)
+    perms = _plane_permutations(plane_tables, partition_model)
+    assert len(perms) == len(generators)
+    for g, perm in zip(generators, perms):
+        assert sorted(perm) == list(range(len(planes)))
+        assert list(perm) == [index[g.apply(p).key] for p in planes]
+
+
+def test_graph_family_is_not_extendable(partition_model):
+    members = partition_model.members
+    for a, b in itertools.combinations(members, 2):
+        assert (a & b).dim == 0
+    for a, b, c in itertools.combinations(members, 3):
+        assert (a + b + c).dim == 5
+    keys = {u.key for u in members}
+    outsiders = [p for p in subspaces(F2, 5, 2) if p.key not in keys]
+    assert len(outsiders) == 155 - 8
+    for p in outsiders:
+        meets = any((p & a).dim > 0 for a in members)
+        inside = any((a + b + p).dim < 5
+                     for a, b in itertools.combinations(members, 2))
+        assert meets or inside
+
+
+def test_fixed_plane_search_matches_exhaustive(plane_tables, maximum_witnesses):
+    best, through_zero = _clique_search(plane_tables, collect_all=True, fixed=0)
+    assert best == 8
+    keyed = {tuple(sorted(plane_tables.planes[x].key for x in w))
+             for w in through_zero}
+    zero = plane_tables.planes[0].key
+    assert len(through_zero) == len(keyed) == 3072
+    assert keyed == {w for w in maximum_witnesses if zero in w}
+    # each family has 8 planes and each plane lies in equally many
+    # families, so the count through one plane fixes the total
+    assert 3072 * 155 == len(maximum_witnesses) * 8
+
+
+@settings(max_examples=25, deadline=None)
+@given(word=st.lists(st.integers(0, 1), max_size=40))
+def test_linear_images_of_graph_family_are_maximum(partition_model, plane_tables,
+                                                   maximum_witnesses, word):
+    generators = _general_linear_generators(partition_model)
+    family = list(partition_model.members)
+    for letter in word:
+        family = [generators[letter].apply(u) for u in family]
+    index = {p.key: x for x, p in enumerate(plane_tables.planes)}
+    image = [index[u.key] for u in family]
+    assert len(set(image)) == 8
+    for i, x in enumerate(image):
+        for j, y in enumerate(image[:i]):
+            assert plane_tables.disjoint[x] >> y & 1
+            for z in image[:j]:
+                assert plane_tables.outside[x][y] >> z & 1
+    assert tuple(sorted(u.key for u in family)) in maximum_witnesses
+
+
+def test_unique_maximum_collection(partition_model, maximum_witnesses):
+    witnesses = maximum_witnesses
     assert len(witnesses) == 59520
     canonical = tuple(sorted(u.key for u in partition_model.members))
     assert canonical in witnesses
@@ -211,3 +336,8 @@ def test_unique_maximum_collection(partition_model):
         general_linear_order *= 2**5 - 2**i
     assert general_linear_order == 9999360
     assert len(witnesses) * 168 == general_linear_order
+
+
+def test_unique_maximum_collection_orbit_cap(partition_model):
+    with pytest.raises(RuntimeError, match="orbit exceeded 100 families"):
+        unique_maximum_collection(partition_model, orbit_cap=100, witnesses=())
