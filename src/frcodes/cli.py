@@ -8,7 +8,6 @@ behavior takes an explicit --seed; output ordering is deterministic.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import random
 import sys
@@ -19,6 +18,7 @@ from .family import (
     cutset_bound,
     family_code,
     is_good,
+    mds_generator,
     message_dimension,
     random_walk,
 )
@@ -36,7 +36,7 @@ from .partition_code import (
     max_collection_size,
 )
 from .simulator import dss_init, run_random
-from .storage import RepairingCollection
+from .storage import RepairingCollection, _short_hash
 from .subspace import CapExceeded
 
 EXIT_OK = 0
@@ -53,10 +53,6 @@ class _Parser(argparse.ArgumentParser):
     # argparse would exit(2) on bad usage; the exit-code contract wants 1
     def error(self, message):
         raise _UsageError(message)
-
-
-def _short(key: bytes) -> str:
-    return hashlib.sha256(key).hexdigest()[:12]
 
 
 def _read_document(path: str):
@@ -83,6 +79,13 @@ def cmd_verify(args) -> int:
 
 def cmd_family(args) -> int:
     collection = construct_good(args.r, args.s, args.q)
+    try:
+        # repair needs an [r, s+1, r-s] MDS coefficient code over the field
+        mds_generator(collection.field, args.r, args.s + 1)
+    except ValueError as err:
+        print(f"the ({args.r}, {args.s}) family over GF({args.q}) cannot repair: {err}",
+              file=sys.stderr)
+        return EXIT_FAILED
     if not is_good(list(collection.spaces), args.r, args.s):
         print("constructed collection is not good", file=sys.stderr)
         return EXIT_FAILED
@@ -191,7 +194,7 @@ def _render_transcripts(transcripts) -> str:
     for index, t in enumerate(transcripts):
         lines.append(f"event {index}")
         lines.append(f"failed {t.failed_id}")
-        lines.append(f"collection {_short(b''.join(t.collection_key))}")
+        lines.append(f"collection {_short_hash(b''.join(t.collection_key))}")
         for share in t.shares:
             for row, symbol in zip(share.repair_space.rows, share.downloads):
                 vec = " ".join(str(v) for v in row)

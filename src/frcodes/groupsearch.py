@@ -9,6 +9,18 @@ constrained backtracking, generates groups of maps by breadth-first
 closure, builds orbits, and verifies the resulting state sets rather
 than trusting the construction.
 
+Verification uses the symmetry too.  A map g of the group carries the
+repair slices, their sums and the spanning subsets of a collection C to
+those of gC, and the orbit onto itself, so the repair property holds at
+gC exactly when it holds at C.  The newcomer search therefore runs on
+the seed alone: a failing seed fails the whole orbit, and a passing
+seed's newcomer N is moved to g(N) at each member gC, where it is
+checked for real (obtainable, replacements inside the orbit, a spanning
+k-subset).  A moved certificate that does not check sends its member to
+the ordinary search.  Group closures multiply maps without re-checking
+them: products of invertible maps are invertible, and over GF(2) they
+are computed on packed rows.
+
 Searches are exact but bounded: the backtracking node count, the group
 order, and the orbit size each have a cap, and hitting one is reported
 explicitly instead of silently truncating the result.
@@ -16,17 +28,26 @@ explicitly instead of silently truncating the result.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from typing import Iterator, Optional, Sequence
 
 from .gf import Field
-from .storage import CodeParams, RepairingCollection, StateSet
+from .storage import (
+    CodeParams,
+    RepairReport,
+    RepairingCollection,
+    StateSet,
+    _check_collection,
+    _short_hash,
+)
 from .subspace import (
     CapExceeded,
     Subspace,
+    _bit_bytes,
+    _matmul_bits,
+    _pack,
     express,
     invert_matrix,
     matmul,
@@ -45,7 +66,6 @@ __all__ = [
     "SearchResult",
     "SearchOutcome",
     "transition_maps",
-    "transition_maps_exhaustive",
     "stabilizer",
     "group_closure",
     "orbit_code",
@@ -57,8 +77,11 @@ GROUP_CAP = 10**6
 ORBIT_CAP = 10**5
 
 
-def _fingerprint(key: bytes) -> str:
-    return hashlib.sha256(key).hexdigest()[:12]
+def _require(holds: bool, claim: str) -> None:
+    # the checks below guard internal constructions and must hold under
+    # python -O as well, so they raise a RuntimeError
+    if not holds:
+        raise RuntimeError(f"group search check failed: {claim}")
 
 
 @dataclass(frozen=True)
@@ -68,16 +91,19 @@ class LinearMap:
     The matrix is stored as rows; a vector v maps to v times the matrix,
     and a subspace maps to the span of its basis images.  Maps are
     hashable and compare by matrix entries, so they can live in sets and
-    serve as group elements.
+    serve as group elements.  The byte key of the entries is computed
+    once; over GF(2) the rows are also kept packed, one int per row, so
+    products run on the packed kernel.
     """
 
     field: Field
     m: int
     rows: tuple[tuple[int, ...], ...]
+    key: bytes = dc_field(init=False, repr=False, compare=False)
+    _bits: Optional[tuple[int, ...]] = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         rows = tuple(tuple(r) for r in self.rows)
-        object.__setattr__(self, "rows", rows)
         if len(rows) != self.m or any(len(r) != self.m for r in rows):
             raise ValueError(f"matrix must be {self.m}x{self.m}")
         for r in rows:
@@ -85,16 +111,42 @@ class LinearMap:
                 self.field._check(a)
         if rank_of(self.field, self.m, rows) != self.m:
             raise ValueError("matrix is singular")
+        self._store(rows, None)
+
+    @classmethod
+    def _trusted(cls, field: Field, m: int, rows: Optional[tuple] = None,
+                 bits: Optional[Sequence[int]] = None) -> "LinearMap":
+        """A map built without the checks of the public constructor.
+
+        For matrices invertible by construction, such as products and
+        inverses of maps, whose entries are field elements already.
+        Give the rows, or over GF(2) the packed rows alone.
+        """
+        self = object.__new__(cls)
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "m", m)
+        self._store(rows, bits)
+        return self
+
+    def _store(self, rows: Optional[tuple], bits: Optional[Sequence[int]]) -> None:
+        if bits is not None:
+            chunks = [_bit_bytes(r, self.m) for r in bits]
+            key = b"".join(chunks)
+            rows = tuple(map(tuple, chunks))
+        else:
+            if self.field.q == 2:
+                bits = [_pack(r) for r in rows]
+            if self.field.q <= 256:
+                key = bytes(a for row in rows for a in row)
+            else:
+                key = b",".join(str(a).encode() for row in rows for a in row)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "key", key)
+        object.__setattr__(self, "_bits", None if bits is None else tuple(bits))
 
     @classmethod
     def identity(cls, field: Field, m: int) -> "LinearMap":
         return cls(field, m, tuple(standard_basis_vector(m, i) for i in range(m)))
-
-    @property
-    def key(self) -> bytes:
-        if self.field.q <= 256:
-            return bytes(a for row in self.rows for a in row)
-        return b",".join(str(a).encode() for row in self.rows for a in row)
 
     def apply_vector(self, v: Sequence[int]) -> tuple[int, ...]:
         if len(v) != self.m:
@@ -113,15 +165,19 @@ class LinearMap:
 
     def compose(self, other: "LinearMap") -> "LinearMap":
         """The map applying other first, then this one."""
-        if other.field != self.field or other.m != self.m:
+        if (other.field is not self.field and other.field != self.field) or other.m != self.m:
             raise ValueError("maps act on different spaces")
-        return LinearMap(self.field, self.m, matmul(self.field, other.rows, self.rows))
+        if self._bits is not None:
+            return LinearMap._trusted(self.field, self.m,
+                                      bits=_matmul_bits(other._bits, self._bits))
+        return LinearMap._trusted(self.field, self.m,
+                                  matmul(self.field, other.rows, self.rows))
 
     def inverse(self) -> "LinearMap":
-        return LinearMap(self.field, self.m, invert_matrix(self.field, self.rows))
+        return LinearMap._trusted(self.field, self.m, invert_matrix(self.field, self.rows))
 
     def __repr__(self) -> str:
-        return f"<LinearMap {_fingerprint(self.key)} on F_{self.field.q}^{self.m}>"
+        return f"<LinearMap {_short_hash(self.key)} on F_{self.field.q}^{self.m}>"
 
 
 class GroupClosure:
@@ -295,50 +351,9 @@ def transition_maps(collection: RepairingCollection, newcomer: Subspace,
     target_keys = tuple(u.key for u in variant.spaces)
     for mapping in maps:
         image_keys = tuple(sorted(mapping.apply(u).key for u in sources))
-        assert image_keys == target_keys
+        _require(image_keys == target_keys,
+                 "a transition map carries the members onto the variant's members")
     return tuple(maps)
-
-
-def transition_maps_exhaustive(collection: RepairingCollection, newcomer: Subspace,
-                               index: int, cap: int = BACKTRACK_CAP) -> tuple[LinearMap, ...]:
-    """Scan of the full general linear group, as an oracle for small cases.
-
-    Enumerates every invertible matrix over GF(2) in ambient dimension
-    at most five and keeps those satisfying the same multiset equation
-    as transition_maps.  Counts matrices against cap.
-    """
-    field = collection.field
-    m = collection.m
-    if field.q != 2 or m > 5:
-        raise ValueError("exhaustive scan is limited to GF(2) and ambient dimension <= 5")
-    variant = collection.replace(index, newcomer)
-    target_keys = tuple(u.key for u in variant.spaces)
-    counter = [0]
-    found: dict[bytes, LinearMap] = {}
-    all_vectors = list(span(field, m, [standard_basis_vector(m, i)
-                                       for i in range(m)]).vectors())
-
-    rows: list[tuple[int, ...]] = []
-
-    def build() -> None:
-        if len(rows) == m:
-            counter[0] += 1
-            if counter[0] > cap:
-                raise CapExceeded(f"exhaustive scan exceeded {cap} matrices")
-            mapping = LinearMap(field, m, tuple(rows))
-            image_keys = tuple(sorted(mapping.apply(u).key for u in collection.spaces))
-            if image_keys == target_keys:
-                found.setdefault(mapping.key, mapping)
-            return
-        for v in all_vectors:
-            if express(field, v, rows) is not None:
-                continue
-            rows.append(tuple(v))
-            build()
-            rows.pop()
-
-    build()
-    return tuple(found[k] for k in sorted(found))
 
 
 def _orbit_of_first_member(maps: Sequence[LinearMap],
@@ -380,10 +395,13 @@ def stabilizer(collection: RepairingCollection, newcomer: Subspace,
             yield member_targets + (newcomer,)
 
     maps = _search_maps(field, m, sources, assignments(), cap)
+    member_keys = tuple(u.key for u in collection.spaces)
     for mapping in maps:
         image_keys = tuple(sorted(mapping.apply(u).key for u in collection.spaces))
-        assert image_keys == tuple(u.key for u in collection.spaces)
-        assert mapping.apply(newcomer) == newcomer
+        _require(image_keys == member_keys,
+                 "a stabilizer element permutes the members of the collection")
+        _require(mapping.apply(newcomer) == newcomer,
+                 "a stabilizer element fixes the newcomer")
     elements = {mapping.key: mapping for mapping in maps}
     transitive = _orbit_of_first_member(maps, collection)
     return GroupClosure(maps, elements, complete=True, cap=cap, transitive=transitive)
@@ -425,29 +443,60 @@ def orbit_code(group: GroupClosure, seed: RepairingCollection,
     """The orbit of the seed collection under the group, verified.
 
     Applies every group element to the seed, deduplicates by collection
-    key, and runs the full repair-property check on the resulting state
-    set.  A verification failure raises OrbitVerificationError carrying
-    the report: the orbit construction only yields admissible sets under
-    hypotheses on the seed, so a failure indicts the input, and nothing
-    unverified is ever returned.
+    key, and records for each member gC one element g that reaches it.
+    The repair property is invariant under the group: g maps repair
+    slices, their sums and spanning subsets of C to those of gC, and
+    the orbit onto itself, so every member has the seed's verdict.  The
+    search for an obtainable newcomer therefore runs on the seed alone.
+    If the seed fails, the whole orbit fails.  If it passes with
+    newcomer N, each member gC is checked with the moved certificate
+    g(N): a repair witness is found for it, all its replacements must
+    stay in the orbit, some k members must span, and the witness is
+    verified.  A member whose moved certificate does not check gets the
+    ordinary search, so the report is exact either way.
+
+    The returned set carries the report and the witnesses, as after
+    StateSet.verify(); a member's recorded newcomer is its moved
+    certificate.  A verification failure raises OrbitVerificationError
+    carrying the report: the orbit construction only yields admissible
+    sets under hypotheses on the seed, so a failure indicts the input,
+    and nothing unverified is ever returned.
     """
     if not group.complete:
         raise ValueError("cannot take the orbit of an incomplete group closure")
-    orbit: dict[bytes, RepairingCollection] = {}
+    orbit: dict[tuple[bytes, ...], RepairingCollection] = {}
+    movers: dict[tuple[bytes, ...], LinearMap] = {}
     for g in group:
         image = g.apply_collection(seed)
         if image.key not in orbit:
             if len(orbit) >= cap:
                 raise CapExceeded(f"orbit exceeded {cap} collections")
             orbit[image.key] = image
+            movers[image.key] = g
     states = StateSet(params, orbit.values())
-    assert len(states) <= group.order
-    assert seed in states
-    report = states.verify()
+    _require(len(states) <= group.order, "the orbit is no larger than the group")
+    _require(seed in states, "the orbit contains the seed")
+    seed_check = _check_collection(states, states.collections[seed.key])
+    if not seed_check.ok:
+        raise OrbitVerificationError(
+            "orbit fails the repair property; the seed state does not meet "
+            "the hypotheses:\n" + RepairReport(params, [seed_check], False).render()
+            + f"\nthe group carries the failure to all {len(states)} collections "
+            "of the orbit")
+    newcomer = seed_check.state.newcomer
+    checks = []
+    for key in sorted(states.collections):
+        if key == seed.key:
+            checks.append(seed_check)
+        else:
+            checks.append(_check_collection(states, states.collections[key],
+                                            hint=movers[key].apply(newcomer)))
+    report = RepairReport(params, checks, False)
     if not report.ok:
         raise OrbitVerificationError(
             "orbit fails the repair property; the seed state does not meet "
             "the hypotheses:\n" + report.render())
+    states._record(report)
     return states
 
 
@@ -547,7 +596,7 @@ def symmetry_search(collection: RepairingCollection, newcomer: Subspace,
             trials: list[tuple[LinearMap, ...]] = [(mapping,)]
             trials.extend((t, mapping) for t in transitive_gens)
             for generators in trials:
-                fps = "+".join(_fingerprint(g.key) for g in generators)
+                fps = "+".join(_short_hash(g.key) for g in generators)
                 group = group_closure(generators, cap=group_cap)
                 if not group.complete:
                     log.append(f"  <{fps}>: {group.describe()}, skipped")

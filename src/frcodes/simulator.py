@@ -13,7 +13,6 @@ repair moved exactly the promised number of symbols.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import random
 from dataclasses import dataclass, field as dc_field
@@ -23,6 +22,7 @@ from .storage import (
     CodeParams,
     RepairingCollection,
     StateSet,
+    _short_hash,
     find_repair_witness,
     is_recovery_set,
     valid_newcomers,
@@ -51,10 +51,6 @@ class CorruptStateError(RuntimeError):
 
 class RecoveryError(RuntimeError):
     """The selected nodes do not hold enough information to recover."""
-
-
-def _short(key: bytes) -> str:
-    return hashlib.sha256(key).hexdigest()[:12]
 
 
 @dataclass
@@ -158,8 +154,8 @@ def dss_init(code: StateSet, x: Sequence[int], seed: int = 0,
         nodes.append(Node(i, space, space.rows, _stored_symbols(space, x)))
     state = DssState(params, code, nodes, x, seed, strict, random.Random(seed))
     state.log.append(
-        f"init: {params.n} nodes, collection {_short(b''.join(first.key))}, "
-        f"newcomer {_short(newcomer.key)}")
+        f"init: {params.n} nodes, collection {_short_hash(b''.join(first.key))}, "
+        f"newcomer {_short_hash(newcomer.key)}")
     return state
 
 
@@ -253,7 +249,7 @@ def repair(state: DssState, node_id: Optional[int] = None,
     state.log.append(
         f"repair: node {failed.id} <- helpers "
         f"{','.join(str(i) for i in transcript.helper_ids)}, "
-        f"newcomer {_short(newcomer.key)}, downloaded {transcript.total_download}")
+        f"newcomer {_short_hash(newcomer.key)}, downloaded {transcript.total_download}")
     return transcript
 
 

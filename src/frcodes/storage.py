@@ -316,7 +316,7 @@ class RepairReport:
         if bad:
             lines.append(f"failures: {len(bad)}")
             for c in bad[:20]:
-                lines.append(f"  FAIL {c.reason}: {_short_key(c.collection.key)}")
+                lines.append(f"  FAIL {c.reason}: {_short_hash(b''.join(c.collection.key))}")
         else:
             lines.append("verdict: repair property holds")
             if self.full:
@@ -326,8 +326,9 @@ class RepairReport:
         return "\n".join(lines)
 
 
-def _short_key(key: tuple[bytes, ...]) -> str:
-    return hashlib.sha256(b"".join(key)).hexdigest()[:12]
+def _short_hash(data: bytes) -> str:
+    """The first 12 hex digits of the SHA-256 of data, for logs and reports."""
+    return hashlib.sha256(data).hexdigest()[:12]
 
 
 class StateSet:
@@ -366,14 +367,17 @@ class StateSet:
                cap: int = OBTAINABLE_CAP) -> RepairReport:
         """Run (and cache) the repair-property check over this set."""
         if self.report is None or (all_newcomers and not self.report.full):
-            self.report = check_repair_property(self, all_newcomers=all_newcomers, cap=cap)
-            if all_newcomers:
-                self.transitions = {
-                    c.collection.key: c.valid_newcomers for c in self.report.checks}
-            for c in self.report.checks:
-                if c.state is not None:
-                    self.witnesses[c.collection.key] = c.state
+            self._record(check_repair_property(self, all_newcomers=all_newcomers, cap=cap))
         return self.report
+
+    def _record(self, report: RepairReport) -> None:
+        """Cache a report on this set, with the witnesses it found."""
+        self.report = report
+        if report.full:
+            self.transitions = {c.collection.key: c.valid_newcomers for c in report.checks}
+        for c in report.checks:
+            if c.state is not None:
+                self.witnesses[c.collection.key] = c.state
 
 
 def _has_spanning_subset(collection: RepairingCollection, params: CodeParams) -> bool:
@@ -393,26 +397,28 @@ def _replacements_inside(states: StateSet, collection: RepairingCollection,
     return True
 
 
-def check_repair_property(states: StateSet, all_newcomers: bool = False,
-                          cap: int = OBTAINABLE_CAP) -> RepairReport:
-    """Verify the repair property of a state set.
+def _check_collection(states: StateSet, collection: RepairingCollection,
+                      all_newcomers: bool = False, cap: int = OBTAINABLE_CAP,
+                      hint: Optional[Subspace] = None) -> CollectionCheck:
+    """The repair-property record of one collection of the state set.
 
-    For every collection, searches the obtainable spaces for a newcomer
-    whose every single-member replacement stays inside the set, and
-    checks that some k members span.  With all_newcomers=True the full
-    set of valid newcomers and the per-index feasibility pattern are
-    recorded instead of stopping at the first witness.
+    A hint newcomer is tried first: it is the certificate when it has
+    dimension alpha, a repair witness, and every replacement inside the
+    set.  Otherwise the obtainable newcomers are searched as without a
+    hint.  The hint is ignored when every valid newcomer is wanted.
     """
     params = states.params
-    checks = []
-    for key in sorted(states.collections):
-        collection = states.collections[key]
-        spanning = _has_spanning_subset(collection, params)
-        state = None
-        valid: dict[bytes, Subspace] = {}
-        n1 = len(collection.spaces)
-        per_index = [False] * n1
-        tested: set[bytes] = set()
+    spanning = _has_spanning_subset(collection, params)
+    state = None
+    if hint is not None and not all_newcomers and hint.dim == params.alpha:
+        witness = find_repair_witness(collection, hint, params)
+        if witness is not None and _replacements_inside(states, collection, hint):
+            state = AdmissibleState(collection, hint, witness)
+    valid: dict[bytes, Subspace] = {}
+    n1 = len(collection.spaces)
+    per_index = [False] * n1
+    tested: set[bytes] = set()
+    if state is None:
         for cand, witness in iter_obtainable(collection, params, cap):
             if cand.key in tested:
                 continue
@@ -433,14 +439,28 @@ def check_repair_property(states: StateSet, all_newcomers: bool = False,
             elif _replacements_inside(states, collection, cand):
                 state = AdmissibleState(collection, cand, witness)
                 break
-        if state is not None:
-            state.verify(params)
-        check = CollectionCheck(collection, spanning, state)
-        if all_newcomers:
-            check.valid_newcomers = tuple(valid[k] for k in sorted(valid))
-            check.per_index_feasible = tuple(per_index)
-        checks.append(check)
-    return RepairReport(params, checks, all_newcomers)
+    if state is not None:
+        state.verify(params)
+    check = CollectionCheck(collection, spanning, state)
+    if all_newcomers:
+        check.valid_newcomers = tuple(valid[k] for k in sorted(valid))
+        check.per_index_feasible = tuple(per_index)
+    return check
+
+
+def check_repair_property(states: StateSet, all_newcomers: bool = False,
+                          cap: int = OBTAINABLE_CAP) -> RepairReport:
+    """Verify the repair property of a state set.
+
+    For every collection, searches the obtainable spaces for a newcomer
+    whose every single-member replacement stays inside the set, and
+    checks that some k members span.  With all_newcomers=True the full
+    set of valid newcomers and the per-index feasibility pattern are
+    recorded instead of stopping at the first witness.
+    """
+    checks = [_check_collection(states, states.collections[key], all_newcomers, cap)
+              for key in sorted(states.collections)]
+    return RepairReport(states.params, checks, all_newcomers)
 
 
 def valid_newcomers(states: StateSet, collection: RepairingCollection,
@@ -526,7 +546,7 @@ def reachable_closure(seed: RepairingCollection, params: CodeParams,
                 break
         if certificate is None:
             raise ClosureError(
-                f"no certifying newcomer for collection {_short_key(collection.key)}")
+                f"no certifying newcomer for collection {_short_hash(b''.join(collection.key))}")
         for rc in certificate:
             if rc.key not in found:
                 if len(found) >= cap:

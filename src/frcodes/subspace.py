@@ -104,8 +104,32 @@ def _pack(row: Sequence[int]) -> int:
     return acc
 
 
+# byte j of entry i is bit j of i: unpacks packed rows eight bits at a time
+_BIT_BYTES = tuple(bytes((i >> j) & 1 for j in range(8)) for i in range(256))
+
+
+def _bit_bytes(row: int, m: int) -> bytes:
+    """The m coordinates of a packed row, one byte each."""
+    if m <= 8:
+        return _BIT_BYTES[row][:m]
+    return b"".join([_BIT_BYTES[(row >> s) & 255] for s in range(0, m, 8)])[:m]
+
+
 def _unpack(row: int, m: int) -> Vector:
-    return tuple((row >> j) & 1 for j in range(m))
+    return tuple(_bit_bytes(row, m))
+
+
+def _matmul_bits(a: Iterable[int], b: Sequence[int]) -> list[int]:
+    """Product of packed GF(2) matrices: row i XORs the rows b[j] over the set bits j of a[i]."""
+    out = []
+    for row in a:
+        acc = 0
+        while row:
+            low = row & -row
+            acc ^= b[low.bit_length() - 1]
+            row ^= low
+        out.append(acc)
+    return out
 
 
 def _rref_bits(rows: Iterable[int]) -> list[int]:
@@ -472,16 +496,9 @@ def solve(field: Field, rows: Sequence[Sequence[int]], rhs: Sequence[int]) -> Op
 def matmul(field: Field, a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> tuple[Vector, ...]:
     """Matrix product with rows as vectors: (a @ b)[i] = sum_j a[i][j] * b[j]."""
     if field.q == 2 and _PACKED_KERNELS:
-        pb = [_pack(r) for r in b]
         ncols = len(b[0]) if b else 0
-        out = []
-        for row in a:
-            acc = 0
-            for x, pr in zip(row, pb):
-                if x:
-                    acc ^= pr
-            out.append(_unpack(acc, ncols))
-        return tuple(out)
+        product = _matmul_bits([_pack(r) for r in a], [_pack(r) for r in b])
+        return tuple(_unpack(r, ncols) for r in product)
     out = []
     for row in a:
         acc = (0,) * (len(b[0]) if b else 0)

@@ -6,9 +6,14 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from frcodes import groupsearch
+from frcodes import subspace as sub
 from frcodes.gf import GF
 from frcodes.groupsearch import (
+    BACKTRACK_CAP,
     GroupClosure,
     LinearMap,
     OrbitVerificationError,
@@ -17,12 +22,19 @@ from frcodes.groupsearch import (
     stabilizer,
     symmetry_search,
     transition_maps,
-    transition_maps_exhaustive,
 )
-from frcodes.storage import CodeParams, RepairingCollection, exact_to_states
+from frcodes.storage import (
+    CodeParams,
+    RepairingCollection,
+    StateSet,
+    check_repair_property,
+    exact_to_states,
+)
 from frcodes.subspace import (
     CapExceeded,
+    express,
     full_space,
+    matmul,
     span,
     standard_basis_vector,
     subspaces,
@@ -41,6 +53,46 @@ def e_sum(m, *idx):
     for i in idx:
         v[i] = (v[i] + 1) % 2
     return tuple(v)
+
+
+def transition_maps_exhaustive(collection, newcomer, index, cap=BACKTRACK_CAP):
+    """Scan of the full general linear group, an oracle for transition_maps.
+
+    Enumerates every invertible matrix over GF(2) in ambient dimension
+    at most five and keeps those carrying the members onto the variant
+    that replaces the member at index by the newcomer.  Counts matrices
+    against cap.
+    """
+    field = collection.field
+    m = collection.m
+    if field.q != 2 or m > 5:
+        raise ValueError("exhaustive scan is limited to GF(2) and ambient dimension <= 5")
+    variant = collection.replace(index, newcomer)
+    target_keys = tuple(u.key for u in variant.spaces)
+    counter = [0]
+    found = {}
+    all_vectors = list(full_space(field, m).vectors())
+    rows = []
+
+    def build():
+        if len(rows) == m:
+            counter[0] += 1
+            if counter[0] > cap:
+                raise CapExceeded(f"exhaustive scan exceeded {cap} matrices")
+            mapping = LinearMap(field, m, tuple(rows))
+            image_keys = tuple(sorted(mapping.apply(u).key for u in collection.spaces))
+            if image_keys == target_keys:
+                found.setdefault(mapping.key, mapping)
+            return
+        for v in all_vectors:
+            if express(field, v, rows) is not None:
+                continue
+            rows.append(tuple(v))
+            build()
+            rows.pop()
+
+    build()
+    return tuple(found[k] for k in sorted(found))
 
 
 @pytest.fixture(scope="module")
@@ -231,7 +283,7 @@ def test_orbit_code_rejects_bad_inputs(rotation_code):
     # the stabilizer alone fixes the collection, and a single collection
     # cannot satisfy the repair property
     stab = stabilizer(seed, nodes[0])
-    with pytest.raises(OrbitVerificationError):
+    with pytest.raises(OrbitVerificationError, match="FAIL no valid newcomer"):
         orbit_code(stab, seed, params)
     with pytest.raises(CapExceeded):
         orbit_code(group_closure([rotation]), seed, params, cap=2)
@@ -268,16 +320,23 @@ def _partition_member(beta):
     return span(F2, 5, rows)
 
 
-def test_symmetry_search_partition_seed():
+@pytest.fixture(scope="module")
+def partition_search():
     # the locality-3 seed over F_2^5 whose members multiply a common
-    # plane by 0, 1 and a primitive element; the search recovers the
-    # order-168 symmetry group and its 56-state orbit
+    # plane by 0, 1 and a primitive element
     params = CodeParams(5, 4, 3, 3, 2, 1, 2)
     seed = RepairingCollection([_partition_member(0), _partition_member(1),
                                 _partition_member(2)])
     newcomer = _partition_member(6)
     outcome = symmetry_search(seed, newcomer, params,
                               group_cap=5000, orbit_cap=500)
+    return params, seed, outcome
+
+
+def test_symmetry_search_partition_seed(partition_search):
+    # the search recovers the order-168 symmetry group and its 56-state
+    # orbit
+    params, seed, outcome = partition_search
     assert outcome.stabilizer.order == 6
     assert outcome.stabilizer.transitive
     assert len(outcome.candidates) == 48
@@ -287,3 +346,105 @@ def test_symmetry_search_partition_seed():
     for res in outcome.results:
         assert res.states.verified
         assert seed in res.states
+
+
+def test_orbit_code_matches_full_orbit_check(partition_search):
+    # every complete closure the search meets: orbit_code, which searches
+    # newcomers on the seed only and moves its certificate, must give the
+    # verdict of the full repair check of the orbit
+    params, seed, outcome = partition_search
+    closures = []
+    for _, mapping in outcome.candidates:
+        for generators in [(mapping,)] + [(t, mapping) for t in outcome.transitive_generators]:
+            group = group_closure(generators, cap=5000)
+            if group.complete:
+                closures.append(group)
+    assert len(closures) == 54
+    passing = 0
+    for group in closures:
+        orbit = StateSet(params, {g.apply_collection(seed) for g in group})
+        oracle = check_repair_property(orbit)
+        try:
+            states = orbit_code(group, seed, params, cap=500)
+        except OrbitVerificationError:
+            assert not oracle.ok
+            continue
+        assert oracle.ok
+        passing += 1
+        assert states.verified
+        assert set(states.collections) == set(orbit.collections)
+        checks = states.report.checks
+        assert [c.collection.key for c in checks] == [c.collection.key for c in oracle.checks]
+        assert all(c.ok for c in checks)
+        assert set(states.witnesses) == set(orbit.collections)
+        for check in checks:
+            check.state.verify(params)
+    assert passing >= 2
+
+
+def test_stabilizer_check_is_an_error(monkeypatch):
+    # a map search that returns a map moving the collection must be
+    # caught by a check that also holds under python -O
+    coll = RepairingCollection([span(F2, 3, [e(3, i)]) for i in range(3)])
+    newcomer = span(F2, 3, [(1, 1, 1)])
+    shear = LinearMap(F2, 3, ((1, 1, 0), e(3, 1), e(3, 2)))
+    monkeypatch.setattr(groupsearch, "_search_maps", lambda *args: [shear])
+    with pytest.raises(RuntimeError, match="permutes the members"):
+        stabilizer(coll, newcomer)
+
+
+def _gl_generators(field, m):
+    cycle = LinearMap(field, m, tuple(e(m, (i + 1) % m) for i in range(m)))
+    shear = LinearMap(field, m, ((1, 1) + (0,) * (m - 2),) + tuple(e(m, i) for i in range(1, m)))
+    gens = [cycle, shear]
+    if field.q > 2:
+        gens.append(LinearMap(field, m, ((2,) + (0,) * (m - 1),) + tuple(e(m, i) for i in range(1, m))))
+    return gens
+
+
+def _product_by_hand(p, a, b):
+    n = len(b[0])
+    return tuple(tuple(sum(x * y[j] for x, y in zip(row, b)) % p for j in range(n)) for row in a)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(0, 5), min_size=1, max_size=16))
+def test_packed_compose_matches_generic_product(word):
+    # over GF(2) compose multiplies packed rows; the generic kernels and
+    # plain integer arithmetic must give the same matrix, which the
+    # checking constructor accepts with the same key
+    gens = _gl_generators(F2, 5)
+    product = LinearMap.identity(F2, 5)
+    rows = product.rows
+    for i in word:
+        g = gens[i % len(gens)]
+        expected = _product_by_hand(2, rows, g.rows)
+        try:
+            sub._PACKED_KERNELS = False
+            rows = matmul(F2, rows, g.rows)
+        finally:
+            sub._PACKED_KERNELS = True
+        assert rows == expected
+        product = g.compose(product)
+    checked = LinearMap(F2, 5, rows)
+    assert product.rows == checked.rows
+    assert product.key == checked.key
+    assert product == checked and hash(product) == hash(checked)
+    assert product.compose(product.inverse()) == LinearMap.identity(F2, 5)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(0, 5), min_size=1, max_size=12))
+def test_generic_compose_matches_integer_product(word):
+    gens = _gl_generators(F3, 3)
+    product = LinearMap.identity(F3, 3)
+    rows = product.rows
+    for i in word:
+        g = gens[i % len(gens)]
+        rows = _product_by_hand(3, rows, g.rows)
+        product = g.compose(product)
+    checked = LinearMap(F3, 3, rows)
+    assert product.rows == checked.rows
+    assert product.key == checked.key
+    assert product == checked
+    assert product.inverse().compose(product) == LinearMap.identity(F3, 3)

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from frcodes import storage
 from frcodes.gf import GF
 from frcodes.storage import (
     AdmissibleState,
@@ -16,6 +17,7 @@ from frcodes.storage import (
     RepairWitness,
     RepairingCollection,
     StateSet,
+    _check_collection,
     check_repair_property,
     exact_to_states,
     find_repair_witness,
@@ -262,6 +264,31 @@ def test_report_render_success(exact_code_spaces):
     text = report.render()
     assert "repair property holds" in text
     assert "min 1, max 1" in text
+
+
+def test_collection_check_takes_a_hint(exact_code_spaces, monkeypatch):
+    # a hint that checks is the certificate without any search; one that
+    # does not falls back to the search, with the same record as no hint
+    params, spaces = exact_code_spaces
+    states = exact_to_states(spaces, params)
+    rest = RepairingCollection(spaces[1:])
+    plain = _check_collection(states, rest)
+    assert plain.ok and plain.state.newcomer == spaces[0]
+    bad_hints = [spaces[1], span(GF(2), 4, [(1, 1, 1, 1)]),
+                 span(GF(2), 4, [(1, 1, 0, 0), (0, 0, 1, 1)])]
+    for bad in bad_hints:
+        fallback = _check_collection(states, rest, hint=bad)
+        assert fallback.ok and fallback.state == plain.state
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("the hint should have been enough")
+
+    monkeypatch.setattr(storage, "iter_obtainable", no_search)
+    hinted = _check_collection(states, rest, hint=spaces[0])
+    assert hinted.ok and hinted.state.newcomer == spaces[0]
+    hinted.state.verify(params)
+    with pytest.raises(AssertionError, match="hint"):
+        _check_collection(states, rest, all_newcomers=True, hint=spaces[0])
 
 
 def test_valid_newcomers_cached_and_direct(exact_code_spaces):
