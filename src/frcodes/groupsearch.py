@@ -443,24 +443,27 @@ def orbit_code(group: GroupClosure, seed: RepairingCollection,
     """The orbit of the seed collection under the group, verified.
 
     Applies every group element to the seed, deduplicates by collection
-    key, and records for each member gC one element g that reaches it.
-    The repair property is invariant under the group: g maps repair
-    slices, their sums and spanning subsets of C to those of gC, and
-    the orbit onto itself, so every member has the seed's verdict.  The
-    search for an obtainable newcomer therefore runs on the seed alone.
-    If the seed fails, the whole orbit fails.  If it passes with
-    newcomer N, each member gC is checked with the moved certificate
-    g(N): a repair witness is found for it, all its replacements must
-    stay in the orbit, some k members must span, and the witness is
-    verified.  A member whose moved certificate does not check gets the
-    ordinary search, so the report is exact either way.
+    key, and records for each member gC the first element g, in key
+    order, that reaches it.  The repair property is invariant under the
+    group: g maps repair slices, their sums and spanning subsets of C to
+    those of gC, and the orbit onto itself, so every member has the
+    seed's verdict.  The search for an obtainable newcomer therefore
+    runs on the seed first.  If the seed fails, the whole orbit fails.
+    If it passes with newcomer N, StateSet.verify() checks the orbit
+    with the moved certificate g(N) as the hint of each member gC: a
+    repair witness is found for it, all its replacements must stay in
+    the orbit, some k members must span, and the witness is verified.
+    A member whose moved certificate does not check gets the ordinary
+    search, so the report is exact either way.
 
-    The returned set carries the report and the witnesses, as after
-    StateSet.verify(); a member's recorded newcomer is its moved
-    certificate.  A verification failure raises OrbitVerificationError
-    carrying the report: the orbit construction only yields admissible
-    sets under hypotheses on the seed, so a failure indicts the input,
-    and nothing unverified is ever returned.
+    The returned set carries the report and the witnesses of verify().
+    The seed's recorded newcomer is the first valid one of the ordinary
+    search; every other member's is its moved certificate g(N), which
+    need not be the first valid newcomer of the ordinary search when a
+    collection has several.  A verification failure raises
+    OrbitVerificationError carrying the report: the orbit construction
+    only yields admissible sets under hypotheses on the seed, so a
+    failure indicts the input, and nothing unverified is ever returned.
     """
     if not group.complete:
         raise ValueError("cannot take the orbit of an incomplete group closure")
@@ -484,19 +487,13 @@ def orbit_code(group: GroupClosure, seed: RepairingCollection,
             + f"\nthe group carries the failure to all {len(states)} collections "
             "of the orbit")
     newcomer = seed_check.state.newcomer
-    checks = []
-    for key in sorted(states.collections):
-        if key == seed.key:
-            checks.append(seed_check)
-        else:
-            checks.append(_check_collection(states, states.collections[key],
-                                            hint=movers[key].apply(newcomer)))
-    report = RepairReport(params, checks, False)
+    states._hints = {key: movers[key].apply(newcomer)
+                     for key in states.collections if key != seed.key}
+    report = states.verify()
     if not report.ok:
         raise OrbitVerificationError(
             "orbit fails the repair property; the seed state does not meet "
             "the hypotheses:\n" + report.render())
-    states._record(report)
     return states
 
 

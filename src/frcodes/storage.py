@@ -347,6 +347,10 @@ class StateSet:
         self.report: Optional[RepairReport] = None
         self.transitions: Optional[dict[tuple[bytes, ...], tuple[Subspace, ...]]] = None
         self.witnesses: dict[tuple[bytes, ...], AdmissibleState] = {}
+        # newcomers the repair check tries first, by collection key: set
+        # by constructions that know a likely certificate, such as the
+        # seed's newcomer moved by a symmetry; the report is exact either way
+        self._hints: dict[tuple[bytes, ...], Subspace] = {}
 
     def __len__(self) -> int:
         return len(self.collections)
@@ -367,17 +371,14 @@ class StateSet:
                cap: int = OBTAINABLE_CAP) -> RepairReport:
         """Run (and cache) the repair-property check over this set."""
         if self.report is None or (all_newcomers and not self.report.full):
-            self._record(check_repair_property(self, all_newcomers=all_newcomers, cap=cap))
+            self.report = check_repair_property(self, all_newcomers=all_newcomers, cap=cap)
+            if all_newcomers:
+                self.transitions = {
+                    c.collection.key: c.valid_newcomers for c in self.report.checks}
+            for c in self.report.checks:
+                if c.state is not None:
+                    self.witnesses[c.collection.key] = c.state
         return self.report
-
-    def _record(self, report: RepairReport) -> None:
-        """Cache a report on this set, with the witnesses it found."""
-        self.report = report
-        if report.full:
-            self.transitions = {c.collection.key: c.valid_newcomers for c in report.checks}
-        for c in report.checks:
-            if c.state is not None:
-                self.witnesses[c.collection.key] = c.state
 
 
 def _has_spanning_subset(collection: RepairingCollection, params: CodeParams) -> bool:
@@ -456,9 +457,11 @@ def check_repair_property(states: StateSet, all_newcomers: bool = False,
     whose every single-member replacement stays inside the set, and
     checks that some k members span.  With all_newcomers=True the full
     set of valid newcomers and the per-index feasibility pattern are
-    recorded instead of stopping at the first witness.
+    recorded instead of stopping at the first witness.  A newcomer
+    hinted for a collection (StateSet._hints) is tried before the search.
     """
-    checks = [_check_collection(states, states.collections[key], all_newcomers, cap)
+    checks = [_check_collection(states, states.collections[key], all_newcomers, cap,
+                                states._hints.get(key))
               for key in sorted(states.collections)]
     return RepairReport(states.params, checks, all_newcomers)
 

@@ -104,7 +104,12 @@ def _pack(row: Sequence[int]) -> int:
     return acc
 
 
-# byte j of entry i is bit j of i: unpacks packed rows eight bits at a time
+def _unpack(row: int, m: int) -> Vector:
+    return tuple((row >> j) & 1 for j in range(m))
+
+
+# byte j of entry i is bit j of i: turns packed rows into entry bytes
+# eight bits at a time, as the keys of GF(2) linear maps need
 _BIT_BYTES = tuple(bytes((i >> j) & 1 for j in range(8)) for i in range(256))
 
 
@@ -113,10 +118,6 @@ def _bit_bytes(row: int, m: int) -> bytes:
     if m <= 8:
         return _BIT_BYTES[row][:m]
     return b"".join([_BIT_BYTES[(row >> s) & 255] for s in range(0, m, 8)])[:m]
-
-
-def _unpack(row: int, m: int) -> Vector:
-    return tuple(_bit_bytes(row, m))
 
 
 def _matmul_bits(a: Iterable[int], b: Sequence[int]) -> list[int]:

@@ -289,10 +289,15 @@ def test_orbit_code_rejects_bad_inputs(rotation_code):
         orbit_code(group_closure([rotation]), seed, params, cap=2)
 
 
-def test_symmetry_search_exact_code(rotation_code, exact_code_spaces):
+@pytest.fixture(scope="module")
+def exact_search(rotation_code):
     params, nodes, _, seed = rotation_code
-    outcome = symmetry_search(seed, nodes[0], params,
-                              group_cap=30000, orbit_cap=2000)
+    return symmetry_search(seed, nodes[0], params, group_cap=30000, orbit_cap=2000)
+
+
+def test_symmetry_search_exact_code(rotation_code, exact_code_spaces, exact_search):
+    params, nodes, _, seed = rotation_code
+    outcome = exact_search
     assert outcome.stabilizer.order == 18
     assert outcome.stabilizer.transitive
     assert [index for index, _ in outcome.candidate_classes] == [0]
@@ -308,6 +313,36 @@ def test_symmetry_search_exact_code(rotation_code, exact_code_spaces):
         assert res.states.verified
         assert seed in res.states
     assert "verified" in outcome.render()
+
+
+def test_orbit_code_records_moved_certificates(rotation_code, exact_search):
+    # in the 10-state orbits every collection has two valid newcomers;
+    # the seed records the first one of the ordinary search, N, and each
+    # other member gC records g(N) for the first g in key order with
+    # gC as image, which is not always the first one of the search
+    params, _, _, seed = rotation_code
+    several = [res for res in exact_search.results if len(res.states) == 10]
+    assert len(several) == 4
+    for res in several:
+        states = res.states
+        full = StateSet(params, states.collections.values()).verify(all_newcomers=True)
+        valid = {c.collection.key: c.valid_newcomers for c in full.checks}
+        assert all(len(v) == 2 for v in valid.values())
+        plain = StateSet(params, states.collections.values())
+        plain.verify()
+        newcomer = plain.witnesses[seed.key].newcomer
+        assert states.witnesses[seed.key].newcomer == newcomer
+        first = {}
+        for g in res.group:
+            first.setdefault(g.apply_collection(seed).key, g)
+        assert set(first) == set(states.witnesses)
+        for key, state in states.witnesses.items():
+            assert state.newcomer == first[key].apply(newcomer)
+            assert state.newcomer in valid[key]
+            state.verify(params)
+        moved = [key for key in states.witnesses
+                 if states.witnesses[key].newcomer != plain.witnesses[key].newcomer]
+        assert len(moved) == 6
 
 
 def _partition_member(beta):

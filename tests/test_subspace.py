@@ -254,13 +254,13 @@ def test_packed_and_generic_kernels_agree():
         assert a.key == b.key and a.rows == b.rows
 
 
-def test_unpack_matches_bit_formula():
-    # packed rows are unpacked eight bits at a time, in one or more chunks
+def test_bit_bytes_matches_unpack():
+    # packed rows become entry bytes eight bits at a time, in one or
+    # more chunks
     rng = random.Random(5)
     for m in range(65):
         for row in [0, (1 << m) - 1] + [rng.getrandbits(m) for _ in range(20)]:
-            assert sub._unpack(row, m) == tuple((row >> j) & 1 for j in range(m))
-            assert sub._pack(sub._unpack(row, m)) == row
+            assert sub._bit_bytes(row, m) == bytes(sub._unpack(row, m))
 
 
 def test_packed_and_generic_intersection_agree():
