@@ -78,6 +78,14 @@ __all__ = [
     "CODEWORD_CAP",
 ]
 
+
+def _require(holds: bool, claim: str) -> None:
+    # the checks below guard internal constructions and must hold under
+    # python -O as well, so they raise a RuntimeError
+    if not holds:
+        raise RuntimeError(f"family check failed: {claim}")
+
+
 CODEWORD_CAP = 1 << 16
 MDS_SEARCH_CAP = 10**5
 
@@ -372,7 +380,7 @@ def construct_good(r: int, s: int, q: int) -> GoodCollection:
             rows_per_space[i].append(
                 (0,) * offset + column + (0,) * (m - offset - block))
         offset += block
-    assert offset == m
+    _require(offset == m, "the levels fill the message dimension")
     spaces = tuple(span(field, m, rows) for rows in rows_per_space)
     return GoodCollection(r, s, spaces)
 
@@ -481,7 +489,7 @@ def family_step(collection: GoodCollection,
             total = vec_add(field, total, vec_scale(field, c, v))
         images.append(total)
     newcomer = span(field, m, images)
-    assert newcomer.dim == s + 1
+    _require(newcomer.dim == s + 1, "the newcomer has dimension s + 1")
     if check_equivalence:
         if not verify_replacement_equivalence(collection, w, newcomer):
             raise AssertionError("replacements are not good despite an MDS code")

@@ -17,9 +17,20 @@ the seed alone: a failing seed fails the whole orbit, and a passing
 seed's newcomer N is moved to g(N) at each member gC, where it is
 checked for real (obtainable, replacements inside the orbit, a spanning
 k-subset).  A moved certificate that does not check sends its member to
-the ordinary search.  Group closures multiply maps without re-checking
-them: products of invertible maps are invertible, and over GF(2) they
-are computed on packed rows.
+the ordinary search.
+
+A group closure decides its order before it lists anything.  A linear
+map that fixes a basis is the identity, so the group acts faithfully on
+the union of the orbits of the standard basis vectors; a deterministic
+Schreier-Sims run on these permutations builds a stabilizer chain whose
+basic orbit lengths multiply to the group order (Seress, Permutation
+Group Algorithms, ch. 4).  At every stage that product is a lower bound
+on the order, so a group larger than the cap is recognised as soon as
+the product passes it, and such a closure holds no elements.  Groups
+within the cap are listed breadth-first, multiplying maps without
+re-checking them (products of invertible maps are invertible, and over
+GF(2) they are computed on packed rows), and the listing must match the
+chain order.
 
 Searches are exact but bounded: the backtracking node count, the group
 order, and the orbit size each have a cap, and hitting one is reported
@@ -184,9 +195,10 @@ class GroupClosure:
     """A set of linear maps generated from the given generators.
 
     When complete, the elements form the full group and order reports
-    its cardinality.  When the closure stopped at the cap, complete is
-    False, found gives the partial count, and order refuses to answer
-    so a truncated search can never pass for a finished one.
+    its cardinality.  When the group order exceeds the cap, complete is
+    False, the closure holds no elements at all, and order refuses to
+    answer, so a group that was never listed can never pass for one
+    that was.
     """
 
     def __init__(self, generators: Sequence[LinearMap],
@@ -208,14 +220,10 @@ class GroupClosure:
             raise ValueError(f"group order exceeds cap {self.cap}; closure is incomplete")
         return len(self.elements)
 
-    @property
-    def found(self) -> int:
-        return len(self.elements)
-
     def describe(self) -> str:
         if self.complete:
             return f"group of order {len(self.elements)}"
-        return f"group order exceeds {self.cap} (search incomplete, {len(self.elements)} found)"
+        return f"group order exceeds {self.cap}"
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -407,14 +415,182 @@ def stabilizer(collection: RepairingCollection, newcomer: Subspace,
     return GroupClosure(maps, elements, complete=True, cap=cap, transitive=transitive)
 
 
-def group_closure(generators: Sequence[LinearMap], cap: int = GROUP_CAP) -> GroupClosure:
-    """Breadth-first closure of the generators under composition.
+def _point_images(mapping: LinearMap, points: Sequence) -> list:
+    """Images of points under the map: packed ints over GF(2), vectors otherwise.
 
-    Starts from the identity and right-composes with each generator
-    until no new elements appear; the generators are invertible and the
-    caps keep everything finite, so the complete closure is the full
-    generated group.  Stopping at cap returns an incomplete closure
-    whose order property refuses to answer.
+    A packed point's image XORs the packed rows that its set bits name.
+    """
+    if mapping._bits is not None:
+        return _matmul_bits(points, mapping._bits)
+    return [mapping.apply_vector(v) for v in points]
+
+
+def _basis_permutations(generators: Sequence[LinearMap],
+                        cap: int) -> Optional[list[tuple[int, ...]]]:
+    """The generators as permutations of the basis-vector orbits.
+
+    Points are the images of the standard basis vectors under the
+    generated group, numbered in breadth-first order; a map fixing them
+    all fixes a basis, so the action is faithful.  An orbit is no larger
+    than the group, so one orbit of more than cap points means the group
+    order exceeds cap, and None is returned without further work.
+    """
+    m = generators[0].m
+    if generators[0]._bits is not None:
+        basis = [1 << i for i in range(m)]
+    else:
+        basis = [standard_basis_vector(m, i) for i in range(m)]
+    index: dict = {}
+    points: list = []
+    images: list[list] = [[] for _ in generators]
+    for start in basis:
+        if start in index:
+            continue
+        first = len(points)
+        index[start] = first
+        points.append(start)
+        position = first
+        while position < len(points):
+            x = points[position]
+            position += 1
+            for g, row in zip(generators, images):
+                y = _point_images(g, [x])[0]
+                row.append(y)
+                if y not in index:
+                    if len(points) - first >= cap:
+                        return None
+                    index[y] = len(points)
+                    points.append(y)
+    return [tuple(index[y] for y in row) for row in images]
+
+
+def _chain_order(perms: Sequence[tuple[int, ...]], cap: int) -> Optional[int]:
+    """Order of the permutation group generated by perms, or None past cap.
+
+    A deterministic Schreier-Sims: level i holds a base point, the strong
+    generators fixing the earlier base points, and the orbit of its base
+    point under them with a transversal (an element carrying the base
+    point to each orbit point, and its inverse).  Each Schreier generator
+    of a level is sifted through the levels below it, and a non-trivial
+    residue becomes a new strong generator.  The orbit of level i under
+    its strong generators lies inside the orbit under the full stabilizer
+    of the earlier base points, so the product of the orbit lengths never
+    exceeds the group order, and None is returned as soon as it passes
+    cap.  When every Schreier generator sifts to the identity the chain
+    is complete and the product is the group order.  Transversal entries
+    are only ever added, so a Schreier generator that sifted once stays
+    settled.
+    """
+    n = len(perms[0])
+    identity = tuple(range(n))
+    base: list[int] = []
+    strong: list[list[tuple[int, ...]]] = []
+    orbits: list[dict[int, tuple[tuple[int, ...], tuple[int, ...]]]] = []
+    settled: list[set[tuple[int, int]]] = []
+
+    def times(p: tuple[int, ...], r: tuple[int, ...]) -> tuple[int, ...]:
+        # p first, then r
+        return tuple([r[x] for x in p])
+
+    def transversal_entry(w: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        inverse = [0] * n
+        for x, y in enumerate(w):
+            inverse[y] = x
+        return w, tuple(inverse)
+
+    def sift(g: tuple[int, ...], level: int) -> tuple[tuple[int, ...], int]:
+        # divide g by transversal entries from level on; returns the
+        # residue and the first level whose orbit misses its base image
+        for i in range(level, len(base)):
+            entry = orbits[i].get(g[base[i]])
+            if entry is None:
+                return g, i
+            g = times(g, entry[1])
+        return g, len(base)
+
+    def add_strong(h: tuple[int, ...], low: int, high: int) -> None:
+        # h fixes base[:high]; it joins the levels low..high, whose
+        # orbits are extended, never recomputed
+        if high == len(base):
+            base.append(next(x for x in range(n) if h[x] != x))
+            strong.append([])
+            orbits.append({base[-1]: (identity, identity)})
+            settled.append(set())
+        for i in range(low, high + 1):
+            gens = strong[i]
+            gens.append(h)
+            orbit = orbits[i]
+            fresh = []
+            for x in list(orbit):
+                y = h[x]
+                if y not in orbit:
+                    orbit[y] = transversal_entry(times(orbit[x][0], h))
+                    fresh.append(y)
+            for x in fresh:
+                u = orbit[x][0]
+                for s in gens:
+                    y = s[x]
+                    if y not in orbit:
+                        orbit[y] = transversal_entry(times(u, s))
+                        fresh.append(y)
+
+    def order() -> int:
+        total = 1
+        for orbit in orbits:
+            total *= len(orbit)
+        return total
+
+    for p in perms:
+        h, j = sift(p, 0)
+        if h != identity:
+            add_strong(h, 0, j)
+            if order() > cap:
+                return None
+    i = len(base) - 1
+    while i >= 0:
+        orbit, gens, done = orbits[i], strong[i], settled[i]
+        grown = None
+        for x in list(orbit):
+            u = orbit[x][0]
+            for k, s in enumerate(gens):
+                if (x, k) in done:
+                    continue
+                done.add((x, k))
+                h, j = sift(times(times(u, s), orbit[s[x]][1]), i + 1)
+                if h != identity:
+                    add_strong(h, i + 1, j)
+                    grown = j
+                    break
+            if grown is not None:
+                break
+        if grown is None:
+            i -= 1
+            continue
+        if order() > cap:
+            return None
+        i = grown
+    total = order()
+    return total if total <= cap else None
+
+
+def _group_order(generators: Sequence[LinearMap], cap: int) -> Optional[int]:
+    """The order of the group the maps generate, or None when it exceeds cap."""
+    perms = _basis_permutations(generators, cap)
+    if perms is None:
+        return None
+    return _chain_order(perms, cap)
+
+
+def group_closure(generators: Sequence[LinearMap], cap: int = GROUP_CAP) -> GroupClosure:
+    """The group the generators generate, listed only when its order is within cap.
+
+    The order is decided first, from a stabilizer chain of the group's
+    faithful action on the orbits of the standard basis vectors, and a
+    group larger than cap gives an incomplete closure with no elements,
+    whose order property refuses to answer.  Otherwise the elements are
+    listed breadth-first: from the identity, right-composing with each
+    generator until no new elements appear.  The listing must have the
+    order of the chain, or RuntimeError is raised.
     """
     if not generators:
         raise ValueError("a group needs at least one generator")
@@ -423,6 +599,9 @@ def group_closure(generators: Sequence[LinearMap], cap: int = GROUP_CAP) -> Grou
     for g in generators:
         if g.field != field or g.m != m:
             raise ValueError("generators act on different spaces")
+    order = _group_order(generators, cap)
+    if order is None:
+        return GroupClosure(generators, {}, complete=False, cap=cap)
     identity = LinearMap.identity(field, m)
     elements = {identity.key: identity}
     queue = deque([identity])
@@ -431,10 +610,11 @@ def group_closure(generators: Sequence[LinearMap], cap: int = GROUP_CAP) -> Grou
         for g in generators:
             product = g.compose(current)
             if product.key not in elements:
-                if len(elements) >= cap:
-                    return GroupClosure(generators, elements, complete=False, cap=cap)
+                _require(len(elements) < order,
+                         "the listing is no larger than the chain order")
                 elements[product.key] = product
                 queue.append(product)
+    _require(len(elements) == order, "the listing has the chain order")
     return GroupClosure(generators, elements, complete=True, cap=cap)
 
 
@@ -562,9 +742,9 @@ def symmetry_search(collection: RepairingCollection, newcomer: Subspace,
     index is.  Each candidate map is tried alone and together with each
     transitive cyclic stabilizer subgroup; every complete group closure
     gets its orbit built and verified, and the verified codes are
-    returned sorted by state count, then group order.  Closures that
-    hit group_cap are logged and skipped, so callers should size the
-    caps to the instance they search.
+    returned sorted by state count, then group order.  A group whose
+    order exceeds group_cap is logged and skipped without being listed,
+    so callers should size the caps to the instance they search.
     """
     stab = stabilizer(collection, newcomer, cap=backtrack_cap)
     transitive_gens = _cyclic_transitive_generators(stab, collection)

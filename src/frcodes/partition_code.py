@@ -20,9 +20,9 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .gf import GF, Field
-from .groupsearch import GROUP_CAP, GroupClosure, LinearMap, group_closure
+from .groupsearch import GROUP_CAP, GroupClosure, LinearMap, _point_images, group_closure
 from .storage import CodeParams, RepairingCollection, StateSet
-from .subspace import Subspace, _pack, full_space, span, standard_basis_vector, subspaces
+from .subspace import Subspace, full_space, span, standard_basis_vector, subspaces
 
 __all__ = [
     "PartitionModel",
@@ -408,21 +408,10 @@ def _is_clique(tables: _PlaneTables, family: Sequence[int]) -> bool:
 def _plane_permutations(tables: _PlaneTables,
                         model: PartitionModel) -> list[tuple[int, ...]]:
     # the permutation of plane indices induced by each generator of
-    # GL(5, 2); row j of a map's matrix is the image of basis vector j
-    perms = []
-    for g in _general_linear_generators(model):
-        rows = [_pack(r) for r in g.rows]
-
-        def image(v: int) -> int:
-            out = 0
-            for j, r in enumerate(rows):
-                if v >> j & 1:
-                    out ^= r
-            return out
-
-        perms.append(tuple(tables.index[_vector_mask(*(image(v) for v in u._bits))]
-                           for u in tables.planes))
-    return perms
+    # GL(5, 2), from the images of each plane's packed basis
+    return [tuple(tables.index[_vector_mask(*_point_images(g, u._bits))]
+                  for u in tables.planes)
+            for g in _general_linear_generators(model)]
 
 
 def _orbit(family: frozenset[int], perms: Sequence[tuple[int, ...]],

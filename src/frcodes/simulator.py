@@ -6,9 +6,10 @@ and repairing it walks the state set: the survivors form a repairing
 collection, a valid newcomer is chosen, each helper computes and serves
 exactly beta symbols from its own stored data, and the newcomer's
 symbols are rebuilt as combinations of the downloads alone.  Long
-seeded random runs assert, after every repair, that every spanning
+seeded random runs check, after every repair, that every spanning
 choice of nodes still recovers the original message and that every
-repair moved exactly the promised number of symbols.
+repair moved exactly the promised number of symbols.  The checks are
+explicit errors, not asserts, so they hold under python -O as well.
 """
 
 from __future__ import annotations
@@ -46,11 +47,23 @@ __all__ = [
 
 
 class CorruptStateError(RuntimeError):
-    """The live nodes no longer match any admissible collection."""
+    """The live nodes no longer match the code or the stored message.
+
+    Raised when the survivors form no collection of the code and, in
+    strict mode, when a download or a rebuilt symbol disagrees with the
+    message or a repair leaves a node set outside the code.
+    """
 
 
 class RecoveryError(RuntimeError):
     """The selected nodes do not hold enough information to recover."""
+
+
+def _require(holds: bool, claim: str) -> None:
+    # internal invariants of a verified code; they must hold under
+    # python -O as well, so they raise a RuntimeError
+    if not holds:
+        raise RuntimeError(f"simulator check failed: {claim}")
 
 
 @dataclass
@@ -100,9 +113,11 @@ class RepairTranscript:
 class DssState:
     """A running system: parameters, code, nodes, message and event log.
 
-    strict mode keeps every internal consistency assert on and checks
-    recovery from every spanning subset after each random step; fast
-    mode samples one subset instead.
+    strict mode checks every download and rebuilt symbol against the
+    message, and that every node set a repair leaves is in the code,
+    and checks recovery from every spanning subset after each random
+    step; fast mode skips the symbol and node-set checks and samples
+    one subset.
     """
 
     params: CodeParams
@@ -173,9 +188,15 @@ def fail(state: DssState, node_id: int) -> None:
 def _survivor_collection(state: DssState, failed_id: int,
                          ) -> tuple[RepairingCollection, list[Node]]:
     survivors = [node for node in state.nodes if node.id != failed_id]
-    assert all(node.alive for node in survivors)
+    _require(all(node.alive for node in survivors), "every survivor is alive")
     ordered = sorted(survivors, key=lambda node: (node.space.key, node.id))
     return RepairingCollection([node.space for node in ordered]), ordered
+
+
+def _event(state: DssState, failed_id: int) -> str:
+    # the running repair, numbered from 0 like the events of a transcript
+    done = sum(1 for line in state.log if line.startswith("repair:"))
+    return f"repair event {done} of node {failed_id}"
 
 
 def repair(state: DssState, node_id: Optional[int] = None,
@@ -197,15 +218,15 @@ def repair(state: DssState, node_id: Optional[int] = None,
     collection, ordered = _survivor_collection(state, failed.id)
     if collection not in state.code:
         raise CorruptStateError(
-            f"survivors of node {failed.id} form no admissible collection")
+            f"{_event(state, failed.id)}: the survivors form no admissible collection")
     choices = state.newcomer_cache.get(collection.key)
     if choices is None:
         choices = valid_newcomers(state.code, collection)
         state.newcomer_cache[collection.key] = choices
-    assert choices, "a verified code always offers a newcomer"
+    _require(bool(choices), "a verified code offers a newcomer")
     newcomer = state.rng.choice(choices) if randomize else choices[0]
     witness = find_repair_witness(collection, newcomer, params)
-    assert witness is not None
+    _require(witness is not None, "a valid newcomer has a repair witness")
     field = collection.field
     shares = []
     flat_rows: list[tuple[int, ...]] = []
@@ -216,10 +237,12 @@ def repair(state: DssState, node_id: Optional[int] = None,
         downloads = []
         for w_row in repair_space.rows:
             coeffs = express(field, w_row, helper.basis)
-            assert coeffs is not None
+            _require(coeffs is not None, "a repair space lies in its helper's space")
             symbol = vec_dot(field, coeffs, helper.stored)
-            if state.strict:
-                assert symbol == vec_dot(field, state.message, w_row)
+            if state.strict and symbol != vec_dot(field, state.message, w_row):
+                raise CorruptStateError(
+                    f"{_event(state, failed.id)}: helper node {helper.id} served "
+                    "a symbol that disagrees with the message")
             combination.append(coeffs)
             downloads.append(symbol)
             flat_rows.append(w_row)
@@ -229,10 +252,11 @@ def repair(state: DssState, node_id: Optional[int] = None,
     new_stored = []
     for basis_row in newcomer.rows:
         coeffs = express(field, basis_row, flat_rows)
-        assert coeffs is not None
+        _require(coeffs is not None, "the newcomer lies in the span of the downloads")
         symbol = vec_dot(field, coeffs, flat_downloads)
-        if state.strict:
-            assert symbol == vec_dot(field, state.message, basis_row)
+        if state.strict and symbol != vec_dot(field, state.message, basis_row):
+            raise CorruptStateError(
+                f"{_event(state, failed.id)}: a rebuilt symbol disagrees with the message")
         new_stored.append(symbol)
     failed.space = newcomer
     failed.basis = newcomer.rows
@@ -241,11 +265,15 @@ def repair(state: DssState, node_id: Optional[int] = None,
     transcript = RepairTranscript(
         failed.id, tuple(share.helper_id for share in shares), tuple(shares),
         collection.key, newcomer, newcomer.rows, tuple(new_stored))
-    assert transcript.total_download == params.r * params.beta
+    _require(transcript.total_download == params.r * params.beta,
+             "a repair downloads r * beta symbols")
     if state.strict:
         for node in state.nodes:
             next_collection, _ = _survivor_collection(state, node.id)
-            assert next_collection in state.code
+            if next_collection not in state.code:
+                raise CorruptStateError(
+                    f"{_event(state, failed.id)}: without node {node.id} the "
+                    "nodes form no collection of the code")
     state.log.append(
         f"repair: node {failed.id} <- helpers "
         f"{','.join(str(i) for i in transcript.helper_ids)}, "
@@ -273,7 +301,7 @@ def collect(state: DssState, node_ids: Sequence[int]) -> tuple[int, ...]:
             f"nodes {list(node_ids)} span only {rank} of {params.m} dimensions; "
             "insufficient to recover")
     recovered = solve(field, rows, rhs)
-    assert recovered is not None
+    _require(recovered is not None, "spanning nodes give a solvable system")
     return recovered
 
 
@@ -307,8 +335,10 @@ def run_random(state: DssState, steps: int,
 
     Each step fails a uniformly random node, repairs it, and recovers
     the message from spanning node subsets: every spanning subset of
-    size k in strict mode, one seeded choice otherwise.  Identical
-    seeds give identical reports.
+    size k in strict mode, one seeded choice otherwise.  A repair that
+    finds the state corrupt, or a recovery that misses the message,
+    ends the run with verdict FAILED and a log line that says where.
+    Identical seeds give identical reports.
     """
     if seed is not None:
         state.rng = random.Random(seed)
@@ -320,7 +350,12 @@ def run_random(state: DssState, steps: int,
     for _ in range(steps):
         victim = state.rng.randrange(len(state.nodes))
         fail(state, victim)
-        transcript = repair(state)
+        try:
+            transcript = repair(state)
+        except CorruptStateError as err:
+            state.log.append(f"corrupt state: {err}")
+            return RunReport(steps, state.seed, len(visited), downloads,
+                             "FAILED", tuple(state.log), tuple(transcripts))
         transcripts.append(transcript)
         visited.add(transcript.collection_key)
         downloads += transcript.total_download
@@ -329,7 +364,7 @@ def run_random(state: DssState, steps: int,
             spaces = [state.nodes[i].space for i in combo]
             if is_recovery_set(spaces, params.m):
                 spanning.append(combo)
-        assert spanning, "some k nodes must span after a verified repair"
+        _require(bool(spanning), "some k nodes span after a verified repair")
         checks = spanning if state.strict else [state.rng.choice(spanning)]
         for combo in checks:
             recovered = collect(state, combo)

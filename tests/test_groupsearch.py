@@ -238,13 +238,15 @@ def test_group_closure_basics():
 
 
 def test_group_closure_cap_is_explicit(rotation_code):
-    _, _, rotation, _ = rotation_code
+    params, _, rotation, seed = rotation_code
     clipped = group_closure([rotation], cap=3)
     assert not clipped.complete
-    assert clipped.found == 3
+    assert len(clipped) == 0
     with pytest.raises(ValueError):
         clipped.order
     assert "exceeds 3" in clipped.describe()
+    with pytest.raises(ValueError):
+        orbit_code(clipped, seed, params)
 
 
 def test_rotation_group_code(rotation_code, exact_code_spaces):
@@ -483,3 +485,76 @@ def test_generic_compose_matches_integer_product(word):
     assert product.key == checked.key
     assert product == checked
     assert product.inverse().compose(product) == LinearMap.identity(F3, 3)
+
+
+_SMALL_GROUPS = [(F2, 3), (F2, 4), (F3, 2)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, len(_SMALL_GROUPS) - 1),
+       st.lists(st.lists(st.integers(0, 2), max_size=10), min_size=1, max_size=3))
+def test_group_closure_lists_the_chain_order(which, words):
+    # each generator is a word in generators of GL(3,2), GL(4,2) or
+    # GL(2,3); the breadth-first listing within the cap must have the
+    # order of the stabilizer chain, and one below the order lists nothing
+    field, m = _SMALL_GROUPS[which]
+    gens = _gl_generators(field, m)
+    maps = []
+    for word in words:
+        g = LinearMap.identity(field, m)
+        for i in word:
+            g = gens[i % len(gens)].compose(g)
+        maps.append(g)
+    order = groupsearch._group_order(maps, 10**8)
+    listed = group_closure(maps, cap=order)
+    assert listed.complete
+    assert len(listed) == listed.order == order
+    for g in maps:
+        assert g in listed
+    clipped = group_closure(maps, cap=order - 1)
+    assert not clipped.complete
+    assert len(clipped) == 0
+
+
+def test_chain_order_of_general_linear_groups():
+    from frcodes.partition_code import build_partition, _general_linear_generators
+
+    gl52 = _general_linear_generators(build_partition())
+    assert groupsearch._group_order(gl52, 10**8) == 9_999_360
+    expected = 1
+    for i in range(5):
+        expected *= 2**5 - 2**i
+    assert expected == 9_999_360
+    # a monomial map of determinant 2 and a shear generate GL(3,3)
+    monomial = LinearMap(F3, 3, ((0, 2, 0), e(3, 2), e(3, 0)))
+    shear = LinearMap(F3, 3, ((1, 1, 0), e(3, 1), e(3, 2)))
+    assert groupsearch._group_order([monomial, shear], 10**8) == 26 * 24 * 18 == 11_232
+    assert groupsearch._group_order([monomial, shear], 11_231) is None
+
+
+def test_large_basis_orbit_decides_without_chain(monkeypatch):
+    # e_0 has 31 images under GL(5,2): a cap of 30 is exceeded by that
+    # orbit alone, before any Schreier-Sims work; a cap of 31 needs it
+    from frcodes.partition_code import build_partition, _general_linear_generators
+
+    gl52 = _general_linear_generators(build_partition())
+
+    def no_chain(perms, cap):
+        raise LookupError("chain reached")
+
+    monkeypatch.setattr(groupsearch, "_chain_order", no_chain)
+    clipped = group_closure(gl52, cap=30)
+    assert not clipped.complete
+    assert len(clipped) == 0
+    with pytest.raises(LookupError, match="chain reached"):
+        group_closure(gl52, cap=31)
+
+
+def test_listing_must_match_chain_order(monkeypatch, rotation_code):
+    _, _, rotation, _ = rotation_code
+    monkeypatch.setattr(groupsearch, "_chain_order", lambda perms, cap: 3)
+    with pytest.raises(RuntimeError, match="chain order"):
+        group_closure([rotation])
+    monkeypatch.setattr(groupsearch, "_chain_order", lambda perms, cap: 5)
+    with pytest.raises(RuntimeError, match="chain order"):
+        group_closure([rotation])

@@ -2,8 +2,17 @@
 
 from __future__ import annotations
 
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
+import frcodes
+from frcodes import cli
+from frcodes.fsc import document_to_states, parse_fsc
 from frcodes.gf import GF
 from frcodes.simulator import (
     CorruptStateError,
@@ -264,3 +273,75 @@ class TestFamilyCode:
         choices = valid_newcomers(code, collection)
         transcript = repair(state, randomize=True)
         assert transcript.newcomer in choices
+
+
+EXAMPLE = pathlib.Path(__file__).parent / "data" / "example1.fsc"
+
+
+def example_code():
+    # also runs under python -O, where an assert would not verify
+    code = document_to_states(parse_fsc(EXAMPLE.read_text(encoding="utf-8")))
+    code.verify()
+    return code
+
+
+def corrupted_state(code, x, seed, strict=True):
+    """A fresh system with one stored symbol flipped that its first repair reads.
+
+    An uncorrupted run from the same seed shows which helper symbols the
+    first repair combines; one with a nonzero coefficient is flipped.
+    """
+    probe = run_random(dss_init(code, x, seed=seed), 1)
+    share = probe.transcripts[0].shares[0]
+    column = next(j for j, c in enumerate(share.combination[0]) if c)
+    state = dss_init(code, x, seed=seed, strict=strict)
+    helper = state.nodes[share.helper_id]
+    stored = list(helper.stored)
+    stored[column] ^= 1
+    helper.stored = tuple(stored)
+    return state, share.helper_id
+
+
+def corrupted_run(x=(1, 0, 1, 1), seed=7):
+    state, helper = corrupted_state(example_code(), x, seed)
+    report = run_random(state, 1)
+    return {"optimize": sys.flags.optimize, "helper": helper,
+            "verdict": report.verdict, "log": list(report.log)}
+
+
+class TestStrictChecks:
+    def check_report(self, outcome):
+        assert outcome["verdict"] == "FAILED"
+        last = outcome["log"][-1]
+        assert last.startswith("corrupt state: repair event 0 of node ")
+        assert f"helper node {outcome['helper']} served a symbol" in last
+        assert not any("integrity failure" in line for line in outcome["log"])
+
+    def test_corrupt_helper_caught_at_repair(self):
+        self.check_report(corrupted_run())
+
+    def test_corrupt_helper_caught_under_optimize(self):
+        # asserts are stripped under -O; the strict checks must not be
+        src = str(pathlib.Path(frcodes.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src, str(pathlib.Path(__file__).parent)]
+            + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        script = ("import json, test_simulator; "
+                  "print(json.dumps(test_simulator.corrupted_run()))")
+        done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        outcome = json.loads(done.stdout)
+        assert outcome["optimize"] == 1
+        self.check_report(outcome)
+
+    def test_cli_exits_2_on_corrupt_state(self, monkeypatch, capsys):
+        monkeypatch.setattr(
+            cli, "dss_init",
+            lambda code, x, seed, strict: corrupted_state(code, x, seed, strict)[0])
+        assert cli.main(["simulate", str(EXAMPLE), "--data", "1011",
+                         "--steps", "1", "--seed", "7"]) == 2
+        out = capsys.readouterr().out
+        assert "integrity: FAILED" in out
+        assert "corrupt state: repair event 0 of node" in out
