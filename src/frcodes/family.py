@@ -47,6 +47,7 @@ from .subspace import (
     CapExceeded,
     Subspace,
     Vector,
+    _sum_dim,
     left_kernel,
     rank_of,
     span,
@@ -121,13 +122,10 @@ def is_good(spaces: Sequence[Subspace], r: int, s: int) -> bool:
             raise ValueError(f"space of dimension {u.dim}, expected {s + 1}")
         if u.field != spaces[0].field:
             raise ValueError("spaces live over different fields")
-    field = spaces[0].field
-    rows = [u.rows for u in spaces]
     for j in range(s + 1):
         target = _span_dim_target(r, s, j)
-        for combo in itertools.combinations(range(r), r - s + j):
-            stacked = [row for i in combo for row in rows[i]]
-            if rank_of(field, m, stacked) != target:
+        for combo in itertools.combinations(spaces, r - s + j):
+            if _sum_dim(combo) != target:
                 return False
     return True
 

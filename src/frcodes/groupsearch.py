@@ -741,10 +741,12 @@ def symmetry_search(collection: RepairingCollection, newcomer: Subspace,
     only replacements of the first member are tried, otherwise every
     index is.  Each candidate map is tried alone and together with each
     transitive cyclic stabilizer subgroup; every complete group closure
-    gets its orbit built and verified, and the verified codes are
-    returned sorted by state count, then group order.  A group whose
-    order exceeds group_cap is logged and skipped without being listed,
-    so callers should size the caps to the instance they search.
+    gets its orbit built and verified, once per distinct group (trials
+    that generate the same element set share the outcome), and the
+    verified codes are returned sorted by state count, then group
+    order.  A group whose order exceeds group_cap is logged and skipped
+    without being listed, so callers should size the caps to the
+    instance they search.
     """
     stab = stabilizer(collection, newcomer, cap=backtrack_cap)
     transitive_gens = _cyclic_transitive_generators(stab, collection)
@@ -757,6 +759,9 @@ def symmetry_search(collection: RepairingCollection, newcomer: Subspace,
     candidate_classes: list[tuple[int, tuple[LinearMap, ...]]] = []
     results: list[SearchResult] = []
     seen_codes: set[tuple] = set()
+    # one orbit_code run per group, as a set of element keys: its
+    # verified orbit, or the line a failure logs
+    outcomes: dict[frozenset, StateSet | str] = {}
     for index in indices:
         found = transition_maps(collection, newcomer, index, cap=backtrack_cap)
         classes: dict[bytes, LinearMap] = {}
@@ -778,15 +783,20 @@ def symmetry_search(collection: RepairingCollection, newcomer: Subspace,
                 if not group.complete:
                     log.append(f"  <{fps}>: {group.describe()}, skipped")
                     continue
-                try:
-                    states = orbit_code(group, collection, params, cap=orbit_cap)
-                except OrbitVerificationError:
-                    log.append(f"  <{fps}>: group order {group.order}, "
-                               "orbit fails verification")
-                    continue
-                except CapExceeded:
-                    log.append(f"  <{fps}>: group order {group.order}, "
-                               f"orbit exceeds {orbit_cap}, skipped")
+                elements = frozenset(group.elements)
+                if elements not in outcomes:
+                    try:
+                        outcomes[elements] = orbit_code(group, collection, params,
+                                                         cap=orbit_cap)
+                    except OrbitVerificationError:
+                        outcomes[elements] = (f"group order {group.order}, "
+                                              "orbit fails verification")
+                    except CapExceeded:
+                        outcomes[elements] = (f"group order {group.order}, "
+                                              f"orbit exceeds {orbit_cap}, skipped")
+                states = outcomes[elements]
+                if isinstance(states, str):
+                    log.append(f"  <{fps}>: {states}")
                     continue
                 signature = (group.order, tuple(sorted(c.key for c in states)))
                 if signature in seen_codes:

@@ -117,7 +117,8 @@ class DssState:
     message, and that every node set a repair leaves is in the code,
     and checks recovery from every spanning subset after each random
     step; fast mode skips the symbol and node-set checks and samples
-    one subset.
+    one subset.  newcomer_cache maps a collection key to its valid
+    newcomers and to the repair witnesses found so far, by newcomer key.
     """
 
     params: CodeParams
@@ -219,14 +220,18 @@ def repair(state: DssState, node_id: Optional[int] = None,
     if collection not in state.code:
         raise CorruptStateError(
             f"{_event(state, failed.id)}: the survivors form no admissible collection")
-    choices = state.newcomer_cache.get(collection.key)
-    if choices is None:
-        choices = valid_newcomers(state.code, collection)
-        state.newcomer_cache[collection.key] = choices
+    cached = state.newcomer_cache.get(collection.key)
+    if cached is None:
+        cached = (valid_newcomers(state.code, collection), {})
+        state.newcomer_cache[collection.key] = cached
+    choices, witnesses = cached
     _require(bool(choices), "a verified code offers a newcomer")
     newcomer = state.rng.choice(choices) if randomize else choices[0]
-    witness = find_repair_witness(collection, newcomer, params)
-    _require(witness is not None, "a valid newcomer has a repair witness")
+    witness = witnesses.get(newcomer.key)
+    if witness is None:
+        witness = find_repair_witness(collection, newcomer, params)
+        _require(witness is not None, "a valid newcomer has a repair witness")
+        witnesses[newcomer.key] = witness
     field = collection.field
     shares = []
     flat_rows: list[tuple[int, ...]] = []

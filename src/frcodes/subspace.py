@@ -3,14 +3,22 @@
 A subspace is stored as its unique reduced basis: echelon rows with
 strictly increasing pivot columns, pivot entries 1, and zeros elsewhere
 in every pivot column.  Two subspaces are equal exactly when they
-contain the same vectors, so the canonical rows (and the byte key
-derived from them) support hashing and exact deduplication.
+contain the same vectors, so the canonical basis (and the byte key
+derived from it) supports hashing and exact deduplication.
 
 Vectors are plain tuples of field elements (ints); the ambient dimension
 m and the Field travel alongside them in the surrounding structures.
-For q = 2 the row-reduction kernels pack each row into one machine
-integer (bit j = coordinate j).  The packed kernels compute exactly what
-the generic ones do; the tests drive both paths over the same inputs.
+Over GF(2) the canonical form is packed: each reduced row is one int
+(bit j = coordinate j), the pivots are the lowest set bits, and every
+subspace operation runs on the ints without converting.  The key and
+the tuple rows are views of the ints, each built on first use and kept.
+Over other fields the rows are tuples and the kernels generic.  The
+generic kernels also run at q = 2 when tests switch the packed ones off,
+as the oracle the packed results are compared with.
+
+The public matrix utilities (rank_of, solve, matmul, express,
+left_kernel) take tuple rows and check every entry once on entry, so a
+value outside the field is a ValueError on every path.
 
 Enumeration of d-dimensional subspaces generates reduced bases directly,
 one pivot-column pattern at a time, filling the free entries in
@@ -104,6 +112,25 @@ def _pack(row: Sequence[int]) -> int:
     return acc
 
 
+def _pack_checked(field: Field, row: Sequence[int]) -> int:
+    """A GF(2) row packed into one int, after checking each entry is 0 or 1."""
+    acc = 0
+    bit = 1
+    for x in row:
+        if (x.__class__ is not int and not isinstance(x, int)) or not 0 <= x <= 1:
+            raise ValueError(f"{x!r} is not an element of {field!r}")
+        if x:
+            acc |= bit
+        bit <<= 1
+    return acc
+
+
+def _check_entries(field: Field, rows: Iterable[Sequence[int]]) -> None:
+    for row in rows:
+        for x in row:
+            field._check(x)
+
+
 def _unpack(row: int, m: int) -> Vector:
     return tuple((row >> j) & 1 for j in range(m))
 
@@ -133,20 +160,32 @@ def _matmul_bits(a: Iterable[int], b: Sequence[int]) -> list[int]:
     return out
 
 
-def _rref_bits(rows: Iterable[int]) -> list[int]:
-    """Reduced echelon basis of packed GF(2) rows, sorted by pivot."""
+def _echelon_bits(rows: Iterable[int]) -> dict[int, int]:
+    """An echelon basis of packed GF(2) rows: lowest set bit -> its row."""
     piv: dict[int, int] = {}
     for r in rows:
-        for p, b in piv.items():
-            if (r >> p) & 1:
+        while r:
+            low = r & -r
+            b = piv.get(low)
+            if b is None:
+                piv[low] = r
+                break
+            r ^= b
+    return piv
+
+
+def _rref_bits(rows: Iterable[int]) -> list[int]:
+    """Reduced echelon basis of packed GF(2) rows, sorted by pivot."""
+    piv = _echelon_bits(rows)
+    # clear the higher pivot columns of each row, highest pivot first
+    reduced: list[tuple[int, int]] = []
+    for low in sorted(piv, reverse=True):
+        r = piv[low]
+        for q, b in reduced:
+            if r & q:
                 r ^= b
-        if r:
-            p = (r & -r).bit_length() - 1
-            for other in piv:
-                if (piv[other] >> p) & 1:
-                    piv[other] ^= r
-            piv[p] = r
-    return [piv[p] for p in sorted(piv)]
+        reduced.append((low, r))
+    return [r for _, r in reversed(reduced)]
 
 
 def _rref_general(field: Field, rows: Iterable[Sequence[int]]) -> list[Vector]:
@@ -182,6 +221,10 @@ def _reduce_rows(field: Field, ncols: int, rows: Iterable[Sequence[int]]) -> lis
 
 # ----------------------------------------------------------------------
 
+# the two-byte key entries of 0 and 1
+_ENTRY_BYTES = (struct.pack(">H", 0), struct.pack(">H", 1))
+
+
 def _make_key(q: int, m: int, rows: Sequence[Vector], pivots: Sequence[int]) -> bytes:
     parts = [struct.pack(">HBB", q, m, len(rows)), bytes(pivots)]
     pivset = set(pivots)
@@ -192,36 +235,95 @@ def _make_key(q: int, m: int, rows: Sequence[Vector], pivots: Sequence[int]) -> 
     return b"".join(parts)
 
 
-class Subspace:
-    """An immutable subspace of F_q^m held as its canonical basis."""
+def _bits_key(m: int, bits: Sequence[int], pivots: Sequence[int]) -> bytes:
+    """The _make_key bytes of the canonical GF(2) rows that bits pack."""
+    pivmask = 0
+    for p in pivots:
+        pivmask |= 1 << p
+    parts = [struct.pack(">HBB", 2, m, len(bits)), bytes(pivots)]
+    for p, b in zip(pivots, bits):
+        for j in range(p + 1, m):
+            if not (pivmask >> j) & 1:
+                parts.append(_ENTRY_BYTES[(b >> j) & 1])
+    return b"".join(parts)
 
-    __slots__ = ("field", "m", "rows", "pivots", "key", "_bits")
+
+class Subspace:
+    """An immutable subspace of F_q^m held as its canonical basis.
+
+    Over GF(2) the basis is _bits, the reduced rows packed into ints and
+    sorted by pivot; rows is a tuple view of them and key their byte
+    key, each built on first use (many sums are only compared, never
+    keyed).  Over other fields rows holds the reduced tuple rows and
+    _bits is None.  pivots, dim and key derive from the canonical basis.
+    """
+
+    __slots__ = ("field", "m", "pivots", "_key", "_bits", "_rows")
 
     def __init__(self, field: Field, m: int, vectors: Iterable[Sequence[int]] = ()):
         vectors = [tuple(v) for v in vectors]
         _check_ambient(field, m, vectors)
-        rows = _reduce_rows(field, m, vectors)
-        self._init_canonical(field, m, rows)
+        if field.q == 2 and _PACKED_KERNELS:
+            self._set_bits(field, m, _rref_bits(_pack(v) for v in vectors))
+        else:
+            self._set_rows(field, m, _rref_general(field, vectors))
+
+    @classmethod
+    def _from_bits(cls, field: Field, m: int, bits: Sequence[int]) -> "Subspace":
+        """A GF(2) subspace from packed rows already reduced and sorted."""
+        self = object.__new__(cls)
+        self._set_bits(field, m, bits)
+        return self
 
     @classmethod
     def _make(cls, field: Field, m: int, canonical_rows: list[Vector]) -> "Subspace":
         self = object.__new__(cls)
-        self._init_canonical(field, m, canonical_rows)
+        self._set_rows(field, m, canonical_rows)
         return self
 
-    def _init_canonical(self, field: Field, m: int, rows: list[Vector]) -> None:
+    def _set_bits(self, field: Field, m: int, bits: Sequence[int]) -> None:
         self.field = field
         self.m = m
-        self.rows = tuple(rows)
+        self._bits = bits = tuple(bits)
+        self.pivots = tuple([(b & -b).bit_length() - 1 for b in bits])
+        self._key = None
+        self._rows = None
+
+    def _set_rows(self, field: Field, m: int, rows: Sequence[Vector]) -> None:
+        if field.q == 2:
+            # generic kernel results at q = 2 keep the packed canonical form
+            self._set_bits(field, m, [_pack(r) for r in rows])
+            self._rows = tuple(rows)
+            return
+        self.field = field
+        self.m = m
+        self._rows = tuple(rows)
         self.pivots = tuple(next(j for j, x in enumerate(r) if x) for r in rows)
-        self.key = _make_key(field.q, m, self.rows, self.pivots)
-        self._bits = tuple(_pack(r) for r in rows) if field.q == 2 else None
+        self._key = _make_key(field.q, m, self._rows, self.pivots)
+        self._bits = None
 
     # ------------------------------------------------------------------
 
     @property
+    def rows(self) -> tuple[Vector, ...]:
+        """The canonical basis as tuple rows (a view of _bits over GF(2))."""
+        rows = self._rows
+        if rows is None:
+            m = self.m
+            rows = self._rows = tuple([_unpack(b, m) for b in self._bits])
+        return rows
+
+    @property
+    def key(self) -> bytes:
+        """The canonical byte key (from _bits over GF(2))."""
+        key = self._key
+        if key is None:
+            key = self._key = _bits_key(self.m, self._bits, self.pivots)
+        return key
+
+    @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self.pivots)
 
     def basis_vectors(self) -> tuple[Vector, ...]:
         return self.rows
@@ -237,17 +339,23 @@ class Subspace:
 
     # ------------------------------------------------------------------
 
+    def _packed(self) -> bool:
+        return self._bits is not None and _PACKED_KERNELS
+
+    def _residual_bits(self, v: int) -> int:
+        for p, b in zip(self.pivots, self._bits):
+            if (v >> p) & 1:
+                v ^= b
+        return v
+
     def reduce(self, vector: Sequence[int]) -> Vector:
         """Residual of vector after elimination against the basis."""
         if len(vector) != self.m:
             raise ValueError(f"vector length {len(vector)} does not match ambient {self.m}")
-        if self._bits is not None and _PACKED_KERNELS:
-            v = _pack(vector)
-            for p, b in zip(self.pivots, self._bits):
-                if (v >> p) & 1:
-                    v ^= b
-            return _unpack(v, self.m)
+        if self._packed():
+            return _unpack(self._residual_bits(_pack_checked(self.field, vector)), self.m)
         field = self.field
+        _check_entries(field, [vector])
         v = list(vector)
         for p, row in zip(self.pivots, self.rows):
             c = v[p]
@@ -260,22 +368,34 @@ class Subspace:
 
     def __le__(self, other: "Subspace") -> bool:
         _require_same_space(self, other)
+        if self._packed():
+            return not any(map(other._residual_bits, self._bits))
         return all(row in other for row in self.rows)
 
     def __add__(self, other: "Subspace") -> "Subspace":
         _require_same_space(self, other)
+        if self._packed():
+            return Subspace._from_bits(self.field, self.m, _rref_bits(self._bits + other._bits))
         return Subspace._make(self.field, self.m,
-                              _reduce_rows(self.field, self.m, self.rows + other.rows))
+                              _rref_general(self.field, self.rows + other.rows))
 
     def __and__(self, other: "Subspace") -> "Subspace":
         """Intersection, computed from a doubled-column block reduction."""
         _require_same_space(self, other)
         m = self.m
+        if self._packed():
+            combined = [b | b << m for b in self._bits]
+            combined.extend(other._bits)
+            low = (1 << m) - 1
+            # the rows with no left half are the reduced tail of a
+            # reduced basis, so their right halves are reduced already
+            inter = [r >> m for r in _rref_bits(combined) if not r & low]
+            return Subspace._from_bits(self.field, m, inter)
         combined = [row + row for row in self.rows]
         combined.extend(row + (0,) * m for row in other.rows)
-        reduced = _reduce_rows(self.field, 2 * m, combined)
+        reduced = _rref_general(self.field, combined)
         inter = [row[m:] for row in reduced if not any(row[:m])]
-        return Subspace._make(self.field, m, _reduce_rows(self.field, m, inter))
+        return Subspace._make(self.field, m, _rref_general(self.field, inter))
 
     # ------------------------------------------------------------------
 
@@ -298,15 +418,23 @@ class Subspace:
         """All d-dimensional subspaces of this space."""
         if d < 0 or d > self.dim:
             return
-        for rel in _iter_reduced_bases(self.field, self.dim, d, cap):
+        field, m = self.field, self.m
+        if self._packed():
+            # a reduced relative basis times a reduced basis is reduced:
+            # row i has its pivot where rel[i] picks its pivot row, and
+            # a zero in every other row's pivot column
+            for rel in _iter_reduced_bases(field, self.dim, d, cap, packed=True):
+                yield Subspace._from_bits(field, m, _matmul_bits(rel, self._bits))
+            return
+        for rel in _iter_reduced_bases(field, self.dim, d, cap):
             rows = []
             for coeffs in rel:
-                v = (0,) * self.m
+                v = (0,) * m
                 for c, row in zip(coeffs, self.rows):
                     if c:
-                        v = vec_add(self.field, v, vec_scale(self.field, c, row))
+                        v = vec_add(field, v, vec_scale(field, c, row))
                 rows.append(v)
-            yield Subspace._make(self.field, self.m, _reduce_rows(self.field, self.m, rows))
+            yield Subspace._make(field, m, _rref_general(field, rows))
 
 
 def _check_ambient(field: Field, m: int, vectors: Sequence[Vector]) -> None:
@@ -323,10 +451,17 @@ def _check_ambient(field: Field, m: int, vectors: Sequence[Vector]) -> None:
 
 
 def _require_same_space(a: "Subspace", b: "Subspace") -> None:
-    if a.field != b.field:
+    if a.field is not b.field and a.field != b.field:
         raise ValueError(f"mixed fields: {a.field!r} and {b.field!r}")
     if a.m != b.m:
         raise ValueError(f"mixed ambient dimensions: {a.m} and {b.m}")
+
+
+def _sum_dim(spaces: Sequence[Subspace]) -> int:
+    """Dimension of the sum of subspaces of one ambient space."""
+    if spaces[0]._packed():
+        return len(_echelon_bits([b for u in spaces for b in u._bits]))
+    return len(_rref_general(spaces[0].field, [row for u in spaces for row in u.rows]))
 
 
 # ----------------------------------------------------------------------
@@ -353,12 +488,17 @@ def gaussian_binomial(m: int, d: int, q: int) -> int:
     for i in range(d):
         num *= q ** (m - i) - 1
         den *= q ** (d - i) - 1
-    assert num % den == 0
+    if num % den:
+        raise RuntimeError(f"Gaussian binomial [{m} {d}]_{q}: {den} does not divide {num}")
     return num // den
 
 
-def _iter_reduced_bases(field: Field, m: int, d: int, cap: int) -> Iterator[list[Vector]]:
-    """Reduced-basis matrices of all d-dim subspaces of F_q^m, canonical order."""
+def _iter_reduced_bases(field: Field, m: int, d: int, cap: int,
+                        packed: bool = False) -> Iterator[list]:
+    """Reduced-basis matrices of all d-dim subspaces of F_q^m, canonical order.
+
+    Rows are tuples, or with packed=True (q = 2) ints.
+    """
     q = field.q
     count = gaussian_binomial(m, d, q)
     if count > cap:
@@ -369,6 +509,15 @@ def _iter_reduced_bases(field: Field, m: int, d: int, cap: int) -> Iterator[list
     for pivots in itertools.combinations(range(m), d):
         pivset = set(pivots)
         free = [(i, j) for i in range(d) for j in range(pivots[i] + 1, m) if j not in pivset]
+        if packed:
+            base = [1 << p for p in pivots]
+            for values in itertools.product((0, 1), repeat=len(free)):
+                rows = base[:]
+                for (i, j), v in zip(free, values):
+                    if v:
+                        rows[i] |= 1 << j
+                yield rows
+            continue
         base = []
         for i in range(d):
             row = [0] * m
@@ -390,6 +539,10 @@ def subspaces(field: Field, m: int, d: int, cap: int = SUBSPACE_ENUM_CAP) -> Ite
         raise ValueError(f"dimension {d} is not between 0 and {m}")
     if m > MAX_AMBIENT:
         raise ValueError(f"ambient dimension {m} exceeds the supported maximum {MAX_AMBIENT}")
+    if field.q == 2 and _PACKED_KERNELS:
+        for bits in _iter_reduced_bases(field, m, d, cap, packed=True):
+            yield Subspace._from_bits(field, m, bits)
+        return
     for rows in _iter_reduced_bases(field, m, d, cap):
         yield Subspace._make(field, m, rows)
 
@@ -398,7 +551,11 @@ def subspaces(field: Field, m: int, d: int, cap: int = SUBSPACE_ENUM_CAP) -> Ite
 # matrix utilities shared by the higher layers
 
 def rank_of(field: Field, m: int, rows: Iterable[Sequence[int]]) -> int:
-    return len(_reduce_rows(field, m, rows))
+    if field.q == 2 and _PACKED_KERNELS:
+        return len(_echelon_bits([_pack_checked(field, r) for r in rows]))
+    rows = list(rows)
+    _check_entries(field, rows)
+    return len(_rref_general(field, rows))
 
 
 def left_kernel(field: Field, m: int, rows: Sequence[Sequence[int]]) -> Subspace:
@@ -441,8 +598,28 @@ def express(field: Field, target: Sequence[int],
     Returns None when the target is outside their span.  Free choices are
     resolved to zero, so the result is deterministic.
     """
-    piv: dict[int, tuple[list[int], list[int]]] = {}
     n = len(generators)
+    if field.q == 2 and _PACKED_KERNELS:
+        # the generic elimination on packed rows, coefficients as bitmasks
+        basis: list[tuple[int, int, int]] = []
+        for idx, g in enumerate(generators):
+            v = _pack_checked(field, g)
+            c = 1 << idx
+            for p, bv, bc in basis:
+                if (v >> p) & 1:
+                    v ^= bv
+                    c ^= bc
+            if v:
+                basis.append(((v & -v).bit_length() - 1, v, c))
+        v = _pack_checked(field, target)
+        coeffs = 0
+        for p, bv, bc in basis:
+            if (v >> p) & 1:
+                v ^= bv
+                coeffs ^= bc
+        return None if v else _unpack(coeffs, n)
+    _check_entries(field, [target, *generators])
+    piv: dict[int, tuple[list[int], list[int]]] = {}
     for idx, g in enumerate(generators):
         v = list(g)
         c = [0] * n
@@ -482,8 +659,19 @@ def solve(field: Field, rows: Sequence[Sequence[int]], rhs: Sequence[int]) -> Op
     if not rows:
         return ()
     m = len(rows[0])
+    if field.q == 2 and _PACKED_KERNELS:
+        rhs_bits = _pack_checked(field, rhs)
+        aug = [_pack_checked(field, r) | ((rhs_bits >> i) & 1) << m for i, r in enumerate(rows)]
+        x = 0
+        for row in _rref_bits(aug):
+            if row == 1 << m:
+                return None  # 0 = 1
+            # free variables are zero, other pivot columns are already cleared
+            x |= ((row >> m) & 1) << ((row & -row).bit_length() - 1)
+        return _unpack(x, m)
+    _check_entries(field, [*rows, rhs])
     aug = [tuple(r) + (b,) for r, b in zip(rows, rhs)]
-    reduced = _reduce_rows(field, m + 1, aug)
+    reduced = _rref_general(field, aug)
     x = [0] * m
     for row in reduced:
         p = next(j for j, v in enumerate(row) if v)
@@ -496,13 +684,15 @@ def solve(field: Field, rows: Sequence[Sequence[int]], rhs: Sequence[int]) -> Op
 
 def matmul(field: Field, a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> tuple[Vector, ...]:
     """Matrix product with rows as vectors: (a @ b)[i] = sum_j a[i][j] * b[j]."""
+    ncols = len(b[0]) if b else 0
     if field.q == 2 and _PACKED_KERNELS:
-        ncols = len(b[0]) if b else 0
-        product = _matmul_bits([_pack(r) for r in a], [_pack(r) for r in b])
+        product = _matmul_bits([_pack_checked(field, r) for r in a],
+                               [_pack_checked(field, r) for r in b])
         return tuple(_unpack(r, ncols) for r in product)
+    _check_entries(field, [*a, *b])
     out = []
     for row in a:
-        acc = (0,) * (len(b[0]) if b else 0)
+        acc = (0,) * ncols
         for x, br in zip(row, b):
             if x:
                 acc = vec_add(field, acc, vec_scale(field, x, br))

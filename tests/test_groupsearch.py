@@ -419,6 +419,32 @@ def test_orbit_code_matches_full_orbit_check(partition_search):
     assert passing >= 2
 
 
+def test_symmetry_search_verifies_each_group_once(partition_search, monkeypatch):
+    # trials that generate the same group (as a set of element keys)
+    # share one orbit_code run, and the log is unchanged
+    params, seed, outcome = partition_search
+    groups = set()
+    for _, mapping in outcome.candidates:
+        for generators in [(mapping,)] + [(t, mapping) for t in outcome.transitive_generators]:
+            group = group_closure(generators, cap=5000)
+            if group.complete:
+                groups.add(frozenset(group.elements))
+    calls = []
+    real = groupsearch.orbit_code
+
+    def counted(group, *args, **kwargs):
+        calls.append(frozenset(group.elements))
+        return real(group, *args, **kwargs)
+
+    monkeypatch.setattr(groupsearch, "orbit_code", counted)
+    again = symmetry_search(seed, _partition_member(6), params,
+                            group_cap=5000, orbit_cap=500)
+    assert len(calls) == len(set(calls)) == len(groups) == 50
+    assert again.log == outcome.log
+    assert [res.states.collections.keys() for res in again.results] == \
+        [res.states.collections.keys() for res in outcome.results]
+
+
 def test_stabilizer_check_is_an_error(monkeypatch):
     # a map search that returns a map moving the collection must be
     # caught by a check that also holds under python -O

@@ -27,6 +27,7 @@ from frcodes.storage import (
     RepairingCollection,
     RepairWitness,
     exact_to_states,
+    find_repair_witness,
     valid_newcomers,
 )
 from frcodes.subspace import span, vec_dot
@@ -243,6 +244,29 @@ class TestPartitionCode:
         assert report.verdict == "ok"
         assert report.downloads == 30 * 3
         assert report.distinct_states <= 56
+
+    def test_witness_found_once_per_pair(self, partition_states, monkeypatch):
+        # the repair witness of a (collection, newcomer) pair is computed
+        # once; every event still uses the witness a fresh search finds
+        from frcodes import simulator
+
+        pairs = []
+
+        def counted(collection, target, params):
+            pairs.append((collection.key, target.key))
+            return find_repair_witness(collection, target, params)
+
+        monkeypatch.setattr(simulator, "find_repair_witness", counted)
+        x = (0, 1, 1, 0, 1)
+        report = run_random(dss_init(partition_states, x, seed=8), 120)
+        assert report.verdict == "ok"
+        assert len(pairs) == len(set(pairs)) < 120
+        params = partition_states.params
+        for transcript in report.transcripts:
+            collection = partition_states.collections[transcript.collection_key]
+            fresh = find_repair_witness(collection, transcript.newcomer, params)
+            assert tuple(share.repair_space for share in transcript.shares) \
+                == fresh.repair_spaces
 
 
 class TestFamilyCode:

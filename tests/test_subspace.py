@@ -5,6 +5,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import frcodes.subspace as sub
 from frcodes.gf import GF
@@ -366,3 +368,100 @@ def test_matmul_and_inverse():
             assert apply_matrix(field, apply_matrix(field, v, rows), inv) == v
     with pytest.raises(ValueError):
         invert_matrix(F2, [(1, 1), (1, 1)])
+
+
+def test_out_of_field_entries_rejected():
+    # every path checks the entries of its tuple input, the packed GF(2)
+    # ones included, which once read any nonzero entry as 1
+    ident = ((1, 0), (0, 1))
+    calls = [
+        lambda: rank_of(F2, 2, [(2, 0)]),
+        lambda: solve(F2, [(1, 0)], [3]),
+        lambda: solve(F2, [(1, 0.0)], [1]),
+        lambda: matmul(F2, [(2, 1)], ident),
+        lambda: matmul(F2, ident, [(1, 0), (0, -1)]),
+        lambda: express(F2, (2, 0), [(1, 0)]),
+        lambda: express(F2, (1, 0), [(1, True), ("1", 0)]),
+        lambda: left_kernel(F2, 2, [(1, 2)]),
+        lambda: span(F2, 2, [(1, 0)]).reduce((0, 2)),
+        lambda: (3, 0) in span(F2, 2, [(1, 0)]),
+        lambda: rank_of(F3, 2, [(1, 5)]),
+        lambda: solve(F3, [(1, 0)], [3]),
+        lambda: matmul(F4, [(4, 0)], ident),
+        lambda: express(F3, (1, 0), [(1, 3)]),
+    ]
+    for packed in (True, False):
+        try:
+            sub._PACKED_KERNELS = packed
+            for call in calls:
+                with pytest.raises(ValueError, match="not an element"):
+                    call()
+        finally:
+            sub._PACKED_KERNELS = True
+
+
+def _generic(compute):
+    """compute() with the generic kernels at q = 2, the packed ones' oracle."""
+    try:
+        sub._PACKED_KERNELS = False
+        return compute()
+    finally:
+        sub._PACKED_KERNELS = True
+
+
+def test_packed_keys_match_make_key():
+    # every subspace of F_2^m for m <= 6, in enumeration order, then
+    # random spans up to the largest ambient dimension
+    for m in range(7):
+        for d in range(m + 1):
+            packed = list(subspaces(F2, m, d))
+            generic = _generic(lambda: list(subspaces(F2, m, d)))
+            assert [s.rows for s in packed] == [s.rows for s in generic]
+            for s in packed:
+                assert s.key == sub._make_key(2, m, s.rows, s.pivots)
+    rng = random.Random(64)
+    for trial in range(3000):
+        m = rng.randrange(1, sub.MAX_AMBIENT + 1)
+        vectors = [tuple(rng.randrange(2) for _ in range(m))
+                   for _ in range(rng.randrange(0, 9))]
+        s = span(F2, m, vectors)
+        assert s.key == sub._make_key(2, m, s.rows, s.pivots)
+        if trial % 10 == 0:
+            assert s.rows == _generic(lambda: span(F2, m, vectors).rows)
+
+
+@st.composite
+def _generator_sets(draw):
+    m = draw(st.integers(1, 6))
+    vector = st.tuples(*[st.integers(0, 1)] * m)
+    a = draw(st.lists(vector, max_size=m + 1))
+    b = draw(st.lists(vector, max_size=m + 1))
+    rhs = draw(st.lists(st.integers(0, 1), min_size=len(a), max_size=len(a)))
+    return m, a, b, draw(vector), rhs
+
+
+def _core_results(m, a, b, target, rhs):
+    u, w = span(F2, m, a), span(F2, m, b)
+    spaces = {"u": u, "w": w, "u+w": u + w, "u&w": u & w}
+    for d in {1, u.dim - 1}:
+        for i, s in enumerate(u.subspaces(d)):
+            spaces[f"u{d}.{i}"] = s
+    return {
+        "spaces": {name: (s.rows, s.pivots, s.dim, s.key) for name, s in spaces.items()},
+        "order": (u <= w, w <= u, u & w <= u, u <= u + w),
+        "members": (target in u, u.reduce(target)),
+        "express": (express(F2, target, a), express(F2, target, a + b)),
+        "solve": solve(F2, a, rhs),
+        "rank": (rank_of(F2, m, a), rank_of(F2, m, a + b)),
+    }
+
+
+@settings(max_examples=300, deadline=None)
+@given(_generator_sets())
+def test_packed_core_matches_generic(case):
+    packed = _core_results(*case)
+    generic = _generic(lambda: _core_results(*case))
+    assert packed == generic
+    m = case[0]
+    for rows, pivots, _, key in generic["spaces"].values():
+        assert key == sub._make_key(2, m, rows, pivots)
