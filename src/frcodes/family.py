@@ -36,11 +36,13 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .gf import GF, Field
+from .groupsearch import _transporter
 from .storage import (
     CodeParams,
     RepairWitness,
     RepairingCollection,
     StateSet,
+    _search_newcomers,
     reachable_closure,
 )
 from .subspace import (
@@ -89,6 +91,8 @@ def _require(holds: bool, claim: str) -> None:
 
 CODEWORD_CAP = 1 << 16
 MDS_SEARCH_CAP = 10**5
+# backtracking nodes of one map search from an orbit representative
+TRANSPORT_CAP = 10**4
 
 
 def message_dimension(r: int, s: int) -> int:
@@ -556,6 +560,17 @@ class GoodCollectionSet(StateSet):
     always holds the canonical seed); membership tests cover the whole
     code.  verify() certifies the repair property for the cached
     members, testing replacements against the full predicate.
+
+    Goodness is a set of rank conditions on sums of members, so every
+    invertible map g carries the code onto itself, and the (r, beta)
+    repairs of C onto those of gC: the valid newcomers of gC are g
+    applied to those of C.  So valid_newcomers keeps one searched
+    representative per orbit met, with its newcomers and candidate cap,
+    and answers a collection that some representative maps onto with
+    the moved newcomers sorted by key, the tuple the search would give.
+    Otherwise (no map, a map search past its cap, or a smaller candidate
+    cap than the representative's) it searches, and records a new
+    representative.
     """
 
     def __init__(self, r: int, s: int, q: int):
@@ -563,6 +578,22 @@ class GoodCollectionSet(StateSet):
         self.s = s
         seed = construct_good(r, s, q)
         super().__init__(seed.params, [seed.to_repairing_collection()])
+        self._orbits: list[tuple[RepairingCollection, int, tuple[Subspace, ...]]] = []
+
+    def _equivariant_newcomers(self, collection: RepairingCollection,
+                               cap: int) -> tuple[Subspace, ...]:
+        for representative, searched_cap, newcomers in self._orbits:
+            if cap < searched_cap:
+                continue
+            try:
+                g = _transporter(representative, collection, TRANSPORT_CAP)
+            except CapExceeded:
+                break
+            if g is not None:
+                return tuple(sorted((g.apply(u) for u in newcomers), key=lambda u: u.key))
+        newcomers = _search_newcomers(self, collection, cap)
+        self._orbits.append((collection, cap, newcomers))
+        return newcomers
 
     def __contains__(self, item) -> bool:
         if super().__contains__(item):

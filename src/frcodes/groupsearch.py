@@ -59,12 +59,14 @@ from .subspace import (
     _bit_bytes,
     _matmul_bits,
     _pack,
+    _rref_bits,
     express,
     invert_matrix,
     matmul,
     rank_of,
     span,
     standard_basis_vector,
+    zero_subspace,
 )
 
 __all__ = [
@@ -169,6 +171,9 @@ class LinearMap:
             raise ValueError("subspace is over a different field")
         if space.m != self.m:
             raise ValueError(f"subspace ambient {space.m} does not match map ambient {self.m}")
+        if self._bits is not None and space._packed():
+            return Subspace._from_bits(self.field, self.m,
+                                       _rref_bits(_matmul_bits(space._bits, self._bits)))
         return span(self.field, self.m, matmul(self.field, space.rows, self.rows))
 
     def apply_collection(self, collection: RepairingCollection) -> RepairingCollection:
@@ -323,19 +328,60 @@ def _constrained_images(field: Field, m: int, pairs: Sequence[tuple[Subspace, Su
     yield from extend(0)
 
 
-def _search_maps(field: Field, m: int,
-                 sources: Sequence[Subspace],
-                 assignment_iter: Iterator[tuple[Subspace, ...]],
-                 cap: int) -> list[LinearMap]:
+def _iter_maps(field: Field, m: int, sources: Sequence[Subspace],
+               assignment_iter: Iterator[tuple[Subspace, ...]],
+               cap: int) -> Iterator[LinearMap]:
+    """Maps carrying each source onto its assigned target, repeats included.
+
+    One node counter spans all assignments, so a caller that stops at
+    the first map pays only for the nodes before it.
+    """
     counter = [0]
-    found: dict[bytes, LinearMap] = {}
     for targets in assignment_iter:
         pairs = list(zip(sources, targets))
         for src_rows, img_rows in _constrained_images(field, m, pairs, cap, counter):
             matrix = matmul(field, invert_matrix(field, src_rows), img_rows)
-            mapping = LinearMap(field, m, matrix)
-            found.setdefault(mapping.key, mapping)
+            yield LinearMap(field, m, matrix)
+
+
+def _search_maps(field: Field, m: int, sources: Sequence[Subspace],
+                 assignment_iter: Iterator[tuple[Subspace, ...]],
+                 cap: int) -> list[LinearMap]:
+    found = {g.key: g for g in _iter_maps(field, m, sources, assignment_iter, cap)}
     return [found[k] for k in sorted(found)]
+
+
+def _traces(spaces: Sequence[Subspace]) -> dict[bytes, Subspace]:
+    # each member's meet with the sum of the other members, by key
+    return {u.key: u & sum(spaces[:i] + spaces[i + 1:], zero_subspace(u.field, u.m))
+            for i, u in enumerate(spaces)}
+
+
+def _transporter(source: RepairingCollection, target: RepairingCollection,
+                 cap: int) -> Optional[LinearMap]:
+    """Some invertible map g with g(source) = target, or None if there is none.
+
+    The search of transition_maps, stopped at the first map.  A map
+    carrying members onto members carries each member's trace (its meet
+    with the other members' sum) along too, so the traces are
+    constrained first; that forces most later basis images.  Raises
+    CapExceeded past cap backtracking nodes.
+    """
+    if (source.field != target.field or source.m != target.m
+            or len(source) != len(target)):
+        return None
+    source_traces = _traces(source.spaces)
+    target_traces = _traces(target.spaces)
+    traces = tuple(source_traces[u.key] for u in source.spaces)
+
+    def assignments() -> Iterator[tuple[Subspace, ...]]:
+        for targets in _assignments(source.spaces, target.spaces):
+            moved = tuple(target_traces[v.key] for v in targets)
+            if all(a.dim == b.dim for a, b in zip(traces, moved)):
+                yield moved + targets
+
+    return next(_iter_maps(source.field, source.m, traces + source.spaces,
+                           assignments(), cap), None)
 
 
 def transition_maps(collection: RepairingCollection, newcomer: Subspace,
@@ -349,6 +395,10 @@ def transition_maps(collection: RepairingCollection, newcomer: Subspace,
     basis images inside the assigned targets; the result is
     deduplicated and sorted by matrix key.  Raises CapExceeded past cap
     backtracking nodes.
+
+    A map g carries repair slices, their sums and rank conditions from a
+    collection to its image, so whatever they decide (obtainable
+    newcomers, goodness, the repair property) moves along g.
     """
     field = collection.field
     m = collection.m
@@ -391,6 +441,10 @@ def stabilizer(collection: RepairingCollection, newcomer: Subspace,
     composition and inverse), reported as a complete GroupClosure whose
     transitive flag records whether the induced permutation action
     reaches every member of the collection from the first one.
+
+    With the zero space as newcomer this is the setwise stabilizer of
+    the collection, whose orbit under GL(m, q) has |GL(m, q)| / order
+    members.
     """
     field = collection.field
     m = collection.m

@@ -469,9 +469,25 @@ def check_repair_property(states: StateSet, all_newcomers: bool = False,
 def valid_newcomers(states: StateSet, collection: RepairingCollection,
                     cap: int = OBTAINABLE_CAP) -> tuple[Subspace, ...]:
     """All obtainable newcomers whose replacements stay inside the set,
-    sorted by canonical key."""
+    sorted by canonical key.
+
+    If an invertible map g carries the set onto itself, the valid
+    newcomers of gC are g applied to those of C.  A set with that
+    symmetry answers through its _equivariant_newcomers(collection,
+    cap), which must return what the search here returns and falls back
+    to it; a plain StateSet has no such method and is searched.
+    """
     if states.transitions is not None and collection.key in states.transitions:
         return states.transitions[collection.key]
+    equivariant = getattr(states, "_equivariant_newcomers", None)
+    if equivariant is not None:
+        return equivariant(collection, cap)
+    return _search_newcomers(states, collection, cap)
+
+
+def _search_newcomers(states: StateSet, collection: RepairingCollection,
+                      cap: int) -> tuple[Subspace, ...]:
+    # the direct search of valid_newcomers over every obtainable space
     found: dict[bytes, Subspace] = {}
     for cand in obtainable_spaces(collection, states.params, cap):
         if _replacements_inside(states, collection, cand):

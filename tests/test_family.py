@@ -435,3 +435,136 @@ def test_family_code_enumerates_all_good_triples():
             assert len(result.replacements) == 3
     assert good_triples == 208320
     assert sampled > 2500
+
+
+def _gl_order(m, q):
+    order = 1
+    for i in range(m):
+        order *= q**m - q**i
+    return order
+
+
+@pytest.mark.parametrize("r, s, q, stab_order, orbit", [
+    # the good (3, 1) triples over GF(2) counted one by one above
+    (3, 1, 2, 48, 208_320),
+    # two distinct planes of F_3^3 are always good: C(13, 2) pairs
+    (2, 1, 3, 144, 78),
+])
+def test_good_collections_form_one_orbit(r, s, q, stab_order, orbit):
+    # the setwise stabilizer of the canonical collection (every map
+    # fixes the zero space) has |GL(m, q)| / orbit elements, so the
+    # orbit of the canonical collection is every good collection
+    from frcodes.groupsearch import stabilizer
+    from frcodes.subspace import zero_subspace
+
+    seed = construct_good(r, s, q).to_repairing_collection()
+    stab = stabilizer(seed, zero_subspace(seed.field, seed.m))
+    assert stab.order == stab_order
+    assert _gl_order(seed.m, q) == stab_order * orbit
+
+
+def _direct(r, s, q, collection):
+    # a fresh set has no orbit representative, so it searches
+    fresh = family_state_space(r, s, q)
+    found = valid_newcomers(fresh, collection)
+    assert [rep.key for rep, _, _ in fresh._orbits] == [collection.key]
+    return found
+
+
+def _transported(code, collections):
+    # valid_newcomers of each collection through one set, which
+    # searches the first and moves its answer to the others
+    found = [valid_newcomers(code, c) for c in collections]
+    assert [rep.key for rep, _, _ in code._orbits] == [collections[0].key]
+    return found
+
+
+def test_transported_newcomers_match_direct_search():
+    trail = [c.to_repairing_collection()
+             for c in random_walk(construct_good(3, 1, 2), 29, random.Random(61))]
+    assert len({c.key for c in trail}) > 20
+    moved = _transported(family_state_space(3, 1, 2), trail)
+    for collection, newcomers in zip(trail, moved):
+        direct = _direct(3, 1, 2, collection)
+        assert newcomers
+        assert [u.key for u in newcomers] == [u.key for u in direct]
+
+
+def test_transported_newcomers_match_direct_search_over_gf3():
+    planes = list(subspaces(F3, 3, 2))
+    assert len(planes) == 13
+    pairs = [RepairingCollection(pair) for pair in itertools.combinations(planes, 2)]
+    code = family_state_space(2, 1, 3)
+    seed = next(iter(code))
+    pairs.sort(key=lambda c: c.key != seed.key)
+    assert pairs[0] == seed
+    moved = _transported(code, pairs)
+    for collection, newcomers in zip(pairs, moved):
+        direct = _direct(2, 1, 3, collection)
+        assert len(newcomers) == 9
+        assert [u.key for u in newcomers] == [u.key for u in direct]
+
+
+def test_transport_falls_back_to_search(monkeypatch):
+    import frcodes.family as family_module
+    from frcodes.subspace import CapExceeded
+
+    trail = [c.to_repairing_collection()
+             for c in random_walk(construct_good(3, 1, 2), 3, random.Random(5))]
+    # a map search past its cap: every collection is searched directly
+    def capped(source, target, cap):
+        raise CapExceeded("map search exceeded")
+
+    monkeypatch.setattr(family_module, "_transporter", capped)
+    code = family_state_space(3, 1, 2)
+    for c in trail:
+        assert valid_newcomers(code, c) == _direct(3, 1, 2, c)
+    assert [rep.key for rep, _, _ in code._orbits] == [c.key for c in trail]
+    monkeypatch.undo()
+    # a smaller candidate cap than the representative's: searched again
+    code = family_state_space(3, 1, 2)
+    valid_newcomers(code, trail[0])
+    valid_newcomers(code, trail[1], cap=1000)
+    assert len(code._orbits) == 2
+    with pytest.raises(CapExceeded):
+        valid_newcomers(code, trail[2], cap=10)
+
+
+def test_plain_state_set_never_transports(monkeypatch):
+    # the 56-state code as a plain StateSet: every call is a direct
+    # search, and each state has its one newcomer
+    import frcodes.family as family_module
+    from frcodes.partition_code import build_partition, code_states
+    from frcodes.storage import StateSet
+
+    def refuse(*args):
+        raise AssertionError("a plain StateSet was transported")
+
+    monkeypatch.setattr(family_module, "_transporter", refuse)
+    states = code_states(build_partition())
+    plain = StateSet(states.params, states)
+    assert plain.transitions is None
+    assert not hasattr(plain, "_equivariant_newcomers")
+    for collection in plain:
+        assert valid_newcomers(plain, collection) == states.transitions[collection.key]
+
+
+def test_family_soak_runs_one_direct_search(monkeypatch):
+    from frcodes import storage
+    from frcodes.simulator import dss_init, run_random
+
+    code = family_state_space(3, 1, 2)
+    code.verify()
+    searches = []
+    direct = storage.iter_obtainable
+
+    def counted(*args, **kwargs):
+        searches.append(args[0].key)
+        return direct(*args, **kwargs)
+
+    monkeypatch.setattr(storage, "iter_obtainable", counted)
+    report = run_random(dss_init(code, (0, 1, 1, 1, 0), seed=88), 300)
+    assert report.verdict == "ok"
+    assert report.distinct_states > 150
+    assert len(searches) == 1
+    assert len(code._orbits) == 1

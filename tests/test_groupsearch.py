@@ -584,3 +584,70 @@ def test_listing_must_match_chain_order(monkeypatch, rotation_code):
     monkeypatch.setattr(groupsearch, "_chain_order", lambda perms, cap: 5)
     with pytest.raises(RuntimeError, match="chain order"):
         group_closure([rotation])
+
+
+def _random_invertible(rng, field, m):
+    while True:
+        rows = tuple(tuple(rng.randrange(field.q) for _ in range(m)) for _ in range(m))
+        if sub.rank_of(field, m, rows) == m:
+            return LinearMap(field, m, rows)
+
+
+def test_packed_apply_matches_generic_image():
+    # over GF(2) apply multiplies packed rows and reduces them; with the
+    # packed kernels off it runs on tuple rows, and both give one image
+    rng = random.Random(59)
+    planes = list(subspaces(F2, 5, 2))
+    assert len(planes) == 155
+    for _ in range(20):
+        g = _random_invertible(rng, F2, 5)
+        packed = [g.apply(u) for u in planes]
+        try:
+            sub._PACKED_KERNELS = False
+            generic = [g.apply(u) for u in planes]
+        finally:
+            sub._PACKED_KERNELS = True
+        assert [u.key for u in packed] == [u.key for u in generic]
+        assert [u.rows for u in packed] == [u.rows for u in generic]
+        assert len({u.key for u in packed}) == 155
+
+
+def _orbit_keys(collection, group):
+    return {g.apply_collection(collection).key for g in group}
+
+
+def test_transporter_matches_orbits_of_gl32():
+    # every multiset of two lines or planes of F_2^3 against every other:
+    # a map exists exactly when the target lies in the source's orbit
+    # under all 168 elements of GL(3, 2), and a found map carries the
+    # source onto the target
+    gl32 = [LinearMap(F2, 3, rows)
+            for rows in itertools.product(itertools.product(range(2), repeat=3), repeat=3)
+            if sub.rank_of(F2, 3, rows) == 3]
+    assert len(gl32) == 168
+    spaces = list(subspaces(F2, 3, 1)) + list(subspaces(F2, 3, 2))
+    collections = [RepairingCollection(pair)
+                   for pair in itertools.combinations_with_replacement(spaces, 2)]
+    assert len(collections) == 105
+    sources = collections[::7]
+    for source in sources:
+        orbit = _orbit_keys(source, gl32)
+        for target in collections:
+            g = groupsearch._transporter(source, target, BACKTRACK_CAP)
+            assert (g is not None) == (target.key in orbit)
+            if g is not None:
+                assert g.apply_collection(source) == target
+
+
+def test_transporter_edge_cases(rotation_code):
+    _, nodes, rotation, seed = rotation_code
+    moved = rotation.apply_collection(seed)
+    g = groupsearch._transporter(seed, moved, BACKTRACK_CAP)
+    assert g.apply_collection(seed) == moved
+    # other sizes, ambients and fields have no map at all
+    assert groupsearch._transporter(seed, RepairingCollection(nodes), BACKTRACK_CAP) is None
+    line3 = RepairingCollection([span(F3, 4, [e(4, 0)])] * 3)
+    assert groupsearch._transporter(seed, line3, BACKTRACK_CAP) is None
+    with pytest.raises(CapExceeded):
+        groupsearch._transporter(seed, moved, 1)
+

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import pathlib
@@ -297,6 +298,28 @@ class TestFamilyCode:
         choices = valid_newcomers(code, collection)
         transcript = repair(state, randomize=True)
         assert transcript.newcomer in choices
+
+    def test_seeded_family_runs_are_pinned(self):
+        # sha256 digests of two seeded runs on the (3, 1) family code,
+        # recorded when every newcomer tuple came from a direct search:
+        # moved newcomers must give the same choices in the same order
+        from frcodes.family import family_state_space
+
+        code = family_state_space(3, 1, 2)
+        code.verify()
+        soak = run_random(dss_init(code, (1, 0, 1, 1, 0), seed=2026), 300)
+        assert soak.verdict == "ok"
+        assert hashlib.sha256(soak.render().encode()).hexdigest() == \
+            "5cdfe41fcb80dab7b7770ecfbc9896220fc007b89dca95b647f29350b6f7b2ec"
+        # randomized repairs draw from the whole newcomer tuple
+        code = family_state_space(3, 1, 2)
+        code.verify()
+        state = dss_init(code, (0, 1, 1, 0, 1), seed=4049)
+        for _ in range(200):
+            fail(state, state.rng.randrange(len(state.nodes)))
+            repair(state, randomize=True)
+        assert hashlib.sha256("\n".join(state.log).encode()).hexdigest() == \
+            "2a556745f54cc32d0b8446f1095e1ca55068ac305abe0b682b7a6806aa706b40"
 
 
 EXAMPLE = pathlib.Path(__file__).parent / "data" / "example1.fsc"
