@@ -516,6 +516,8 @@ def random_walk(collection: GoodCollection, steps: int,
 
     Returns the trajectory including the start, length steps + 1.
     """
+    if steps < 0:
+        raise ValueError(f"steps must be non-negative, got {steps}")
     trail = [collection]
     current = collection
     for _ in range(steps):
@@ -526,10 +528,10 @@ def random_walk(collection: GoodCollection, steps: int,
 
 
 def cutset_bound(k: int, r: int, alpha: int, beta: int) -> int:
-    """Storage capacity bound: sum of min(alpha, (r-i) beta) for i < k."""
+    """Storage capacity bound: sum of min(alpha, max(0, r-i) beta) for i < k."""
     if min(k, r, alpha, beta) < 1:
         raise ValueError("all parameters must be positive")
-    return sum(min(alpha, (r - i) * beta) for i in range(k))
+    return sum(min(alpha, max(0, r - i) * beta) for i in range(k))
 
 
 # ----------------------------------------------------------------------

@@ -345,6 +345,8 @@ def run_random(state: DssState, steps: int,
     ends the run with verdict FAILED and a log line that says where.
     Identical seeds give identical reports.
     """
+    if steps < 0:
+        raise ValueError(f"steps must be non-negative, got {steps}")
     if seed is not None:
         state.rng = random.Random(seed)
         state.seed = seed

@@ -210,36 +210,47 @@ def recovery_dimension(spaces: Sequence[Subspace], m: int) -> int:
 # ----------------------------------------------------------------------
 # obtainable newcomer spaces
 
-def iter_obtainable(collection: RepairingCollection, params: CodeParams,
-                    cap: int = OBTAINABLE_CAP) -> Iterator[tuple[Subspace, RepairWitness]]:
-    """All (newcomer, witness) pairs obtainable by an (r, beta) repair.
-
-    Deterministic order: repair sets by ascending index tuples, repair
-    slices by canonical enumeration within each helper, candidate spaces
-    by canonical enumeration within each slice sum.  The same newcomer
-    may appear under several witnesses; counting is against the cap on
-    examined candidates.
-    """
+def _slice_sums(collection: RepairingCollection, params: CodeParams
+                ) -> Iterator[tuple[tuple[int, ...], tuple[Subspace, ...], Subspace]]:
+    """(indices, beta-slices, their sum) of each (r, beta) repair, in the
+    order of iter_obtainable; ValueError when there are fewer than r members."""
     n1 = len(collection.spaces)
     if params.r > n1:
         raise ValueError(f"r={params.r} helpers but only {n1} members")
     field = collection.field
-    examined = 0
     for indices in itertools.combinations(range(n1), params.r):
         slice_choices = [list(collection.spaces[i].subspaces(params.beta)) for i in indices]
         for ws in itertools.product(*slice_choices):
             total = zero_subspace(field, collection.m)
             for w in ws:
                 total = total + w
-            if total.dim < params.alpha:
+            yield indices, ws, total
+
+
+def iter_obtainable(collection: RepairingCollection, params: CodeParams,
+                    cap: int = OBTAINABLE_CAP) -> Iterator[tuple[Subspace, RepairWitness]]:
+    """Each newcomer obtainable by an (r, beta) repair, once, with a witness.
+
+    Deterministic order: repair sets by ascending index tuples, repair
+    slices by canonical enumeration within each helper, candidate spaces
+    by canonical enumeration within each slice sum.  A newcomer reached
+    by several repairs comes once, with the witness of its first
+    appearance; CapExceeded is raised past cap distinct candidates.
+    Every newcomer search here calls it by its module-level name.
+    """
+    seen: set[bytes] = set()
+    for indices, ws, total in _slice_sums(collection, params):
+        if total.dim < params.alpha:
+            continue
+        witness = RepairWitness(indices, ws)
+        for cand in total.subspaces(params.alpha):
+            if cand.key in seen:
                 continue
-            witness = RepairWitness(indices, tuple(ws))
-            for cand in total.subspaces(params.alpha):
-                examined += 1
-                if examined > cap:
-                    raise CapExceeded(
-                        f"more than {cap} candidate newcomers for one collection")
-                yield cand, witness
+            if len(seen) >= cap:
+                raise CapExceeded(
+                    f"more than {cap} distinct candidate newcomers for one collection")
+            seen.add(cand.key)
+            yield cand, witness
 
 
 def obtainable_spaces(collection: RepairingCollection, params: CodeParams,
@@ -252,20 +263,13 @@ def find_repair_witness(collection: RepairingCollection, target: Subspace,
                         params: CodeParams) -> Optional[RepairWitness]:
     """First witness showing the target is obtainable, or None.
 
-    Cheaper than full enumeration: candidate spaces are never generated,
-    only the membership of the target in each slice sum is tested.
+    The first repair in the order of iter_obtainable whose slice sum
+    contains the target; candidate spaces are never generated.  Raises
+    ValueError when the collection has fewer than r members.
     """
-    n1 = len(collection.spaces)
-    field = collection.field
-    for indices in itertools.combinations(range(n1), params.r):
-        slice_choices = [list(collection.spaces[i].subspaces(params.beta)) for i in indices]
-        for ws in itertools.product(*slice_choices):
-            total = zero_subspace(field, collection.m)
-            for w in ws:
-                total = total + w
-            if target <= total:
-                return RepairWitness(indices, tuple(ws))
-    return None
+    return next((RepairWitness(indices, ws)
+                 for indices, ws, total in _slice_sums(collection, params)
+                 if target <= total), None)
 
 
 # ----------------------------------------------------------------------
@@ -279,7 +283,6 @@ class CollectionCheck:
     spanning_ok: bool
     state: Optional[AdmissibleState]
     valid_newcomers: Optional[tuple[Subspace, ...]] = None
-    per_index_feasible: Optional[tuple[bool, ...]] = None
 
     @property
     def ok(self) -> bool:
@@ -388,12 +391,13 @@ def _has_spanning_subset(collection: RepairingCollection, params: CodeParams) ->
     return False
 
 
-def _replacements_inside(states: StateSet, collection: RepairingCollection,
-                         cand: Subspace) -> bool:
+def _replacements_inside(inside: Callable[[RepairingCollection], bool],
+                         collection: RepairingCollection, cand: Subspace) -> bool:
+    """True when every single-member replacement by cand satisfies inside."""
     for i in range(len(collection.spaces)):
         if i > 0 and collection.spaces[i].key == collection.spaces[i - 1].key:
             continue  # duplicate member, same replaced collection
-        if collection.replace(i, cand) not in states:
+        if not inside(collection.replace(i, cand)):
             return False
     return True
 
@@ -405,47 +409,33 @@ def _check_collection(states: StateSet, collection: RepairingCollection,
 
     A hint newcomer is tried first: it is the certificate when it has
     dimension alpha, a repair witness, and every replacement inside the
-    set.  Otherwise the obtainable newcomers are searched as without a
-    hint.  The hint is ignored when every valid newcomer is wanted.
+    set.  Otherwise the newcomers of iter_obtainable are tested in turn,
+    and the first whose every replacement is inside is the certificate;
+    with all_newcomers every one is tested and the valid ones recorded.
+    The hint is ignored when every valid newcomer is wanted.
     """
     params = states.params
     spanning = _has_spanning_subset(collection, params)
+    inside = states.__contains__
     state = None
     if hint is not None and not all_newcomers and hint.dim == params.alpha:
         witness = find_repair_witness(collection, hint, params)
-        if witness is not None and _replacements_inside(states, collection, hint):
+        if witness is not None and _replacements_inside(inside, collection, hint):
             state = AdmissibleState(collection, hint, witness)
-    valid: dict[bytes, Subspace] = {}
-    n1 = len(collection.spaces)
-    per_index = [False] * n1
-    tested: set[bytes] = set()
+    valid: list[Subspace] = []
     if state is None:
         for cand, witness in iter_obtainable(collection, params, cap):
-            if cand.key in tested:
-                continue
-            tested.add(cand.key)
-            if all_newcomers:
-                hit_all = True
-                for i in range(n1):
-                    if i > 0 and collection.spaces[i].key == collection.spaces[i - 1].key:
-                        continue
-                    if collection.replace(i, cand) in states:
-                        per_index[i] = True
-                    else:
-                        hit_all = False
-                if hit_all:
-                    valid[cand.key] = cand
-                    if state is None:
-                        state = AdmissibleState(collection, cand, witness)
-            elif _replacements_inside(states, collection, cand):
-                state = AdmissibleState(collection, cand, witness)
-                break
+            if _replacements_inside(inside, collection, cand):
+                if state is None:
+                    state = AdmissibleState(collection, cand, witness)
+                if not all_newcomers:
+                    break
+                valid.append(cand)
     if state is not None:
         state.verify(params)
     check = CollectionCheck(collection, spanning, state)
     if all_newcomers:
-        check.valid_newcomers = tuple(valid[k] for k in sorted(valid))
-        check.per_index_feasible = tuple(per_index)
+        check.valid_newcomers = tuple(sorted(valid, key=lambda u: u.key))
     return check
 
 
@@ -456,9 +446,9 @@ def check_repair_property(states: StateSet, all_newcomers: bool = False,
     For every collection, searches the obtainable spaces for a newcomer
     whose every single-member replacement stays inside the set, and
     checks that some k members span.  With all_newcomers=True the full
-    set of valid newcomers and the per-index feasibility pattern are
-    recorded instead of stopping at the first witness.  A newcomer
-    hinted for a collection (StateSet._hints) is tried before the search.
+    set of valid newcomers is recorded instead of stopping at the first
+    witness.  A newcomer hinted for a collection (StateSet._hints) is
+    tried before the search.
     """
     checks = [_check_collection(states, states.collections[key], all_newcomers, cap,
                                 states._hints.get(key))
@@ -488,11 +478,10 @@ def valid_newcomers(states: StateSet, collection: RepairingCollection,
 def _search_newcomers(states: StateSet, collection: RepairingCollection,
                       cap: int) -> tuple[Subspace, ...]:
     # the direct search of valid_newcomers over every obtainable space
-    found: dict[bytes, Subspace] = {}
-    for cand in obtainable_spaces(collection, states.params, cap):
-        if _replacements_inside(states, collection, cand):
-            found[cand.key] = cand
-    return tuple(found[k] for k in sorted(found))
+    inside = states.__contains__
+    found = [cand for cand, _ in iter_obtainable(collection, states.params, cap)
+             if _replacements_inside(inside, collection, cand)]
+    return tuple(sorted(found, key=lambda u: u.key))
 
 
 # ----------------------------------------------------------------------
@@ -544,29 +533,15 @@ def reachable_closure(seed: RepairingCollection, params: CodeParams,
     while qi < len(queue):
         collection = queue[qi]
         qi += 1
-        certificate = None
-        tested: set[bytes] = set()
         for cand, _ in iter_obtainable(collection, params, obtainable_cap):
-            if cand.key in tested:
-                continue
-            tested.add(cand.key)
-            replaced = []
-            ok = True
-            for i in range(len(collection.spaces)):
-                if i > 0 and collection.spaces[i].key == collection.spaces[i - 1].key:
-                    continue
-                rc = collection.replace(i, cand)
-                if rc.key not in found and not admissible(rc.spaces):
-                    ok = False
-                    break
-                replaced.append(rc)
-            if ok:
-                certificate = replaced
+            if _replacements_inside(lambda rc: rc.key in found or admissible(rc.spaces),
+                                    collection, cand):
                 break
-        if certificate is None:
+        else:
             raise ClosureError(
                 f"no certifying newcomer for collection {_short_hash(b''.join(collection.key))}")
-        for rc in certificate:
+        for i in range(len(collection.spaces)):
+            rc = collection.replace(i, cand)
             if rc.key not in found:
                 if len(found) >= cap:
                     raise CapExceeded(f"reachable closure exceeded cap {cap}")

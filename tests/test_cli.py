@@ -197,3 +197,15 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "cmd_verify", blow_up)
         assert cli.main(["verify", fixture("example1.fsc")]) == 3
         assert "cap exceeded" in capsys.readouterr().err
+
+    def test_negative_steps_is_a_usage_error(self, capsys):
+        runs = [["simulate", fixture("example1.fsc"), "--data", "1011",
+                 "--steps", "-3", "--seed", "1"],
+                ["family", "--r", "2", "--s", "1", "--q", "2", "--steps", "-1"]]
+        for argv in runs:
+            assert cli.main(argv) == 1
+            captured = capsys.readouterr()
+            assert "steps" not in captured.out
+            err = captured.err.strip().splitlines()
+            assert len(err) == 1
+            assert err[0].startswith("error: steps must be non-negative")

@@ -68,6 +68,8 @@ def test_rate_identity():
 def test_cutset_bound():
     assert cutset_bound(3, 3, 2, 1) == 5
     assert cutset_bound(2, 3, 2, 2) == 4
+    # with k > r the nodes past the r-th add nothing: 2 + 1 + 0 + 0 + 0
+    assert cutset_bound(5, 2, 2, 1) == 3
     for r in range(1, 11):
         for s in range(r):
             assert cutset_bound(r, r, s + 1, 1) == message_dimension(r, s)

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
 from frcodes import storage
+from frcodes.family import construct_good, family_state_space, random_walk
 from frcodes.gf import GF
 from frcodes.storage import (
     AdmissibleState,
@@ -207,7 +209,6 @@ def test_exact_code_verifies(exact_code_spaces):
         rest = RepairingCollection([t for j, t in enumerate(spaces) if j != i])
         check = next(c for c in report.checks if c.collection == rest)
         assert check.valid_newcomers == (s,)
-        assert check.per_index_feasible == (True, True, True)
         check.state.verify(params)
         assert check.state.newcomer == s
 
@@ -329,6 +330,68 @@ def test_iter_obtainable_too_few_members(exact_code_spaces):
     c = RepairingCollection(spaces[1:3])
     with pytest.raises(ValueError):
         next(iter_obtainable(c, params))
+    with pytest.raises(ValueError):
+        find_repair_witness(c, spaces[0], params)
+
+
+def test_iter_obtainable_cap_counts_distinct_candidates():
+    # the (3, 1, 2) seed has 183 (repair, candidate) pairs but only 105
+    # distinct candidates, and the cap is on the distinct ones
+    good = construct_good(3, 1, 2)
+    seed, params = good.to_repairing_collection(), good.params
+    assert sum(1 for _ in _reference_obtainable(seed, params)) == 183
+    assert len(list(iter_obtainable(seed, params, cap=105))) == 105
+    with pytest.raises(CapExceeded, match="distinct"):
+        list(iter_obtainable(seed, params, cap=104))
+
+
+def _reference_obtainable(collection, params):
+    """Every (newcomer, witness) pair of every (r, beta) repair, repeats
+    included: the plain enumeration iter_obtainable deduplicates."""
+    for indices in itertools.combinations(range(len(collection.spaces)), params.r):
+        slice_choices = [list(collection.spaces[i].subspaces(params.beta)) for i in indices]
+        for ws in itertools.product(*slice_choices):
+            total = zero_subspace(collection.field, collection.m)
+            for w in ws:
+                total = total + w
+            if total.dim < params.alpha:
+                continue
+            witness = RepairWitness(indices, tuple(ws))
+            for cand in total.subspaces(params.alpha):
+                yield cand, witness
+
+
+def _assert_engine_matches_reference(states, collection, check):
+    params = states.params
+    firsts = {}
+    for cand, witness in _reference_obtainable(collection, params):
+        firsts.setdefault(cand.key, (cand, witness))
+    assert list(iter_obtainable(collection, params)) == list(firsts.values())
+    # an alpha-space lies in a slice sum exactly when it is one of the
+    # sum's candidates, so the first containing sum is the first appearance
+    for cand, witness in firsts.values():
+        assert find_repair_witness(collection, cand, params) == witness
+    valid = [cand for cand, _ in firsts.values()
+             if storage._replacements_inside(states.__contains__, collection, cand)]
+    assert check.valid_newcomers == tuple(sorted(valid, key=lambda u: u.key))
+    assert check.ok == bool(valid)
+
+
+def test_engine_matches_reference_on_partition_code(partition_states):
+    report = check_repair_property(partition_states, all_newcomers=True)
+    assert len(report.checks) == 56
+    for check in report.checks:
+        _assert_engine_matches_reference(partition_states, check.collection, check)
+
+
+@pytest.mark.parametrize("r, s, q, steps", [(3, 1, 2, 29), (2, 1, 3, 0)])
+def test_engine_matches_reference_on_family_collections(r, s, q, steps):
+    # the seed and the collections of a seeded random walk from it
+    code = family_state_space(r, s, q)
+    for good in random_walk(construct_good(r, s, q), steps, random.Random(7)):
+        collection = good.to_repairing_collection()
+        check = _check_collection(code, collection, all_newcomers=True)
+        _assert_engine_matches_reference(code, collection, check)
 
 
 def test_reachable_closure_recovers_exact_code(exact_code_spaces):
