@@ -36,13 +36,13 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .gf import GF, Field
-from .groupsearch import _transporter
+from .groupsearch import _traces, _transporter
 from .storage import (
     CodeParams,
     RepairWitness,
     RepairingCollection,
     StateSet,
-    _search_newcomers,
+    _newcomer_search,
     reachable_closure,
 )
 from .subspace import (
@@ -561,14 +561,16 @@ class GoodCollectionSet(StateSet):
     The explicit collection dict only caches members seen so far (it
     always holds the canonical seed); membership tests cover the whole
     code.  verify() certifies the repair property for the cached
-    members, testing replacements against the full predicate.
+    members, testing replacements against the full predicate and
+    enumerating newcomers (the listing has no StateSet._completions).
 
     Goodness is a set of rank conditions on sums of members, so every
     invertible map g carries the code onto itself, and the (r, beta)
     repairs of C onto those of gC: the valid newcomers of gC are g
     applied to those of C.  So valid_newcomers keeps one searched
-    representative per orbit met, with its newcomers and candidate cap,
-    and answers a collection that some representative maps onto with
+    representative per orbit met, with its newcomers, candidate cap and
+    member traces (computed once, for every transport from it), and
+    answers a collection that some representative maps onto with
     the moved newcomers sorted by key, the tuple the search would give.
     Otherwise (no map, a map search past its cap, or a smaller candidate
     cap than the representative's) it searches, and records a new
@@ -580,21 +582,25 @@ class GoodCollectionSet(StateSet):
         self.s = s
         seed = construct_good(r, s, q)
         super().__init__(seed.params, [seed.to_repairing_collection()])
-        self._orbits: list[tuple[RepairingCollection, int, tuple[Subspace, ...]]] = []
+        self._orbits: list[tuple[RepairingCollection, int, tuple[Subspace, ...],
+                                 tuple[Subspace, ...]]] = []
+
+    def _completions(self, collection: RepairingCollection) -> None:
+        return None
 
     def _equivariant_newcomers(self, collection: RepairingCollection,
                                cap: int) -> tuple[Subspace, ...]:
-        for representative, searched_cap, newcomers in self._orbits:
+        for representative, searched_cap, newcomers, traces in self._orbits:
             if cap < searched_cap:
                 continue
             try:
-                g = _transporter(representative, collection, TRANSPORT_CAP)
+                g = _transporter(representative, collection, TRANSPORT_CAP, traces)
             except CapExceeded:
                 break
             if g is not None:
                 return tuple(sorted((g.apply(u) for u in newcomers), key=lambda u: u.key))
-        newcomers = _search_newcomers(self, collection, cap)
-        self._orbits.append((collection, cap, newcomers))
+        _, newcomers = _newcomer_search(self, collection, True, cap)
+        self._orbits.append((collection, cap, newcomers, _traces(collection.spaces)))
         return newcomers
 
     def __contains__(self, item) -> bool:

@@ -351,28 +351,29 @@ def _search_maps(field: Field, m: int, sources: Sequence[Subspace],
     return [found[k] for k in sorted(found)]
 
 
-def _traces(spaces: Sequence[Subspace]) -> dict[bytes, Subspace]:
-    # each member's meet with the sum of the other members, by key
-    return {u.key: u & sum(spaces[:i] + spaces[i + 1:], zero_subspace(u.field, u.m))
-            for i, u in enumerate(spaces)}
+def _traces(spaces: Sequence[Subspace]) -> tuple[Subspace, ...]:
+    # each member's meet with the sum of the other members
+    return tuple(u & sum(spaces[:i] + spaces[i + 1:], zero_subspace(u.field, u.m))
+                 for i, u in enumerate(spaces))
 
 
 def _transporter(source: RepairingCollection, target: RepairingCollection,
-                 cap: int) -> Optional[LinearMap]:
+                 cap: int, source_traces: Optional[tuple[Subspace, ...]] = None
+                 ) -> Optional[LinearMap]:
     """Some invertible map g with g(source) = target, or None if there is none.
 
     The search of transition_maps, stopped at the first map.  A map
     carrying members onto members carries each member's trace (its meet
     with the other members' sum) along too, so the traces are
-    constrained first; that forces most later basis images.  Raises
-    CapExceeded past cap backtracking nodes.
+    constrained first; that forces most later basis images.  A caller
+    that transports one source often passes its _traces once computed.
+    Raises CapExceeded past cap backtracking nodes.
     """
     if (source.field != target.field or source.m != target.m
             or len(source) != len(target)):
         return None
-    source_traces = _traces(source.spaces)
-    target_traces = _traces(target.spaces)
-    traces = tuple(source_traces[u.key] for u in source.spaces)
+    traces = source_traces if source_traces is not None else _traces(source.spaces)
+    target_traces = {v.key: t for v, t in zip(target.spaces, _traces(target.spaces))}
 
     def assignments() -> Iterator[tuple[Subspace, ...]]:
         for targets in _assignments(source.spaces, target.spaces):

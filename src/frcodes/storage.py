@@ -15,7 +15,10 @@ every collection in A there is at least one obtainable newcomer space U
 such that replacing any single member by U lands inside A again, and
 every collection contains a spanning k-subset.  `check_repair_property`
 verifies exactly that, recording one witness per collection (or, on
-request, every valid newcomer).
+request, every valid newcomer).  A valid newcomer of C replaces one
+member of C to give a member of A, so for a listed A only these
+completions are tested for obtainability; a set whose membership is a
+predicate enumerates every obtainable space instead.
 
 Collections are multisets: members are kept sorted by canonical key and
 duplicates are significant.  All verification routines are pure
@@ -340,6 +343,8 @@ class StateSet:
     def __init__(self, params: CodeParams, collections: Iterable[RepairingCollection]):
         self.params = params
         self.collections: dict[tuple[bytes, ...], RepairingCollection] = {}
+        # each collection minus one member -> the removed members, by key
+        self._completion_index: dict[tuple[bytes, ...], dict[bytes, Subspace]] = {}
         for c in collections:
             if len(c.spaces) != params.n - 1:
                 raise ValueError(
@@ -347,6 +352,8 @@ class StateSet:
             if c.field.q != params.q or c.m != params.m:
                 raise ValueError("collection does not match the code parameters")
             self.collections[c.key] = c
+            for i, u in enumerate(c.spaces):
+                self._completion_index.setdefault(c.key[:i] + c.key[i + 1:], {})[u.key] = u
         self.report: Optional[RepairReport] = None
         self.transitions: Optional[dict[tuple[bytes, ...], tuple[Subspace, ...]]] = None
         self.witnesses: dict[tuple[bytes, ...], AdmissibleState] = {}
@@ -383,6 +390,12 @@ class StateSet:
                     self.witnesses[c.collection.key] = c.state
         return self.report
 
+    def _completions(self, collection: RepairingCollection) -> Optional[Iterable[Subspace]]:
+        """The listed spaces U with collection.replace(0, U) in the set, of
+        which every valid newcomer is one; None for a set whose listing is
+        not its whole membership, whose newcomers are enumerated instead."""
+        return self._completion_index.get(collection.key[1:], {}).values()
+
 
 def _has_spanning_subset(collection: RepairingCollection, params: CodeParams) -> bool:
     for combo in itertools.combinations(collection.spaces, params.k):
@@ -402,6 +415,49 @@ def _replacements_inside(inside: Callable[[RepairingCollection], bool],
     return True
 
 
+def _newcomer_search(states: StateSet, collection: RepairingCollection,
+                     all_newcomers: bool, cap: int
+                     ) -> tuple[Optional[AdmissibleState], tuple[Subspace, ...]]:
+    """The certificate of a collection and, with all_newcomers, its valid
+    newcomers sorted by key (else an empty tuple).
+
+    The certificate is the first valid newcomer in the order of
+    iter_obtainable, with the witness of its first appearance.  A listed
+    set tests only its completions of dimension alpha whose every
+    replacement is inside, in one pass over the slice sums; a predicate
+    set tests the newcomers of iter_obtainable in turn, up to cap.
+    """
+    params = states.params
+    inside = states.__contains__
+    completions = states._completions(collection)
+    state = None
+    valid: list[Subspace] = []
+    if completions is None:
+        for cand, witness in iter_obtainable(collection, params, cap):
+            if _replacements_inside(inside, collection, cand):
+                if state is None:
+                    state = AdmissibleState(collection, cand, witness)
+                if not all_newcomers:
+                    break
+                valid.append(cand)
+    else:
+        pending = {u.key: u for u in completions
+                   if u.dim == params.alpha and _replacements_inside(inside, collection, u)}
+        for indices, ws, total in _slice_sums(collection, params) if pending else ():
+            held = {key for key, u in pending.items() if u <= total}
+            if not held:
+                continue
+            if state is None:
+                first = next(c for c in total.subspaces(params.alpha) if c.key in held)
+                state = AdmissibleState(collection, first, RepairWitness(indices, ws))
+                if not all_newcomers:
+                    break
+            valid.extend(pending.pop(key) for key in held)
+            if not pending:
+                break
+    return state, tuple(sorted(valid, key=lambda u: u.key))
+
+
 def _check_collection(states: StateSet, collection: RepairingCollection,
                       all_newcomers: bool = False, cap: int = OBTAINABLE_CAP,
                       hint: Optional[Subspace] = None) -> CollectionCheck:
@@ -409,10 +465,9 @@ def _check_collection(states: StateSet, collection: RepairingCollection,
 
     A hint newcomer is tried first: it is the certificate when it has
     dimension alpha, a repair witness, and every replacement inside the
-    set.  Otherwise the newcomers of iter_obtainable are tested in turn,
-    and the first whose every replacement is inside is the certificate;
-    with all_newcomers every one is tested and the valid ones recorded.
-    The hint is ignored when every valid newcomer is wanted.
+    set.  Otherwise _newcomer_search finds the certificate, and with
+    all_newcomers every valid newcomer.  The hint is ignored when every
+    valid newcomer is wanted.
     """
     params = states.params
     spanning = _has_spanning_subset(collection, params)
@@ -422,21 +477,12 @@ def _check_collection(states: StateSet, collection: RepairingCollection,
         witness = find_repair_witness(collection, hint, params)
         if witness is not None and _replacements_inside(inside, collection, hint):
             state = AdmissibleState(collection, hint, witness)
-    valid: list[Subspace] = []
+    valid = None
     if state is None:
-        for cand, witness in iter_obtainable(collection, params, cap):
-            if _replacements_inside(inside, collection, cand):
-                if state is None:
-                    state = AdmissibleState(collection, cand, witness)
-                if not all_newcomers:
-                    break
-                valid.append(cand)
+        state, valid = _newcomer_search(states, collection, all_newcomers, cap)
     if state is not None:
         state.verify(params)
-    check = CollectionCheck(collection, spanning, state)
-    if all_newcomers:
-        check.valid_newcomers = tuple(sorted(valid, key=lambda u: u.key))
-    return check
+    return CollectionCheck(collection, spanning, state, valid if all_newcomers else None)
 
 
 def check_repair_property(states: StateSet, all_newcomers: bool = False,
@@ -448,7 +494,9 @@ def check_repair_property(states: StateSet, all_newcomers: bool = False,
     checks that some k members span.  With all_newcomers=True the full
     set of valid newcomers is recorded instead of stopping at the first
     witness.  A newcomer hinted for a collection (StateSet._hints) is
-    tried before the search.
+    tried before the search.  A listed set tests only its completions,
+    so cap bounds only the enumeration of a predicate set (CapExceeded
+    past cap distinct candidates of one collection).
     """
     checks = [_check_collection(states, states.collections[key], all_newcomers, cap,
                                 states._hints.get(key))
@@ -465,23 +513,16 @@ def valid_newcomers(states: StateSet, collection: RepairingCollection,
     newcomers of gC are g applied to those of C.  A set with that
     symmetry answers through its _equivariant_newcomers(collection,
     cap), which must return what the search here returns and falls back
-    to it; a plain StateSet has no such method and is searched.
+    to it; a plain StateSet has no such method and is searched.  As in
+    check_repair_property, cap bounds only the enumeration of a
+    predicate set.
     """
     if states.transitions is not None and collection.key in states.transitions:
         return states.transitions[collection.key]
     equivariant = getattr(states, "_equivariant_newcomers", None)
     if equivariant is not None:
         return equivariant(collection, cap)
-    return _search_newcomers(states, collection, cap)
-
-
-def _search_newcomers(states: StateSet, collection: RepairingCollection,
-                      cap: int) -> tuple[Subspace, ...]:
-    # the direct search of valid_newcomers over every obtainable space
-    inside = states.__contains__
-    found = [cand for cand, _ in iter_obtainable(collection, states.params, cap)
-             if _replacements_inside(inside, collection, cand)]
-    return tuple(sorted(found, key=lambda u: u.key))
+    return _newcomer_search(states, collection, True, cap)[1]
 
 
 # ----------------------------------------------------------------------

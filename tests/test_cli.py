@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import pathlib
 
@@ -12,6 +13,7 @@ from frcodes.fsc import document_to_states, parse_fsc
 from frcodes.subspace import CapExceeded
 
 DATA = pathlib.Path(__file__).parent / "data"
+BENCH_DATA = pathlib.Path(__file__).parents[1] / "perfbench" / "data"
 
 
 def fixture(name):
@@ -209,3 +211,24 @@ class TestExitCodes:
             err = captured.err.strip().splitlines()
             assert len(err) == 1
             assert err[0].startswith("error: steps must be non-negative")
+
+
+class TestPinnedOutputs:
+    # sha256 of the standard output of two seeded runs, recorded when
+    # every listed collection's newcomers came from enumerating all of
+    # its obtainable spaces: the completion search must agree byte for byte
+    def _digest(self, argv, capsys):
+        assert cli.main(argv) == 0
+        return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+
+    def test_search_json_is_pinned(self, capsys):
+        argv = ["search", str(BENCH_DATA / "seed56.fsc"), "--group-cap", "5000",
+                "--orbit-cap", "500", "--json"]
+        assert self._digest(argv, capsys) == \
+            "a4c9d22e802fd929ced90d19970935de285d15dbb58614c64005291a7e9818f1"
+
+    def test_simulate_is_pinned(self, capsys):
+        argv = ["simulate", str(BENCH_DATA / "code56.fsc"), "--data", "10110",
+                "--steps", "200", "--seed", "7"]
+        assert self._digest(argv, capsys) == \
+            "36a8416380f98fe30de9a72dbf94d32f1ce7c1f6ad9433f7f09fe5e8d2adb632"

@@ -469,7 +469,7 @@ def _direct(r, s, q, collection):
     # a fresh set has no orbit representative, so it searches
     fresh = family_state_space(r, s, q)
     found = valid_newcomers(fresh, collection)
-    assert [rep.key for rep, _, _ in fresh._orbits] == [collection.key]
+    assert [rep.key for rep, *_ in fresh._orbits] == [collection.key]
     return found
 
 
@@ -477,7 +477,7 @@ def _transported(code, collections):
     # valid_newcomers of each collection through one set, which
     # searches the first and moves its answer to the others
     found = [valid_newcomers(code, c) for c in collections]
-    assert [rep.key for rep, _, _ in code._orbits] == [collections[0].key]
+    assert [rep.key for rep, *_ in code._orbits] == [collections[0].key]
     return found
 
 
@@ -514,14 +514,14 @@ def test_transport_falls_back_to_search(monkeypatch):
     trail = [c.to_repairing_collection()
              for c in random_walk(construct_good(3, 1, 2), 3, random.Random(5))]
     # a map search past its cap: every collection is searched directly
-    def capped(source, target, cap):
+    def capped(*args):
         raise CapExceeded("map search exceeded")
 
     monkeypatch.setattr(family_module, "_transporter", capped)
     code = family_state_space(3, 1, 2)
     for c in trail:
         assert valid_newcomers(code, c) == _direct(3, 1, 2, c)
-    assert [rep.key for rep, _, _ in code._orbits] == [c.key for c in trail]
+    assert [rep.key for rep, *_ in code._orbits] == [c.key for c in trail]
     monkeypatch.undo()
     # a smaller candidate cap than the representative's: searched again
     code = family_state_space(3, 1, 2)

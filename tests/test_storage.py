@@ -284,7 +284,8 @@ def test_collection_check_takes_a_hint(exact_code_spaces, monkeypatch):
     def no_search(*args, **kwargs):
         raise AssertionError("the hint should have been enough")
 
-    monkeypatch.setattr(storage, "iter_obtainable", no_search)
+    # the one entry point of every newcomer search, listed or enumerated
+    monkeypatch.setattr(storage, "_newcomer_search", no_search)
     hinted = _check_collection(states, rest, hint=spaces[0])
     assert hinted.ok and hinted.state.newcomer == spaces[0]
     hinted.state.verify(params)
@@ -392,6 +393,110 @@ def test_engine_matches_reference_on_family_collections(r, s, q, steps):
         collection = good.to_repairing_collection()
         check = _check_collection(code, collection, all_newcomers=True)
         _assert_engine_matches_reference(code, collection, check)
+
+
+class _Enumerated(StateSet):
+    """The same listing with no completions, so its newcomers are found
+    by enumerating every obtainable space: the oracle of the completion
+    search of a listed set."""
+
+    def _completions(self, collection):
+        return None
+
+
+def _assert_completions_match_enumeration(states, collections):
+    enumerated = _Enumerated(states.params, states)
+    assert len(enumerated) == len(states)
+    for collection in collections:
+        want = _check_collection(enumerated, collection, all_newcomers=True)
+        first = _check_collection(states, collection)
+        every = _check_collection(states, collection, all_newcomers=True)
+        # the certificate newcomer and its first-appearance witness
+        assert first.state == every.state == want.state
+        assert every.valid_newcomers == want.valid_newcomers
+
+
+def test_completions_match_enumeration_on_partition_code(partition_states):
+    plain = StateSet(partition_states.params, partition_states)
+    _assert_completions_match_enumeration(plain, plain)
+
+
+def test_completions_match_enumeration_on_search_orbits(monkeypatch):
+    # every member of every orbit, passing or failing, that the search
+    # on the 56-state seed builds (656 collections)
+    import pathlib
+
+    from frcodes import groupsearch
+    from frcodes.fsc import parse_fsc
+
+    orbits = []
+
+    class Recorded(StateSet):
+        def __init__(self, *args):
+            super().__init__(*args)
+            orbits.append(self)
+
+    data = pathlib.Path(__file__).parents[1] / "perfbench" / "data" / "seed56.fsc"
+    doc = parse_fsc(data.read_text())
+    name = sorted(doc.states)[0]
+    seed = RepairingCollection([doc.subspaces[u] for u in doc.collections[name]])
+    monkeypatch.setattr(groupsearch, "StateSet", Recorded)
+    outcome = groupsearch.symmetry_search(seed, doc.subspaces[doc.states[name]], doc.params,
+                                          group_cap=5000, orbit_cap=500)
+    monkeypatch.undo()
+    assert len(orbits) == 50 and len(outcome.results) == 2
+    assert sum(len(states) for states in orbits) == 656
+    for states in orbits:
+        _assert_completions_match_enumeration(states, states)
+
+
+def test_completions_match_enumeration_on_small_codes(exact_code_spaces):
+    from frcodes.family import family_code
+
+    params, spaces = exact_code_spaces
+    exact = exact_to_states(spaces, params)
+    _assert_completions_match_enumeration(exact, exact)
+    # a collection outside the set, one with a repeated member, and the
+    # set that lacks one drop-one collection
+    other = span(GF(2), 4, [(1, 1, 0, 0), (0, 0, 1, 1)])
+    outside = RepairingCollection([spaces[0], spaces[1], other])
+    repeated = RepairingCollection([spaces[0], spaces[0], spaces[1]])
+    _assert_completions_match_enumeration(exact, [outside, repeated])
+    partial = StateSet(params, list(exact)[:3])
+    _assert_completions_match_enumeration(partial, list(exact))
+    # a set whose only collection repeats one member: the member itself
+    # is its valid newcomer
+    u = spaces[0]
+    wide = CodeParams(m=4, n=4, k=2, r=3, alpha=2, beta=2, q=2)
+    triple = StateSet(wide, [RepairingCollection([u, u, u])])
+    _assert_completions_match_enumeration(triple, triple)
+    assert valid_newcomers(triple, RepairingCollection([u, u, u])) == (u,)
+    # every multiset of two lines of F_2^2: each line is a valid newcomer
+    # of each pair of distinct lines, and all three lie in one slice sum
+    lines = list(subspaces(GF(2), 2, 1))
+    pairs = StateSet(CodeParams(m=2, n=3, k=2, r=2, alpha=1, beta=1, q=2),
+                     map(RepairingCollection, itertools.combinations_with_replacement(lines, 2)))
+    _assert_completions_match_enumeration(pairs, pairs)
+    assert [len(valid_newcomers(pairs, c)) for c in pairs] == [1, 3, 3, 1, 3, 1]
+    family = family_code(2, 1, 3)
+    assert type(family) is StateSet
+    _assert_completions_match_enumeration(family, family)
+
+
+def test_listed_set_tests_only_completions(partition_states, monkeypatch):
+    # a listed set never enumerates obtainable spaces; its valid
+    # newcomers are among the 6 members its listed neighbours add
+    plain = StateSet(partition_states.params, partition_states)
+
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("a listed set enumerated its candidates")
+
+    monkeypatch.setattr(storage, "iter_obtainable", no_enumeration)
+    for collection in plain:
+        completions = list(plain._completions(collection))
+        assert len(completions) == 6
+        assert set(valid_newcomers(plain, collection)) <= set(completions)
+        assert valid_newcomers(plain, collection) == partition_states.transitions[collection.key]
 
 
 def test_reachable_closure_recovers_exact_code(exact_code_spaces):
