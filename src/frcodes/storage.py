@@ -15,9 +15,9 @@ every collection in A there is at least one obtainable newcomer space U
 such that replacing any single member by U lands inside A again, and
 every collection contains a spanning k-subset.  `check_repair_property`
 verifies exactly that, recording one witness per collection (or, on
-request, every valid newcomer).  A valid newcomer of C replaces one
-member of C to give a member of A, so for a listed A only these
-completions are tested for obtainability; a set whose membership is a
+request, every valid newcomer).  Replacing a member of C by a valid
+newcomer gives a member of A, so for a listed A only such completions
+of C are tested for obtainability; a set whose membership is a
 predicate enumerates every obtainable space instead.
 
 Collections are multisets: members are kept sorted by canonical key and
