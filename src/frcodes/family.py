@@ -531,6 +531,8 @@ def cutset_bound(k: int, r: int, alpha: int, beta: int) -> int:
     """Storage capacity bound: sum of min(alpha, max(0, r-i) beta) for i < k."""
     if min(k, r, alpha, beta) < 1:
         raise ValueError("all parameters must be positive")
+    if beta > alpha:
+        raise ValueError(f"beta={beta} exceeds alpha={alpha}")
     return sum(min(alpha, max(0, r - i) * beta) for i in range(k))
 
 

@@ -801,8 +801,13 @@ def symmetry_search(collection: RepairingCollection, newcomer: Subspace,
     verified codes are returned sorted by state count, then group
     order.  A group whose order exceeds group_cap is logged and skipped
     without being listed, so callers should size the caps to the
-    instance they search.
+    instance they search.  A cap below 1 raises ValueError before any
+    work.
     """
+    for name, cap in (("backtrack_cap", backtrack_cap), ("group_cap", group_cap),
+                      ("orbit_cap", orbit_cap)):
+        if cap < 1:
+            raise ValueError(f"{name} must be at least 1, got {cap}")
     stab = stabilizer(collection, newcomer, cap=backtrack_cap)
     transitive_gens = _cyclic_transitive_generators(stab, collection)
     indices = [0] if stab.transitive else list(range(len(collection.spaces)))

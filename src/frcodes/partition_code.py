@@ -314,48 +314,47 @@ class _PlaneTables:
 
 def _plane_tables(model: PartitionModel) -> _PlaneTables:
     planes = tuple(subspaces(model.base, model.m, 2))
-    count = len(planes)
+    everything = (1 << len(planes)) - 1
     masks = [_vector_mask(*u._bits) for u in planes]
-    points = [(0, *u._bits, u._bits[0] ^ u._bits[1]) for u in planes]
-    disjoint = [0] * count
-    outside = [[0] * count for _ in range(count)]
-    # a 4-space is one of 31, so each is scanned against the planes once
-    not_inside: dict[int, int] = {}
-    for x in range(count):
-        for y in range(x + 1, count):
-            if masks[x] & masks[y]:
-                continue
-            disjoint[x] |= 1 << y
-            disjoint[y] |= 1 << x
-            span = 0
-            for u in points[x]:
-                for v in points[y]:
-                    span |= 1 << (u ^ v)
-            rest = not_inside.get(span)
-            if rest is None:
-                rest = sum(1 << d for d in range(count) if masks[d] & ~span)
-                not_inside[span] = rest
-            outside[x][y] = outside[y][x] = rest
+    disjoint = [0] * len(planes)
+    outside = [[0] * len(planes) for _ in planes]
+    # two planes that meet trivially span exactly one of the 31
+    # hyperplanes, so each hyperplane pairs up its own 35 planes once
+    for functional in range(1, 1 << model.m):
+        hyperplane = sum(1 << v for v in range(1 << model.m)
+                         if not (v & functional).bit_count() & 1)
+        inside = [x for x, mask in enumerate(masks) if not mask & ~hyperplane]
+        rest = everything ^ sum(1 << x for x in inside)
+        for i, x in enumerate(inside):
+            for y in inside[i + 1:]:
+                if not masks[x] & masks[y]:
+                    disjoint[x] |= 1 << y
+                    disjoint[y] |= 1 << x
+                    outside[x][y] = outside[y][x] = rest
     index = {mask: x for x, mask in enumerate(masks)}
     return _PlaneTables(planes, index, tuple(disjoint),
                         tuple(tuple(row) for row in outside))
 
 
 def _clique_search(tables: _PlaneTables, collect_all: bool,
-                   fixed: Optional[int] = None,
-                   ) -> tuple[int, list[tuple[int, ...]]]:
+                   fixed: Sequence[int] = (),
+                   ) -> tuple[int, list[tuple[int, ...]], int]:
     # maximum families of planes with trivial pairwise intersections and
     # all triples spanning, by branch and bound over plane-index bitsets;
-    # with fixed, only the families containing that plane are searched.
-    # Witnesses are tuples of plane indices; without collect_all only
-    # the first family of the best size is kept.
+    # only the families containing the fixed planes, which must form a
+    # family themselves (unchecked), are searched.  Returns the best
+    # size, the witnesses as tuples of plane indices (without
+    # collect_all only the first family of the best size) and the
+    # number of nodes visited.
     disjoint, outside = tables.disjoint, tables.outside
     best_size = 0
     witnesses: list[tuple[int, ...]] = []
     chosen: list[int] = []
+    nodes = 0
 
     def extend(candidates: int) -> None:
-        nonlocal best_size, witnesses
+        nonlocal best_size, witnesses, nodes
+        nodes += 1
         size = len(chosen)
         if size > best_size:
             best_size = size
@@ -379,12 +378,14 @@ def _clique_search(tables: _PlaneTables, collect_all: bool,
             extend(narrowed)
             chosen.pop()
 
-    if fixed is None:
-        extend((1 << len(tables.planes)) - 1)
-    else:
-        chosen.append(fixed)
-        extend(disjoint[fixed])
-    return best_size, witnesses
+    candidates = (1 << len(tables.planes)) - 1
+    for c in fixed:
+        candidates &= disjoint[c]
+        for x in chosen:
+            candidates &= outside[c][x]
+        chosen.append(c)
+    extend(candidates)
+    return best_size, witnesses, nodes
 
 
 def _member_indices(tables: _PlaneTables, model: PartitionModel) -> list[int]:
@@ -406,12 +407,12 @@ def _is_clique(tables: _PlaneTables, family: Sequence[int]) -> bool:
 
 
 def _plane_permutations(tables: _PlaneTables,
-                        model: PartitionModel) -> list[tuple[int, ...]]:
-    # the permutation of plane indices induced by each generator of
-    # GL(5, 2), from the images of each plane's packed basis
+                        generators: Sequence[LinearMap]) -> list[tuple[int, ...]]:
+    # the permutation of plane indices induced by each map, from the
+    # images of each plane's packed basis
     return [tuple(tables.index[_vector_mask(*_point_images(g, u._bits))]
                   for u in tables.planes)
-            for g in _general_linear_generators(model)]
+            for g in generators]
 
 
 def _orbit(family: frozenset[int], perms: Sequence[tuple[int, ...]],
@@ -437,15 +438,23 @@ def max_collection_size(model: Optional[PartitionModel] = None) -> int:
 
     An invertible linear map of F_2^5 keeps the dimensions of
     intersections and spans, so GL(5, 2) carries such families to
-    families of the same size.  It is also transitive on the 155 planes,
-    so every family is the image of one that contains plane 0, the
-    first in canonical key order, and the branch-and-bound only searches
-    the families through plane 0.  Transitivity is checked, not assumed:
-    the orbit of plane 0 under the two generators of GL(5, 2) must cover
-    all 155 planes.  The graph spaces must pass the pairwise and triple
-    checks in subspace arithmetic, form a family in the bitset tables of
-    the search, and be no larger than the returned maximum.  A failed
-    check raises RuntimeError.
+    families of the same size.  It is transitive on the 155 planes, so
+    every family is the image of one that contains plane 0 = span(e0,
+    e1), the first in canonical key order.  The stabilizer of plane 0 is
+    transitive on the 112 planes that meet it trivially, and every other
+    member of a family through plane 0 is one of them, so a family of at
+    least two planes is also the image of one that contains plane 0 and
+    the first plane disjoint from it.  The graph spaces are such a
+    family, so the branch-and-bound only searches the families through
+    those two planes.  Both transitivity claims are checked, not
+    assumed: the orbit of plane 0 under the two generators of GL(5, 2)
+    must cover all 155 planes, the hand-written generators of the
+    stabilizer must each fix plane 0, and the orbit of the second plane
+    under them must be exactly the planes disjoint from plane 0.  The
+    graph spaces must pass the pairwise and triple checks in subspace
+    arithmetic, form a family in the bitset tables of the search, and be
+    no larger than the returned maximum.  A failed check raises
+    RuntimeError.
     """
     if model is None:
         model = build_partition()
@@ -455,13 +464,22 @@ def max_collection_size(model: Optional[PartitionModel] = None) -> int:
                  for a, b, c in itertools.combinations(model.members, 3)),
              "every three graph spaces span the whole space")
     tables = _plane_tables(model)
+    count = len(tables.planes)
     family = _member_indices(tables, model)
     _require(len(set(family)) >= 8 and _is_clique(tables, family),
              "the graph spaces are a family of at least 8 planes in the search tables")
-    orbit = _orbit(frozenset([0]), _plane_permutations(tables, model), len(tables.planes))
-    _require(len(orbit) == len(tables.planes),
-             "the linear group is transitive on the planes")
-    best, _ = _clique_search(tables, collect_all=False, fixed=0)
+    orbit = _orbit(frozenset([0]),
+                   _plane_permutations(tables, _general_linear_generators(model)), count)
+    _require(len(orbit) == count, "the linear group is transitive on the planes")
+    perms = _plane_permutations(tables, _plane_zero_stabilizer_generators(model))
+    _require(all(perm[0] == 0 for perm in perms),
+             "every stabilizer generator fixes plane 0")
+    neighbours = tables.disjoint[0]
+    second = (neighbours & -neighbours).bit_length() - 1
+    orbit = _orbit(frozenset([second]), perms, count)
+    _require(orbit == {frozenset([y]) for y in range(count) if neighbours >> y & 1},
+             "the stabilizer of plane 0 is transitive on the planes disjoint from it")
+    best, _, _ = _clique_search(tables, collect_all=False, fixed=(0, second))
     _require(best >= len(family), "the maximum is at least the number of graph spaces")
     return best
 
@@ -475,7 +493,7 @@ def maximum_collections(model: Optional[PartitionModel] = None,
     if model is None:
         model = build_partition()
     tables = _plane_tables(model)
-    _, witnesses = _clique_search(tables, collect_all=True)
+    _, witnesses, _ = _clique_search(tables, collect_all=True)
     return tuple(sorted(tuple(sorted(tables.planes[x].key for x in w))
                         for w in witnesses))
 
@@ -487,6 +505,25 @@ def _general_linear_generators(model: PartitionModel) -> list[LinearMap]:
     shear_rows[0][1] = 1
     shear = tuple(tuple(r) for r in shear_rows)
     return [LinearMap(model.base, m, cycle), LinearMap(model.base, m, shear)]
+
+
+# images of e0..e4, as sets of basis indices, under generators of the
+# stabilizer of plane 0 = span(e0, e1) in GL(5, 2): GL(2, 2) on e0, e1,
+# GL(3, 2) on e2, e3, e4, and the shear e2 -> e2 + e0
+_PLANE_ZERO_STABILIZER = (
+    ((1,), (0,), (2,), (3,), (4,)),
+    ((0, 1), (1,), (2,), (3,), (4,)),
+    ((0,), (1,), (3,), (4,), (2,)),
+    ((0,), (1,), (2, 3), (3,), (4,)),
+    ((0,), (1,), (0, 2), (3,), (4,)),
+)
+
+
+def _plane_zero_stabilizer_generators(model: PartitionModel) -> list[LinearMap]:
+    m = model.m
+    return [LinearMap(model.base, m,
+                      tuple(tuple(int(j in image) for j in range(m)) for image in images))
+            for images in _PLANE_ZERO_STABILIZER]
 
 
 def unique_maximum_collection(model: Optional[PartitionModel] = None,
@@ -508,6 +545,7 @@ def unique_maximum_collection(model: Optional[PartitionModel] = None,
         witnesses = maximum_collections(model)
     tables = _plane_tables(model)
     orbit = _orbit(frozenset(_member_indices(tables, model)),
-                   _plane_permutations(tables, model), orbit_cap)
+                   _plane_permutations(tables, _general_linear_generators(model)),
+                   orbit_cap)
     keyed = {tuple(sorted(tables.planes[x].key for x in family)) for family in orbit}
     return keyed == set(witnesses)

@@ -220,14 +220,22 @@ def _slice_sums(collection: RepairingCollection, params: CodeParams
     n1 = len(collection.spaces)
     if params.r > n1:
         raise ValueError(f"r={params.r} helpers but only {n1} members")
-    field = collection.field
+    zero = zero_subspace(collection.field, collection.m)
     for indices in itertools.combinations(range(n1), params.r):
         slice_choices = [list(collection.spaces[i].subspaces(params.beta)) for i in indices]
+        # product advances the last slice fastest, so the running sums of
+        # the slices before the first changed one carry over
+        sums = [zero]
+        previous: tuple[Subspace, ...] = ()
         for ws in itertools.product(*slice_choices):
-            total = zero_subspace(field, collection.m)
-            for w in ws:
-                total = total + w
-            yield indices, ws, total
+            kept = 0
+            while kept < len(previous) and ws[kept] is previous[kept]:
+                kept += 1
+            del sums[kept + 1:]
+            for w in ws[kept:]:
+                sums.append(sums[-1] + w)
+            previous = ws
+            yield indices, ws, sums[-1]
 
 
 def iter_obtainable(collection: RepairingCollection, params: CodeParams,

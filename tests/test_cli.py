@@ -113,6 +113,14 @@ class TestSearch:
         assert len(found) == 4
         assert found.verify().ok
 
+    @pytest.mark.parametrize("flag,value", [("--group-cap", "-1"), ("--orbit-cap", "0")])
+    def test_cap_below_one_is_a_usage_error(self, flag, value, capsys):
+        assert cli.main(["search", str(BENCH_DATA / "seed56.fsc"), flag, value]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: {flag[2:].replace('-', '_')} must be at least 1, got {value}"]
+
     def test_seed_without_state_line(self, tmp_path, capsys):
         doc = tmp_path / "seed.fsc"
         doc.write_text(pathlib.Path(fixture("example1_seed.fsc")).read_text()
@@ -184,6 +192,13 @@ class TestCutset:
         assert cli.main(["cutset", "--k", "2", "--r", "3",
                          "--alpha", "2", "--beta", "2"]) == 0
         assert capsys.readouterr().out == "4\n"
+
+    def test_beta_above_alpha_is_a_usage_error(self, capsys):
+        assert cli.main(["cutset", "--k", "3", "--r", "2",
+                         "--alpha", "1", "--beta", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: beta=2 exceeds alpha=1"]
 
 
 class TestExitCodes:

@@ -75,6 +75,9 @@ def test_cutset_bound():
             assert cutset_bound(r, r, s + 1, 1) == message_dimension(r, s)
     with pytest.raises(ValueError):
         cutset_bound(0, 3, 2, 1)
+    # beta > alpha is no code: a helper cannot send more than it stores
+    with pytest.raises(ValueError, match="beta=2 exceeds alpha=1"):
+        cutset_bound(3, 2, 1, 2)
 
 
 def test_is_good_canonical_triple(functional_triple):

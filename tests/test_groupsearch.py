@@ -419,6 +419,22 @@ def test_orbit_code_matches_full_orbit_check(partition_search):
     assert passing >= 2
 
 
+@pytest.mark.parametrize("caps", [{"backtrack_cap": 0}, {"group_cap": -1},
+                                  {"orbit_cap": 0}])
+def test_symmetry_search_rejects_caps_below_one(caps, monkeypatch):
+    # a cap below 1 is bad input, refused before the stabilizer search
+    def no_work(*args, **kwargs):
+        raise AssertionError("the search started")
+
+    monkeypatch.setattr(groupsearch, "stabilizer", no_work)
+    params = CodeParams(5, 4, 3, 3, 2, 1, 2)
+    seed = RepairingCollection([_partition_member(0), _partition_member(1),
+                                _partition_member(2)])
+    name = next(iter(caps))
+    with pytest.raises(ValueError, match=f"{name} must be at least 1"):
+        symmetry_search(seed, _partition_member(6), params, **caps)
+
+
 def test_symmetry_search_verifies_each_group_once(partition_search, monkeypatch):
     # trials that generate the same group (as a set of element keys)
     # share one orbit_code run, and the log is unchanged

@@ -18,6 +18,7 @@ from frcodes.partition_code import (
     _general_linear_generators,
     _plane_permutations,
     _plane_tables,
+    _plane_zero_stabilizer_generators,
     build_partition,
     canonical_seed_state,
     code_states,
@@ -239,6 +240,27 @@ def test_max_collection_size_checks_transitivity(partition_model, monkeypatch):
         max_collection_size(partition_model)
 
 
+def test_max_collection_size_checks_stabilizer_transitivity(partition_model, monkeypatch):
+    # without the shear e2 -> e2 + e0 the maps keep span(e2, e3, e4)
+    # and reach only 42 of the 112 planes disjoint from plane 0
+    generators = _plane_zero_stabilizer_generators(partition_model)
+    monkeypatch.setattr(partition_code, "_plane_zero_stabilizer_generators",
+                        lambda model: generators[:-1])
+    with pytest.raises(RuntimeError, match="transitive on the planes disjoint"):
+        max_collection_size(partition_model)
+
+
+def test_max_collection_size_checks_stabilizer_fixes_plane_zero(partition_model,
+                                                                monkeypatch):
+    # the cycle of GL(5, 2) moves plane 0, so it is no stabilizer generator
+    generators = _plane_zero_stabilizer_generators(partition_model)
+    cycle = _general_linear_generators(partition_model)[0]
+    monkeypatch.setattr(partition_code, "_plane_zero_stabilizer_generators",
+                        lambda model: generators[:-1] + [cycle])
+    with pytest.raises(RuntimeError, match="fixes plane 0"):
+        max_collection_size(partition_model)
+
+
 def test_plane_tables_against_subspace_arithmetic(plane_tables):
     tables = plane_tables
     planes = tables.planes
@@ -268,11 +290,25 @@ def test_plane_permutations_match_linear_maps(partition_model, plane_tables):
     planes = plane_tables.planes
     index = {p.key: x for x, p in enumerate(planes)}
     generators = _general_linear_generators(partition_model)
-    perms = _plane_permutations(plane_tables, partition_model)
+    perms = _plane_permutations(plane_tables, generators)
     assert len(perms) == len(generators)
     for g, perm in zip(generators, perms):
         assert sorted(perm) == list(range(len(planes)))
         assert list(perm) == [index[g.apply(p).key] for p in planes]
+
+
+def test_stabilizer_generators_fix_plane_zero(partition_model, plane_tables):
+    planes = plane_tables.planes
+    index = {p.key: x for x, p in enumerate(planes)}
+    assert planes[0] == span(F2, 5, [standard_basis_vector(5, 0),
+                                     standard_basis_vector(5, 1)])
+    generators = _plane_zero_stabilizer_generators(partition_model)
+    perms = _plane_permutations(plane_tables, generators)
+    assert len(perms) == len(generators) == 5
+    for g, perm in zip(generators, perms):
+        assert list(perm) == [index[g.apply(p).key] for p in planes]
+        assert g.apply(planes[0]) == planes[0]
+        assert perm[0] == 0
 
 
 def test_graph_family_is_not_extendable(partition_model):
@@ -292,7 +328,7 @@ def test_graph_family_is_not_extendable(partition_model):
 
 
 def test_fixed_plane_search_matches_exhaustive(plane_tables, maximum_witnesses):
-    best, through_zero = _clique_search(plane_tables, collect_all=True, fixed=0)
+    best, through_zero, _ = _clique_search(plane_tables, collect_all=True, fixed=(0,))
     assert best == 8
     keyed = {tuple(sorted(plane_tables.planes[x].key for x in w))
              for w in through_zero}
@@ -302,6 +338,25 @@ def test_fixed_plane_search_matches_exhaustive(plane_tables, maximum_witnesses):
     # each family has 8 planes and each plane lies in equally many
     # families, so the count through one plane fixes the total
     assert 3072 * 155 == len(maximum_witnesses) * 8
+    # plane 10 is the first plane disjoint from plane 0; each family
+    # holds 28 pairs, spread evenly over the 8680 disjoint pairs
+    disjoint = plane_tables.disjoint[0]
+    assert (disjoint & -disjoint).bit_length() - 1 == 10
+    best, through_both, _ = _clique_search(plane_tables, collect_all=True, fixed=(0, 10))
+    assert best == 8
+    keyed = {tuple(sorted(plane_tables.planes[x].key for x in w))
+             for w in through_both}
+    ten = plane_tables.planes[10].key
+    assert len(through_both) == len(keyed) == 192
+    assert keyed == {w for w in maximum_witnesses if zero in w and ten in w}
+    assert 192 * 8680 == len(maximum_witnesses) * 28
+
+
+def test_clique_search_node_counts(plane_tables):
+    # the work count of the maximality search, by planes fixed
+    for fixed, count in [((0,), 158200), ((0, 10), 6457)]:
+        best, _, nodes = _clique_search(plane_tables, collect_all=False, fixed=fixed)
+        assert (best, nodes) == (8, count)
 
 
 @settings(max_examples=25, deadline=None)
