@@ -56,7 +56,6 @@ from .subspace import (
     subspaces,
     vec_add,
     vec_scale,
-    zero_subspace,
 )
 
 __all__ = [
@@ -302,14 +301,7 @@ def forbidden_traces(collection: GoodCollection) -> tuple[Subspace, ...]:
     other members, and newcomers built over it can silently keep a
     nontrivial intersection with an unreplaced member.
     """
-    out = []
-    for i in range(collection.r):
-        others = zero_subspace(collection.field, collection.m)
-        for j, u in enumerate(collection.spaces):
-            if j != i:
-                others = others + u
-        out.append(collection.spaces[i] & others)
-    return tuple(out)
+    return _traces(collection.spaces)
 
 
 def verify_replacement_equivalence(collection: GoodCollection,

@@ -1,9 +1,8 @@
 """Line-oriented text format for codes: .fsc files.
 
 A document declares a field, an ambient dimension, the code parameters,
-named subspaces, named collections of those subspaces, expected
-newcomers per collection, and optionally named square matrices.  The
-grammar is line-oriented and diffable:
+named subspaces, named collections of those subspaces, and declared
+newcomers per collection.  The grammar is line-oriented and diffable:
 
     FSC 1
     field 2 1
@@ -15,26 +14,27 @@ grammar is line-oriented and diffable:
     end
     collection C0 A B C
     state C0 -> D
-    map M
-      row ...
-    end
 
-`#` starts a comment.  Field elements are integers 0..q-1, in the same
-digit convention as the gf module.  Parsing is total: every rejected
-input carries a line and column diagnostic.  Emission is canonical
-(sorted names, normalized whitespace), so equal documents emit
-byte-identical text and parse(emit(doc)) == doc.
+A state line is a certificate: the repair check of its collection
+checks the declared newcomer (dimension alpha, a repair witness, every
+replacement in the set) and fails if it does not check, with no search
+for another newcomer.  `#` starts a comment.  Field elements are
+integers 0..q-1, in the same digit convention as the gf module.
+Parsing is total: every rejected input carries a line and column
+diagnostic.  Emission is canonical (sorted names, normalized
+whitespace), so equal documents emit byte-identical text and
+parse(emit(doc)) == doc.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field as dc_field
-from typing import Optional, Sequence
+from typing import Optional
 
 from .gf import GF, Field
 from .storage import CodeParams, RepairingCollection, StateSet
-from .subspace import Subspace, Vector, rank_of, span
+from .subspace import Subspace, Vector, span
 
 __all__ = [
     "FscDocument",
@@ -76,7 +76,6 @@ class FscDocument:
     subspaces: dict[str, Subspace] = dc_field(default_factory=dict)
     collections: dict[str, tuple[str, ...]] = dc_field(default_factory=dict)
     states: dict[str, str] = dc_field(default_factory=dict)
-    maps: dict[str, tuple[Vector, ...]] = dc_field(default_factory=dict)
 
     @property
     def field(self) -> Field:
@@ -204,7 +203,6 @@ def parse_fsc(text: str) -> FscDocument:
     subspaces: dict[str, Subspace] = {}
     collections: dict[str, tuple[str, ...]] = {}
     states: dict[str, str] = {}
-    maps: dict[str, tuple[Vector, ...]] = {}
     while True:
         item = cursor.next_content()
         if item is None:
@@ -247,31 +245,9 @@ def parse_fsc(text: str) -> FscDocument:
             if coll in states:
                 raise FscParseError(f"duplicate state for {coll!r}", number, toks[1][0])
             states[coll] = target
-        elif word == "map":
-            name = _parse_name(toks, number, "map")
-            if len(toks) > 2:
-                raise FscParseError("unexpected token after map name", number, toks[2][0])
-            if name in maps:
-                raise FscParseError(f"duplicate map {name!r}", number, toks[1][0])
-            rows = _parse_rows(cursor, field, m, number)
-            if len(rows) != m:
-                raise FscParseError(f"map {name!r} has {len(rows)} rows, expected {m}",
-                                    number)
-            if rank_of(field, m, rows) != m:
-                raise FscParseError(f"map {name!r} is not invertible", number)
-            maps[name] = tuple(rows)
         else:
             raise FscParseError(f"unknown directive {word!r}", number, toks[0][0])
-    return FscDocument(p, e, m, n, k, r, alpha, beta,
-                       subspaces, collections, states, maps)
-
-
-def _emit_block(lines: list[str], keyword: str, name: str,
-                rows: Sequence[Vector]) -> None:
-    lines.append(f"{keyword} {name}")
-    for row in rows:
-        lines.append("  row " + " ".join(str(v) for v in row))
-    lines.append("end")
+    return FscDocument(p, e, m, n, k, r, alpha, beta, subspaces, collections, states)
 
 
 def emit_fsc(doc: FscDocument) -> str:
@@ -283,24 +259,34 @@ def emit_fsc(doc: FscDocument) -> str:
         f"params {doc.n} {doc.k} {doc.r} {doc.alpha} {doc.beta}",
     ]
     for name in sorted(doc.subspaces):
-        _emit_block(lines, "subspace", name, doc.subspaces[name].rows)
+        lines.append(f"subspace {name}")
+        lines.extend("  row " + " ".join(map(str, row)) for row in doc.subspaces[name].rows)
+        lines.append("end")
     for name in sorted(doc.collections):
         lines.append(f"collection {name} " + " ".join(sorted(doc.collections[name])))
     for name in sorted(doc.states):
         lines.append(f"state {name} -> {doc.states[name]}")
-    for name in sorted(doc.maps):
-        _emit_block(lines, "map", name, doc.maps[name])
     return "\n".join(lines) + "\n"
 
 
 def document_to_states(doc: FscDocument) -> StateSet:
-    """Build the state set declared by a document's collections."""
-    params = doc.params
+    """Build the state set declared by a document's collections, with each
+    state line's newcomer as its collection's certificate.
+
+    Raises ValueError when two collections with the same members declare
+    different newcomers.
+    """
     collections = []
+    certificates: dict[tuple[bytes, ...], Subspace] = {}
     for name in sorted(doc.collections):
-        members = [doc.subspaces[member] for member in doc.collections[name]]
-        collections.append(RepairingCollection(members))
-    return StateSet(params, collections)
+        collection = RepairingCollection(doc.subspaces[u] for u in doc.collections[name])
+        collections.append(collection)
+        if name in doc.states:
+            declared = doc.subspaces[doc.states[name]]
+            if certificates.setdefault(collection.key, declared) != declared:
+                raise ValueError(f"collection {name} repeats the members of another "
+                                 "collection but declares a different newcomer")
+    return StateSet(doc.params, collections, certificates)
 
 
 def states_to_document(states: StateSet) -> FscDocument:
@@ -336,4 +322,4 @@ def states_to_document(states: StateSet) -> FscDocument:
             states_map[name] = space_names[witness.newcomer.key]
     return FscDocument(field.p, field.e, params.m, params.n, params.k,
                        params.r, params.alpha, params.beta,
-                       subspaces, collections, states_map, {})
+                       subspaces, collections, states_map)

@@ -684,12 +684,11 @@ def orbit_code(group: GroupClosure, seed: RepairingCollection,
     those of gC, and the orbit onto itself, so every member has the
     seed's verdict.  The search for an obtainable newcomer therefore
     runs on the seed first.  If the seed fails, the whole orbit fails.
-    If it passes with newcomer N, StateSet.verify() checks the orbit
-    with the moved certificate g(N) as the hint of each member gC: a
-    repair witness is found for it, all its replacements must stay in
-    the orbit, some k members must span, and the witness is verified.
-    A member whose moved certificate does not check gets the ordinary
-    search, so the report is exact either way.
+    If it passes with newcomer N, the set takes N as the seed's
+    certificate and the moved g(N) as that of each other member gC, and
+    StateSet.verify() checks each one with no search: a repair witness
+    is found for it, all its replacements must stay in the orbit, some
+    k members must span, and the witness is verified.
 
     The returned set carries the report and the witnesses of verify().
     The seed's recorded newcomer is the first valid one of the ordinary
@@ -722,8 +721,8 @@ def orbit_code(group: GroupClosure, seed: RepairingCollection,
             + f"\nthe group carries the failure to all {len(states)} collections "
             "of the orbit")
     newcomer = seed_check.state.newcomer
-    states._hints = {key: movers[key].apply(newcomer)
-                     for key in states.collections if key != seed.key}
+    states.certificates = {key: newcomer if key == seed.key else movers[key].apply(newcomer)
+                           for key in states.collections}
     report = states.verify()
     if not report.ok:
         raise OrbitVerificationError(
@@ -801,13 +800,16 @@ def symmetry_search(collection: RepairingCollection, newcomer: Subspace,
     verified codes are returned sorted by state count, then group
     order.  A group whose order exceeds group_cap is logged and skipped
     without being listed, so callers should size the caps to the
-    instance they search.  A cap below 1 raises ValueError before any
-    work.
+    instance they search.  A cap below 1, or a member or newcomer whose
+    dimension is not alpha, raises ValueError before any work.
     """
     for name, cap in (("backtrack_cap", backtrack_cap), ("group_cap", group_cap),
                       ("orbit_cap", orbit_cap)):
         if cap < 1:
             raise ValueError(f"{name} must be at least 1, got {cap}")
+    if any(u.dim != params.alpha for u in collection.spaces + (newcomer,)):
+        raise ValueError("the seed's members and newcomer must have dimension "
+                         f"alpha = {params.alpha}")
     stab = stabilizer(collection, newcomer, cap=backtrack_cap)
     transitive_gens = _cyclic_transitive_generators(stab, collection)
     indices = [0] if stab.transitive else list(range(len(collection.spaces)))

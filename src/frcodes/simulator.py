@@ -156,6 +156,8 @@ def dss_init(code: StateSet, x: Sequence[int], seed: int = 0,
     """
     if not code.verified:
         raise ValueError("code must be verified before simulation")
+    if not code.witnesses:
+        raise ValueError("no verified collection to start from: the code is empty")
     params = code.params
     first = code.collections[min(code.witnesses)]
     x = tuple(x)

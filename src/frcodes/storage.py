@@ -15,10 +15,12 @@ every collection in A there is at least one obtainable newcomer space U
 such that replacing any single member by U lands inside A again, and
 every collection contains a spanning k-subset.  `check_repair_property`
 verifies exactly that, recording one witness per collection (or, on
-request, every valid newcomer).  Replacing a member of C by a valid
-newcomer gives a member of A, so for a listed A only such completions
-of C are tested for obtainability; a set whose membership is a
-predicate enumerates every obtainable space instead.
+request, every valid newcomer).  A newcomer declared for a collection is
+a certificate: it is checked and is the verdict, with no search.
+Replacing a member of C by a valid newcomer gives a member of A, so for
+a listed A only such completions of C are tested for obtainability; a
+set whose membership is a predicate enumerates every obtainable space
+instead.
 
 Collections are multisets: members are kept sorted by canonical key and
 duplicates are significant.  All verification routines are pure
@@ -294,6 +296,7 @@ class CollectionCheck:
     spanning_ok: bool
     state: Optional[AdmissibleState]
     valid_newcomers: Optional[tuple[Subspace, ...]] = None
+    declared: Optional[Subspace] = None
 
     @property
     def ok(self) -> bool:
@@ -303,6 +306,8 @@ class CollectionCheck:
     def reason(self) -> str:
         if not self.spanning_ok:
             return "no spanning k-subset"
+        if self.state is None and self.declared is not None:
+            return f"declared newcomer {_short_hash(self.declared.key)} does not check"
         if self.state is None:
             return "no valid newcomer"
         return "ok"
@@ -346,9 +351,16 @@ def _short_hash(data: bytes) -> str:
 
 
 class StateSet:
-    """A keyed set of repairing collections, with cached verification."""
+    """A keyed set of repairing collections, with cached verification.
 
-    def __init__(self, params: CodeParams, collections: Iterable[RepairingCollection]):
+    certificates maps a collection key to its declared newcomer, such as
+    a state line of a document or the seed's newcomer moved by a
+    symmetry.  The repair check of that collection checks the declared
+    newcomer alone and takes the result as the verdict.
+    """
+
+    def __init__(self, params: CodeParams, collections: Iterable[RepairingCollection],
+                 certificates: Optional[dict[tuple[bytes, ...], Subspace]] = None):
         self.params = params
         self.collections: dict[tuple[bytes, ...], RepairingCollection] = {}
         # each collection minus one member -> the removed members, by key
@@ -365,10 +377,7 @@ class StateSet:
         self.report: Optional[RepairReport] = None
         self.transitions: Optional[dict[tuple[bytes, ...], tuple[Subspace, ...]]] = None
         self.witnesses: dict[tuple[bytes, ...], AdmissibleState] = {}
-        # newcomers the repair check tries first, by collection key: set
-        # by constructions that know a likely certificate, such as the
-        # seed's newcomer moved by a symmetry; the report is exact either way
-        self._hints: dict[tuple[bytes, ...], Subspace] = {}
+        self.certificates = dict(certificates or {})
 
     def __len__(self) -> int:
         return len(self.collections)
@@ -467,30 +476,32 @@ def _newcomer_search(states: StateSet, collection: RepairingCollection,
 
 
 def _check_collection(states: StateSet, collection: RepairingCollection,
-                      all_newcomers: bool = False, cap: int = OBTAINABLE_CAP,
-                      hint: Optional[Subspace] = None) -> CollectionCheck:
+                      all_newcomers: bool = False,
+                      cap: int = OBTAINABLE_CAP) -> CollectionCheck:
     """The repair-property record of one collection of the state set.
 
-    A hint newcomer is tried first: it is the certificate when it has
-    dimension alpha, a repair witness, and every replacement inside the
-    set.  Otherwise _newcomer_search finds the certificate, and with
-    all_newcomers every valid newcomer.  The hint is ignored when every
-    valid newcomer is wanted.
+    A newcomer declared in states.certificates is the certificate when
+    it has dimension alpha, a repair witness, and every replacement
+    inside the set; otherwise the collection fails, naming it.  Without
+    one, and whenever every valid newcomer is wanted, _newcomer_search
+    finds the certificate, and with all_newcomers every valid newcomer.
     """
     params = states.params
     spanning = _has_spanning_subset(collection, params)
-    inside = states.__contains__
-    state = None
-    if hint is not None and not all_newcomers and hint.dim == params.alpha:
-        witness = find_repair_witness(collection, hint, params)
-        if witness is not None and _replacements_inside(inside, collection, hint):
-            state = AdmissibleState(collection, hint, witness)
-    valid = None
-    if state is None:
+    declared = None if all_newcomers else states.certificates.get(collection.key)
+    if declared is None:
         state, valid = _newcomer_search(states, collection, all_newcomers, cap)
+    else:
+        state, valid = None, ()
+        witness = (find_repair_witness(collection, declared, params)
+                   if declared.dim == params.alpha else None)
+        if witness is not None and _replacements_inside(states.__contains__,
+                                                        collection, declared):
+            state = AdmissibleState(collection, declared, witness)
     if state is not None:
         state.verify(params)
-    return CollectionCheck(collection, spanning, state, valid if all_newcomers else None)
+    return CollectionCheck(collection, spanning, state, valid if all_newcomers else None,
+                           declared)
 
 
 def check_repair_property(states: StateSet, all_newcomers: bool = False,
@@ -501,13 +512,13 @@ def check_repair_property(states: StateSet, all_newcomers: bool = False,
     whose every single-member replacement stays inside the set, and
     checks that some k members span.  With all_newcomers=True the full
     set of valid newcomers is recorded instead of stopping at the first
-    witness.  A newcomer hinted for a collection (StateSet._hints) is
-    tried before the search.  A listed set tests only its completions,
-    so cap bounds only the enumeration of a predicate set (CapExceeded
-    past cap distinct candidates of one collection).
+    witness.  A collection with a declared newcomer (StateSet.certificates)
+    is decided by checking that newcomer alone, never by a search.  A
+    listed set tests only its completions, so cap bounds only the
+    enumeration of a predicate set (CapExceeded past cap distinct
+    candidates of one collection).
     """
-    checks = [_check_collection(states, states.collections[key], all_newcomers, cap,
-                                states._hints.get(key))
+    checks = [_check_collection(states, states.collections[key], all_newcomers, cap)
               for key in sorted(states.collections)]
     return RepairReport(states.params, checks, all_newcomers)
 
@@ -570,13 +581,16 @@ def reachable_closure(seed: RepairingCollection, params: CodeParams,
     newcomer whose every replacement satisfies the predicate is taken as
     its certificate, and the replaced collections join the set.  Only
     that one certificate is expanded per collection, so the result can
-    be much smaller than the full predicate-admissible set.  It passes
-    check_repair_property by construction, but callers are expected to
-    re-verify.
+    be much smaller than the full predicate-admissible set.  The result
+    carries each pick as its certificate, so verify() checks the picks
+    without a search.  A pick is also the first valid newcomer of the
+    result: every earlier candidate has a replacement outside the
+    predicate, hence outside the result.
     """
     if not admissible(seed.spaces):
         raise ValueError("the seed collection does not satisfy the predicate")
     found: dict[tuple[bytes, ...], RepairingCollection] = {seed.key: seed}
+    picks: dict[tuple[bytes, ...], Subspace] = {}
     queue = [seed]
     qi = 0
     while qi < len(queue):
@@ -589,6 +603,7 @@ def reachable_closure(seed: RepairingCollection, params: CodeParams,
         else:
             raise ClosureError(
                 f"no certifying newcomer for collection {_short_hash(b''.join(collection.key))}")
+        picks[collection.key] = cand
         for i in range(len(collection.spaces)):
             rc = collection.replace(i, cand)
             if rc.key not in found:
@@ -596,4 +611,4 @@ def reachable_closure(seed: RepairingCollection, params: CodeParams,
                     raise CapExceeded(f"reachable closure exceeded cap {cap}")
                 found[rc.key] = rc
                 queue.append(rc)
-    return StateSet(params, found.values())
+    return StateSet(params, found.values(), picks)

@@ -8,8 +8,9 @@ import pathlib
 
 import pytest
 
-from frcodes import cli
+from frcodes import cli, groupsearch, storage
 from frcodes.fsc import document_to_states, parse_fsc
+from frcodes.storage import _short_hash
 from frcodes.subspace import CapExceeded
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -47,6 +48,38 @@ class TestVerify:
     def test_missing_file(self, capsys):
         assert cli.main(["verify", fixture("nope.fsc")]) == 1
         assert "error" in capsys.readouterr().err
+
+    def test_wrong_state_line_fails(self, tmp_path, capsys):
+        # a state line is a checked certificate: U1 is not a valid newcomer
+        # of C0, though a search would find U0
+        doc = tmp_path / "wrong.fsc"
+        doc.write_text(pathlib.Path(fixture("example1.fsc")).read_text()
+                       .replace("state C0 -> U0", "state C0 -> U1"))
+        declared = _short_hash(parse_fsc(doc.read_text()).subspaces["U1"].key)
+        line = f"FAIL declared newcomer {declared} does not check"
+        assert cli.main(["verify", str(doc)]) == 2
+        out = capsys.readouterr().out
+        assert "failures: 1" in out and line in out
+        assert cli.main(["simulate", str(doc), "--data", "1011", "--steps", "3"]) == 2
+        assert line in capsys.readouterr().out
+
+    def test_certified_codes_verify_without_a_search(self, tmp_path, monkeypatch, capsys):
+        # every collection of these documents has a state line, and the
+        # family closure certifies each collection as it adds it
+        found = tmp_path / "search.fsc"
+        family = tmp_path / "family.fsc"
+        assert cli.main(["search", str(BENCH_DATA / "seed56.fsc"), "--group-cap", "5000",
+                         "--orbit-cap", "500", "--out", str(found)]) == 0
+
+        def no_search(*args, **kwargs):
+            raise AssertionError("a newcomer was searched for")
+
+        monkeypatch.setattr(storage, "_newcomer_search", no_search)
+        assert cli.main(["family", "--r", "2", "--s", "1", "--q", "3",
+                         "--out", str(family)]) == 0
+        for path in [BENCH_DATA / "code56.fsc", DATA / "example1.fsc", found, family]:
+            assert cli.main(["verify", str(path)]) == 0
+        assert capsys.readouterr().out.count("repair property holds") == 4
 
     def test_semantic_error_exit(self, tmp_path, capsys):
         doc = tmp_path / "short.fsc"
@@ -121,6 +154,21 @@ class TestSearch:
         assert captured.err.splitlines() == [
             f"error: {flag[2:].replace('-', '_')} must be at least 1, got {value}"]
 
+    def test_seed_of_wrong_dimension_is_a_usage_error(self, tmp_path, monkeypatch, capsys):
+        def no_work(*args, **kwargs):
+            raise AssertionError("the search started")
+
+        monkeypatch.setattr(groupsearch, "stabilizer", no_work)
+        doc = tmp_path / "lines.fsc"
+        doc.write_text("FSC 1\nfield 2 1\nambient 4\nparams 4 2 3 2 1\n"
+                       "subspace L\n  row 1 0 0 0\nend\n"
+                       "collection C L L L\nstate C -> L\n")
+        assert cli.main(["search", str(doc)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: the seed's members and newcomer must have "
+                                "dimension alpha = 2\n")
+
     def test_seed_without_state_line(self, tmp_path, capsys):
         doc = tmp_path / "seed.fsc"
         doc.write_text(pathlib.Path(fixture("example1_seed.fsc")).read_text()
@@ -170,6 +218,13 @@ class TestSimulate:
         assert payload["verdict"] == "pass"
         assert payload["downloads"] == 7 * 3
         assert 1 <= payload["states"] <= 4
+
+    def test_document_without_collections(self, tmp_path, capsys):
+        doc = tmp_path / "empty.fsc"
+        doc.write_text("FSC 1\nfield 2 1\nambient 4\nparams 4 2 3 2 1\n")
+        assert cli.main(["simulate", str(doc), "--data", "1011", "--steps", "1"]) == 1
+        assert capsys.readouterr().err == (
+            "error: no verified collection to start from: the code is empty\n")
 
     def test_bad_data(self, capsys):
         assert cli.main(["simulate", fixture("example1.fsc"), "--data", "10a1",

@@ -5,6 +5,8 @@ from __future__ import annotations
 import pathlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frcodes.fsc import (
     FscDocument,
@@ -15,7 +17,7 @@ from frcodes.fsc import (
     states_to_document,
 )
 from frcodes.gf import GF
-from frcodes.storage import exact_to_states
+from frcodes.storage import RepairingCollection, exact_to_states
 from frcodes.subspace import span
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -68,12 +70,6 @@ class TestParse:
         swapped = base.replace("collection C0 U1 U2 U3", "collection C0 U3 U2 U1")
         assert parse_fsc(swapped) == parse_fsc(base)
 
-    def test_map_block(self):
-        text = MINIMAL + "map M\n  row 0 1 0 0\n  row 1 0 0 0\n" \
-            "  row 0 0 1 0\n  row 0 0 0 1\nend\n"
-        doc = parse_fsc(text)
-        assert doc.maps["M"][0] == (0, 1, 0, 0)
-
 
 def error_of(text):
     with pytest.raises(FscParseError) as info:
@@ -125,15 +121,12 @@ class TestParseErrors:
         err = error_of(MINIMAL + "frobnicate\n")
         assert "unknown directive" in str(err)
 
-    def test_non_invertible_map(self):
-        text = MINIMAL + "map M\n  row 1 0 0 0\n  row 1 0 0 0\n" \
-            "  row 0 0 1 0\n  row 0 0 0 1\nend\n"
-        err = error_of(text)
-        assert "not invertible" in str(err)
-
-    def test_map_row_count(self):
-        err = error_of(MINIMAL + "map M\n  row 1 0 0 0\nend\n")
-        assert "expected 4" in str(err)
+    def test_map_is_an_unknown_directive(self):
+        # the format has no map blocks
+        err = error_of(MINIMAL + "map M\n  row 0 1 0 0\n  row 1 0 0 0\n"
+                       "  row 0 0 1 0\n  row 0 0 0 1\nend\n")
+        assert (err.line, err.col) == (9, 1)
+        assert "unknown directive 'map'" in str(err)
 
     def test_bad_params(self):
         err = error_of(MINIMAL.replace("params 4 2 3 2 1", "params 4 2 9 2 1"))
@@ -159,11 +152,40 @@ class TestEmit:
         shuffled = base.replace("collection C0 U1 U2 U3", "collection C0 U3 U1 U2")
         assert emit_fsc(parse_fsc(shuffled)) == emit_fsc(parse_fsc(base))
 
-    def test_map_round_trip(self):
-        text = MINIMAL + "map M\n  row 0 1 0 0\n  row 1 0 0 0\n" \
-            "  row 0 0 1 0\n  row 0 0 0 1\nend\n"
-        doc = parse_fsc(text)
-        assert parse_fsc(emit_fsc(doc)) == doc
+
+NAMES = st.from_regex(r"[A-Za-z_][A-Za-z0-9_.-]{0,4}", fullmatch=True)
+
+
+@st.composite
+def documents(draw):
+    # a document over GF(2), GF(3) or GF(4) with state lines; member
+    # counts need not match the parameters, which only a state set checks
+    p, e = draw(st.sampled_from([(2, 1), (3, 1), (2, 2)]))
+    m = draw(st.integers(1, 3))
+    n = draw(st.integers(2, 4))
+    k = draw(st.integers(1, n))
+    r = draw(st.integers(1, n - 1))
+    alpha = draw(st.integers(1, m))
+    beta = draw(st.integers(1, alpha))
+    rows = st.lists(st.tuples(*[st.integers(0, p ** e - 1)] * m), max_size=m)
+    subspaces = draw(st.dictionaries(NAMES, rows.map(lambda vs: span(GF(p, e), m, vs)),
+                                     min_size=1, max_size=4))
+    members = st.lists(st.sampled_from(sorted(subspaces)), min_size=1, max_size=3)
+    collections = draw(st.dictionaries(NAMES, members.map(lambda ms: tuple(sorted(ms))),
+                                       max_size=4))
+    states = {name: draw(st.sampled_from(sorted(subspaces)))
+              for name in draw(st.lists(st.sampled_from(sorted(collections)), unique=True))
+              } if collections else {}
+    return FscDocument(p, e, m, n, k, r, alpha, beta, subspaces, collections, states)
+
+
+@settings(max_examples=80, deadline=None)
+@given(documents())
+def test_round_trip_with_state_lines(doc):
+    text = emit_fsc(doc)
+    again = parse_fsc(text)
+    assert again == doc
+    assert emit_fsc(again) == text
 
 
 class TestConversions:
@@ -172,6 +194,20 @@ class TestConversions:
         states = document_to_states(doc)
         assert len(states) == 4
         assert states.verify().ok
+
+    def test_state_lines_are_certificates(self):
+        doc = parse_fsc(read_fixture("example1.fsc"))
+        states = document_to_states(doc)
+        keys = {name: RepairingCollection(doc.subspaces[u] for u in members).key
+                for name, members in doc.collections.items()}
+        assert states.certificates == {keys[name]: doc.subspaces[u]
+                                       for name, u in doc.states.items()}
+        assert len(states.certificates) == 4
+        # a repeated collection may repeat its state line, not change it
+        again = read_fixture("example1.fsc") + "collection D U1 U2 U3\nstate D -> U0\n"
+        assert document_to_states(parse_fsc(again)).certificates == states.certificates
+        with pytest.raises(ValueError, match="different newcomer"):
+            document_to_states(parse_fsc(again.replace("D -> U0", "D -> U1")))
 
     def test_document_with_wrong_member_count(self):
         text = MINIMAL + "subspace B\n  row 0 0 1 0\n  row 0 0 0 1\nend\n" \

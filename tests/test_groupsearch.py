@@ -435,6 +435,20 @@ def test_symmetry_search_rejects_caps_below_one(caps, monkeypatch):
         symmetry_search(seed, _partition_member(6), params, **caps)
 
 
+def test_symmetry_search_rejects_seeds_of_wrong_dimension(rotation_code, monkeypatch):
+    # three copies of a line (alpha = 2), or a line as the newcomer, is
+    # bad input, refused before the stabilizer search
+    def no_work(*args, **kwargs):
+        raise AssertionError("the search started")
+
+    monkeypatch.setattr(groupsearch, "stabilizer", no_work)
+    params, nodes, _, seed = rotation_code
+    line = span(F2, 4, [(1, 0, 0, 0)])
+    for collection, newcomer in [(RepairingCollection([line] * 3), line), (seed, line)]:
+        with pytest.raises(ValueError, match="dimension alpha = 2"):
+            symmetry_search(collection, newcomer, params)
+
+
 def test_symmetry_search_verifies_each_group_once(partition_search, monkeypatch):
     # trials that generate the same group (as a set of element keys)
     # share one orbit_code run, and the log is unchanged

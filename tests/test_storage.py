@@ -20,6 +20,7 @@ from frcodes.storage import (
     RepairingCollection,
     StateSet,
     _check_collection,
+    _short_hash,
     check_repair_property,
     exact_to_states,
     find_repair_witness,
@@ -268,29 +269,38 @@ def test_report_render_success(exact_code_spaces):
 
 
 def test_collection_check_takes_a_hint(exact_code_spaces, monkeypatch):
-    # a hint that checks is the certificate without any search; one that
-    # does not falls back to the search, with the same record as no hint
+    # a declared newcomer (StateSet.certificates) is checked, never
+    # searched for: a good one is the certificate, and a bad one fails
+    # the collection with a reason that names it
     params, spaces = exact_code_spaces
-    states = exact_to_states(spaces, params)
+    exact = exact_to_states(spaces, params)
     rest = RepairingCollection(spaces[1:])
-    plain = _check_collection(states, rest)
+    plain = _check_collection(exact, rest)
     assert plain.ok and plain.state.newcomer == spaces[0]
-    bad_hints = [spaces[1], span(GF(2), 4, [(1, 1, 1, 1)]),
-                 span(GF(2), 4, [(1, 1, 0, 0), (0, 0, 1, 1)])]
-    for bad in bad_hints:
-        fallback = _check_collection(states, rest, hint=bad)
-        assert fallback.ok and fallback.state == plain.state
 
     def no_search(*args, **kwargs):
-        raise AssertionError("the hint should have been enough")
+        raise AssertionError("a declared newcomer was searched for")
 
     # the one entry point of every newcomer search, listed or enumerated
     monkeypatch.setattr(storage, "_newcomer_search", no_search)
-    hinted = _check_collection(states, rest, hint=spaces[0])
-    assert hinted.ok and hinted.state.newcomer == spaces[0]
-    hinted.state.verify(params)
-    with pytest.raises(AssertionError, match="hint"):
-        _check_collection(states, rest, all_newcomers=True, hint=spaces[0])
+    declared = StateSet(params, exact, {rest.key: spaces[0]})
+    good = _check_collection(declared, rest)
+    assert good.ok and good.state == plain.state
+    good.state.verify(params)
+    # a member and a plane whose replacements leave the set; dimension 1
+    bad_hints = [spaces[1], span(GF(2), 4, [(1, 1, 1, 1)]),
+                 span(GF(2), 4, [(1, 1, 0, 0), (0, 0, 1, 1)])]
+    # with two helpers, a plane that no repair reaches
+    two = CodeParams(m=4, n=4, k=2, r=2, alpha=2, beta=1, q=2)
+    lone = next(u for u in subspaces(GF(2), 4, 2) if find_repair_witness(rest, u, two) is None)
+    for set_params, bad in [(params, u) for u in bad_hints] + [(two, lone)]:
+        check = _check_collection(StateSet(set_params, exact, {rest.key: bad}), rest)
+        assert check.spanning_ok and check.state is None and not check.ok
+        assert check.declared == bad
+        assert check.reason == f"declared newcomer {_short_hash(bad.key)} does not check"
+    # every valid newcomer is always searched for
+    with pytest.raises(AssertionError, match="searched"):
+        _check_collection(declared, rest, all_newcomers=True)
 
 
 def test_valid_newcomers_cached_and_direct(exact_code_spaces):
