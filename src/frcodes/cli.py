@@ -14,6 +14,7 @@ import sys
 from typing import Optional, Sequence
 
 from .family import (
+    NoMDSCodeError,
     construct_good,
     cutset_bound,
     family_code,
@@ -78,12 +79,12 @@ def cmd_verify(args) -> int:
 
 
 def cmd_family(args) -> int:
-    collection = construct_good(args.r, args.s, args.q)
     try:
-        # repair needs an [r, s+1, r-s] MDS coefficient code over the field
+        # construction and repair (an [r, s+1, r-s] code) both need MDS codes
+        collection = construct_good(args.r, args.s, args.q)
         mds_generator(collection.field, args.r, args.s + 1)
-    except ValueError as err:
-        print(f"the ({args.r}, {args.s}) family over GF({args.q}) cannot repair: {err}",
+    except NoMDSCodeError as err:
+        print(f"the ({args.r}, {args.s}) family over GF({args.q}) cannot be built: {err}",
               file=sys.stderr)
         return EXIT_FAILED
     if not is_good(list(collection.spaces), args.r, args.s):

@@ -67,6 +67,7 @@ __all__ = [
     "repair_code",
     "mds_check",
     "mds_generator",
+    "NoMDSCodeError",
     "forbidden_traces",
     "verify_replacement_equivalence",
     "construct_good",
@@ -242,6 +243,10 @@ def mds_check(field: Field, generator: Sequence[Sequence[int]], r: int, kdim: in
     return best == d_target
 
 
+class NoMDSCodeError(ValueError):
+    """No MDS code of the asked length and dimension exists over the field."""
+
+
 def mds_generator(field: Field, r: int, kdim: int,
                   cap: int = MDS_SEARCH_CAP) -> tuple[Vector, ...]:
     """Canonical generator of an [r, kdim, r-kdim+1] MDS code over the field.
@@ -287,7 +292,7 @@ def mds_generator(field: Field, r: int, kdim: int,
                 rows = cand.rows
                 break
         if rows is None:
-            raise ValueError(f"no [{r},{kdim},{r - kdim + 1}] MDS code over GF({q})")
+            raise NoMDSCodeError(f"no [{r},{kdim},{r - kdim + 1}] MDS code over GF({q})")
     if not mds_check(field, rows, r, kdim):
         raise AssertionError(f"canonical [{r},{kdim}] generator is not MDS over GF({q})")
     return rows

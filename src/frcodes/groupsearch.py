@@ -5,9 +5,11 @@ itself generates a code for free: if a group of invertible maps contains,
 for every member, a map carrying the collection onto the variant with
 that member replaced, then the orbit of the collection under the group
 is closed under repair.  This module finds such transition maps by
-constrained backtracking, generates groups of maps by breadth-first
-closure, builds orbits, and verifies the resulting state sets rather
-than trusting the construction.
+constrained backtracking over basis images, generates groups of maps by
+breadth-first closure, builds orbits, and verifies the resulting state
+sets rather than trusting the construction.  The backtracking keeps
+echelons of the partial map's graph rows (v | g(v)) and image rows, so
+each forced image or independence test costs one reduction.
 
 Verification uses the symmetry too.  A map g of the group carries the
 repair slices, their sums and the spanning subsets of a collection C to
@@ -60,7 +62,9 @@ from .subspace import (
     _matmul_bits,
     _pack,
     _rref_bits,
-    express,
+    _unpack,
+    express,  # unused here; kept importable for tracers that wrap every binding
+    full_space,
     invert_matrix,
     matmul,
     rank_of,
@@ -273,57 +277,103 @@ def _assignments(sources: Sequence[Subspace],
 
 
 def _constrained_images(field: Field, m: int, pairs: Sequence[tuple[Subspace, Subspace]],
-                        cap: int, counter: list[int]) -> Iterator[tuple[tuple, tuple]]:
+                        cap: int, counter: list[int]) -> Iterator[tuple[tuple[int, ...], ...]]:
     """Backtrack over images of an adapted basis, one pair constraint at a time.
 
-    Yields (source_rows, image_rows) with both sides independent bases
-    of F_q^m such that every basis row of each source subspace maps into
-    its paired target.  Dependent source rows have forced images and
-    only prune; independent rows branch over target vectors that keep
-    the images independent.  Unconstrained directions are filled from
-    standard basis vectors with free images.  counter[0] accumulates
-    candidate nodes and is checked against cap.
+    Yields the matrices (row j is g(e_j)) of the invertible maps g taking
+    every basis row of each source into its paired target.  The partial
+    map is two echelons pushed and popped with the search: its graph rows
+    (v | g(v)), pivots in the source half, and its image rows.  Reducing
+    (v | 0) against the graph rows leaves the forced image -g(v) in the
+    image half when the source half vanishes, which only prunes; else v
+    branches over target vectors w with a non-zero residual against the
+    image rows.  The standard basis tail, with free images, forces every
+    e_j at a leaf.  counter[0] counts candidate nodes against cap.  Over
+    GF(2) rows are packed ints (image bits shifted by m), else tuples.
     """
-    constraint_rows: list[tuple[tuple[int, ...], Optional[Subspace]]] = []
-    for source, target in pairs:
-        for v in source.rows:
-            constraint_rows.append((v, target))
-    for i in range(m):
-        constraint_rows.append((standard_basis_vector(m, i), None))
+    full = full_space(field, m)
+    # the field branch: echelon entries are (pivot column, row with a 1 there)
+    if full._packed():
+        def lift(space: Subspace, shift: int) -> list:
+            return [b << shift for b in space._bits]
 
-    src: list[tuple[int, ...]] = []
-    img: list[tuple[int, ...]] = []
+        def reduce(echelon: list, x: int) -> int:
+            for p, b in echelon:
+                if x >> p & 1:
+                    x ^= b
+            return x
 
-    def extend(pos: int) -> Iterator[tuple[tuple, tuple]]:
-        if pos == len(constraint_rows):
+        def entry(x: int) -> Optional[tuple[int, int]]:
+            return ((x & -x).bit_length() - 1, x) if x else None
+
+        def add_image(x: int, w: int) -> int:
+            return x ^ w << m
+
+        def image(x: int) -> tuple[int, ...]:
+            return _unpack(x >> m, m)  # -g(v) = g(v) over GF(2)
+
+        candidates = Subspace._packed_vectors
+    else:
+        pad = (0,) * m
+
+        def lift(space: Subspace, shift: int) -> list:
+            return [pad[:shift] + row + pad[shift:] for row in space.rows]
+
+        def reduce(echelon: list, x: tuple) -> tuple:
+            for p, b in echelon:
+                if x[p]:
+                    c = field.neg(x[p])
+                    x = tuple([field.add(a, field.mul(c, y)) if y else a for a, y in zip(x, b)])
+            return x
+
+        def entry(x: tuple) -> Optional[tuple[int, tuple]]:
+            p = next((j for j, a in enumerate(x) if a), None)
+            if p is None:
+                return None
+            inv = field.inv(x[p])
+            return p, x if inv == 1 else tuple(field.mul(inv, a) for a in x)
+
+        def add_image(x: tuple, w: tuple) -> tuple:
+            return x[:m] + tuple(field.add(a, b) for a, b in zip(x[m:], w))
+
+        def image(x: tuple) -> tuple[int, ...]:
+            return tuple(field.neg(a) for a in x[m:])
+
+        candidates = Subspace.vectors
+
+    # (v | 0), the target's rows in the image half (None: no constraint),
+    # the space of candidate images
+    rows = [(v, list(zip([p + m for p in target.pivots], lift(target, m))), target)
+            for source, target in pairs for v in lift(source, 0)]
+    rows += [(v, None, full) for v in lift(full, 0)]
+    graph: list = []
+    images: list = []
+
+    def extend(pos: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+        if pos == len(rows):
             # the standard basis tail guarantees a spanning source side
-            if len(src) == m:
-                yield tuple(src), tuple(img)
+            if len(graph) == m:
+                yield tuple(image(reduce(graph, u)) for u, _, _ in rows[-m:])
             return
-        v, target = constraint_rows[pos]
-        coeffs = express(field, v, src)
-        if coeffs is not None:
-            if target is not None:
-                forced = tuple(matmul(field, [coeffs], img)[0]) if any(coeffs) else (0,) * m
-                if forced not in target:
-                    return
-            yield from extend(pos + 1)
+        v, target_rows, target = rows[pos]
+        x = reduce(graph, v)
+        # x is non-zero: the partial map is injective
+        if entry(x)[0] >= m:
+            if target_rows is None or entry(reduce(target_rows, x)) is None:
+                yield from extend(pos + 1)
             return
-        candidates = target.vectors() if target is not None else full_vectors()
-        for w in candidates:
+        for w in candidates(target):
             counter[0] += 1
             if counter[0] > cap:
                 raise CapExceeded(f"map search exceeded {cap} nodes")
-            if express(field, w, img) is not None:
+            residual = entry(reduce(images, w))
+            if residual is None:
                 continue
-            src.append(tuple(v))
-            img.append(tuple(w))
+            images.append(residual)
+            graph.append(entry(add_image(x, w)))
             yield from extend(pos + 1)
-            src.pop()
-            img.pop()
-
-    def full_vectors() -> Iterator[tuple[int, ...]]:
-        return span(field, m, [standard_basis_vector(m, i) for i in range(m)]).vectors()
+            graph.pop()
+            images.pop()
 
     yield from extend(0)
 
@@ -339,8 +389,7 @@ def _iter_maps(field: Field, m: int, sources: Sequence[Subspace],
     counter = [0]
     for targets in assignment_iter:
         pairs = list(zip(sources, targets))
-        for src_rows, img_rows in _constrained_images(field, m, pairs, cap, counter):
-            matrix = matmul(field, invert_matrix(field, src_rows), img_rows)
+        for matrix in _constrained_images(field, m, pairs, cap, counter):
             yield LinearMap(field, m, matrix)
 
 

@@ -50,7 +50,6 @@ __all__ = [
     "ClosureError",
     "is_recovery_set",
     "recovery_dimension",
-    "obtainable_spaces",
     "iter_obtainable",
     "find_repair_witness",
     "valid_newcomers",
@@ -264,12 +263,6 @@ def iter_obtainable(collection: RepairingCollection, params: CodeParams,
                     f"more than {cap} distinct candidate newcomers for one collection")
             seen.add(cand.key)
             yield cand, witness
-
-
-def obtainable_spaces(collection: RepairingCollection, params: CodeParams,
-                      cap: int = OBTAINABLE_CAP) -> set[Subspace]:
-    """The set of spaces obtainable from the collection by an (r, beta) repair."""
-    return {cand for cand, _ in iter_obtainable(collection, params, cap)}
 
 
 def find_repair_witness(collection: RepairingCollection, target: Subspace,

@@ -325,9 +325,6 @@ class Subspace:
     def dim(self) -> int:
         return len(self.pivots)
 
-    def basis_vectors(self) -> tuple[Vector, ...]:
-        return self.rows
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Subspace) and self.key == other.key
 
@@ -413,6 +410,15 @@ class Subspace:
                 if c:
                     v = vec_add(self.field, v, vec_scale(self.field, c, row))
             yield v
+
+    def _packed_vectors(self) -> list[int]:
+        """All vectors of a GF(2) space as packed ints, in the order of vectors()."""
+        if 2**self.dim > VECTOR_ENUM_CAP:
+            raise CapExceeded(f"2^{self.dim} vectors exceed cap {VECTOR_ENUM_CAP}")
+        out = [0]
+        for b in reversed(self._bits):  # the last row varies fastest
+            out += [x ^ b for x in out]
+        return out
 
     def subspaces(self, d: int, cap: int = SUBSPACE_ENUM_CAP) -> Iterator["Subspace"]:
         """All d-dimensional subspaces of this space."""

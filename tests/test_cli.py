@@ -101,6 +101,16 @@ class TestFamily:
         assert len(err) == 1
         assert "no [4,2,3] MDS code over GF(2)" in err[0]
 
+    def test_no_mds_construction_code_fails_cleanly(self, capsys):
+        # building the (4, 2) family needs a [4,2,3] MDS code at its
+        # second level: a missing code is a verdict, not a usage error
+        assert cli.main(["family", "--r", "4", "--s", "2", "--q", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1
+        assert "no [4,2,3] MDS code over GF(2)" in err[0]
+
     def test_family_run(self, tmp_path, capsys):
         out = tmp_path / "family.fsc"
         code = cli.main(["family", "--r", "2", "--s", "1", "--q", "2",

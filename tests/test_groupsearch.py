@@ -95,6 +95,54 @@ def transition_maps_exhaustive(collection, newcomer, index, cap=BACKTRACK_CAP):
     return tuple(found[k] for k in sorted(found))
 
 
+def express_map_search(field, m, pairs, cap, counter):
+    """The map search that re-expresses every row, an oracle for _constrained_images.
+
+    Each row is written in the source rows so far with express, each
+    candidate image checked against the image rows so far the same way,
+    and each map built from the two bases by a matrix inverse and
+    product.  It visits the same tree in the same order, so it yields
+    the same matrices and counts the same nodes in counter[0].
+    """
+    constraint_rows = []
+    for source, target in pairs:
+        for v in source.rows:
+            constraint_rows.append((v, target))
+    for i in range(m):
+        constraint_rows.append((e(m, i), None))
+    src = []
+    img = []
+
+    def extend(pos):
+        if pos == len(constraint_rows):
+            if len(src) == m:
+                yield matmul(field, sub.invert_matrix(field, src), img)
+            return
+        v, target = constraint_rows[pos]
+        coeffs = express(field, v, src)
+        if coeffs is not None:
+            if target is not None:
+                forced = tuple(matmul(field, [coeffs], img)[0]) if any(coeffs) else (0,) * m
+                if forced not in target:
+                    return
+            yield from extend(pos + 1)
+            return
+        candidates = (target if target is not None else full_space(field, m)).vectors()
+        for w in candidates:
+            counter[0] += 1
+            if counter[0] > cap:
+                raise CapExceeded(f"map search exceeded {cap} nodes")
+            if express(field, w, img) is not None:
+                continue
+            src.append(tuple(v))
+            img.append(tuple(w))
+            yield from extend(pos + 1)
+            src.pop()
+            img.pop()
+
+    yield from extend(0)
+
+
 @pytest.fixture(scope="module")
 def rotation_code(exact_code_spaces):
     params, nodes = exact_code_spaces
@@ -681,3 +729,72 @@ def test_transporter_edge_cases(rotation_code):
     with pytest.raises(CapExceeded):
         groupsearch._transporter(seed, moved, 1)
 
+
+def _random_subspace(rng, field, m):
+    dim = rng.randrange(1, m + 1)
+    return span(field, m, [tuple(rng.randrange(field.q) for _ in range(m))
+                           for _ in range(dim)])
+
+
+def _run_search(search, field, m, pairs, cap):
+    # the matrices yielded before the end or the cap, the final node
+    # count, and whether the cap stopped the search
+    counter = [0]
+    found = []
+    try:
+        for matrix in search(field, m, pairs, cap, counter):
+            found.append(tuple(map(tuple, matrix)))
+    except CapExceeded:
+        return found, counter[0], True
+    return found, counter[0], False
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 3, 4]), st.integers(1, 4), st.integers(0, 2**32),
+       st.booleans())
+def test_map_search_matches_express_oracle(q, m, seed, mismatched):
+    # sources paired with their images under a random invertible map,
+    # some of them replaced by random spaces when mismatched: the
+    # incremental echelons give the oracle's maps in its order, its node
+    # count, and its CapExceeded at every cap
+    field = GF(q) if q != 4 else GF(2, 2)
+    if q == 4 and m > 3:
+        m = 3  # a free direction of F_4^4 branches 256 ways
+    rng = random.Random(seed)
+    sources = [_random_subspace(rng, field, m) for _ in range(rng.randrange(1, 4))]
+    g = _random_invertible(rng, field, m)
+    targets = [g.apply(u) for u in sources]
+    if mismatched:
+        targets = [_random_subspace(rng, field, m) if rng.random() < 0.5 else u
+                   for u in targets]
+    pairs = list(zip(sources, targets))
+    modes = [True, False] if q == 2 else [True]
+    for cap in (800, rng.randrange(1, 60)):
+        expected = _run_search(express_map_search, field, m, pairs, cap)
+        for packed in modes:
+            try:
+                sub._PACKED_KERNELS = packed
+                got = _run_search(groupsearch._constrained_images, field, m, pairs, cap)
+            finally:
+                sub._PACKED_KERNELS = True
+            assert got == expected
+        found, nodes, capped = expected
+        if not capped:
+            assert mismatched or found
+            # the cap is hit exactly one node short of the final count
+            if nodes:
+                assert _run_search(groupsearch._constrained_images, field, m, pairs,
+                                   nodes - 1)[2]
+
+
+def test_map_search_node_counts_are_pinned(partition_search):
+    # node counts of the two map searches on the 56-state seed, read
+    # from the express-based search: the least cap each one completes under
+    _, seed, outcome = partition_search
+    newcomer = _partition_member(6)
+    assert stabilizer(seed, newcomer, cap=1536).order == outcome.stabilizer.order == 6
+    assert len(transition_maps(seed, newcomer, 0, cap=1536)) == 48
+    with pytest.raises(CapExceeded):
+        stabilizer(seed, newcomer, cap=1535)
+    with pytest.raises(CapExceeded):
+        transition_maps(seed, newcomer, 0, cap=1535)
