@@ -307,6 +307,25 @@ class TestPinnedOutputs:
         assert self._digest(argv, capsys) == \
             "a4c9d22e802fd929ced90d19970935de285d15dbb58614c64005291a7e9818f1"
 
+    def test_search_text_is_pinned(self, capsys):
+        argv = ["search", str(BENCH_DATA / "seed56.fsc"), "--group-cap", "5000",
+                "--orbit-cap", "500"]
+        assert self._digest(argv, capsys) == \
+            "4caa52a800d7b9de4a95ac1f6ac8c03010691536bbfdf43b8a4eccb5ba6933c9"
+
+    @pytest.mark.parametrize("argv, digest", [
+        (["search", str(BENCH_DATA / "seed56.fsc"), "--group-cap", "5000",
+          "--orbit-cap", "500"],
+         "27616ee8f9bc18a2aa8e88209bf7b585f3bb55159d9e30ea45fc934bc1e1d946"),
+        (["search", fixture("example1_seed.fsc")],
+         "5a0d576e7a8d09e2ef29a4c3910b6b6058aea2d4a2c727a04a81801d5b7bd9c8"),
+    ], ids=["seed56-capped", "example1"])
+    def test_search_out_file_is_pinned(self, argv, digest, tmp_path, capsys):
+        out = tmp_path / "found.fsc"
+        assert cli.main(argv + ["--out", str(out)]) == 0
+        capsys.readouterr()
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
     def test_simulate_is_pinned(self, capsys):
         argv = ["simulate", str(BENCH_DATA / "code56.fsc"), "--data", "10110",
                 "--steps", "200", "--seed", "7"]
