@@ -271,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="search for a symmetry group from a seed")
     p.add_argument("file")
     p.add_argument("--group-cap", type=int, default=10**6,
-                   help="largest group order that is listed and searched; a "
+                   help="largest group order that is searched; a "
                         "larger group is decided from a stabilizer chain and "
                         "skipped without listing (default: %(default)s)")
     p.add_argument("--orbit-cap", type=int, default=10**5)

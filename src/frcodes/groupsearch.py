@@ -5,8 +5,8 @@ itself generates a code for free: if a group of invertible maps contains,
 for every member, a map carrying the collection onto the variant with
 that member replaced, then the orbit of the collection under the group
 is closed under repair.  This module finds such transition maps by
-constrained backtracking over basis images, generates groups of maps by
-breadth-first closure, builds orbits, and verifies the resulting state
+constrained backtracking over basis images, decides the orders of the
+groups they generate, walks orbits, and verifies the resulting state
 sets rather than trusting the construction.  The backtracking keeps
 echelons of the partial map's graph rows (v | g(v)) and image rows, so
 each forced image or independence test costs one reduction.
@@ -21,18 +21,16 @@ checked for real (obtainable, replacements inside the orbit, a spanning
 k-subset).  A moved certificate that does not check sends its member to
 the ordinary search.
 
-A group closure decides its order before it lists anything.  A linear
-map that fixes a basis is the identity, so the group acts faithfully on
-the union of the orbits of the standard basis vectors; a deterministic
-Schreier-Sims run on these permutations builds a stabilizer chain whose
-basic orbit lengths multiply to the group order (Seress, Permutation
-Group Algorithms, ch. 4).  At every stage that product is a lower bound
-on the order, so a group larger than the cap is recognised as soon as
-the product passes it, and such a closure holds no elements.  Groups
-within the cap are listed breadth-first, multiplying maps without
-re-checking them (products of invertible maps are invertible, and over
-GF(2) they are computed on packed rows), and the listing must match the
-chain order.
+No group is listed.  A linear map that fixes a basis is the identity,
+so a group acts faithfully on the union of the orbits of the standard
+basis vectors; a deterministic Schreier-Sims run on these permutations
+builds a stabilizer chain whose basic orbit lengths multiply to the
+group order (Seress, Permutation Group Algorithms, ch. 4).  At every
+stage that product is a lower bound on the order, so a group larger
+than the cap is recognised as soon as the product passes it.  An orbit
+is walked breadth-first under the generators alone, one image per
+member and generator, and its spanning tree moves the seed's newcomer
+to each member along the tree edges.
 
 Searches are exact but bounded: the backtracking node count, the group
 order, and the orbit size each have a cap, and hitting one is reported
@@ -42,7 +40,6 @@ explicitly instead of silently truncating the result.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass, field as dc_field
 from typing import Iterator, Optional, Sequence
 
@@ -65,7 +62,6 @@ from .subspace import (
     _unpack,
     express,  # unused here; kept importable for tracers that wrap every binding
     full_space,
-    invert_matrix,
     matmul,
     rank_of,
     span,
@@ -85,6 +81,7 @@ __all__ = [
     "transition_maps",
     "stabilizer",
     "group_closure",
+    "orbit",
     "orbit_code",
     "symmetry_search",
 ]
@@ -135,8 +132,8 @@ class LinearMap:
                  bits: Optional[Sequence[int]] = None) -> "LinearMap":
         """A map built without the checks of the public constructor.
 
-        For matrices invertible by construction, such as products and
-        inverses of maps, whose entries are field elements already.
+        For matrices invertible by construction, such as products of
+        maps, whose entries are field elements already.
         Give the rows, or over GF(2) the packed rows alone.
         """
         self = object.__new__(cls)
@@ -193,60 +190,45 @@ class LinearMap:
         return LinearMap._trusted(self.field, self.m,
                                   matmul(self.field, other.rows, self.rows))
 
-    def inverse(self) -> "LinearMap":
-        return LinearMap._trusted(self.field, self.m, invert_matrix(self.field, self.rows))
-
     def __repr__(self) -> str:
         return f"<LinearMap {_short_hash(self.key)} on F_{self.field.q}^{self.m}>"
 
 
 class GroupClosure:
-    """A set of linear maps generated from the given generators.
+    """A group of linear maps given by its generators.
 
-    When complete, the elements form the full group and order reports
-    its cardinality.  When the group order exceeds the cap, complete is
-    False, the closure holds no elements at all, and order refuses to
-    answer, so a group that was never listed can never pass for one
-    that was.
+    order is the group order, read from a stabilizer chain (or counted,
+    for a listed stabilizer); when it exceeds the cap, complete is False
+    and order refuses to answer, so a group whose size is unknown can
+    never pass for one that is known.
+
+    elements holds only maps that were really listed, in key order: all
+    of a stabilizer, none of a closure from generators.
     """
 
-    def __init__(self, generators: Sequence[LinearMap],
-                 elements: dict[bytes, LinearMap], complete: bool, cap: int,
-                 transitive: Optional[bool] = None):
+    def __init__(self, generators: Sequence[LinearMap], order: Optional[int], cap: int,
+                 elements: Sequence[LinearMap] = (), transitive: Optional[bool] = None):
         if not generators:
             raise ValueError("a group needs at least one generator")
         self.field = generators[0].field
         self.m = generators[0].m
         self.generators = tuple(generators)
-        self.elements = dict(elements)
-        self.complete = complete
+        self.elements = tuple(elements)
+        self.complete = order is not None
         self.cap = cap
         self.transitive = transitive
+        self._order = order
 
     @property
     def order(self) -> int:
-        if not self.complete:
+        if self._order is None:
             raise ValueError(f"group order exceeds cap {self.cap}; closure is incomplete")
-        return len(self.elements)
+        return self._order
 
     def describe(self) -> str:
         if self.complete:
-            return f"group of order {len(self.elements)}"
+            return f"group of order {self._order}"
         return f"group order exceeds {self.cap}"
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    def __iter__(self) -> Iterator[LinearMap]:
-        for key in sorted(self.elements):
-            yield self.elements[key]
-
-    def __contains__(self, item: object) -> bool:
-        if isinstance(item, LinearMap):
-            return item.key in self.elements
-        if isinstance(item, bytes):
-            return item in self.elements
-        return False
 
     def __repr__(self) -> str:
         return f"<GroupClosure {self.describe()}>"
@@ -464,23 +446,33 @@ def transition_maps(collection: RepairingCollection, newcomer: Subspace,
     return tuple(maps)
 
 
+def _walk(start, generators: Sequence[LinearMap], move, cap: int) -> dict:
+    """The orbit of start under the generators, walked breadth-first.
+
+    Maps each point's key to (point, edge), in the order met: edge is
+    None at start, else (parent key, g) for the first move(g, parent)
+    that reached the point.  Each point is moved once by each generator.
+    Raises CapExceeded when the orbit has more than cap points.
+    """
+    tree = {start.key: (start, None)}
+    queue = [start]
+    for point in queue:
+        for g in generators:
+            image = move(g, point)
+            if image.key not in tree:
+                if len(tree) >= cap:
+                    raise CapExceeded(f"orbit exceeded {cap} points")
+                tree[image.key] = (image, (point.key, g))
+                queue.append(image)
+    return tree
+
+
 def _orbit_of_first_member(maps: Sequence[LinearMap],
                            collection: RepairingCollection) -> bool:
-    # does the permutation action of the maps reach every member key
-    # from the first one
-    by_key = {u.key: u for u in collection.spaces}
-    keys = set(by_key)
-    first = collection.spaces[0].key
-    orbit = {first}
-    frontier = [first]
-    while frontier:
-        key = frontier.pop()
-        for mapping in maps:
-            image = mapping.apply(by_key[key]).key
-            if image in keys and image not in orbit:
-                orbit.add(image)
-                frontier.append(image)
-    return orbit == keys
+    # do maps permuting the members reach every member from the first one
+    spaces = collection.spaces
+    reached = _walk(spaces[0], maps, LinearMap.apply, len(spaces))
+    return reached.keys() == {u.key for u in spaces}
 
 
 def stabilizer(collection: RepairingCollection, newcomer: Subspace,
@@ -514,9 +506,8 @@ def stabilizer(collection: RepairingCollection, newcomer: Subspace,
                  "a stabilizer element permutes the members of the collection")
         _require(mapping.apply(newcomer) == newcomer,
                  "a stabilizer element fixes the newcomer")
-    elements = {mapping.key: mapping for mapping in maps}
     transitive = _orbit_of_first_member(maps, collection)
-    return GroupClosure(maps, elements, complete=True, cap=cap, transitive=transitive)
+    return GroupClosure(maps, len(maps), cap, elements=maps, transitive=transitive)
 
 
 def _point_images(mapping: LinearMap, points: Sequence) -> list:
@@ -686,15 +677,13 @@ def _group_order(generators: Sequence[LinearMap], cap: int) -> Optional[int]:
 
 
 def group_closure(generators: Sequence[LinearMap], cap: int = GROUP_CAP) -> GroupClosure:
-    """The group the generators generate, listed only when its order is within cap.
+    """The group the generators generate, with its order when within cap.
 
-    The order is decided first, from a stabilizer chain of the group's
-    faithful action on the orbits of the standard basis vectors, and a
-    group larger than cap gives an incomplete closure with no elements,
-    whose order property refuses to answer.  Otherwise the elements are
-    listed breadth-first: from the identity, right-composing with each
-    generator until no new elements appear.  The listing must have the
-    order of the chain, or RuntimeError is raised.
+    Nothing is listed or multiplied.  The order comes from a stabilizer
+    chain of the group's faithful action on the orbits of the standard
+    basis vectors, and a group larger than cap gives an incomplete
+    closure, whose order property refuses to answer.  Orbits under the
+    group are walked from the generators by orbit.
     """
     if not generators:
         raise ValueError("a group needs at least one generator")
@@ -703,46 +692,41 @@ def group_closure(generators: Sequence[LinearMap], cap: int = GROUP_CAP) -> Grou
     for g in generators:
         if g.field != field or g.m != m:
             raise ValueError("generators act on different spaces")
-    order = _group_order(generators, cap)
-    if order is None:
-        return GroupClosure(generators, {}, complete=False, cap=cap)
-    identity = LinearMap.identity(field, m)
-    elements = {identity.key: identity}
-    queue = deque([identity])
-    while queue:
-        current = queue.popleft()
-        for g in generators:
-            product = g.compose(current)
-            if product.key not in elements:
-                _require(len(elements) < order,
-                         "the listing is no larger than the chain order")
-                elements[product.key] = product
-                queue.append(product)
-    _require(len(elements) == order, "the listing has the chain order")
-    return GroupClosure(generators, elements, complete=True, cap=cap)
+    return GroupClosure(generators, _group_order(generators, cap), cap)
 
 
-def orbit_code(group: GroupClosure, seed: RepairingCollection,
-               params: CodeParams, cap: int = ORBIT_CAP) -> StateSet:
-    """The orbit of the seed collection under the group, verified.
+def orbit(group: GroupClosure, seed: RepairingCollection,
+          cap: int = ORBIT_CAP) -> dict:
+    """The orbit of the seed collection, walked under the group's generators.
 
-    Applies every group element to the seed, deduplicates by collection
-    key, and records for each member gC the first element g, in key
-    order, that reaches it.  The repair property is invariant under the
-    group: g maps repair slices, their sums and spanning subsets of C to
-    those of gC, and the orbit onto itself, so every member has the
-    seed's verdict.  The search for an obtainable newcomer therefore
-    runs on the seed first.  If the seed fails, the whole orbit fails.
-    If it passes with newcomer N, the set takes N as the seed's
-    certificate and the moved g(N) as that of each other member gC, and
+    Maps each member's key to (member, edge) in breadth-first order,
+    the seed first: edge is (parent key, generator g) with g(parent) the
+    member, None at the seed.  That is one apply_collection per member
+    and generator.  Raises CapExceeded past cap members.
+    """
+    return _walk(seed, group.generators, LinearMap.apply_collection, cap)
+
+
+def orbit_code(group: GroupClosure, walk: dict, params: CodeParams) -> StateSet:
+    """The walked orbit of a seed collection under the group, verified.
+
+    walk is orbit(group, seed).  The repair property is invariant under
+    the group: a map g of it carries repair slices, their sums and
+    spanning subsets of C to those of gC, and the orbit onto itself, so
+    every member has the seed's verdict.  The search for an obtainable
+    newcomer therefore runs on the seed first.  If the seed fails, the
+    whole orbit fails.  If it passes with newcomer N, the set takes N as
+    the seed's certificate, and each other member gP, reached from its
+    parent P along a tree edge g, the parent's certificate moved by g,
+    so each certificate is N moved along the member's tree path.
     StateSet.verify() checks each one with no search: a repair witness
     is found for it, all its replacements must stay in the orbit, some
     k members must span, and the witness is verified.
 
     The returned set carries the report and the witnesses of verify().
     The seed's recorded newcomer is the first valid one of the ordinary
-    search; every other member's is its moved certificate g(N), which
-    need not be the first valid newcomer of the ordinary search when a
+    search; every other member's is its moved certificate, which need
+    not be the first valid newcomer of the ordinary search when a
     collection has several.  A verification failure raises
     OrbitVerificationError carrying the report: the orbit construction
     only yields admissible sets under hypotheses on the seed, so a
@@ -750,28 +734,24 @@ def orbit_code(group: GroupClosure, seed: RepairingCollection,
     """
     if not group.complete:
         raise ValueError("cannot take the orbit of an incomplete group closure")
-    orbit: dict[tuple[bytes, ...], RepairingCollection] = {}
-    movers: dict[tuple[bytes, ...], LinearMap] = {}
-    for g in group:
-        image = g.apply_collection(seed)
-        if image.key not in orbit:
-            if len(orbit) >= cap:
-                raise CapExceeded(f"orbit exceeded {cap} collections")
-            orbit[image.key] = image
-            movers[image.key] = g
-    states = StateSet(params, orbit.values())
+    states = StateSet(params, (member for member, _ in walk.values()))
     _require(len(states) <= group.order, "the orbit is no larger than the group")
-    _require(seed in states, "the orbit contains the seed")
-    seed_check = _check_collection(states, states.collections[seed.key])
+    seed = next(iter(walk.values()))[0]
+    seed_check = _check_collection(states, seed)
     if not seed_check.ok:
         raise OrbitVerificationError(
             "orbit fails the repair property; the seed state does not meet "
             "the hypotheses:\n" + RepairReport(params, [seed_check], False).render()
             + f"\nthe group carries the failure to all {len(states)} collections "
             "of the orbit")
-    newcomer = seed_check.state.newcomer
-    states.certificates = {key: newcomer if key == seed.key else movers[key].apply(newcomer)
-                           for key in states.collections}
+    certificates = {}
+    for key, (_, edge) in walk.items():
+        if edge is None:
+            certificates[key] = seed_check.state.newcomer
+        else:
+            parent, g = edge
+            certificates[key] = g.apply(certificates[parent])
+    states.certificates = certificates
     report = states.verify()
     if not report.ok:
         raise OrbitVerificationError(
@@ -793,16 +773,17 @@ class SearchResult:
 class SearchOutcome:
     """Everything a symmetry search saw: stabilizer, candidates, successes.
 
-    candidate_classes groups the raw candidate maps per index modulo
-    composition with stabilizer elements: maps in one class carry the
-    collection to the variant along the same coset and the class count
-    is the natural size of the candidate list.
+    candidate_classes pairs each index with the number of classes of its
+    candidate maps modulo the stabilizer S: with g every g s (s in S)
+    carries the collection onto the same variant, so the maps are a
+    union of right cosets gS, and the class count is their number over
+    the order of S, the natural size of the candidate list.
     """
 
     stabilizer: GroupClosure
     transitive_generators: tuple[LinearMap, ...]
     candidates: tuple[tuple[int, LinearMap], ...]
-    candidate_classes: tuple[tuple[int, tuple[LinearMap, ...]], ...]
+    candidate_classes: tuple[tuple[int, int], ...]
     results: tuple[SearchResult, ...]
     log: tuple[str, ...]
 
@@ -815,7 +796,7 @@ def _cyclic_transitive_generators(stab: GroupClosure,
     # one representative generator per distinct transitive cyclic
     # subgroup of the stabilizer, smallest subgroups first
     subgroups: dict[frozenset, tuple[int, LinearMap]] = {}
-    for g in stab:
+    for g in stab.elements:
         if not _orbit_of_first_member([g], collection):
             continue
         power = g
@@ -843,14 +824,16 @@ def symmetry_search(collection: RepairingCollection, newcomer: Subspace,
     on the members is transitive a single transition map suffices, so
     only replacements of the first member are tried, otherwise every
     index is.  Each candidate map is tried alone and together with each
-    transitive cyclic stabilizer subgroup; every complete group closure
-    gets its orbit built and verified, once per distinct group (trials
-    that generate the same element set share the outcome), and the
-    verified codes are returned sorted by state count, then group
-    order.  A group whose order exceeds group_cap is logged and skipped
-    without being listed, so callers should size the caps to the
-    instance they search.  A cap below 1, or a member or newcomer whose
-    dimension is not alpha, raises ValueError before any work.
+    transitive cyclic stabilizer subgroup.  The orbit of every trial
+    whose group order is within group_cap is walked under the trial's
+    generators and verified once per distinct (group order, orbit):
+    trials that meet the same pair share the outcome, and a verified
+    code is reported once.  The verified codes are returned sorted by
+    state count, then group order.  A group whose order exceeds
+    group_cap, or whose orbit exceeds orbit_cap, is logged and skipped,
+    so callers should size the caps to the instance they search.  A cap
+    below 1, or a member or newcomer whose dimension is not alpha,
+    raises ValueError before any work.
     """
     for name, cap in (("backtrack_cap", backtrack_cap), ("group_cap", group_cap),
                       ("orbit_cap", orbit_cap)):
@@ -867,23 +850,19 @@ def symmetry_search(collection: RepairingCollection, newcomer: Subspace,
         f"{'transitive' if stab.transitive else 'not transitive'} on members",
     ]
     candidates: list[tuple[int, LinearMap]] = []
-    candidate_classes: list[tuple[int, tuple[LinearMap, ...]]] = []
+    candidate_classes: list[tuple[int, int]] = []
     results: list[SearchResult] = []
-    seen_codes: set[tuple] = set()
-    # one orbit_code run per group, as a set of element keys: its
-    # verified orbit, or the line a failure logs
-    outcomes: dict[frozenset, StateSet | str] = {}
+    # one orbit_code run per (group order, orbit keys): None once the
+    # orbit verified and was reported, else the line its failure logs
+    outcomes: dict[tuple[int, frozenset], Optional[str]] = {}
     for index in indices:
         found = transition_maps(collection, newcomer, index, cap=backtrack_cap)
-        classes: dict[bytes, LinearMap] = {}
-        for mapping in found:
-            coset = [mapping.compose(s) for s in stab]
-            representative = min(coset, key=lambda g: g.key)
-            classes.setdefault(representative.key, representative)
-        reps = tuple(classes[k] for k in sorted(classes))
-        candidate_classes.append((index, reps))
+        _require(len(found) % stab.order == 0,
+                 "the candidate maps are a union of cosets of the stabilizer")
+        classes = len(found) // stab.order
+        candidate_classes.append((index, classes))
         log.append(f"index {index}: {len(found)} candidate maps in "
-                   f"{len(reps)} classes modulo the stabilizer")
+                   f"{classes} classes modulo the stabilizer")
         for mapping in found:
             candidates.append((index, mapping))
             trials: list[tuple[LinearMap, ...]] = [(mapping,)]
@@ -894,25 +873,25 @@ def symmetry_search(collection: RepairingCollection, newcomer: Subspace,
                 if not group.complete:
                     log.append(f"  <{fps}>: {group.describe()}, skipped")
                     continue
-                elements = frozenset(group.elements)
-                if elements not in outcomes:
-                    try:
-                        outcomes[elements] = orbit_code(group, collection, params,
-                                                         cap=orbit_cap)
-                    except OrbitVerificationError:
-                        outcomes[elements] = (f"group order {group.order}, "
-                                              "orbit fails verification")
-                    except CapExceeded:
-                        outcomes[elements] = (f"group order {group.order}, "
-                                              f"orbit exceeds {orbit_cap}, skipped")
-                states = outcomes[elements]
-                if isinstance(states, str):
-                    log.append(f"  <{fps}>: {states}")
+                try:
+                    walk = orbit(group, collection, orbit_cap)
+                except CapExceeded:
+                    log.append(f"  <{fps}>: group order {group.order}, "
+                               f"orbit exceeds {orbit_cap}, skipped")
                     continue
-                signature = (group.order, tuple(sorted(c.key for c in states)))
-                if signature in seen_codes:
+                signature = (group.order, frozenset(walk))
+                if signature in outcomes:
+                    if outcomes[signature] is not None:
+                        log.append(f"  <{fps}>: {outcomes[signature]}")
                     continue
-                seen_codes.add(signature)
+                try:
+                    states = orbit_code(group, walk, params)
+                except OrbitVerificationError:
+                    outcomes[signature] = (f"group order {group.order}, "
+                                           "orbit fails verification")
+                    log.append(f"  <{fps}>: {outcomes[signature]}")
+                    continue
+                outcomes[signature] = None
                 log.append(f"  <{fps}>: group order {group.order}, "
                            f"orbit {len(states)}, verified")
                 results.append(SearchResult(mapping, group, states))

@@ -52,8 +52,6 @@ __all__ = [
     "express",
     "solve",
     "matmul",
-    "apply_matrix",
-    "invert_matrix",
     "VECTOR_ENUM_CAP",
     "SUBSPACE_ENUM_CAP",
 ]
@@ -210,13 +208,6 @@ def _rref_general(field: Field, rows: Iterable[Sequence[int]]) -> list[Vector]:
         out.append((p, row))
     out.sort(key=lambda t: t[0])
     return [tuple(r) for _, r in out]
-
-
-def _reduce_rows(field: Field, ncols: int, rows: Iterable[Sequence[int]]) -> list[Vector]:
-    if field.q == 2 and _PACKED_KERNELS:
-        packed = _rref_bits(_pack(r) for r in rows)
-        return [_unpack(r, ncols) for r in packed]
-    return _rref_general(field, rows)
 
 
 # ----------------------------------------------------------------------
@@ -704,18 +695,3 @@ def matmul(field: Field, a: Sequence[Sequence[int]], b: Sequence[Sequence[int]])
                 acc = vec_add(field, acc, vec_scale(field, x, br))
         out.append(acc)
     return tuple(out)
-
-
-def apply_matrix(field: Field, v: Sequence[int], mat: Sequence[Sequence[int]]) -> Vector:
-    """Image of the row vector v under the matrix: sum_j v[j] * mat[j]."""
-    return matmul(field, [v], mat)[0]
-
-
-def invert_matrix(field: Field, rows: Sequence[Sequence[int]]) -> tuple[Vector, ...]:
-    """Inverse of a square matrix given as rows; raises on singular input."""
-    m = len(rows)
-    aug = [tuple(r) + standard_basis_vector(m, i) for i, r in enumerate(rows)]
-    reduced = _reduce_rows(field, 2 * m, aug)
-    if len(reduced) != m or any(next(j for j, x in enumerate(r) if x) >= m for r in reduced):
-        raise ValueError("matrix is singular")
-    return tuple(r[m:] for r in reduced)

@@ -1,4 +1,5 @@
-"""Shared fixtures: the two worked example codes, built once per session."""
+"""Shared fixtures: the worked example codes, built once per session, and
+the listing of a group, the oracle for its stabilizer-chain order."""
 
 from __future__ import annotations
 
@@ -62,3 +63,29 @@ def partition_states(partition_model):
     from frcodes.partition_code import code_states
 
     return code_states(partition_model)
+
+
+@pytest.fixture(scope="session")
+def list_group():
+    """The breadth-first listing of a complete group closure, an oracle.
+
+    From the identity, each listed element is composed with each
+    generator until no new element appears; the listing, a dict from
+    key to map, must have the order of the stabilizer chain.
+    """
+    from frcodes.groupsearch import LinearMap
+
+    def listing(group):
+        identity = LinearMap.identity(group.field, group.m)
+        elements = {identity.key: identity}
+        queue = [identity]
+        for current in queue:
+            for g in group.generators:
+                product = g.compose(current)
+                if product.key not in elements:
+                    elements[product.key] = product
+                    queue.append(product)
+        assert len(elements) == group.order, "the listing has the chain order"
+        return elements
+
+    return listing

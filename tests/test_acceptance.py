@@ -212,7 +212,7 @@ def test_criterion_6_symmetry_search_pipeline():
         if set(result.states.collections) == canonical:
             matching.append(result)
     assert matching, "no searched orbit reproduces the 56-state code"
-    classes = sum(len(reps) for _, reps in outcome.candidate_classes)
+    classes = sum(count for _, count in outcome.candidate_classes)
     note = "matches" if classes == 8 else "MISMATCH with"
     print(f"  candidate transition classes: {classes} ({note} the documented 8)")
     _report(6, time.perf_counter() - start, 600.0)

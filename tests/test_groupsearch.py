@@ -18,6 +18,7 @@ from frcodes.groupsearch import (
     LinearMap,
     OrbitVerificationError,
     group_closure,
+    orbit,
     orbit_code,
     stabilizer,
     symmetry_search,
@@ -53,6 +54,17 @@ def e_sum(m, *idx):
     for i in idx:
         v[i] = (v[i] + 1) % 2
     return tuple(v)
+
+
+def invert_rows(field, rows):
+    """The inverse matrix: the right half of the reduced echelon form of (rows | I)."""
+    m = len(rows)
+    reduced = sub._rref_general(field, [tuple(r) + e(m, i) for i, r in enumerate(rows)])
+    return tuple(r[m:] for r in reduced)
+
+
+def inverse(g):
+    return LinearMap(g.field, g.m, invert_rows(g.field, g.rows))
 
 
 def transition_maps_exhaustive(collection, newcomer, index, cap=BACKTRACK_CAP):
@@ -116,7 +128,7 @@ def express_map_search(field, m, pairs, cap, counter):
     def extend(pos):
         if pos == len(constraint_rows):
             if len(src) == m:
-                yield matmul(field, sub.invert_matrix(field, src), img)
+                yield matmul(field, invert_rows(field, src), img)
             return
         v, target = constraint_rows[pos]
         coeffs = express(field, v, src)
@@ -167,8 +179,8 @@ def test_linear_map_action():
     g = LinearMap(F3, 2, ((2, 0), (0, 1)))
     for v in itertools.product(range(3), repeat=2):
         assert f.compose(g).apply_vector(v) == f.apply_vector(g.apply_vector(v))
-    assert f.compose(f.inverse()) == LinearMap.identity(F3, 2)
-    assert f.inverse().compose(f) == LinearMap.identity(F3, 2)
+    assert f.compose(inverse(f)) == LinearMap.identity(F3, 2)
+    assert inverse(f).compose(f) == LinearMap.identity(F3, 2)
     line = span(F3, 2, [(1, 0)])
     assert f.apply(line) == span(F3, 2, [(1, 1)])
     with pytest.raises(ValueError):
@@ -236,7 +248,7 @@ def test_stabilizer_matches_bruteforce():
         images = tuple(sorted(mapping.apply(u).key for u in coll.spaces))
         if images == member_keys and mapping.apply(newcomer) == newcomer:
             expected.add(mapping.key)
-    assert {g.key for g in stab} == expected
+    assert {g.key for g in stab.elements} == expected
 
 
 def test_stabilizer_coordinate_axes():
@@ -245,7 +257,7 @@ def test_stabilizer_coordinate_axes():
     stab = stabilizer(coll, newcomer)
     for perm in itertools.permutations(range(3)):
         mat = tuple(e(3, perm[i]) for i in range(3))
-        assert LinearMap(F2, 3, mat) in stab
+        assert LinearMap(F2, 3, mat) in stab.elements
     assert stab.transitive
 
 
@@ -265,20 +277,21 @@ def test_stabilizer_of_exact_seed(rotation_code):
     assert stab.transitive
     # the stabilizer is closed under composition and inverse
     elements = set(stab.elements)
-    for g in stab:
-        assert g.inverse().key in elements
-        for h in stab:
-            assert g.compose(h).key in elements
+    for g in stab.elements:
+        assert inverse(g) in elements
+        for h in stab.elements:
+            assert g.compose(h) in elements
 
 
-def test_group_closure_basics():
+def test_group_closure_basics(list_group):
     ident = LinearMap.identity(F2, 3)
     assert group_closure([ident]).order == 1
     swap = LinearMap(F2, 3, (e(3, 1), e(3, 0), e(3, 2)))
     pair = group_closure([swap])
     assert pair.order == 2
     assert pair.complete
-    assert ident in pair
+    assert pair.elements == ()
+    assert set(list_group(pair)) == {ident.key, swap.key}
     with pytest.raises(ValueError):
         group_closure([])
     with pytest.raises(ValueError):
@@ -289,24 +302,25 @@ def test_group_closure_cap_is_explicit(rotation_code):
     params, _, rotation, seed = rotation_code
     clipped = group_closure([rotation], cap=3)
     assert not clipped.complete
-    assert len(clipped) == 0
+    assert clipped.elements == ()
     with pytest.raises(ValueError):
         clipped.order
     assert "exceeds 3" in clipped.describe()
     with pytest.raises(ValueError):
-        orbit_code(clipped, seed, params)
+        orbit_code(clipped, orbit(clipped, seed), params)
 
 
-def test_rotation_group_code(rotation_code, exact_code_spaces):
+def test_rotation_group_code(rotation_code, exact_code_spaces, list_group):
     params, nodes, rotation, seed = rotation_code
     for i in range(4):
         assert rotation.apply(nodes[i]) == nodes[(i + 1) % 4]
     group = group_closure([rotation])
     assert group.order == 4
-    for g in group:
-        for h in group:
-            assert g.compose(h) in group
-    states = orbit_code(group, seed, params)
+    listed = list_group(group)
+    for g in listed.values():
+        for h in listed.values():
+            assert g.compose(h).key in listed
+    states = orbit_code(group, orbit(group, seed), params)
     exact = exact_to_states(nodes, params)
     assert {c.key for c in states} == {c.key for c in exact}
     assert states.verified
@@ -320,7 +334,7 @@ def test_orbit_code_singleton():
     plane = full_space(F2, 2)
     seed = RepairingCollection([plane, plane, plane])
     group = group_closure([LinearMap.identity(F2, 2)])
-    states = orbit_code(group, seed, params)
+    states = orbit_code(group, orbit(group, seed), params)
     assert len(states) == 1
     assert states.verified
 
@@ -329,14 +343,15 @@ def test_orbit_code_rejects_bad_inputs(rotation_code):
     params, nodes, rotation, seed = rotation_code
     clipped = group_closure([rotation], cap=3)
     with pytest.raises(ValueError):
-        orbit_code(clipped, seed, params)
+        orbit_code(clipped, orbit(clipped, seed), params)
     # the stabilizer alone fixes the collection, and a single collection
     # cannot satisfy the repair property
     stab = stabilizer(seed, nodes[0])
     with pytest.raises(OrbitVerificationError, match="FAIL no valid newcomer"):
-        orbit_code(stab, seed, params)
+        orbit_code(stab, orbit(stab, seed), params)
     with pytest.raises(CapExceeded):
-        orbit_code(group_closure([rotation]), seed, params, cap=2)
+        orbit(group_closure([rotation]), seed, cap=2)
+    assert len(orbit(group_closure([rotation]), seed, cap=4)) == 4
 
 
 @pytest.fixture(scope="module")
@@ -350,9 +365,8 @@ def test_symmetry_search_exact_code(rotation_code, exact_code_spaces, exact_sear
     outcome = exact_search
     assert outcome.stabilizer.order == 18
     assert outcome.stabilizer.transitive
-    assert [index for index, _ in outcome.candidate_classes] == [0]
     assert len(outcome.candidates) == 36
-    assert len(outcome.candidate_classes[0][1]) == 2
+    assert outcome.candidate_classes == ((0, 2),)
     sizes = [len(res.states) for res in outcome.results]
     assert sizes == sorted(sizes)
     exact_keys = {c.key for c in exact_to_states(nodes, params)}
@@ -367,12 +381,13 @@ def test_symmetry_search_exact_code(rotation_code, exact_code_spaces, exact_sear
 
 def test_orbit_code_records_moved_certificates(rotation_code, exact_search):
     # in the 10-state orbits every collection has two valid newcomers;
-    # the seed records the first one of the ordinary search, N, and each
-    # other member gC records g(N) for the first g in key order with
-    # gC as image, which is not always the first one of the search
+    # the seed records the first one of the ordinary search, and each
+    # other member its tree generator applied to its parent's
+    # certificate, which is not always the first one of the search
     params, _, _, seed = rotation_code
     several = [res for res in exact_search.results if len(res.states) == 10]
     assert len(several) == 4
+    moved = []
     for res in several:
         states = res.states
         full = StateSet(params, states.collections.values()).verify(all_newcomers=True)
@@ -380,19 +395,21 @@ def test_orbit_code_records_moved_certificates(rotation_code, exact_search):
         assert all(len(v) == 2 for v in valid.values())
         plain = StateSet(params, states.collections.values())
         plain.verify()
-        newcomer = plain.witnesses[seed.key].newcomer
-        assert states.witnesses[seed.key].newcomer == newcomer
-        first = {}
-        for g in res.group:
-            first.setdefault(g.apply_collection(seed).key, g)
-        assert set(first) == set(states.witnesses)
-        for key, state in states.witnesses.items():
-            assert state.newcomer == first[key].apply(newcomer)
-            assert state.newcomer in valid[key]
-            state.verify(params)
-        moved = [key for key in states.witnesses
-                 if states.witnesses[key].newcomer != plain.witnesses[key].newcomer]
-        assert len(moved) == 6
+        walk = orbit(res.group, seed)
+        assert set(walk) == set(states.witnesses)
+        for key, (_, edge) in walk.items():
+            newcomer = states.witnesses[key].newcomer
+            if edge is None:
+                assert key == seed.key
+                assert newcomer == plain.witnesses[key].newcomer
+            else:
+                parent, g = edge
+                assert newcomer == g.apply(states.witnesses[parent].newcomer)
+            assert newcomer in valid[key]
+            states.witnesses[key].verify(params)
+        moved.append(sum(states.witnesses[key].newcomer != plain.witnesses[key].newcomer
+                         for key in walk))
+    assert moved == [1, 1, 1, 2]
 
 
 def _partition_member(beta):
@@ -425,7 +442,7 @@ def test_symmetry_search_partition_seed(partition_search):
     assert outcome.stabilizer.order == 6
     assert outcome.stabilizer.transitive
     assert len(outcome.candidates) == 48
-    assert len(outcome.candidate_classes[0][1]) == 8
+    assert outcome.candidate_classes == ((0, 8),)
     assert [(res.group.order, len(res.states)) for res in outcome.results] == \
         [(168, 56), (168, 56)]
     for res in outcome.results:
@@ -433,10 +450,10 @@ def test_symmetry_search_partition_seed(partition_search):
         assert seed in res.states
 
 
-def test_orbit_code_matches_full_orbit_check(partition_search):
+def test_orbit_code_matches_full_orbit_check(partition_search, list_group):
     # every complete closure the search meets: orbit_code, which searches
     # newcomers on the seed only and moves its certificate, must give the
-    # verdict of the full repair check of the orbit
+    # verdict of the full repair check of the orbit under the listed group
     params, seed, outcome = partition_search
     closures = []
     for _, mapping in outcome.candidates:
@@ -447,21 +464,24 @@ def test_orbit_code_matches_full_orbit_check(partition_search):
     assert len(closures) == 54
     passing = 0
     for group in closures:
-        orbit = StateSet(params, {g.apply_collection(seed) for g in group})
-        oracle = check_repair_property(orbit)
+        orbit_states = StateSet(params, {g.apply_collection(seed)
+                                         for g in list_group(group).values()})
+        oracle = check_repair_property(orbit_states)
+        walk = orbit(group, seed, cap=500)
+        assert set(walk) == set(orbit_states.collections)
         try:
-            states = orbit_code(group, seed, params, cap=500)
+            states = orbit_code(group, walk, params)
         except OrbitVerificationError:
             assert not oracle.ok
             continue
         assert oracle.ok
         passing += 1
         assert states.verified
-        assert set(states.collections) == set(orbit.collections)
+        assert set(states.collections) == set(orbit_states.collections)
         checks = states.report.checks
         assert [c.collection.key for c in checks] == [c.collection.key for c in oracle.checks]
         assert all(c.ok for c in checks)
-        assert set(states.witnesses) == set(orbit.collections)
+        assert set(states.witnesses) == set(orbit_states.collections)
         for check in checks:
             check.state.verify(params)
     assert passing >= 2
@@ -497,30 +517,79 @@ def test_symmetry_search_rejects_seeds_of_wrong_dimension(rotation_code, monkeyp
             symmetry_search(collection, newcomer, params)
 
 
-def test_symmetry_search_verifies_each_group_once(partition_search, monkeypatch):
-    # trials that generate the same group (as a set of element keys)
-    # share one orbit_code run, and the log is unchanged
+def test_symmetry_search_verifies_each_group_once(partition_search, monkeypatch,
+                                                  list_group):
+    # each of the 54 complete trials is walked once, and trials that
+    # meet the same (group order, orbit) share one orbit_code run: 49
+    # runs, since two of the 50 distinct groups (both of order 6) have
+    # one orbit; the log is unchanged
     params, seed, outcome = partition_search
     groups = set()
+    signatures = set()
     for _, mapping in outcome.candidates:
         for generators in [(mapping,)] + [(t, mapping) for t in outcome.transitive_generators]:
             group = group_closure(generators, cap=5000)
             if group.complete:
-                groups.add(frozenset(group.elements))
+                groups.add(frozenset(list_group(group)))
+                signatures.add((group.order, frozenset(orbit(group, seed, cap=500))))
+    assert len(groups) == 50
+    walks = []
     calls = []
-    real = groupsearch.orbit_code
+    real_orbit = groupsearch.orbit
+    real_code = groupsearch.orbit_code
 
-    def counted(group, *args, **kwargs):
-        calls.append(frozenset(group.elements))
-        return real(group, *args, **kwargs)
+    def counted_orbit(group, *args, **kwargs):
+        walks.append(group)
+        return real_orbit(group, *args, **kwargs)
 
-    monkeypatch.setattr(groupsearch, "orbit_code", counted)
+    def counted_code(group, walk, params):
+        calls.append((group.order, frozenset(walk)))
+        return real_code(group, walk, params)
+
+    monkeypatch.setattr(groupsearch, "orbit", counted_orbit)
+    monkeypatch.setattr(groupsearch, "orbit_code", counted_code)
     again = symmetry_search(seed, _partition_member(6), params,
                             group_cap=5000, orbit_cap=500)
-    assert len(calls) == len(set(calls)) == len(groups) == 50
+    assert len(walks) == 54
+    assert len(calls) == len(set(calls)) == len(signatures) == 49
     assert again.log == outcome.log
     assert [res.states.collections.keys() for res in again.results] == \
         [res.states.collections.keys() for res in outcome.results]
+
+
+def test_group_closure_composes_no_maps(monkeypatch, rotation_code):
+    # the order comes from the stabilizer chain alone, within the cap
+    # and past it
+    from frcodes.partition_code import build_partition, _general_linear_generators
+
+    def no_compose(self, other):
+        raise AssertionError("group_closure composed two maps")
+
+    gl52 = _general_linear_generators(build_partition())
+    monkeypatch.setattr(LinearMap, "compose", no_compose)
+    assert group_closure([rotation_code[2]]).order == 4
+    assert group_closure(gl52, cap=10**7).order == 9_999_360
+    assert not group_closure(gl52, cap=5000).complete
+
+
+def test_walk_applies_each_generator_once_per_member(partition_search, monkeypatch):
+    # the orbit of an order-168 trial group on the 56-state seed costs
+    # one apply_collection per member and generator
+    _, seed, outcome = partition_search
+    group = outcome.results[0].group
+    assert group.order == 168
+    applied = []
+    real = LinearMap.apply_collection
+
+    def counted(self, collection):
+        applied.append(self)
+        return real(self, collection)
+
+    monkeypatch.setattr(LinearMap, "apply_collection", counted)
+    walk = orbit(group, seed, cap=500)
+    assert len(walk) == 56
+    assert len(group.generators) == 2
+    assert len(applied) == len(walk) * len(group.generators) == 112
 
 
 def test_stabilizer_check_is_an_error(monkeypatch):
@@ -571,7 +640,7 @@ def test_packed_compose_matches_generic_product(word):
     assert product.rows == checked.rows
     assert product.key == checked.key
     assert product == checked and hash(product) == hash(checked)
-    assert product.compose(product.inverse()) == LinearMap.identity(F2, 5)
+    assert product.compose(inverse(product)) == LinearMap.identity(F2, 5)
 
 
 @settings(max_examples=40, deadline=None)
@@ -588,7 +657,7 @@ def test_generic_compose_matches_integer_product(word):
     assert product.rows == checked.rows
     assert product.key == checked.key
     assert product == checked
-    assert product.inverse().compose(product) == LinearMap.identity(F3, 3)
+    assert inverse(product).compose(product) == LinearMap.identity(F3, 3)
 
 
 _SMALL_GROUPS = [(F2, 3), (F2, 4), (F3, 2)]
@@ -597,10 +666,10 @@ _SMALL_GROUPS = [(F2, 3), (F2, 4), (F3, 2)]
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, len(_SMALL_GROUPS) - 1),
        st.lists(st.lists(st.integers(0, 2), max_size=10), min_size=1, max_size=3))
-def test_group_closure_lists_the_chain_order(which, words):
+def test_group_closure_lists_the_chain_order(list_group, which, words):
     # each generator is a word in generators of GL(3,2), GL(4,2) or
-    # GL(2,3); the breadth-first listing within the cap must have the
-    # order of the stabilizer chain, and one below the order lists nothing
+    # GL(2,3); the breadth-first listing must have the order of the
+    # stabilizer chain, and a cap one below the order gives no order
     field, m = _SMALL_GROUPS[which]
     gens = _gl_generators(field, m)
     maps = []
@@ -610,14 +679,15 @@ def test_group_closure_lists_the_chain_order(which, words):
             g = gens[i % len(gens)].compose(g)
         maps.append(g)
     order = groupsearch._group_order(maps, 10**8)
-    listed = group_closure(maps, cap=order)
-    assert listed.complete
-    assert len(listed) == listed.order == order
+    group = group_closure(maps, cap=order)
+    assert group.complete
+    assert group.elements == ()
+    listed = list_group(group)
+    assert len(listed) == group.order == order
     for g in maps:
-        assert g in listed
+        assert g.key in listed
     clipped = group_closure(maps, cap=order - 1)
     assert not clipped.complete
-    assert len(clipped) == 0
 
 
 def test_chain_order_of_general_linear_groups():
@@ -649,19 +719,19 @@ def test_large_basis_orbit_decides_without_chain(monkeypatch):
     monkeypatch.setattr(groupsearch, "_chain_order", no_chain)
     clipped = group_closure(gl52, cap=30)
     assert not clipped.complete
-    assert len(clipped) == 0
     with pytest.raises(LookupError, match="chain reached"):
         group_closure(gl52, cap=31)
 
 
-def test_listing_must_match_chain_order(monkeypatch, rotation_code):
+def test_listing_must_match_chain_order(monkeypatch, rotation_code, list_group):
+    # the listing oracle catches a chain order that is too small or too
+    # large for the four rotations
     _, _, rotation, _ = rotation_code
-    monkeypatch.setattr(groupsearch, "_chain_order", lambda perms, cap: 3)
-    with pytest.raises(RuntimeError, match="chain order"):
-        group_closure([rotation])
-    monkeypatch.setattr(groupsearch, "_chain_order", lambda perms, cap: 5)
-    with pytest.raises(RuntimeError, match="chain order"):
-        group_closure([rotation])
+    assert len(list_group(group_closure([rotation]))) == 4
+    for wrong in (3, 5):
+        monkeypatch.setattr(groupsearch, "_chain_order", lambda perms, cap: wrong)
+        with pytest.raises(AssertionError, match="chain order"):
+            list_group(group_closure([rotation]))
 
 
 def _random_invertible(rng, field, m):

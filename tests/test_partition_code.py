@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from frcodes import partition_code
 from frcodes.gf import GF
-from frcodes.groupsearch import LinearMap, orbit_code
+from frcodes.groupsearch import LinearMap, orbit, orbit_code
 from frcodes.partition_code import (
     _clique_search,
     _general_linear_generators,
@@ -208,14 +208,14 @@ def test_label_transport(partition_model):
             assert moved == label_action(a, b, i, repair_label(bl, gl, dl))
 
 
-def test_symmetry_group(partition_model, partition_states):
+def test_symmetry_group(partition_model, partition_states, list_group):
     group = symmetry_group(partition_model)
     assert group.complete
     assert group.order == 168
-    assert {g.key for g in group} == \
+    assert set(list_group(group)) == \
         {mapping.key for _, mapping in enumerate_semilinear(partition_model)}
     collection, _ = canonical_seed_state(partition_model)
-    states = orbit_code(group, collection, partition_params())
+    states = orbit_code(group, orbit(group, collection), partition_params())
     assert {c.key for c in states} == {c.key for c in partition_states}
 
 

@@ -432,7 +432,8 @@ def test_completions_match_enumeration_on_partition_code(partition_states):
 
 def test_completions_match_enumeration_on_search_orbits(monkeypatch):
     # every member of every orbit, passing or failing, that the search
-    # on the 56-state seed builds (656 collections)
+    # on the 56-state seed verifies: 49 distinct (group order, orbit)
+    # pairs, 650 collections
     import pathlib
 
     from frcodes import groupsearch
@@ -453,8 +454,8 @@ def test_completions_match_enumeration_on_search_orbits(monkeypatch):
     outcome = groupsearch.symmetry_search(seed, doc.subspaces[doc.states[name]], doc.params,
                                           group_cap=5000, orbit_cap=500)
     monkeypatch.undo()
-    assert len(orbits) == 50 and len(outcome.results) == 2
-    assert sum(len(states) for states in orbits) == 656
+    assert len(orbits) == 49 and len(outcome.results) == 2
+    assert sum(len(states) for states in orbits) == 650
     for states in orbits:
         _assert_completions_match_enumeration(states, states)
 
