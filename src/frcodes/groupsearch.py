@@ -198,22 +198,21 @@ class GroupClosure:
     """A group of linear maps given by its generators.
 
     order is the group order, read from a stabilizer chain (or counted,
-    for a listed stabilizer); when it exceeds the cap, complete is False
-    and order refuses to answer, so a group whose size is unknown can
-    never pass for one that is known.
-
-    elements holds only maps that were really listed, in key order: all
-    of a stabilizer, none of a closure from generators.
+    for a stabilizer, whose generators are all its elements); when it
+    exceeds the cap, complete is False and order refuses to answer, so a
+    group whose size is unknown can never pass for one that is known.
     """
 
     def __init__(self, generators: Sequence[LinearMap], order: Optional[int], cap: int,
-                 elements: Sequence[LinearMap] = (), transitive: Optional[bool] = None):
+                 transitive: Optional[bool] = None):
         if not generators:
             raise ValueError("a group needs at least one generator")
         self.field = generators[0].field
         self.m = generators[0].m
         self.generators = tuple(generators)
-        self.elements = tuple(elements)
+        # nothing is listed; kept only for perfbench/tracer.py, whose
+        # groupsearch.group_elements metric reads len(group.elements)
+        self.elements = ()
         self.complete = order is not None
         self.cap = cap
         self.transitive = transitive
@@ -507,7 +506,7 @@ def stabilizer(collection: RepairingCollection, newcomer: Subspace,
         _require(mapping.apply(newcomer) == newcomer,
                  "a stabilizer element fixes the newcomer")
     transitive = _orbit_of_first_member(maps, collection)
-    return GroupClosure(maps, len(maps), cap, elements=maps, transitive=transitive)
+    return GroupClosure(maps, len(maps), cap, transitive=transitive)
 
 
 def _point_images(mapping: LinearMap, points: Sequence) -> list:
@@ -796,7 +795,7 @@ def _cyclic_transitive_generators(stab: GroupClosure,
     # one representative generator per distinct transitive cyclic
     # subgroup of the stabilizer, smallest subgroups first
     subgroups: dict[frozenset, tuple[int, LinearMap]] = {}
-    for g in stab.elements:
+    for g in stab.generators:
         if not _orbit_of_first_member([g], collection):
             continue
         power = g
@@ -830,10 +829,11 @@ def symmetry_search(collection: RepairingCollection, newcomer: Subspace,
     trials that meet the same pair share the outcome, and a verified
     code is reported once.  The verified codes are returned sorted by
     state count, then group order.  A group whose order exceeds
-    group_cap, or whose orbit exceeds orbit_cap, is logged and skipped,
-    so callers should size the caps to the instance they search.  A cap
-    below 1, or a member or newcomer whose dimension is not alpha,
-    raises ValueError before any work.
+    group_cap, or whose orbit exceeds orbit_cap or meets an enumeration
+    cap while it is verified, is logged and skipped, so callers should
+    size the caps to the instance they search.  A cap below 1, or a
+    member or newcomer whose dimension is not alpha, raises ValueError
+    before any work.
     """
     for name, cap in (("backtrack_cap", backtrack_cap), ("group_cap", group_cap),
                       ("orbit_cap", orbit_cap)):
@@ -889,6 +889,11 @@ def symmetry_search(collection: RepairingCollection, newcomer: Subspace,
                 except OrbitVerificationError:
                     outcomes[signature] = (f"group order {group.order}, "
                                            "orbit fails verification")
+                    log.append(f"  <{fps}>: {outcomes[signature]}")
+                    continue
+                except CapExceeded:
+                    outcomes[signature] = (f"group order {group.order}, "
+                                           f"orbit exceeds {orbit_cap}, skipped")
                     log.append(f"  <{fps}>: {outcomes[signature]}")
                     continue
                 outcomes[signature] = None

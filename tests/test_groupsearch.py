@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import random
 
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from frcodes import groupsearch
 from frcodes import subspace as sub
+from frcodes.fsc import emit_fsc, states_to_document
 from frcodes.gf import GF
 from frcodes.groupsearch import (
     BACKTRACK_CAP,
@@ -248,7 +250,7 @@ def test_stabilizer_matches_bruteforce():
         images = tuple(sorted(mapping.apply(u).key for u in coll.spaces))
         if images == member_keys and mapping.apply(newcomer) == newcomer:
             expected.add(mapping.key)
-    assert {g.key for g in stab.elements} == expected
+    assert {g.key for g in stab.generators} == expected
 
 
 def test_stabilizer_coordinate_axes():
@@ -257,7 +259,7 @@ def test_stabilizer_coordinate_axes():
     stab = stabilizer(coll, newcomer)
     for perm in itertools.permutations(range(3)):
         mat = tuple(e(3, perm[i]) for i in range(3))
-        assert LinearMap(F2, 3, mat) in stab.elements
+        assert LinearMap(F2, 3, mat) in stab.generators
     assert stab.transitive
 
 
@@ -276,10 +278,10 @@ def test_stabilizer_of_exact_seed(rotation_code):
     assert stab.order == 18
     assert stab.transitive
     # the stabilizer is closed under composition and inverse
-    elements = set(stab.elements)
-    for g in stab.elements:
+    elements = set(stab.generators)
+    for g in stab.generators:
         assert inverse(g) in elements
-        for h in stab.elements:
+        for h in stab.generators:
             assert g.compose(h) in elements
 
 
@@ -383,11 +385,15 @@ def test_orbit_code_records_moved_certificates(rotation_code, exact_search):
     # in the 10-state orbits every collection has two valid newcomers;
     # the seed records the first one of the ordinary search, and each
     # other member its tree generator applied to its parent's
-    # certificate, which is not always the first one of the search
+    # certificate, which is not always the first one of the search.
+    # The recorded newcomers are state lines of the written document,
+    # so its sha256 pins the rule (under the first listed element in
+    # key order all four documents read 74e9f168...)
     params, _, _, seed = rotation_code
     several = [res for res in exact_search.results if len(res.states) == 10]
     assert len(several) == 4
     moved = []
+    digests = []
     for res in several:
         states = res.states
         full = StateSet(params, states.collections.values()).verify(all_newcomers=True)
@@ -409,7 +415,12 @@ def test_orbit_code_records_moved_certificates(rotation_code, exact_search):
             states.witnesses[key].verify(params)
         moved.append(sum(states.witnesses[key].newcomer != plain.witnesses[key].newcomer
                          for key in walk))
+        text = emit_fsc(states_to_document(states))
+        digests.append(hashlib.sha256(text.encode()).hexdigest())
     assert moved == [1, 1, 1, 2]
+    assert digests == 3 * [
+        "cbae01698e1e31d8baad36359bddadfc89aa44216fc7f0d8df06774c8e355d8b"] + [
+        "7738f54f0bcead85c0469705ee43b8f836b7c6e30d1025f97072b4013d80bd63"]
 
 
 def _partition_member(beta):
@@ -553,6 +564,36 @@ def test_symmetry_search_verifies_each_group_once(partition_search, monkeypatch,
     assert len(walks) == 54
     assert len(calls) == len(set(calls)) == len(signatures) == 49
     assert again.log == outcome.log
+    assert [res.states.collections.keys() for res in again.results] == \
+        [res.states.collections.keys() for res in outcome.results]
+
+
+def test_symmetry_search_skips_an_orbit_whose_verification_hits_a_cap(
+        partition_search, monkeypatch):
+    # a cap met while verifying an orbit (say by the enumeration of
+    # obtainable spaces) skips that orbit, and every trial that meets the
+    # same (group order, orbit), as the orbit cap does; the search goes on
+    params, seed, outcome = partition_search
+    real_check = groupsearch._check_collection
+    raised = []
+
+    def capped_check(states, collection):
+        if not raised:
+            raised.append(len(states))
+            raise CapExceeded("obtainable spaces exceeded the cap")
+        return real_check(states, collection)
+
+    monkeypatch.setattr(groupsearch, "_check_collection", capped_check)
+    again = symmetry_search(seed, _partition_member(6), params,
+                            group_cap=5000, orbit_cap=500)
+    assert raised
+    assert len(again.log) == len(outcome.log)
+    changed = [(old, new) for old, new in zip(outcome.log, again.log) if old != new]
+    assert changed and changed[0][0] == outcome.log[2]
+    for old, new in changed:
+        fps = old.split(": ")[0]
+        assert old == f"{fps}: group order 6, orbit fails verification"
+        assert new == f"{fps}: group order 6, orbit exceeds 500, skipped"
     assert [res.states.collections.keys() for res in again.results] == \
         [res.states.collections.keys() for res in outcome.results]
 
