@@ -10,6 +10,16 @@ seeded random runs check, after every repair, that every spanning
 choice of nodes still recovers the original message and that every
 repair moved exactly the promised number of symbols.  The checks are
 explicit errors, not asserts, so they hold under python -O as well.
+
+The linear algebra of an event depends only on the node spaces, so it
+is done once per distinct configuration, keyed by canonical subspace
+keys: a repair plan (the witness with each helper's combination rows,
+and the newcomer's rebuild rows) per (collection key, newcomer key), the
+span rank per sorted key tuple of a node subset, and the strict
+leave-one-out admission per sorted key tuple of all n nodes.  No memo
+holds stored data: every download, rebuilt symbol and recovery is
+computed from the stored symbols on every event and, in strict mode,
+checked against the message.
 """
 
 from __future__ import annotations
@@ -25,10 +35,9 @@ from .storage import (
     StateSet,
     _short_hash,
     find_repair_witness,
-    is_recovery_set,
     valid_newcomers,
 )
-from .subspace import Subspace, express, rank_of, solve, vec_dot
+from .subspace import Subspace, Vector, express, rank_of, solve, vec_dot
 
 __all__ = [
     "Node",
@@ -68,11 +77,10 @@ def _require(holds: bool, claim: str) -> None:
 
 @dataclass
 class Node:
-    """One storage node: a subspace, its basis rows, and the stored symbols."""
+    """One storage node: a subspace and the symbols stored for its basis rows."""
 
     id: int
     space: Subspace
-    basis: tuple[tuple[int, ...], ...]
     stored: tuple[int, ...]
     alive: bool = True
 
@@ -117,8 +125,15 @@ class DssState:
     message, and that every node set a repair leaves is in the code,
     and checks recovery from every spanning subset after each random
     step; fast mode skips the symbol and node-set checks and samples
-    one subset.  newcomer_cache maps a collection key to its valid
-    newcomers and to the repair witnesses found so far, by newcomer key.
+    one subset.
+
+    Three memos, each keyed by canonical subspace keys and growing only
+    with distinct configurations: newcomer_cache maps a collection key
+    to its valid newcomers and to the repair plans built so far, by
+    newcomer key; span_ranks maps the sorted key tuple of a node subset
+    to the rank of its bases; admitted holds the sorted key tuples of
+    the configurations whose every leave-one-out collection is in the
+    code.
     """
 
     params: CodeParams
@@ -130,6 +145,8 @@ class DssState:
     rng: random.Random
     log: list[str] = dc_field(default_factory=list)
     newcomer_cache: dict = dc_field(default_factory=dict)
+    span_ranks: dict = dc_field(default_factory=dict, init=False, repr=False)
+    admitted: set = dc_field(default_factory=set, init=False, repr=False)
 
     @property
     def field(self):
@@ -169,7 +186,7 @@ def dss_init(code: StateSet, x: Sequence[int], seed: int = 0,
     spaces = list(first.spaces) + [newcomer]
     nodes = []
     for i, space in enumerate(spaces):
-        nodes.append(Node(i, space, space.rows, _stored_symbols(space, x)))
+        nodes.append(Node(i, space, _stored_symbols(space, x)))
     state = DssState(params, code, nodes, x, seed, strict, random.Random(seed))
     state.log.append(
         f"init: {params.n} nodes, collection {_short_hash(b''.join(first.key))}, "
@@ -202,6 +219,43 @@ def _event(state: DssState, failed_id: int) -> str:
     return f"repair event {done} of node {failed_id}"
 
 
+@dataclass(frozen=True)
+class _RepairPlan:
+    """The linear maps of one (collection, newcomer) repair.
+
+    helpers holds, per helper of the repair witness, its sorted position
+    in the collection, its repair space and the combination rows that
+    express the repair space's basis in the helper's basis; rebuild
+    expresses each newcomer basis row over the concatenated repair rows.
+    """
+
+    helpers: tuple[tuple[int, Subspace, tuple[Vector, ...]], ...]
+    rebuild: tuple[Vector, ...]
+
+
+def _repair_plan(collection: RepairingCollection, newcomer: Subspace,
+                 params: CodeParams) -> _RepairPlan:
+    witness = find_repair_witness(collection, newcomer, params)
+    _require(witness is not None, "a valid newcomer has a repair witness")
+    field = collection.field
+    helpers = []
+    flat_rows: list[Vector] = []
+    for position, repair_space in zip(witness.repair_indices, witness.repair_spaces):
+        combination = []
+        for w_row in repair_space.rows:
+            coeffs = express(field, w_row, collection.spaces[position].rows)
+            _require(coeffs is not None, "a repair space lies in its helper's space")
+            combination.append(coeffs)
+        helpers.append((position, repair_space, tuple(combination)))
+        flat_rows.extend(repair_space.rows)
+    rebuild = []
+    for basis_row in newcomer.rows:
+        coeffs = express(field, basis_row, flat_rows)
+        _require(coeffs is not None, "the newcomer lies in the span of the downloads")
+        rebuild.append(coeffs)
+    return _RepairPlan(tuple(helpers), tuple(rebuild))
+
+
 def repair(state: DssState, node_id: Optional[int] = None,
            randomize: bool = False) -> RepairTranscript:
     """Repair the failed node from the other n-1 by beta-symbol downloads.
@@ -226,61 +280,49 @@ def repair(state: DssState, node_id: Optional[int] = None,
     if cached is None:
         cached = (valid_newcomers(state.code, collection), {})
         state.newcomer_cache[collection.key] = cached
-    choices, witnesses = cached
+    choices, plans = cached
     _require(bool(choices), "a verified code offers a newcomer")
     newcomer = state.rng.choice(choices) if randomize else choices[0]
-    witness = witnesses.get(newcomer.key)
-    if witness is None:
-        witness = find_repair_witness(collection, newcomer, params)
-        _require(witness is not None, "a valid newcomer has a repair witness")
-        witnesses[newcomer.key] = witness
+    plan = plans.get(newcomer.key)
+    if plan is None:
+        plan = _repair_plan(collection, newcomer, params)
+        plans[newcomer.key] = plan
     field = collection.field
     shares = []
-    flat_rows: list[tuple[int, ...]] = []
     flat_downloads: list[int] = []
-    for position, repair_space in zip(witness.repair_indices, witness.repair_spaces):
+    for position, repair_space, combination in plan.helpers:
         helper = ordered[position]
-        combination = []
-        downloads = []
-        for w_row in repair_space.rows:
-            coeffs = express(field, w_row, helper.basis)
-            _require(coeffs is not None, "a repair space lies in its helper's space")
-            symbol = vec_dot(field, coeffs, helper.stored)
-            if state.strict and symbol != vec_dot(field, state.message, w_row):
-                raise CorruptStateError(
-                    f"{_event(state, failed.id)}: helper node {helper.id} served "
-                    "a symbol that disagrees with the message")
-            combination.append(coeffs)
-            downloads.append(symbol)
-            flat_rows.append(w_row)
-            flat_downloads.append(symbol)
-        shares.append(HelperShare(helper.id, repair_space,
-                                  tuple(combination), tuple(downloads)))
-    new_stored = []
-    for basis_row in newcomer.rows:
-        coeffs = express(field, basis_row, flat_rows)
-        _require(coeffs is not None, "the newcomer lies in the span of the downloads")
-        symbol = vec_dot(field, coeffs, flat_downloads)
-        if state.strict and symbol != vec_dot(field, state.message, basis_row):
+        downloads = tuple(vec_dot(field, coeffs, helper.stored) for coeffs in combination)
+        if state.strict and any(symbol != vec_dot(field, state.message, w_row)
+                                for w_row, symbol in zip(repair_space.rows, downloads)):
             raise CorruptStateError(
-                f"{_event(state, failed.id)}: a rebuilt symbol disagrees with the message")
-        new_stored.append(symbol)
+                f"{_event(state, failed.id)}: helper node {helper.id} served "
+                "a symbol that disagrees with the message")
+        shares.append(HelperShare(helper.id, repair_space, combination, downloads))
+        flat_downloads.extend(downloads)
+    new_stored = tuple(vec_dot(field, coeffs, flat_downloads) for coeffs in plan.rebuild)
+    if state.strict and any(symbol != vec_dot(field, state.message, basis_row)
+                            for basis_row, symbol in zip(newcomer.rows, new_stored)):
+        raise CorruptStateError(
+            f"{_event(state, failed.id)}: a rebuilt symbol disagrees with the message")
     failed.space = newcomer
-    failed.basis = newcomer.rows
-    failed.stored = tuple(new_stored)
+    failed.stored = new_stored
     failed.alive = True
     transcript = RepairTranscript(
         failed.id, tuple(share.helper_id for share in shares), tuple(shares),
-        collection.key, newcomer, newcomer.rows, tuple(new_stored))
+        collection.key, newcomer, newcomer.rows, new_stored)
     _require(transcript.total_download == params.r * params.beta,
              "a repair downloads r * beta symbols")
     if state.strict:
-        for node in state.nodes:
-            next_collection, _ = _survivor_collection(state, node.id)
-            if next_collection not in state.code:
-                raise CorruptStateError(
-                    f"{_event(state, failed.id)}: without node {node.id} the "
-                    "nodes form no collection of the code")
+        configuration = tuple(sorted(node.space.key for node in state.nodes))
+        if configuration not in state.admitted:
+            for node in state.nodes:
+                next_collection, _ = _survivor_collection(state, node.id)
+                if next_collection not in state.code:
+                    raise CorruptStateError(
+                        f"{_event(state, failed.id)}: without node {node.id} the "
+                        "nodes form no collection of the code")
+            state.admitted.add(configuration)
     state.log.append(
         f"repair: node {failed.id} <- helpers "
         f"{','.join(str(i) for i in transcript.helper_ids)}, "
@@ -288,26 +330,35 @@ def repair(state: DssState, node_id: Optional[int] = None,
     return transcript
 
 
+def _span_rank(state: DssState, nodes: Sequence[Node]) -> int:
+    # the rank of the nodes' bases, once per multiset of node spaces
+    key = tuple(sorted(node.space.key for node in nodes))
+    rank = state.span_ranks.get(key)
+    if rank is None:
+        rows = [row for node in nodes for row in node.space.rows]
+        rank = state.span_ranks[key] = rank_of(state.field, state.params.m, rows)
+    return rank
+
+
 def collect(state: DssState, node_ids: Sequence[int]) -> tuple[int, ...]:
     """Recover the message from the stored symbols of the chosen nodes."""
     params = state.params
-    field = state.field
-    rows: list[tuple[int, ...]] = []
-    rhs: list[int] = []
+    nodes = []
     for node_id in node_ids:
         if not 0 <= node_id < len(state.nodes):
             raise ValueError(f"no node {node_id}")
         node = state.nodes[node_id]
         if not node.alive:
             raise ValueError(f"node {node_id} is failed")
-        rows.extend(node.basis)
-        rhs.extend(node.stored)
-    rank = rank_of(field, params.m, rows)
+        nodes.append(node)
+    rank = _span_rank(state, nodes)
     if rank != params.m:
         raise RecoveryError(
             f"nodes {list(node_ids)} span only {rank} of {params.m} dimensions; "
             "insufficient to recover")
-    recovered = solve(field, rows, rhs)
+    rows = [row for node in nodes for row in node.space.rows]
+    rhs = [symbol for node in nodes for symbol in node.stored]
+    recovered = solve(state.field, rows, rhs)
     _require(recovered is not None, "spanning nodes give a solvable system")
     return recovered
 
@@ -368,11 +419,9 @@ def run_random(state: DssState, steps: int,
         transcripts.append(transcript)
         visited.add(transcript.collection_key)
         downloads += transcript.total_download
-        spanning = []
-        for combo in itertools.combinations(range(len(state.nodes)), params.k):
-            spaces = [state.nodes[i].space for i in combo]
-            if is_recovery_set(spaces, params.m):
-                spanning.append(combo)
+        combos = itertools.combinations(range(len(state.nodes)), params.k)
+        spanning = [combo for combo in combos
+                    if _span_rank(state, [state.nodes[i] for i in combo]) == params.m]
         _require(bool(spanning), "some k nodes span after a verified repair")
         checks = spanning if state.strict else [state.rng.choice(spanning)]
         for combo in checks:

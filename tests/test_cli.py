@@ -331,3 +331,20 @@ class TestPinnedOutputs:
                 "--steps", "200", "--seed", "7"]
         assert self._digest(argv, capsys) == \
             "36a8416380f98fe30de9a72dbf94d32f1ce7c1f6ad9433f7f09fe5e8d2adb632"
+
+    def test_simulate_transcript_is_pinned(self, tmp_path, capsys):
+        # every helper row, download, newcomer row and rebuilt symbol of
+        # 200 repairs, recorded when each repair redid its linear algebra
+        out = tmp_path / "transcript.txt"
+        argv = ["simulate", str(BENCH_DATA / "code56.fsc"), "--data", "10110",
+                "--steps", "200", "--seed", "7", "--transcript", str(out)]
+        assert cli.main(argv) == 0
+        capsys.readouterr()
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+            "8aa97f6b81d0a7e8a44ae8e848ffe49ea04864cdd9608d3aa43d1551cf9931e5"
+
+    def test_simulate_fast_is_pinned(self, capsys):
+        argv = ["simulate", str(BENCH_DATA / "code56.fsc"), "--data", "10110",
+                "--steps", "200", "--seed", "7", "--fast"]
+        assert self._digest(argv, capsys) == \
+            "da422ceee1ee7e8ca417c211591f443de072614581c426b9fe040bf3a1f3fdd7"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import os
 import pathlib
@@ -29,9 +30,10 @@ from frcodes.storage import (
     RepairWitness,
     exact_to_states,
     find_repair_witness,
+    is_recovery_set,
     valid_newcomers,
 )
-from frcodes.subspace import span, vec_dot
+from frcodes.subspace import express, span, vec_dot
 
 
 @pytest.fixture(scope="module")
@@ -69,7 +71,7 @@ class TestInit:
         state = dss_init(code, x)
         # the node holding <e_0, e_2+e_3> stores exactly x_0 and x_2+x_3
         node = node_with_space(state, spaces[0])
-        assert node.basis == ((1, 0, 0, 0), (0, 0, 1, 1))
+        assert node.space.rows == ((1, 0, 0, 0), (0, 0, 1, 1))
         assert node.stored == (x[0], x[2] ^ x[3])
         # every node stores the inner products with its canonical basis
         for node in state.nodes:
@@ -159,7 +161,6 @@ class TestRepair:
         state = dss_init(code, (1, 1, 1, 1), strict=False)
         foreign = span(GF(2), 4, [(1, 0, 0, 0), (0, 1, 0, 0)])
         state.nodes[0].space = foreign
-        state.nodes[0].basis = foreign.rows
         fail(state, 3)
         with pytest.raises(CorruptStateError):
             repair(state)
@@ -322,6 +323,112 @@ class TestFamilyCode:
             "2a556745f54cc32d0b8446f1095e1ca55068ac305abe0b682b7a6806aa706b40"
 
 
+def soak_against_oracle(code, x, seed, steps, monkeypatch):
+    """Run steps single-event runs, checking each against a direct computation.
+
+    Each share's combination and each rebuilt symbol are recomputed by
+    a fresh express, and every k-subset of every configuration visited
+    must have a memoized rank that agrees with is_recovery_set.  express
+    may run only when a (collection, newcomer) pair is met for the first
+    time, at most r * beta + alpha times.  Returns the final state.
+    """
+    from frcodes import simulator
+
+    calls = []
+
+    def counted(field, target, generators):
+        calls.append(target)
+        return express(field, target, generators)
+
+    monkeypatch.setattr(simulator, "express", counted)
+    params = code.params
+    state = dss_init(code, x, seed=seed)
+    field = state.field
+    pairs = set()
+    configurations = set()
+    subsets = set()
+    for _ in range(steps):
+        before = len(calls)
+        report = run_random(state, 1)
+        assert report.verdict == "ok"
+        (transcript,) = report.transcripts
+        pair = (transcript.collection_key, transcript.newcomer.key)
+        spent = len(calls) - before
+        if pair in pairs:
+            assert spent == 0
+        else:
+            assert spent <= params.r * params.beta + params.alpha
+            pairs.add(pair)
+        flat_rows = []
+        flat_downloads = []
+        for share in transcript.shares:
+            helper = state.nodes[share.helper_id]
+            assert share.combination == tuple(
+                express(field, w_row, helper.space.rows)
+                for w_row in share.repair_space.rows)
+            flat_rows.extend(share.repair_space.rows)
+            flat_downloads.extend(share.downloads)
+        assert transcript.new_stored == tuple(
+            vec_dot(field, express(field, row, flat_rows), flat_downloads)
+            for row in transcript.newcomer.rows)
+        configurations.add(tuple(sorted(node.space.key for node in state.nodes)))
+        for combo in itertools.combinations(state.nodes, params.k):
+            key = tuple(sorted(node.space.key for node in combo))
+            subsets.add(key)
+            spans = is_recovery_set([node.space for node in combo], params.m)
+            assert (state.span_ranks[key] == params.m) == spans
+    # the memos grow only with distinct configurations
+    assert sum(len(plans) for _, plans in state.newcomer_cache.values()) == len(pairs)
+    assert state.admitted == configurations
+    assert set(state.span_ranks) == subsets
+    # single-event runs continue the generator: one run gives the same log
+    whole = run_random(dss_init(code, x, seed=seed), steps)
+    assert whole.log == tuple(state.log)
+    return state
+
+
+class TestMemos:
+    def test_partition_soak_matches_oracle(self, partition_states, monkeypatch):
+        state = soak_against_oracle(partition_states, (1, 0, 1, 1, 0), 31, 300,
+                                    monkeypatch)
+        assert len(state.newcomer_cache) <= 56
+
+    def test_family_soak_matches_oracle(self, monkeypatch):
+        from frcodes.family import family_state_space
+
+        code = family_state_space(3, 1, 2)
+        code.verify()
+        soak_against_oracle(code, (0, 1, 1, 0, 1), 32, 300, monkeypatch)
+
+
+def tampered_after_warm_up(x=(1, 0, 1, 1, 0), seed=41, warm=100):
+    """Flip a stored symbol after warm memos; the run must still catch it.
+
+    Two identical systems run warm strict events on the 56-state code.
+    One runs a probe event, which shows a helper symbol the next repair
+    combines and that its plan is memoized; the other gets that symbol
+    flipped and runs on.
+    """
+    from frcodes.partition_code import build_partition, code_states
+
+    code = code_states(build_partition())
+    probe = dss_init(code, x, seed=seed)
+    state = dss_init(code, x, seed=seed)
+    warm_ups = [run_random(probe, warm).verdict, run_random(state, warm).verdict]
+    upcoming = run_random(probe, 1).transcripts[0]
+    share = upcoming.shares[0]
+    column = next(j for j, c in enumerate(share.combination[0]) if c)
+    _, plans = state.newcomer_cache.get(upcoming.collection_key, ((), {}))
+    helper = state.nodes[share.helper_id]
+    stored = list(helper.stored)
+    stored[column] ^= 1
+    helper.stored = tuple(stored)
+    report = run_random(state, warm)
+    return {"optimize": sys.flags.optimize, "helper": helper.id, "warm_ups": warm_ups,
+            "warm_plan": upcoming.newcomer.key in plans,
+            "verdict": report.verdict, "log": list(report.log)}
+
+
 EXAMPLE = pathlib.Path(__file__).parent / "data" / "example1.fsc"
 
 
@@ -367,7 +474,8 @@ class TestStrictChecks:
     def test_corrupt_helper_caught_at_repair(self):
         self.check_report(corrupted_run())
 
-    def test_corrupt_helper_caught_under_optimize(self):
+    @staticmethod
+    def run_optimized(name):
         # asserts are stripped under -O; the strict checks must not be
         src = str(pathlib.Path(frcodes.__file__).resolve().parents[1])
         env = dict(os.environ)
@@ -375,13 +483,30 @@ class TestStrictChecks:
             [src, str(pathlib.Path(__file__).parent)]
             + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
         script = ("import json, test_simulator; "
-                  "print(json.dumps(test_simulator.corrupted_run()))")
+                  f"print(json.dumps(test_simulator.{name}()))")
         done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
         outcome = json.loads(done.stdout)
         assert outcome["optimize"] == 1
-        self.check_report(outcome)
+        return outcome
+
+    def test_corrupt_helper_caught_under_optimize(self):
+        self.check_report(self.run_optimized("corrupted_run"))
+
+    def check_tampered(self, outcome):
+        assert outcome["warm_ups"] == ["ok", "ok"]
+        assert outcome["warm_plan"]
+        assert outcome["verdict"] == "FAILED"
+        last = outcome["log"][-1]
+        assert last.startswith("corrupt state: repair event ")
+        assert f"helper node {outcome['helper']} served a symbol" in last
+
+    def test_tamper_after_warm_up_caught(self):
+        self.check_tampered(tampered_after_warm_up())
+
+    def test_tamper_after_warm_up_caught_under_optimize(self):
+        self.check_tampered(self.run_optimized("tampered_after_warm_up"))
 
     def test_cli_exits_2_on_corrupt_state(self, monkeypatch, capsys):
         monkeypatch.setattr(
