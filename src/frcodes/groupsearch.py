@@ -16,10 +16,10 @@ repair slices, their sums and the spanning subsets of a collection C to
 those of gC, and the orbit onto itself, so the repair property holds at
 gC exactly when it holds at C.  The newcomer search therefore runs on
 the seed alone: a failing seed fails the whole orbit, and a passing
-seed's newcomer N is moved to g(N) at each member gC, where it is
-checked for real (obtainable, replacements inside the orbit, a spanning
-k-subset).  A moved certificate that does not check sends its member to
-the ordinary search.
+seed's newcomer N and its repair witness are moved by g to each member
+gC, where they are checked for real (the moved witness obtains g(N),
+replacements inside the orbit, a spanning k-subset).  A moved
+certificate that does not check fails its member.
 
 No group is listed.  A linear map that fixes a basis is the identity,
 so a group acts faithfully on the union of the orbits of the standard
@@ -28,9 +28,12 @@ builds a stabilizer chain whose basic orbit lengths multiply to the
 group order (Seress, Permutation Group Algorithms, ch. 4).  At every
 stage that product is a lower bound on the order, so a group larger
 than the cap is recognised as soon as the product passes it.  An orbit
-is walked breadth-first under the generators alone, one image per
-member and generator, and its spanning tree moves the seed's newcomer
-to each member along the tree edges.
+is walked breadth-first under the generators alone, and its spanning
+tree moves the seed's newcomer and witness to each member along the
+tree edges.  The group acts on spaces and a collection is a multiset of
+them (Kerber, Applied Finite Group Actions), so each walk keeps a table
+of the images of the distinct spaces it meets under each generator: an
+orbit of collections built from a few spaces costs a few applications.
 
 Searches are exact but bounded: the backtracking node count, the group
 order, and the orbit size each have a cap, and hitting one is reported
@@ -47,6 +50,7 @@ from .gf import Field
 from .storage import (
     CodeParams,
     RepairReport,
+    RepairWitness,
     RepairingCollection,
     StateSet,
     _check_collection,
@@ -694,16 +698,46 @@ def group_closure(generators: Sequence[LinearMap], cap: int = GROUP_CAP) -> Grou
     return GroupClosure(generators, _group_order(generators, cap), cap)
 
 
+def _image(images: dict, g: LinearMap, space: Subspace) -> Subspace:
+    # g(space), applied once per (generator, space) of one table
+    key = (g.key, space.key)
+    image = images.get(key)
+    if image is None:
+        image = images[key] = g.apply(space)
+    return image
+
+
 def orbit(group: GroupClosure, seed: RepairingCollection,
           cap: int = ORBIT_CAP) -> dict:
     """The orbit of the seed collection, walked under the group's generators.
 
     Maps each member's key to (member, edge) in breadth-first order,
     the seed first: edge is (parent key, generator g) with g(parent) the
-    member, None at the seed.  That is one apply_collection per member
-    and generator.  Raises CapExceeded past cap members.
+    member, None at the seed.  Each member is moved by each generator
+    through a table of the walk, so LinearMap.apply runs once per
+    generator and distinct space met, not once per member space.
+    Raises CapExceeded past cap members.
     """
-    return _walk(seed, group.generators, LinearMap.apply_collection, cap)
+    images: dict = {}
+
+    def move(g: LinearMap, collection: RepairingCollection) -> RepairingCollection:
+        return RepairingCollection([_image(images, g, u) for u in collection.spaces])
+
+    return _walk(seed, group.generators, move, cap)
+
+
+def _moved_witness(images: dict, g: LinearMap, parent: RepairingCollection,
+                   witness: RepairWitness) -> RepairWitness:
+    """The witness carried from parent to g(parent): each slice moved by
+    g, each helper index the sorted position of the helper's image, with
+    equal members kept at distinct positions as the sort keeps them."""
+    moved = [_image(images, g, u).key for u in parent.spaces]
+    order = sorted(range(len(moved)), key=moved.__getitem__)
+    position = {i: p for p, i in enumerate(order)}
+    pairs = sorted(((position[i], _image(images, g, w))
+                    for i, w in zip(witness.repair_indices, witness.repair_spaces)),
+                   key=lambda pair: pair[0])
+    return RepairWitness(tuple(p for p, _ in pairs), tuple(w for _, w in pairs))
 
 
 def orbit_code(group: GroupClosure, walk: dict, params: CodeParams) -> StateSet:
@@ -714,13 +748,15 @@ def orbit_code(group: GroupClosure, walk: dict, params: CodeParams) -> StateSet:
     spanning subsets of C to those of gC, and the orbit onto itself, so
     every member has the seed's verdict.  The search for an obtainable
     newcomer therefore runs on the seed first.  If the seed fails, the
-    whole orbit fails.  If it passes with newcomer N, the set takes N as
-    the seed's certificate, and each other member gP, reached from its
-    parent P along a tree edge g, the parent's certificate moved by g,
-    so each certificate is N moved along the member's tree path.
-    StateSet.verify() checks each one with no search: a repair witness
-    is found for it, all its replacements must stay in the orbit, some
-    k members must span, and the witness is verified.
+    whole orbit fails.  If it passes with newcomer N and repair witness
+    W, the set takes (N, W) as the seed's certificate, and each other
+    member gP, reached from its parent P along a tree edge g, the
+    parent's certificate moved by g: the newcomer's image, and the
+    witness with its slices moved and its helper indices re-sorted (see
+    _moved_witness).  A table of images per orbit applies g once per
+    distinct space.  StateSet.verify() checks each certificate with no
+    search: the moved witness must pass RepairWitness.verify, all the
+    replacements must stay in the orbit, and some k members must span.
 
     The returned set carries the report and the witnesses of verify().
     The seed's recorded newcomer is the first valid one of the ordinary
@@ -743,13 +779,16 @@ def orbit_code(group: GroupClosure, walk: dict, params: CodeParams) -> StateSet:
             "the hypotheses:\n" + RepairReport(params, [seed_check], False).render()
             + f"\nthe group carries the failure to all {len(states)} collections "
             "of the orbit")
+    images: dict = {}
     certificates = {}
     for key, (_, edge) in walk.items():
         if edge is None:
-            certificates[key] = seed_check.state.newcomer
+            certificates[key] = (seed_check.state.newcomer, seed_check.state.witness)
         else:
             parent, g = edge
-            certificates[key] = g.apply(certificates[parent])
+            newcomer, witness = certificates[parent]
+            certificates[key] = (_image(images, g, newcomer),
+                                 _moved_witness(images, g, walk[parent][0], witness))
     states.certificates = certificates
     report = states.verify()
     if not report.ok:

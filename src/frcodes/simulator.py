@@ -58,9 +58,10 @@ __all__ = [
 class CorruptStateError(RuntimeError):
     """The live nodes no longer match the code or the stored message.
 
-    Raised when the survivors form no collection of the code and, in
-    strict mode, when a download or a rebuilt symbol disagrees with the
-    message or a repair leaves a node set outside the code.
+    Raised when the survivors form no collection of the code, when the
+    stored symbols of spanning nodes are inconsistent and, in strict
+    mode, when a download or a rebuilt symbol disagrees with the message
+    or a repair leaves a node set outside the code.
     """
 
 
@@ -341,7 +342,12 @@ def _span_rank(state: DssState, nodes: Sequence[Node]) -> int:
 
 
 def collect(state: DssState, node_ids: Sequence[int]) -> tuple[int, ...]:
-    """Recover the message from the stored symbols of the chosen nodes."""
+    """Recover the message from the stored symbols of the chosen nodes.
+
+    Raises RecoveryError when the nodes do not span, and
+    CorruptStateError when they span but their stored symbols admit no
+    message.
+    """
     params = state.params
     nodes = []
     for node_id in node_ids:
@@ -359,7 +365,10 @@ def collect(state: DssState, node_ids: Sequence[int]) -> tuple[int, ...]:
     rows = [row for node in nodes for row in node.space.rows]
     rhs = [symbol for node in nodes for symbol in node.stored]
     recovered = solve(state.field, rows, rhs)
-    _require(recovered is not None, "spanning nodes give a solvable system")
+    if recovered is None:
+        raise CorruptStateError(
+            f"nodes {list(node_ids)} span the space but their stored symbols "
+            "give no solution")
     return recovered
 
 
@@ -394,8 +403,9 @@ def run_random(state: DssState, steps: int,
     Each step fails a uniformly random node, repairs it, and recovers
     the message from spanning node subsets: every spanning subset of
     size k in strict mode, one seeded choice otherwise.  A repair that
-    finds the state corrupt, or a recovery that misses the message,
-    ends the run with verdict FAILED and a log line that says where.
+    finds the state corrupt, a recovery from inconsistent stored
+    symbols, or a recovery that misses the message, ends the run with
+    verdict FAILED and a log line that says where.
     Identical seeds give identical reports.
     """
     if steps < 0:
@@ -407,15 +417,19 @@ def run_random(state: DssState, steps: int,
     visited: set[tuple[bytes, ...]] = set()
     transcripts: list[RepairTranscript] = []
     downloads = 0
+
+    def failed(line: str) -> RunReport:
+        state.log.append(line)
+        return RunReport(steps, state.seed, len(visited), downloads,
+                         "FAILED", tuple(state.log), tuple(transcripts))
+
     for _ in range(steps):
         victim = state.rng.randrange(len(state.nodes))
         fail(state, victim)
         try:
             transcript = repair(state)
         except CorruptStateError as err:
-            state.log.append(f"corrupt state: {err}")
-            return RunReport(steps, state.seed, len(visited), downloads,
-                             "FAILED", tuple(state.log), tuple(transcripts))
+            return failed(f"corrupt state: {err}")
         transcripts.append(transcript)
         visited.add(transcript.collection_key)
         downloads += transcript.total_download
@@ -425,10 +439,11 @@ def run_random(state: DssState, steps: int,
         _require(bool(spanning), "some k nodes span after a verified repair")
         checks = spanning if state.strict else [state.rng.choice(spanning)]
         for combo in checks:
-            recovered = collect(state, combo)
+            try:
+                recovered = collect(state, combo)
+            except CorruptStateError as err:
+                return failed(f"corrupt state: {err}")
             if recovered != state.message:
-                state.log.append(f"integrity failure at nodes {combo}")
-                return RunReport(steps, state.seed, len(visited), downloads,
-                                 "FAILED", tuple(state.log), tuple(transcripts))
+                return failed(f"integrity failure at nodes {combo}")
     return RunReport(steps, state.seed, len(visited), downloads, "ok",
                      tuple(state.log), tuple(transcripts))

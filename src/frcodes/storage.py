@@ -16,7 +16,9 @@ such that replacing any single member by U lands inside A again, and
 every collection contains a spanning k-subset.  `check_repair_property`
 verifies exactly that, recording one witness per collection (or, on
 request, every valid newcomer).  A newcomer declared for a collection is
-a certificate: it is checked and is the verdict, with no search.
+a certificate: it is checked and is the verdict, with no search.  A
+certificate may carry its repair witness; that witness is then checked
+with `RepairWitness.verify`, and no witness is searched for.
 Replacing a member of C by a valid newcomer gives a member of A, so for
 a listed A only such completions of C are tested for obtainability; a
 set whose membership is a predicate enumerates every obtainable space
@@ -156,6 +158,9 @@ class RepairWitness:
                params: CodeParams) -> None:
         if len(self.repair_indices) != params.r or len(self.repair_spaces) != params.r:
             raise AssertionError("witness does not use exactly r helpers")
+        if (len(set(self.repair_indices)) != params.r
+                or not all(0 <= idx < len(collection.spaces) for idx in self.repair_indices)):
+            raise AssertionError("witness helpers are not distinct members")
         total = zero_subspace(collection.field, collection.m)
         for idx, w in zip(self.repair_indices, self.repair_spaces):
             if w.dim != params.beta:
@@ -347,13 +352,16 @@ class StateSet:
     """A keyed set of repairing collections, with cached verification.
 
     certificates maps a collection key to its declared newcomer, such as
-    a state line of a document or the seed's newcomer moved by a
-    symmetry.  The repair check of that collection checks the declared
-    newcomer alone and takes the result as the verdict.
+    a state line of a document, or to a (newcomer, RepairWitness) pair,
+    such as the seed's certificate moved by a symmetry.  The repair
+    check of that collection checks the declared newcomer alone, and a
+    declared witness with it instead of searching for one, and takes the
+    result as the verdict.
     """
 
     def __init__(self, params: CodeParams, collections: Iterable[RepairingCollection],
-                 certificates: Optional[dict[tuple[bytes, ...], Subspace]] = None):
+                 certificates: Optional[dict[tuple[bytes, ...],
+                                             Subspace | tuple[Subspace, RepairWitness]]] = None):
         self.params = params
         self.collections: dict[tuple[bytes, ...], RepairingCollection] = {}
         # each collection minus one member -> the removed members, by key
@@ -475,15 +483,32 @@ def _check_collection(states: StateSet, collection: RepairingCollection,
 
     A newcomer declared in states.certificates is the certificate when
     it has dimension alpha, a repair witness, and every replacement
-    inside the set; otherwise the collection fails, naming it.  Without
-    one, and whenever every valid newcomer is wanted, _newcomer_search
-    finds the certificate, and with all_newcomers every valid newcomer.
+    inside the set; otherwise the collection fails, naming it.  A
+    declared witness must pass RepairWitness.verify; without one,
+    find_repair_witness looks for a witness.  Without a declared
+    newcomer, and whenever every valid newcomer is wanted,
+    _newcomer_search finds the certificate, and with all_newcomers every
+    valid newcomer.
     """
     params = states.params
     spanning = _has_spanning_subset(collection, params)
     declared = None if all_newcomers else states.certificates.get(collection.key)
+    witness = None
+    if isinstance(declared, tuple):
+        declared, witness = declared
     if declared is None:
         state, valid = _newcomer_search(states, collection, all_newcomers, cap)
+    elif witness is not None:
+        state = None
+        try:
+            witness.verify(collection, declared, params)
+        except AssertionError:
+            pass
+        else:
+            if declared.dim == params.alpha and _replacements_inside(
+                    states.__contains__, collection, declared):
+                state = AdmissibleState(collection, declared, witness)
+        return CollectionCheck(collection, spanning, state, None, declared)
     else:
         state, valid = None, ()
         witness = (find_repair_witness(collection, declared, params)

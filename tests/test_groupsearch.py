@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frcodes import groupsearch
+from frcodes import groupsearch, storage
 from frcodes import subspace as sub
 from frcodes.fsc import emit_fsc, states_to_document
 from frcodes.gf import GF
@@ -32,6 +32,7 @@ from frcodes.storage import (
     StateSet,
     check_repair_property,
     exact_to_states,
+    find_repair_witness,
 )
 from frcodes.subspace import (
     CapExceeded,
@@ -341,6 +342,42 @@ def test_orbit_code_singleton():
     assert states.verified
 
 
+def test_moved_witness_keeps_duplicate_helpers_distinct():
+    # the seed {P, P, Q} of F_2^3 with r = 3 is repaired by Q, and its one
+    # helper set takes slices from both copies of P; the map swapping P
+    # and Q carries it to {P, Q, Q}, whose moved witness must take its
+    # slices from both copies of Q at distinct sorted positions
+    params = CodeParams(m=3, n=4, k=2, r=3, alpha=2, beta=1, q=2)
+    plane_p = span(F2, 3, [e(3, 0), e(3, 1)])
+    plane_q = span(F2, 3, [e(3, 0), e(3, 2)])
+    swap = LinearMap(F2, 3, (e(3, 0), e(3, 2), e(3, 1)))
+    assert swap.apply(plane_p) == plane_q and swap.apply(plane_q) == plane_p
+    seed = RepairingCollection([plane_p, plane_p, plane_q])
+    group = group_closure([swap])
+    walk = orbit(group, seed)
+    assert len(walk) == 2
+    states = orbit_code(group, walk, params)
+    assert states.verified
+    image = swap.apply_collection(seed)
+    assert image == RepairingCollection([plane_p, plane_q, plane_q])
+    for member in (seed, image):
+        state = states.witnesses[member.key]
+        assert state.newcomer == (plane_q if member == seed else plane_p)
+        assert state.witness.repair_indices == (0, 1, 2)
+        state.witness.verify(member, state.newcomer, params)
+        assert find_repair_witness(member, state.newcomer, params) is not None
+    moved = states.witnesses[image.key].witness
+    assert [w <= plane_q for w in moved.repair_spaces].count(True) == 2
+    assert states.certificates[image.key][1] == moved
+    # helper indices read off the first copy of each image would repeat
+    # a member, which the witness check refuses
+    first = tuple(image.spaces.index(image.spaces[i]) for i in moved.repair_indices)
+    assert len(set(first)) < 3
+    with pytest.raises(AssertionError, match="distinct"):
+        storage.RepairWitness(first, moved.repair_spaces).verify(
+            image, plane_p, params)
+
+
 def test_orbit_code_rejects_bad_inputs(rotation_code):
     params, nodes, rotation, seed = rotation_code
     clipped = group_closure([rotation], cap=3)
@@ -461,11 +498,17 @@ def test_symmetry_search_partition_seed(partition_search):
         assert seed in res.states
 
 
-def test_orbit_code_matches_full_orbit_check(partition_search, list_group):
+def test_orbit_code_matches_full_orbit_check(partition_search, list_group, monkeypatch):
     # every complete closure the search meets: orbit_code, which searches
-    # newcomers on the seed only and moves its certificate, must give the
-    # verdict of the full repair check of the orbit under the listed group
+    # newcomers on the seed only and moves its certificate and witness,
+    # must give the verdict of the full repair check of the orbit under
+    # the listed group, and never search for a witness
     params, seed, outcome = partition_search
+
+    def no_search(*args):
+        raise AssertionError("orbit_code searched for a repair witness")
+
+    monkeypatch.setattr(storage, "find_repair_witness", no_search)
     closures = []
     for _, mapping in outcome.candidates:
         for generators in [(mapping,)] + [(t, mapping) for t in outcome.transitive_generators]:
@@ -494,7 +537,11 @@ def test_orbit_code_matches_full_orbit_check(partition_search, list_group):
         assert all(c.ok for c in checks)
         assert set(states.witnesses) == set(orbit_states.collections)
         for check in checks:
-            check.state.verify(params)
+            # the recorded witness is the moved one, checked on its own,
+            # and the search, kept as the oracle, obtains the certificate too
+            state = states.witnesses[check.collection.key]
+            state.witness.verify(check.collection, state.newcomer, params)
+            assert find_repair_witness(check.collection, state.newcomer, params) is not None
     assert passing >= 2
 
 
@@ -613,24 +660,34 @@ def test_group_closure_composes_no_maps(monkeypatch, rotation_code):
     assert not group_closure(gl52, cap=5000).complete
 
 
-def test_walk_applies_each_generator_once_per_member(partition_search, monkeypatch):
-    # the orbit of an order-168 trial group on the 56-state seed costs
-    # one apply_collection per member and generator
+def test_walk_moves_each_distinct_space_once_per_generator(partition_search, monkeypatch):
+    # the orbit of an order-168 trial group on the 56-state seed is made
+    # of 8 distinct spaces, and the walk's image table applies each
+    # generator once to each of them: 16 applications for 56 x 3 member
+    # spaces and 2 generators
     _, seed, outcome = partition_search
     group = outcome.results[0].group
     assert group.order == 168
     applied = []
-    real = LinearMap.apply_collection
+    real = LinearMap.apply
 
-    def counted(self, collection):
-        applied.append(self)
-        return real(self, collection)
+    def counted(self, space):
+        applied.append((self.key, space.key))
+        return real(self, space)
 
-    monkeypatch.setattr(LinearMap, "apply_collection", counted)
+    monkeypatch.setattr(LinearMap, "apply", counted)
     walk = orbit(group, seed, cap=500)
     assert len(walk) == 56
     assert len(group.generators) == 2
-    assert len(applied) == len(walk) * len(group.generators) == 112
+    spaces = {u.key for member, _ in walk.values() for u in member.spaces}
+    assert len(spaces) == 8
+    assert len(applied) == len(set(applied)) == len(spaces) * len(group.generators) == 16
+    # the walk agrees with moving whole collections by apply_collection
+    monkeypatch.setattr(LinearMap, "apply", real)
+    for member, edge in walk.values():
+        if edge is not None:
+            parent, g = edge
+            assert g.apply_collection(walk[parent][0]) == member
 
 
 def test_stabilizer_check_is_an_error(monkeypatch):

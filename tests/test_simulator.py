@@ -271,6 +271,58 @@ class TestPartitionCode:
                 == fresh.repair_spaces
 
 
+class TestCorruptRecovery:
+    """A flipped stored symbol that no repair reads before a recovery does.
+
+    Recovery from k spanning nodes solves more equations than unknowns,
+    so the flip can leave them without a solution: that ends the run
+    with verdict FAILED, like a corrupt repair, not with an exception.
+    """
+
+    @staticmethod
+    def flipped_run(code, seed, column, strict):
+        x = (1, 0, 1, 1, 0)
+        state = dss_init(code, x, seed=seed, strict=strict)
+        assert run_random(state, 5).verdict == "ok"
+        node = state.nodes[0]
+        stored = list(node.stored)
+        stored[column] ^= 1
+        node.stored = tuple(stored)
+        return run_random(state, 20)
+
+    @pytest.mark.parametrize("seed, column, strict", [(28, 0, True), (23, 1, True),
+                                                      (0, 0, False), (20, 1, False)])
+    def test_inconsistent_symbols_end_the_run(self, partition_states, seed, column, strict):
+        report = self.flipped_run(partition_states, seed, column, strict)
+        assert report.verdict == "FAILED"
+        last = report.log[-1]
+        assert last.startswith("corrupt state: nodes [")
+        assert last.endswith("span the space but their stored symbols give no solution")
+
+    def test_collect_names_the_nodes(self, partition_states):
+        # three planes of F_2^5 give six equations in five unknowns, so
+        # flipping a symbol of a row that the others determine leaves the
+        # system without a solution
+        state = dss_init(partition_states, (1, 0, 1, 1, 0), seed=3)
+        ids = next(combo for combo in itertools.combinations(range(4), 3)
+                   if is_recovery_set([state.nodes[i].space for i in combo], 5))
+        assert collect(state, ids) == state.message
+        errors = []
+        for i in ids:
+            node = state.nodes[i]
+            kept = node.stored
+            for column in range(len(kept)):
+                node.stored = kept[:column] + (kept[column] ^ 1,) + kept[column + 1:]
+                try:
+                    collect(state, ids)
+                except CorruptStateError as err:
+                    errors.append(str(err))
+            node.stored = kept
+        assert errors
+        assert set(errors) == {f"nodes {list(ids)} span the space but their stored "
+                               "symbols give no solution"}
+
+
 class TestFamilyCode:
     def test_lazy_set_run(self):
         from frcodes.family import family_state_space, is_good
