@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 from typing import Optional, Sequence
@@ -61,6 +62,18 @@ def _read_document(path: str):
         return parse_fsc(handle.read())
 
 
+def _check_out(path: Optional[str]) -> None:
+    # an output path that cannot be written fails before any work, and
+    # the file itself is neither opened nor truncated until the result
+    if path is None:
+        return
+    if os.path.isdir(path):
+        raise _UsageError(f"output path {path!r} is a directory")
+    folder = os.path.dirname(path) or "."
+    if not os.path.isdir(folder):
+        raise _UsageError(f"output directory {folder!r} does not exist")
+
+
 def _write_states(states, path: str) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(emit_fsc(states_to_document(states)))
@@ -79,6 +92,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_family(args) -> int:
+    _check_out(args.out)
     try:
         # construction and repair (an [r, s+1, r-s] code) both need MDS codes
         collection = construct_good(args.r, args.s, args.q)
@@ -125,6 +139,7 @@ def cmd_good_check(args) -> int:
 
 
 def cmd_search(args) -> int:
+    _check_out(args.out)
     doc = _read_document(args.file)
     if not doc.states:
         print("search needs a state line naming the seed's newcomer",
@@ -158,6 +173,7 @@ def cmd_search(args) -> int:
 
 
 def cmd_partition(args) -> int:
+    _check_out(args.out)
     model = build_partition()
     states = code_states(model)
     report = states.report
@@ -208,6 +224,7 @@ def _render_transcripts(transcripts) -> str:
 
 
 def cmd_simulate(args) -> int:
+    _check_out(args.transcript)
     doc = _read_document(args.file)
     states = document_to_states(doc)
     report = states.verify()

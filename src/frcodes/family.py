@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .gf import GF, Field
-from .groupsearch import _traces, _transporter
+from .groupsearch import LinearMap, _traces, _transporter
 from .storage import (
     CodeParams,
     RepairWitness,
@@ -567,13 +567,26 @@ class GoodCollectionSet(StateSet):
     invertible map g carries the code onto itself, and the (r, beta)
     repairs of C onto those of gC: the valid newcomers of gC are g
     applied to those of C.  So valid_newcomers keeps one searched
-    representative per orbit met, with its newcomers, candidate cap and
-    member traces (computed once, for every transport from it), and
-    answers a collection that some representative maps onto with
-    the moved newcomers sorted by key, the tuple the search would give.
-    Otherwise (no map, a map search past its cap, or a smaller candidate
-    cap than the representative's) it searches, and records a new
-    representative.
+    representative R per orbit met, with its newcomers N_j, candidate
+    cap and member traces (computed once, for every transport from it),
+    and answers a collection C with some map g, g(R) = C, by the moved
+    newcomers sorted by key, the tuple the search would give.
+
+    Each collection so answered that is in the collection cache gets a
+    placement: its orbit, g (None for R itself), which member R_i each
+    of its members comes from and which N_j each of its newcomers is.
+    Placements are indexed under each key of the collection less one
+    member, like StateSet's completions, so they grow with the
+    collection cache and no faster.  A collection C' met by a repair of
+    a placed C, replacing g(R_i) by g(N_j), is placed along that repair
+    edge: with h mapping some representative onto R with R_i replaced
+    by N_j, g after h carries that representative onto C'.  h is found
+    by a map search once per edge (orbit, j, i) and cached, and the
+    composite is checked by moving the representative's members.  When
+    no edge applies or the check fails, the set searches a map from each
+    representative in turn; past that (no map, a map search past its
+    cap, or a smaller candidate cap than the representative's) it
+    searches the newcomers, and records a new representative.
     """
 
     def __init__(self, r: int, s: int, q: int):
@@ -583,23 +596,85 @@ class GoodCollectionSet(StateSet):
         super().__init__(seed.params, [seed.to_repairing_collection()])
         self._orbits: list[tuple[RepairingCollection, int, tuple[Subspace, ...],
                                  tuple[Subspace, ...]]] = []
+        # each placed collection minus one member -> the removed member's
+        # key -> ((orbit, g, member origins, newcomer key -> j), position)
+        self._placements: dict[tuple[bytes, ...], dict[bytes, tuple]] = {}
+        # (orbit, newcomer j, member i) -> (orbit, map h) of the edge
+        self._edges: dict[tuple[int, int, int], tuple[int, LinearMap]] = {}
 
     def _completions(self, collection: RepairingCollection) -> None:
         return None
 
-    def _equivariant_newcomers(self, collection: RepairingCollection,
-                               cap: int) -> tuple[Subspace, ...]:
-        for representative, searched_cap, newcomers, traces in self._orbits:
+    def _transport(self, collection: RepairingCollection,
+                   cap: int) -> Optional[tuple[int, LinearMap]]:
+        # the first representative some map carries onto the collection
+        for orbit, (representative, searched_cap, _, traces) in enumerate(self._orbits):
             if cap < searched_cap:
                 continue
             try:
                 g = _transporter(representative, collection, TRANSPORT_CAP, traces)
             except CapExceeded:
-                break
+                return None
             if g is not None:
-                return tuple(sorted((g.apply(u) for u in newcomers), key=lambda u: u.key))
+                return orbit, g
+        return None
+
+    def _place(self, collection: RepairingCollection, orbit: int,
+               g: Optional[LinearMap]) -> Optional[tuple[Subspace, ...]]:
+        """The newcomers of the collection when g carries the orbit's
+        representative onto it, else None; records the placement."""
+        representative, _, newcomers, _ = self._orbits[orbit]
+        members = (representative.spaces if g is None
+                   else [g.apply(u) for u in representative.spaces])
+        origins = sorted(range(len(members)), key=lambda t: members[t].key)
+        if tuple(members[t].key for t in origins) != collection.key:
+            return None
+        moved = newcomers if g is None else [g.apply(u) for u in newcomers]
+        key = collection.key
+        if key in self.collections:
+            placement = (orbit, g, origins, {u.key: j for j, u in enumerate(moved)})
+            for p, member in enumerate(key):
+                self._placements.setdefault(key[:p] + key[p + 1:], {})[member] = (
+                    placement, p)
+        return tuple(sorted(moved, key=lambda u: u.key))
+
+    def _place_by_edge(self, collection: RepairingCollection,
+                       cap: int) -> Optional[tuple[Subspace, ...]]:
+        # the first placed collection that a repair edge leads from
+        key = collection.key
+        for p, member in enumerate(key):
+            for (orbit, g, origins, moved), q in self._placements.get(
+                    key[:p] + key[p + 1:], {}).values():
+                j = moved.get(member)
+                if j is None:
+                    continue
+                i = origins[q]
+                edge = self._edges.get((orbit, j, i))
+                if edge is None:
+                    representative, _, newcomers, _ = self._orbits[orbit]
+                    edge = self._transport(representative.replace(i, newcomers[j]), cap)
+                    if edge is None:
+                        return None
+                    self._edges[(orbit, j, i)] = edge
+                target, h = edge
+                if cap < self._orbits[target][1]:
+                    return None
+                return self._place(collection, target, h if g is None else g.compose(h))
+        return None
+
+    def _equivariant_newcomers(self, collection: RepairingCollection,
+                               cap: int) -> tuple[Subspace, ...]:
+        newcomers = self._place_by_edge(collection, cap)
+        if newcomers is not None:
+            return newcomers
+        found = self._transport(collection, cap)
+        if found is not None:
+            newcomers = self._place(collection, *found)
+            if newcomers is not None:
+                return newcomers
         _, newcomers = _newcomer_search(self, collection, True, cap)
         self._orbits.append((collection, cap, newcomers, _traces(collection.spaces)))
+        self._place(collection, len(self._orbits) - 1, None)
         return newcomers
 
     def __contains__(self, item) -> bool:

@@ -449,32 +449,41 @@ def transition_maps(collection: RepairingCollection, newcomer: Subspace,
     return tuple(maps)
 
 
-def _walk(start, generators: Sequence[LinearMap], move, cap: int) -> dict:
+def _walk(start, generators: Sequence[LinearMap], move, cap: int,
+          build=lambda image: image) -> dict:
     """The orbit of start under the generators, walked breadth-first.
 
     Maps each point's key to (point, edge), in the order met: edge is
     None at start, else (parent key, g) for the first move(g, parent)
-    that reached the point.  Each point is moved once by each generator.
+    that reached the point.  move(g, point) gives the image's key and
+    the parts that build turns into the image, which is built only when
+    its key is new.  Each point is moved once by each generator.
     Raises CapExceeded when the orbit has more than cap points.
     """
     tree = {start.key: (start, None)}
     queue = [start]
     for point in queue:
         for g in generators:
-            image = move(g, point)
-            if image.key not in tree:
+            key, parts = move(g, point)
+            if key not in tree:
                 if len(tree) >= cap:
                     raise CapExceeded(f"orbit exceeded {cap} points")
-                tree[image.key] = (image, (point.key, g))
+                image = build(parts)
+                tree[key] = (image, (point.key, g))
                 queue.append(image)
     return tree
+
+
+def _moved_space(g: LinearMap, space: Subspace) -> tuple[bytes, Subspace]:
+    image = g.apply(space)
+    return image.key, image
 
 
 def _orbit_of_first_member(maps: Sequence[LinearMap],
                            collection: RepairingCollection) -> bool:
     # do maps permuting the members reach every member from the first one
     spaces = collection.spaces
-    reached = _walk(spaces[0], maps, LinearMap.apply, len(spaces))
+    reached = _walk(spaces[0], maps, _moved_space, len(spaces))
     return reached.keys() == {u.key for u in spaces}
 
 
@@ -715,15 +724,18 @@ def orbit(group: GroupClosure, seed: RepairingCollection,
     the seed first: edge is (parent key, generator g) with g(parent) the
     member, None at the seed.  Each member is moved by each generator
     through a table of the walk, so LinearMap.apply runs once per
-    generator and distinct space met, not once per member space.
+    generator and distinct space met, not once per member space; an
+    image collection is built only when its sorted member keys are new.
     Raises CapExceeded past cap members.
     """
     images: dict = {}
 
-    def move(g: LinearMap, collection: RepairingCollection) -> RepairingCollection:
-        return RepairingCollection([_image(images, g, u) for u in collection.spaces])
+    def move(g: LinearMap, collection: RepairingCollection
+             ) -> tuple[tuple[bytes, ...], list[Subspace]]:
+        spaces = [_image(images, g, u) for u in collection.spaces]
+        return tuple(sorted(u.key for u in spaces)), spaces
 
-    return _walk(seed, group.generators, move, cap)
+    return _walk(seed, group.generators, move, cap, RepairingCollection)
 
 
 def _moved_witness(images: dict, g: LinearMap, parent: RepairingCollection,

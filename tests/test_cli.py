@@ -348,3 +348,47 @@ class TestPinnedOutputs:
                 "--steps", "200", "--seed", "7", "--fast"]
         assert self._digest(argv, capsys) == \
             "da422ceee1ee7e8ca417c211591f443de072614581c426b9fe040bf3a1f3fdd7"
+
+
+class TestOutputPath:
+    # each command that writes a file, the option naming the file, and
+    # the call of cli that starts its computation
+    COMMANDS = {
+        "search": (["search", str(BENCH_DATA / "seed56.fsc")], "--out", "symmetry_search"),
+        "family": (["family", "--r", "2", "--s", "1", "--q", "2"], "--out",
+                   "construct_good"),
+        "partition": (["partition"], "--out", "build_partition"),
+        "simulate": (["simulate", fixture("example1.fsc"), "--data", "1011",
+                      "--steps", "1"], "--transcript", "run_random"),
+    }
+
+    def _no_work(self, monkeypatch, name):
+        def no_work(*args, **kwargs):
+            raise AssertionError(f"{name} ran")
+
+        monkeypatch.setattr(cli, name, no_work)
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    @pytest.mark.parametrize("where", ["missing-directory", "directory"])
+    def test_unwritable_path_fails_before_the_computation(self, command, where,
+                                                          tmp_path, monkeypatch, capsys):
+        argv, option, work = self.COMMANDS[command]
+        self._no_work(monkeypatch, work)
+        path = tmp_path / "absent" / "x.fsc" if where == "missing-directory" else tmp_path
+        assert cli.main(argv + [option, str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: ")
+        assert not (tmp_path / "absent").exists()
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_writable_path_is_not_touched_before_the_result(self, command,
+                                                            tmp_path, monkeypatch):
+        argv, option, work = self.COMMANDS[command]
+        self._no_work(monkeypatch, work)
+        path = tmp_path / "kept.fsc"
+        path.write_text("earlier output\n")
+        with pytest.raises(AssertionError, match=f"{work} ran"):
+            cli.main(argv + [option, str(path)])
+        assert path.read_text() == "earlier output\n"

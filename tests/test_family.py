@@ -573,3 +573,74 @@ def test_family_soak_runs_one_direct_search(monkeypatch):
     assert report.distinct_states > 150
     assert len(searches) == 1
     assert len(code._orbits) == 1
+
+
+def _count_map_searches(monkeypatch):
+    # the target key of every family._transporter call from now on
+    import frcodes.family as family_module
+
+    searches = []
+    search = family_module._transporter
+
+    def counted(*args):
+        searches.append(args[1].key)
+        return search(*args)
+
+    monkeypatch.setattr(family_module, "_transporter", counted)
+    return searches
+
+
+def test_family_soak_searches_one_map_per_repair_edge(monkeypatch):
+    # each collection the soak meets is a repair of one it met before,
+    # so it is placed along that repair edge: one map search per
+    # (representative, newcomer, member), not one per collection
+    from frcodes.simulator import dss_init, run_random
+
+    code = family_state_space(3, 1, 2)
+    code.verify()
+    searches = _count_map_searches(monkeypatch)
+    report = run_random(dss_init(code, (0, 1, 1, 1, 0), seed=88), 300)
+    assert report.verdict == "ok"
+    assert report.distinct_states > 150
+    assert len(code._orbits) == 1
+    representative, _, newcomers, _ = code._orbits[0]
+    assert len(newcomers) * len(representative) == 24
+    assert len(searches) == len(code._edges) <= 24
+
+
+def test_family_soak_newcomers_match_direct_search():
+    from frcodes.simulator import dss_init, run_random
+
+    code = family_state_space(3, 1, 2)
+    code.verify()
+    state = dss_init(code, (1, 0, 1, 1, 0), seed=29)
+    assert run_random(state, 300).verdict == "ok"
+    assert len(code._orbits) == 1 and code._edges
+    assert len(state.newcomer_cache) > 100
+    for key, (newcomers, _) in state.newcomer_cache.items():
+        direct = _direct(3, 1, 2, code.collections[key])
+        assert [u.key for u in newcomers] == [u.key for u in direct]
+
+
+def test_wrong_edge_map_falls_back_to_a_map_search(monkeypatch):
+    from frcodes.groupsearch import LinearMap
+
+    trail = [c.to_repairing_collection()
+             for c in random_walk(construct_good(3, 1, 2), 12, random.Random(17))]
+    code = family_state_space(3, 1, 2)
+    assert trail[0] in code
+    valid_newcomers(code, trail[0])
+    representative, _, newcomers, _ = code._orbits[0]
+    # every edge claims the identity, which carries the representative
+    # onto itself and not onto the repaired collection
+    identity = LinearMap.identity(representative.field, representative.m)
+    for j in range(len(newcomers)):
+        for i in range(len(representative)):
+            monkeypatch.setitem(code._edges, (0, j, i), (0, identity))
+    searches = _count_map_searches(monkeypatch)
+    for c in trail[1:]:
+        assert c in code
+        assert valid_newcomers(code, c) == _direct(3, 1, 2, c)
+    assert len(code._orbits) == 1
+    # the composite fails its check, so each collection is searched
+    assert searches == [c.key for c in trail[1:]]

@@ -690,6 +690,23 @@ def test_walk_moves_each_distinct_space_once_per_generator(partition_search, mon
             assert g.apply_collection(walk[parent][0]) == member
 
 
+def test_walk_builds_each_member_once(partition_search, monkeypatch):
+    # 56 members moved by 2 generators make 112 moves, half of them onto
+    # members already walked; only the 55 images met first are built
+    _, seed, outcome = partition_search
+    group = outcome.results[0].group
+    built = []
+
+    def counted(spaces):
+        built.append(tuple(sorted(u.key for u in spaces)))
+        return RepairingCollection(spaces)
+
+    monkeypatch.setattr(groupsearch, "RepairingCollection", counted)
+    walk = orbit(group, seed, cap=500)
+    assert len(walk) == 56
+    assert built == list(walk)[1:]
+
+
 def test_stabilizer_check_is_an_error(monkeypatch):
     # a map search that returns a map moving the collection must be
     # caught by a check that also holds under python -O
