@@ -167,16 +167,6 @@ class Field:
                          self.modulus, self.p)
         return self.from_digits(prod)
 
-    def _order_of(self, a: int) -> int:
-        n = 1
-        x = a
-        while x != 1:
-            x = self._raw_mul(x, a)
-            n += 1
-            if n > self.q:
-                raise RuntimeError("multiplicative order overflow")
-        return n
-
     def _find_generator(self) -> int:
         if self.q == 2:
             return 1

@@ -6,20 +6,22 @@ for every member, a map carrying the collection onto the variant with
 that member replaced, then the orbit of the collection under the group
 is closed under repair.  This module finds such transition maps by
 constrained backtracking over basis images, decides the orders of the
-groups they generate, walks orbits, and verifies the resulting state
-sets rather than trusting the construction.  The backtracking keeps
-echelons of the partial map's graph rows (v | g(v)) and image rows, so
-each forced image or independence test costs one reduction.
+groups they generate, walks orbits, and verifies each resulting state
+set at its seed rather than trusting the construction.  The
+backtracking keeps echelons of the partial map's graph rows (v | g(v))
+and image rows, so each forced image or independence test costs one
+reduction.
 
 Verification uses the symmetry too.  A map g of the group carries the
 repair slices, their sums and the spanning subsets of a collection C to
 those of gC, and the orbit onto itself, so the repair property holds at
-gC exactly when it holds at C.  The newcomer search therefore runs on
-the seed alone: a failing seed fails the whole orbit, and a passing
-seed's newcomer N and its repair witness are moved by g to each member
-gC, where they are checked for real (the moved witness obtains g(N),
-replacements inside the orbit, a spanning k-subset).  A moved
-certificate that does not check fails its member.
+gC exactly when it holds at C.  The repair check therefore runs on the
+seed alone and every member takes its verdict: a failing seed fails the
+whole orbit, and a passing seed's newcomer N and its repair witness are
+moved by g to each member gC, as the proof that member records.  The
+full check of every member (storage.check_repair_property, and
+`frcodes verify` of a written code) stays independent of this argument
+and is the oracle of the tests.
 
 No group is listed.  A linear map that fixes a basis is the identity,
 so a group acts faithfully on the union of the orbits of the standard
@@ -48,7 +50,9 @@ from typing import Iterator, Optional, Sequence
 
 from .gf import Field
 from .storage import (
+    AdmissibleState,
     CodeParams,
+    CollectionCheck,
     RepairReport,
     RepairWitness,
     RepairingCollection,
@@ -753,31 +757,30 @@ def _moved_witness(images: dict, g: LinearMap, parent: RepairingCollection,
 
 
 def orbit_code(group: GroupClosure, walk: dict, params: CodeParams) -> StateSet:
-    """The walked orbit of a seed collection under the group, verified.
+    """The walked orbit of a seed collection under the group, verified at
+    its seed.
 
     walk is orbit(group, seed).  The repair property is invariant under
     the group: a map g of it carries repair slices, their sums and
     spanning subsets of C to those of gC, and the orbit onto itself, so
-    every member has the seed's verdict.  The search for an obtainable
-    newcomer therefore runs on the seed first.  If the seed fails, the
-    whole orbit fails.  If it passes with newcomer N and repair witness
-    W, the set takes (N, W) as the seed's certificate, and each other
-    member gP, reached from its parent P along a tree edge g, the
-    parent's certificate moved by g: the newcomer's image, and the
-    witness with its slices moved and its helper indices re-sorted (see
-    _moved_witness).  A table of images per orbit applies g once per
-    distinct space.  StateSet.verify() checks each certificate with no
-    search: the moved witness must pass RepairWitness.verify, all the
-    replacements must stay in the orbit, and some k members must span.
+    every member has the seed's verdict.  The seed alone is checked, in
+    full.  If it fails, the whole orbit fails.  If it passes with
+    newcomer N and repair witness W, each other member gP, reached from
+    its parent P along a tree edge g, takes the parent's admissible
+    state moved by g: the newcomer's image, and the witness with its
+    slices moved and its helper indices re-sorted (see _moved_witness).
+    A table of images per orbit applies g once per distinct space; no
+    member other than the seed is checked or searched.
 
-    The returned set carries the report and the witnesses of verify().
-    The seed's recorded newcomer is the first valid one of the ordinary
-    search; every other member's is its moved certificate, which need
-    not be the first valid newcomer of the ordinary search when a
-    collection has several.  A verification failure raises
-    OrbitVerificationError carrying the report: the orbit construction
-    only yields admissible sets under hypotheses on the seed, so a
-    failure indicts the input, and nothing unverified is ever returned.
+    The returned set carries a report with one passing check per member
+    in key order, and the moved states as its witnesses.  The seed's
+    recorded newcomer is the first valid one of the ordinary search;
+    every other member's is its moved one, which need not be the first
+    valid newcomer of the ordinary search when a collection has several.
+    A failing seed raises OrbitVerificationError carrying its report:
+    the orbit construction only yields admissible sets under hypotheses
+    on the seed, so a failure indicts the input, and nothing unverified
+    is ever returned.
     """
     if not group.complete:
         raise ValueError("cannot take the orbit of an incomplete group closure")
@@ -792,21 +795,16 @@ def orbit_code(group: GroupClosure, walk: dict, params: CodeParams) -> StateSet:
             + f"\nthe group carries the failure to all {len(states)} collections "
             "of the orbit")
     images: dict = {}
-    certificates = {}
-    for key, (_, edge) in walk.items():
-        if edge is None:
-            certificates[key] = (seed_check.state.newcomer, seed_check.state.witness)
-        else:
+    moved = {seed.key: seed_check.state}
+    for key, (member, edge) in walk.items():
+        if edge is not None:
             parent, g = edge
-            newcomer, witness = certificates[parent]
-            certificates[key] = (_image(images, g, newcomer),
-                                 _moved_witness(images, g, walk[parent][0], witness))
-    states.certificates = certificates
-    report = states.verify()
-    if not report.ok:
-        raise OrbitVerificationError(
-            "orbit fails the repair property; the seed state does not meet "
-            "the hypotheses:\n" + report.render())
+            state = moved[parent]
+            moved[key] = AdmissibleState(
+                member, _image(images, g, state.newcomer),
+                _moved_witness(images, g, state.collection, state.witness))
+    checks = [CollectionCheck(moved[key].collection, True, moved[key]) for key in sorted(moved)]
+    states._record(RepairReport(params, checks, False))
     return states
 
 

@@ -16,9 +16,11 @@ such that replacing any single member by U lands inside A again, and
 every collection contains a spanning k-subset.  `check_repair_property`
 verifies exactly that, recording one witness per collection (or, on
 request, every valid newcomer).  A newcomer declared for a collection is
-a certificate: it is checked and is the verdict, with no search.  A
-certificate may carry its repair witness; that witness is then checked
-with `RepairWitness.verify`, and no witness is searched for.
+a certificate: it is checked and is the verdict, with no newcomer
+search.  `check_repair_property` is the full check that `frcodes verify`
+runs on every collection; an orbit of a symmetry group
+(`groupsearch.orbit_code`) is checked at its seed alone, and its other
+members take the seed's verdict.
 Replacing a member of C by a valid newcomer gives a member of A, so for
 a listed A only such completions of C are tested for obtainability; a
 set whose membership is a predicate enumerates every obtainable space
@@ -352,16 +354,15 @@ class StateSet:
     """A keyed set of repairing collections, with cached verification.
 
     certificates maps a collection key to its declared newcomer, such as
-    a state line of a document, or to a (newcomer, RepairWitness) pair,
-    such as the seed's certificate moved by a symmetry.  The repair
-    check of that collection checks the declared newcomer alone, and a
-    declared witness with it instead of searching for one, and takes the
-    result as the verdict.
+    a state line of a document or a pick of reachable_closure.  The
+    repair check of that collection checks the declared newcomer alone
+    and takes the result as the verdict.  verify() runs the full check;
+    groupsearch.orbit_code records an orbit's report from its seed's
+    verdict instead, and the full check stays the oracle of its tests.
     """
 
     def __init__(self, params: CodeParams, collections: Iterable[RepairingCollection],
-                 certificates: Optional[dict[tuple[bytes, ...],
-                                             Subspace | tuple[Subspace, RepairWitness]]] = None):
+                 certificates: Optional[dict[tuple[bytes, ...], Subspace]] = None):
         self.params = params
         self.collections: dict[tuple[bytes, ...], RepairingCollection] = {}
         # each collection minus one member -> the removed members, by key
@@ -399,14 +400,18 @@ class StateSet:
                cap: int = OBTAINABLE_CAP) -> RepairReport:
         """Run (and cache) the repair-property check over this set."""
         if self.report is None or (all_newcomers and not self.report.full):
-            self.report = check_repair_property(self, all_newcomers=all_newcomers, cap=cap)
-            if all_newcomers:
-                self.transitions = {
-                    c.collection.key: c.valid_newcomers for c in self.report.checks}
-            for c in self.report.checks:
-                if c.state is not None:
-                    self.witnesses[c.collection.key] = c.state
+            self._record(check_repair_property(self, all_newcomers=all_newcomers, cap=cap))
         return self.report
+
+    def _record(self, report: RepairReport) -> None:
+        """Cache a report of this set: its witnesses, and with a full
+        report every collection's valid newcomers."""
+        self.report = report
+        if report.full:
+            self.transitions = {c.collection.key: c.valid_newcomers for c in report.checks}
+        for c in report.checks:
+            if c.state is not None:
+                self.witnesses[c.collection.key] = c.state
 
     def _completions(self, collection: RepairingCollection) -> Optional[Iterable[Subspace]]:
         """The listed spaces U with collection.replace(0, U) in the set, of
@@ -482,33 +487,19 @@ def _check_collection(states: StateSet, collection: RepairingCollection,
     """The repair-property record of one collection of the state set.
 
     A newcomer declared in states.certificates is the certificate when
-    it has dimension alpha, a repair witness, and every replacement
-    inside the set; otherwise the collection fails, naming it.  A
-    declared witness must pass RepairWitness.verify; without one,
-    find_repair_witness looks for a witness.  Without a declared
-    newcomer, and whenever every valid newcomer is wanted,
-    _newcomer_search finds the certificate, and with all_newcomers every
-    valid newcomer.
+    it has dimension alpha, a repair witness from find_repair_witness,
+    and every replacement inside the set; otherwise the collection
+    fails, naming it.  Without a declared newcomer, and whenever every
+    valid newcomer is wanted, _newcomer_search finds the certificate,
+    and with all_newcomers every valid newcomer.  check_repair_property
+    calls it on every collection; groupsearch.orbit_code on an orbit's
+    seed alone, whose verdict the other members take.
     """
     params = states.params
     spanning = _has_spanning_subset(collection, params)
     declared = None if all_newcomers else states.certificates.get(collection.key)
-    witness = None
-    if isinstance(declared, tuple):
-        declared, witness = declared
     if declared is None:
         state, valid = _newcomer_search(states, collection, all_newcomers, cap)
-    elif witness is not None:
-        state = None
-        try:
-            witness.verify(collection, declared, params)
-        except AssertionError:
-            pass
-        else:
-            if declared.dim == params.alpha and _replacements_inside(
-                    states.__contains__, collection, declared):
-                state = AdmissibleState(collection, declared, witness)
-        return CollectionCheck(collection, spanning, state, None, declared)
     else:
         state, valid = None, ()
         witness = (find_repair_witness(collection, declared, params)

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from frcodes import groupsearch, storage
 from frcodes import subspace as sub
+from frcodes.family import construct_good, family_state_space
 from frcodes.fsc import emit_fsc, states_to_document
 from frcodes.gf import GF
 from frcodes.groupsearch import (
@@ -33,6 +34,7 @@ from frcodes.storage import (
     check_repair_property,
     exact_to_states,
     find_repair_witness,
+    valid_newcomers,
 )
 from frcodes.subspace import (
     CapExceeded,
@@ -42,6 +44,7 @@ from frcodes.subspace import (
     span,
     standard_basis_vector,
     subspaces,
+    zero_subspace,
 )
 
 F2 = GF(2)
@@ -368,7 +371,10 @@ def test_moved_witness_keeps_duplicate_helpers_distinct():
         assert find_repair_witness(member, state.newcomer, params) is not None
     moved = states.witnesses[image.key].witness
     assert [w <= plane_q for w in moved.repair_spaces].count(True) == 2
-    assert states.certificates[image.key][1] == moved
+    # the seed's witness moved by the swap, with no certificate declared
+    assert moved == groupsearch._moved_witness(
+        {}, swap, seed, states.witnesses[seed.key].witness)
+    assert not states.certificates
     # helper indices read off the first copy of each image would repeat
     # a member, which the witness check refuses
     first = tuple(image.spaces.index(image.spaces[i]) for i in moved.repair_indices)
@@ -498,29 +504,35 @@ def test_symmetry_search_partition_seed(partition_search):
         assert seed in res.states
 
 
+def _trial_groups(outcome, cap):
+    # the complete closures of the trials of a search: each candidate
+    # alone and with each transitive cyclic stabilizer generator
+    for _, mapping in outcome.candidates:
+        for generators in [(mapping,)] + [(t, mapping) for t in outcome.transitive_generators]:
+            group = group_closure(generators, cap=cap)
+            if group.complete:
+                yield group
+
+
 def test_orbit_code_matches_full_orbit_check(partition_search, list_group, monkeypatch):
-    # every complete closure the search meets: orbit_code, which searches
-    # newcomers on the seed only and moves its certificate and witness,
-    # must give the verdict of the full repair check of the orbit under
-    # the listed group, and never search for a witness
+    # every complete closure the search meets: orbit_code, which checks
+    # the seed only and moves its newcomer and witness, must give the
+    # verdict of the full repair check of the orbit under the listed
+    # group, never search for a witness, and record for each member a
+    # newcomer that the full check finds valid
     params, seed, outcome = partition_search
 
     def no_search(*args):
         raise AssertionError("orbit_code searched for a repair witness")
 
     monkeypatch.setattr(storage, "find_repair_witness", no_search)
-    closures = []
-    for _, mapping in outcome.candidates:
-        for generators in [(mapping,)] + [(t, mapping) for t in outcome.transitive_generators]:
-            group = group_closure(generators, cap=5000)
-            if group.complete:
-                closures.append(group)
+    closures = list(_trial_groups(outcome, 5000))
     assert len(closures) == 54
     passing = 0
     for group in closures:
         orbit_states = StateSet(params, {g.apply_collection(seed)
                                          for g in list_group(group).values()})
-        oracle = check_repair_property(orbit_states)
+        oracle = check_repair_property(orbit_states, all_newcomers=True)
         walk = orbit(group, seed, cap=500)
         assert set(walk) == set(orbit_states.collections)
         try:
@@ -536,13 +548,41 @@ def test_orbit_code_matches_full_orbit_check(partition_search, list_group, monke
         assert [c.collection.key for c in checks] == [c.collection.key for c in oracle.checks]
         assert all(c.ok for c in checks)
         assert set(states.witnesses) == set(orbit_states.collections)
+        valid = {c.collection.key: c.valid_newcomers for c in oracle.checks}
         for check in checks:
             # the recorded witness is the moved one, checked on its own,
-            # and the search, kept as the oracle, obtains the certificate too
+            # and the search, kept as the oracle, obtains the newcomer too
             state = states.witnesses[check.collection.key]
             state.witness.verify(check.collection, state.newcomer, params)
             assert find_repair_witness(check.collection, state.newcomer, params) is not None
+            assert state.newcomer in valid[check.collection.key]
     assert passing >= 2
+
+
+def test_orbit_code_checks_the_seed_alone(partition_search, monkeypatch):
+    # the 56-state orbit is verified without the full repair check: the
+    # seed's verdict and its moved states are the report
+    params, seed, outcome = partition_search
+    group = outcome.results[0].group
+
+    def no_full_check(*args, **kwargs):
+        raise AssertionError("orbit_code ran the full repair check")
+
+    monkeypatch.setattr(storage, "check_repair_property", no_full_check)
+    monkeypatch.setattr(StateSet, "verify", no_full_check)
+    checked = []
+    real_check = groupsearch._check_collection
+
+    def counted_check(states, collection):
+        checked.append(collection.key)
+        return real_check(states, collection)
+
+    monkeypatch.setattr(groupsearch, "_check_collection", counted_check)
+    states = orbit_code(group, orbit(group, seed, cap=500), params)
+    assert checked == [seed.key]
+    assert len(states) == 56 and states.verified
+    assert [c.collection.key for c in states.report.checks] == sorted(states.collections)
+    assert set(states.witnesses) == set(states.collections)
 
 
 @pytest.mark.parametrize("caps", [{"backtrack_cap": 0}, {"group_cap": -1},
@@ -983,3 +1023,78 @@ def test_map_search_node_counts_are_pinned(partition_search):
         stabilizer(seed, newcomer, cap=1535)
     with pytest.raises(CapExceeded):
         transition_maps(seed, newcomer, 0, cap=1535)
+
+
+def test_orbit_code_matches_full_check_over_gf3():
+    # the (2, 1) family seed over GF(3) and its first valid newcomer:
+    # every trial orbit within the caps, once per (group order, orbit)
+    # as the search verifies them, gets the verdict of the full repair
+    # check of its walked members, and each member's recorded newcomer
+    # is one the full check finds valid
+    good = construct_good(2, 1, 3)
+    params = good.params
+    seed = good.to_repairing_collection()
+    newcomer = valid_newcomers(family_state_space(2, 1, 3), seed)[0]
+    outcome = symmetry_search(seed, newcomer, params, group_cap=5000, orbit_cap=500)
+    oracles: dict = {}
+    verdicts = {}
+    for group in _trial_groups(outcome, 5000):
+        try:
+            walk = orbit(group, seed, cap=500)
+        except CapExceeded:
+            continue
+        members = frozenset(walk)
+        if (group.order, members) in verdicts:
+            continue
+        if members not in oracles:
+            plain = StateSet(params, (member for member, _ in walk.values()))
+            oracles[members] = check_repair_property(plain, all_newcomers=True)
+        full = oracles[members]
+        try:
+            states = orbit_code(group, walk, params)
+        except OrbitVerificationError:
+            verdicts[group.order, members] = False
+            assert not full.ok
+            continue
+        verdicts[group.order, members] = True
+        assert full.ok and states.verified
+        valid = {c.collection.key: c.valid_newcomers for c in full.checks}
+        for key, state in states.witnesses.items():
+            assert state.newcomer in valid[key]
+            state.verify(params)
+    assert sum(verdicts.values()) == len(outcome.results) == 45
+    assert not all(verdicts.values())
+
+
+def test_symmetry_search_finds_the_partition_code_from_the_family_seed(partition_states):
+    # from the (3, 1) family seed over GF(2), with each of its valid
+    # newcomers, the search finds two codes, each a GL(5, 2) image of the
+    # 56-state partition code: a map g carrying one partition collection
+    # P onto one found collection, followed by some setwise stabilizer
+    # element s of P, carries every partition state into the found set
+    good = construct_good(3, 1, 2)
+    params = good.params
+    seed = good.to_repairing_collection()
+    newcomers = valid_newcomers(family_state_space(3, 1, 2), seed)
+    assert len(newcomers) == 8
+    partition = list(partition_states)
+    first = partition[0]
+    stab = stabilizer(first, zero_subspace(F2, 5))
+    assert stab.order == 48
+    spaces = {u.key: u for c in partition for u in c.spaces}
+    for newcomer in newcomers:
+        outcome = symmetry_search(seed, newcomer, params, group_cap=5000, orbit_cap=500)
+        assert len(outcome.results) == 2
+        for res in outcome.results:
+            found = res.states
+            assert len(found) == 56 and res.group.order == 168
+            assert len({u.key for c in found for u in c.spaces}) == 8
+            g = groupsearch._transporter(first, next(iter(found)), 10**5)
+            assert g is not None
+            images = []
+            for s in stab.generators:
+                h = g.compose(s)
+                table = {key: h.apply(u) for key, u in spaces.items()}
+                images.append({RepairingCollection(table[u.key] for u in c.spaces).key
+                               for c in partition})
+            assert set(found.collections) in images

@@ -12,7 +12,6 @@ from frcodes import storage
 from frcodes.family import construct_good, family_state_space, random_walk
 from frcodes.gf import GF
 from frcodes.storage import (
-    AdmissibleState,
     ClosureError,
     CodeParams,
     RepairReport,
@@ -180,6 +179,16 @@ def test_witness_verify_rejects_bad_proofs(functional_triple):
     full = RepairWitness((0, 1, 2), tuple(inside))
     with pytest.raises(AssertionError):
         full.verify(c, far, params)
+    # a helper used twice, whose two slices are inside it and obtain it,
+    # and a helper past the last member: r helpers must be distinct members
+    slices = tuple(c.spaces[0].subspaces(1))[:2]
+    assert slices[0] + slices[1] == c.spaces[0]
+    twice = RepairWitness((0, 0, 2), slices + (inside[2],))
+    with pytest.raises(AssertionError, match="distinct"):
+        twice.verify(c, c.spaces[0], params)
+    past = RepairWitness((0, 1, 3), tuple(inside))
+    with pytest.raises(AssertionError, match="distinct"):
+        past.verify(c, target, params)
 
 
 def test_find_repair_witness_negative():
@@ -300,59 +309,6 @@ def test_collection_check_takes_a_hint(exact_code_spaces, monkeypatch):
     # every valid newcomer is always searched for
     with pytest.raises(AssertionError, match="searched"):
         _check_collection(declared, rest, all_newcomers=True)
-
-
-def test_declared_witness_is_checked_not_searched(exact_code_spaces, monkeypatch):
-    # a certificate that carries its witness is decided by
-    # RepairWitness.verify alone: a good witness is the recorded one, and
-    # one that does not hold fails the collection, with no fallback search
-    params, spaces = exact_code_spaces
-    exact = exact_to_states(spaces, params)
-    certificates = {}
-    for i, u in enumerate(spaces):
-        rest = RepairingCollection(spaces[:i] + spaces[i + 1:])
-        certificates[rest.key] = (u, find_repair_witness(rest, u, params))
-    rest = RepairingCollection(spaces[1:])
-    witness = certificates[rest.key][1]
-    assert witness.repair_indices == (0, 1, 2)
-
-    def no_search(*args, **kwargs):
-        raise AssertionError("a declared witness was searched for")
-
-    monkeypatch.setattr(storage, "_newcomer_search", no_search)
-    monkeypatch.setattr(storage, "find_repair_witness", no_search)
-    declared = StateSet(params, exact, certificates)
-    good = _check_collection(declared, rest)
-    assert good.ok and good.state == AdmissibleState(rest, spaces[0], witness)
-    assert declared.verify().ok
-    slices = witness.repair_spaces
-    # slices at helpers that do not hold them, a helper used twice, a
-    # helper past the last member, and slices inside their helpers whose
-    # sum misses the newcomer
-    misplaced = (slices[1], slices[0], slices[2])
-    assert not all(w <= u for w, u in zip(misplaced, rest.spaces))
-    short = next(ws for ws in itertools.product(*(u.subspaces(1) for u in rest.spaces))
-                 if not spaces[0] <= sum(ws, zero_subspace(GF(2), 4)))
-    bad_witnesses = [
-        RepairWitness((0, 1, 2), misplaced),
-        RepairWitness((0, 0, 2), slices),
-        RepairWitness((0, 1, 3), slices),
-        RepairWitness((0, 1, 2), short),
-    ]
-    for bad in bad_witnesses:
-        states = StateSet(params, exact, {**certificates, rest.key: (spaces[0], bad)})
-        check = _check_collection(states, rest)
-        assert check.spanning_ok and check.state is None and not check.ok
-        assert check.declared == spaces[0]
-        assert check.reason == f"declared newcomer {_short_hash(spaces[0].key)} does not check"
-        report = states.verify()
-        assert [c.collection.key for c in report.failures] == [rest.key]
-    # a plane the witness obtains, but whose replacements leave the set
-    total = sum(slices, zero_subspace(GF(2), 4))
-    other = next(u for u in total.subspaces(2) if u != spaces[0])
-    witness.verify(rest, other, params)
-    outside = _check_collection(StateSet(params, exact, {rest.key: (other, witness)}), rest)
-    assert outside.state is None and outside.declared == other
 
 
 def test_valid_newcomers_cached_and_direct(exact_code_spaces):
