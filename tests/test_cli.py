@@ -326,6 +326,16 @@ class TestPinnedOutputs:
         capsys.readouterr()
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
+    @pytest.mark.parametrize("q, digest", [
+        ("3", "07c4abf034637f39b2eacc38c0f3faf1cabd585244f508e425331ffd93b042c6"),
+        ("4", "f7906a0c154d2c6b0b6aa9666064d513147dcff17c2d31a646906ae60fffab35"),
+    ])
+    def test_family_out_file_over_larger_fields_is_pinned(self, q, digest, tmp_path, capsys):
+        out = tmp_path / "family.fsc"
+        assert cli.main(["family", "--r", "2", "--s", "1", "--q", q, "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
     def test_simulate_is_pinned(self, capsys):
         argv = ["simulate", str(BENCH_DATA / "code56.fsc"), "--data", "10110",
                 "--steps", "200", "--seed", "7"]

@@ -1064,6 +1064,13 @@ def test_orbit_code_matches_full_check_over_gf3():
             state.verify(params)
     assert sum(verdicts.values()) == len(outcome.results) == 45
     assert not all(verdicts.values())
+    # the log (727 lines, map fingerprints over GF(3)) and the first
+    # code written out, pinned byte for byte
+    assert hashlib.sha256(outcome.render().encode()).hexdigest() == \
+        "82dd021763e5f01e9fa5e00adfd8db3fa8e81a6d756f65f82d2e1eafb70a98dd"
+    text = emit_fsc(states_to_document(outcome.results[0].states))
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "eab38d4647d25a196234556c4f2ac47cf05a1d4359c81817c2878d40bf5d4463"
 
 
 def test_symmetry_search_finds_the_partition_code_from_the_family_seed(partition_states):
