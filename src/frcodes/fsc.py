@@ -34,7 +34,7 @@ from typing import Optional
 
 from .gf import GF, Field
 from .storage import CodeParams, RepairingCollection, StateSet
-from .subspace import Subspace, Vector, span
+from .subspace import MAX_AMBIENT, Subspace, Vector, span
 
 __all__ = [
     "FscDocument",
@@ -187,8 +187,9 @@ def parse_fsc(text: str) -> FscDocument:
     if len(toks) != 2:
         raise FscParseError("ambient line needs one dimension", number, toks[0][0])
     m = _parse_int(toks[1][1], number, toks[1][0], "ambient")
-    if m < 1:
-        raise FscParseError("ambient dimension must be positive", number, toks[1][0])
+    if not 1 <= m <= MAX_AMBIENT:
+        raise FscParseError(f"ambient dimension must be between 1 and {MAX_AMBIENT}",
+                            number, toks[1][0])
 
     number, toks = _expect_directive(cursor, "params")
     if len(toks) != 6:

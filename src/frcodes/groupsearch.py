@@ -63,17 +63,13 @@ from .storage import (
 from .subspace import (
     CapExceeded,
     Subspace,
-    _bit_bytes,
-    _matmul_bits,
-    _pack,
-    _rref_bits,
-    _unpack,
+    _kernels,
     express,  # unused here; kept importable for tracers that wrap every binding
     full_space,
     matmul,
     rank_of,
-    span,
     standard_basis_vector,
+    vec_scale,
     zero_subspace,
 )
 
@@ -114,57 +110,49 @@ class LinearMap:
     and a subspace maps to the span of its basis images.  Maps are
     hashable and compare by matrix entries, so they can live in sets and
     serve as group elements.  The byte key of the entries is computed
-    once; over GF(2) the rows are also kept packed, one int per row, so
-    products run on the packed kernel.
+    once, and _matrix holds the rows in the row format of the field's
+    kernel table _k, on which products run.
     """
 
     field: Field
     m: int
     rows: tuple[tuple[int, ...], ...]
     key: bytes = dc_field(init=False, repr=False, compare=False)
-    _bits: Optional[tuple[int, ...]] = dc_field(init=False, repr=False, compare=False)
+    _k: object = dc_field(init=False, repr=False, compare=False)
+    _matrix: tuple = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        rows = tuple(tuple(r) for r in self.rows)
-        if len(rows) != self.m or any(len(r) != self.m for r in rows):
+        if len(self.rows) != self.m:
             raise ValueError(f"matrix must be {self.m}x{self.m}")
-        for r in rows:
-            for a in r:
-                self.field._check(a)
-        if rank_of(self.field, self.m, rows) != self.m:
+        # rank_of checks the length and the entries of every row
+        if rank_of(self.field, self.m, self.rows) != self.m:
             raise ValueError("matrix is singular")
-        self._store(rows, None)
+        k = _kernels(self.field)
+        self._store(k, [k.pack(r, self.m) for r in self.rows])
 
     @classmethod
-    def _trusted(cls, field: Field, m: int, rows: Optional[tuple] = None,
-                 bits: Optional[Sequence[int]] = None) -> "LinearMap":
-        """A map built without the checks of the public constructor.
+    def _trusted(cls, k, m: int, matrix: Sequence) -> "LinearMap":
+        """A map from held rows, without the checks of the public constructor.
 
-        For matrices invertible by construction, such as products of
-        maps, whose entries are field elements already.
-        Give the rows, or over GF(2) the packed rows alone.
+        For matrices invertible by construction, such as products of maps.
         """
         self = object.__new__(cls)
-        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "field", k.field)
         object.__setattr__(self, "m", m)
-        self._store(rows, bits)
+        self._store(k, matrix)
         return self
 
-    def _store(self, rows: Optional[tuple], bits: Optional[Sequence[int]]) -> None:
-        if bits is not None:
-            chunks = [_bit_bytes(r, self.m) for r in bits]
-            key = b"".join(chunks)
-            rows = tuple(map(tuple, chunks))
+    def _store(self, k, matrix: Sequence) -> None:
+        m, unpack = self.m, k.unpack
+        rows = tuple([unpack(r, m) for r in matrix])
+        if self.field.q <= 256:
+            key = b"".join(map(bytes, rows))
         else:
-            if self.field.q == 2:
-                bits = [_pack(r) for r in rows]
-            if self.field.q <= 256:
-                key = bytes(a for row in rows for a in row)
-            else:
-                key = b",".join(str(a).encode() for row in rows for a in row)
+            key = b",".join(str(a).encode() for row in rows for a in row)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "key", key)
-        object.__setattr__(self, "_bits", None if bits is None else tuple(bits))
+        object.__setattr__(self, "_k", k)
+        object.__setattr__(self, "_matrix", tuple(matrix))
 
     @classmethod
     def identity(cls, field: Field, m: int) -> "LinearMap":
@@ -180,10 +168,8 @@ class LinearMap:
             raise ValueError("subspace is over a different field")
         if space.m != self.m:
             raise ValueError(f"subspace ambient {space.m} does not match map ambient {self.m}")
-        if self._bits is not None and space._packed():
-            return Subspace._from_bits(self.field, self.m,
-                                       _rref_bits(_matmul_bits(space._bits, self._bits)))
-        return span(self.field, self.m, matmul(self.field, space.rows, self.rows))
+        k = self._k
+        return Subspace._canonical(k, self.m, k.rref(k.matmul(space._basis, self._matrix)))
 
     def apply_collection(self, collection: RepairingCollection) -> RepairingCollection:
         return RepairingCollection([self.apply(u) for u in collection.spaces])
@@ -192,11 +178,8 @@ class LinearMap:
         """The map applying other first, then this one."""
         if (other.field is not self.field and other.field != self.field) or other.m != self.m:
             raise ValueError("maps act on different spaces")
-        if self._bits is not None:
-            return LinearMap._trusted(self.field, self.m,
-                                      bits=_matmul_bits(other._bits, self._bits))
-        return LinearMap._trusted(self.field, self.m,
-                                  matmul(self.field, other.rows, self.rows))
+        k = self._k
+        return LinearMap._trusted(k, self.m, k.matmul(other._matrix, self._matrix))
 
     def __repr__(self) -> str:
         return f"<LinearMap {_short_hash(self.key)} on F_{self.field.q}^{self.m}>"
@@ -277,64 +260,27 @@ def _constrained_images(field: Field, m: int, pairs: Sequence[tuple[Subspace, Su
     image half when the source half vanishes, which only prunes; else v
     branches over target vectors w with a non-zero residual against the
     image rows.  The standard basis tail, with free images, forces every
-    e_j at a leaf.  counter[0] counts candidate nodes against cap.  Over
-    GF(2) rows are packed ints (image bits shifted by m), else tuples.
+    e_j at a leaf.  counter[0] counts candidate nodes against cap.  Rows
+    are in the row format of the field's kernel table, the image half
+    joined to the right of the source half.
     """
+    k = _kernels(field)
+    reduce, entry, join = k.reduce, k.entry, k.join
     full = full_space(field, m)
-    # the field branch: echelon entries are (pivot column, row with a 1 there)
-    if full._packed():
-        def lift(space: Subspace, shift: int) -> list:
-            return [b << shift for b in space._bits]
+    zero = k.pack((0,) * m, m)
+    minus_one = field.neg(1)
 
-        def reduce(echelon: list, x: int) -> int:
-            for p, b in echelon:
-                if x >> p & 1:
-                    x ^= b
-            return x
-
-        def entry(x: int) -> Optional[tuple[int, int]]:
-            return ((x & -x).bit_length() - 1, x) if x else None
-
-        def add_image(x: int, w: int) -> int:
-            return x ^ w << m
-
-        def image(x: int) -> tuple[int, ...]:
-            return _unpack(x >> m, m)  # -g(v) = g(v) over GF(2)
-
-        candidates = Subspace._packed_vectors
-    else:
-        pad = (0,) * m
-
-        def lift(space: Subspace, shift: int) -> list:
-            return [pad[:shift] + row + pad[shift:] for row in space.rows]
-
-        def reduce(echelon: list, x: tuple) -> tuple:
-            for p, b in echelon:
-                if x[p]:
-                    c = field.neg(x[p])
-                    x = tuple([field.add(a, field.mul(c, y)) if y else a for a, y in zip(x, b)])
-            return x
-
-        def entry(x: tuple) -> Optional[tuple[int, tuple]]:
-            p = next((j for j, a in enumerate(x) if a), None)
-            if p is None:
-                return None
-            inv = field.inv(x[p])
-            return p, x if inv == 1 else tuple(field.mul(inv, a) for a in x)
-
-        def add_image(x: tuple, w: tuple) -> tuple:
-            return x[:m] + tuple(field.add(a, b) for a, b in zip(x[m:], w))
-
-        def image(x: tuple) -> tuple[int, ...]:
-            return tuple(field.neg(a) for a in x[m:])
-
-        candidates = Subspace.vectors
+    def image(x) -> tuple[int, ...]:
+        # -g(v), read from the image half of a reduced (v | 0)
+        return vec_scale(field, minus_one, k.unpack(k.split(x, m)[1], m))
 
     # (v | 0), the target's rows in the image half (None: no constraint),
     # the space of candidate images
-    rows = [(v, list(zip([p + m for p in target.pivots], lift(target, m))), target)
-            for source, target in pairs for v in lift(source, 0)]
-    rows += [(v, None, full) for v in lift(full, 0)]
+    rows = [(join(v, zero, m),
+             [(p + m, join(zero, w, m)) for p, w in zip(target.pivots, target._basis)],
+             target)
+            for source, target in pairs for v in source._basis]
+    rows += [(join(v, zero, m), None, full) for v in full._basis]
     graph: list = []
     images: list = []
 
@@ -351,7 +297,7 @@ def _constrained_images(field: Field, m: int, pairs: Sequence[tuple[Subspace, Su
             if target_rows is None or entry(reduce(target_rows, x)) is None:
                 yield from extend(pos + 1)
             return
-        for w in candidates(target):
+        for w in target._span():
             counter[0] += 1
             if counter[0] > cap:
                 raise CapExceeded(f"map search exceeded {cap} nodes")
@@ -359,7 +305,7 @@ def _constrained_images(field: Field, m: int, pairs: Sequence[tuple[Subspace, Su
             if residual is None:
                 continue
             images.append(residual)
-            graph.append(entry(add_image(x, w)))
+            graph.append(entry(k.add(x, join(zero, w, m))))
             yield from extend(pos + 1)
             graph.pop()
             images.pop()
@@ -527,13 +473,8 @@ def stabilizer(collection: RepairingCollection, newcomer: Subspace,
 
 
 def _point_images(mapping: LinearMap, points: Sequence) -> list:
-    """Images of points under the map: packed ints over GF(2), vectors otherwise.
-
-    A packed point's image XORs the packed rows that its set bits name.
-    """
-    if mapping._bits is not None:
-        return _matmul_bits(points, mapping._bits)
-    return [mapping.apply_vector(v) for v in points]
+    """Images of points, held rows of the map's kernel table, under the map."""
+    return mapping._k.matmul(points, mapping._matrix)
 
 
 def _basis_permutations(generators: Sequence[LinearMap],
@@ -546,15 +487,10 @@ def _basis_permutations(generators: Sequence[LinearMap],
     than the group, so one orbit of more than cap points means the group
     order exceeds cap, and None is returned without further work.
     """
-    m = generators[0].m
-    if generators[0]._bits is not None:
-        basis = [1 << i for i in range(m)]
-    else:
-        basis = [standard_basis_vector(m, i) for i in range(m)]
     index: dict = {}
     points: list = []
     images: list[list] = [[] for _ in generators]
-    for start in basis:
+    for start in full_space(generators[0].field, generators[0].m)._basis:
         if start in index:
             continue
         first = len(points)

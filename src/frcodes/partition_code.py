@@ -315,7 +315,7 @@ class _PlaneTables:
 def _plane_tables(model: PartitionModel) -> _PlaneTables:
     planes = tuple(subspaces(model.base, model.m, 2))
     everything = (1 << len(planes)) - 1
-    masks = [_vector_mask(*u._bits) for u in planes]
+    masks = [_vector_mask(*u._basis) for u in planes]
     disjoint = [0] * len(planes)
     outside = [[0] * len(planes) for _ in planes]
     # two planes that meet trivially span exactly one of the 31
@@ -392,7 +392,7 @@ def _member_indices(tables: _PlaneTables, model: PartitionModel) -> list[int]:
     out = []
     for u in model.members:
         _require(u.dim == 2, "every graph space is a plane")
-        out.append(tables.index[_vector_mask(*u._bits)])
+        out.append(tables.index[_vector_mask(*u._basis)])
     return out
 
 
@@ -410,7 +410,7 @@ def _plane_permutations(tables: _PlaneTables,
                         generators: Sequence[LinearMap]) -> list[tuple[int, ...]]:
     # the permutation of plane indices induced by each map, from the
     # images of each plane's packed basis
-    return [tuple(tables.index[_vector_mask(*_point_images(g, u._bits))]
+    return [tuple(tables.index[_vector_mask(*_point_images(g, u._basis))]
                   for u in tables.planes)
             for g in generators]
 

@@ -8,17 +8,19 @@ derived from it) supports hashing and exact deduplication.
 
 Vectors are plain tuples of field elements (ints); the ambient dimension
 m and the Field travel alongside them in the surrounding structures.
-Over GF(2) the canonical form is packed: each reduced row is one int
-(bit j = coordinate j), the pivots are the lowest set bits, and every
-subspace operation runs on the ints without converting.  The key and
-the tuple rows are views of the ints, each built on first use and kept.
-Over other fields the rows are tuples and the kernels generic.  The
-generic kernels also run at q = 2 when tests switch the packed ones off,
-as the oracle the packed results are compared with.
+Inside, rows are held in a row format chosen once per field, by
+_kernels: over GF(2) each row is one int (bit j = coordinate j) and the
+pivots are the lowest set bits, over every other field rows are tuples.
+A small kernel table per format (_BitRows, _TupleRows) holds everything
+that depends on it, and every operation here, and the linear maps of
+groupsearch, is written once over the table of its field.  The key and
+the tuple rows of a subspace are views of its held rows, each built on
+first use and kept.
 
 The public matrix utilities (rank_of, solve, matmul, express,
-left_kernel) take tuple rows and check every entry once on entry, so a
-value outside the field is a ValueError on every path.
+left_kernel) take tuple rows and pass each one through the table's
+checked pack, which checks its length and every entry, so a malformed
+row or a value outside the field is a ValueError on every field.
 
 Enumeration of d-dimensional subspaces generates reduced bases directly,
 one pivot-column pattern at a time, filling the free entries in
@@ -29,6 +31,7 @@ coincides with ascending canonical-key order, because the key encodes
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import struct
 from typing import Iterable, Iterator, Optional, Sequence
@@ -61,10 +64,6 @@ Vector = tuple[int, ...]
 VECTOR_ENUM_CAP = 1 << 20
 SUBSPACE_ENUM_CAP = 10**6
 MAX_AMBIENT = 64
-
-# Toggled by tests to force the generic kernels at q = 2.
-_PACKED_KERNELS = True
-
 
 class CapExceeded(RuntimeError):
     """An enumeration or search would exceed its configured cap."""
@@ -100,41 +99,14 @@ def vec_dot(field: Field, u: Sequence[int], v: Sequence[int]) -> int:
 
 
 # ----------------------------------------------------------------------
-# row-reduction kernels
-
-def _pack(row: Sequence[int]) -> int:
-    acc = 0
-    for j, x in enumerate(row):
-        if x:
-            acc |= 1 << j
-    return acc
-
-
-def _pack_checked(field: Field, row: Sequence[int]) -> int:
-    """A GF(2) row packed into one int, after checking each entry is 0 or 1."""
-    acc = 0
-    bit = 1
-    for x in row:
-        if (x.__class__ is not int and not isinstance(x, int)) or not 0 <= x <= 1:
-            raise ValueError(f"{x!r} is not an element of {field!r}")
-        if x:
-            acc |= bit
-        bit <<= 1
-    return acc
-
-
-def _check_entries(field: Field, rows: Iterable[Sequence[int]]) -> None:
-    for row in rows:
-        for x in row:
-            field._check(x)
-
+# row-reduction kernels of GF(2) rows packed into ints
 
 def _unpack(row: int, m: int) -> Vector:
-    return tuple((row >> j) & 1 for j in range(m))
+    return tuple(_BIT_BYTES[row][:m] if m <= 8 else _bit_bytes(row, m))
 
 
 # byte j of entry i is bit j of i: turns packed rows into entry bytes
-# eight bits at a time, as the keys of GF(2) linear maps need
+# eight bits at a time
 _BIT_BYTES = tuple(bytes((i >> j) & 1 for j in range(8)) for i in range(256))
 
 
@@ -186,31 +158,12 @@ def _rref_bits(rows: Iterable[int]) -> list[int]:
     return [r for _, r in reversed(reduced)]
 
 
-def _rref_general(field: Field, rows: Iterable[Sequence[int]]) -> list[Vector]:
-    """Reduced echelon basis over any supported field, sorted by pivot."""
-    out: list[tuple[int, list[int]]] = []  # (pivot, row)
-    for raw in rows:
-        row = list(raw)
-        for p, base in out:
-            c = row[p]
-            if c:
-                row = [field.sub(x, field.mul(c, y)) for x, y in zip(row, base)]
-        p = next((j for j, x in enumerate(row) if x), None)
-        if p is None:
-            continue
-        inv = field.inv(row[p])
-        if inv != 1:
-            row = [field.mul(inv, x) for x in row]
-        for k, (pk, base) in enumerate(out):
-            c = base[p]
-            if c:
-                out[k] = (pk, [field.sub(x, field.mul(c, y)) for x, y in zip(base, row)])
-        out.append((p, row))
-    out.sort(key=lambda t: t[0])
-    return [tuple(r) for _, r in out]
+def _residual_bits(space: "Subspace", v: int) -> int:
+    for p, b in zip(space.pivots, space._basis):
+        if (v >> p) & 1:
+            v ^= b
+    return v
 
-
-# ----------------------------------------------------------------------
 
 # the two-byte key entries of 0 and 1
 _ENTRY_BYTES = (struct.pack(">H", 0), struct.pack(">H", 1))
@@ -239,77 +192,282 @@ def _bits_key(m: int, bits: Sequence[int], pivots: Sequence[int]) -> bytes:
     return b"".join(parts)
 
 
+# ----------------------------------------------------------------------
+# the two row formats
+#
+# A table holds every kernel that depends on the row format; rows in a
+# table's own format are "held" rows.  echelon(rows) is an echelon basis
+# (its length is the rank), rref(rows) the reduced basis sorted by
+# pivot, residual(space, v) the reduction of v against a space's
+# canonical basis (falsy exactly when v lies in the space), and
+# reduce(echelon, x) the reduction of x against (pivot, row) pairs whose
+# rows are 1 at their pivot and 0 at the pivots before.  join and split
+# put two rows side by side and take them apart again, for the
+# doubled-column reductions.
+
+class _BitRows:
+    """GF(2) rows packed into ints, bit j holding coordinate j."""
+
+    __slots__ = ("field",)
+
+    echelon = staticmethod(_echelon_bits)
+    rref = staticmethod(_rref_bits)
+    residual = staticmethod(_residual_bits)
+    matmul = staticmethod(_matmul_bits)
+    unpack = staticmethod(_unpack)
+    key = staticmethod(_bits_key)
+
+    def __init__(self, field: Field):
+        self.field = field
+
+    def pack(self, row: Sequence[int], m: int) -> int:
+        """row as one int, after checking it has m entries, each 0 or 1."""
+        if len(row) != m:
+            raise ValueError(f"{tuple(row)!r} does not have length {m}")
+        acc = 0
+        for x in reversed(row):  # the last entry is the highest bit
+            if (x.__class__ is not int and not isinstance(x, int)) or not 0 <= x <= 1:
+                raise ValueError(f"{x!r} is not an element of {self.field!r}")
+            acc = acc << 1 | x
+        return acc
+
+    @staticmethod
+    def pivots(rows: Iterable[int]) -> tuple[int, ...]:
+        return tuple([(b & -b).bit_length() - 1 for b in rows])
+
+    @staticmethod
+    def reduce(echelon: Iterable[tuple[int, int]], x: int) -> int:
+        for p, b in echelon:
+            if x >> p & 1:
+                x ^= b
+        return x
+
+    @staticmethod
+    def entry(x: int) -> Optional[tuple[int, int]]:
+        """(pivot, x scaled to 1 there), or None for the zero row."""
+        return ((x & -x).bit_length() - 1, x) if x else None
+
+    @staticmethod
+    def add(x: int, y: int) -> int:
+        return x ^ y
+
+    @staticmethod
+    def zero(m: int) -> int:
+        return 0
+
+    @staticmethod
+    def unit(m: int, i: int) -> int:
+        return 1 << i
+
+    @staticmethod
+    def join(left: int, right: int, m: int) -> int:
+        return left | right << m
+
+    @staticmethod
+    def split(row: int, m: int) -> tuple[int, int]:
+        return row & ((1 << m) - 1), row >> m
+
+    @staticmethod
+    def span(basis: Sequence[int], m: int) -> list[int]:
+        """Every vector of the span, in the order of Subspace.vectors."""
+        out = [0]
+        for b in reversed(basis):  # the last row varies fastest
+            out += [x ^ b for x in out]
+        return out
+
+    @staticmethod
+    def fill(m: int, pivots: Sequence[int], free: Sequence[tuple[int, int]]) -> Iterator[list[int]]:
+        """The reduced bases with these pivots, the free entries in row-major order."""
+        base = [1 << p for p in pivots]
+        for values in itertools.product((0, 1), repeat=len(free)):
+            rows = base[:]
+            for (i, j), v in zip(free, values):
+                if v:
+                    rows[i] |= 1 << j
+            yield rows
+
+
+class _TupleRows:
+    """Rows as tuples of field elements, reduced with the field's arithmetic."""
+
+    __slots__ = ("field",)
+
+    def __init__(self, field: Field):
+        self.field = field
+
+    def pack(self, row: Sequence[int], m: int) -> Vector:
+        """row as a tuple, after checking it has m entries, each in the field."""
+        row = tuple(row)
+        if len(row) != m:
+            raise ValueError(f"{row!r} does not have length {m}")
+        check = self.field._check
+        for x in row:
+            check(x)
+        return row
+
+    @staticmethod
+    def unpack(row: Vector, m: int) -> Vector:
+        return row
+
+    @staticmethod
+    def pivots(rows: Iterable[Vector]) -> tuple[int, ...]:
+        return tuple([next(j for j, x in enumerate(r) if x) for r in rows])
+
+    def rref(self, rows: Iterable[Sequence[int]]) -> list[Vector]:
+        out: list[tuple[int, Vector]] = []  # (pivot, row), each reduced against the rest
+        for row in rows:
+            new = self.entry(self.reduce(out, tuple(row)))
+            if new is not None:
+                out = [(p, self.reduce([new], base)) for p, base in out]
+                out.append(new)
+        out.sort(key=lambda pair: pair[0])
+        return [row for _, row in out]
+
+    echelon = rref
+
+    def reduce(self, echelon: Iterable[tuple[int, Vector]], x: Vector) -> Vector:
+        field = self.field
+        for p, b in echelon:
+            if x[p]:
+                c = field.neg(x[p])
+                x = tuple([field.add(a, field.mul(c, y)) if y else a for a, y in zip(x, b)])
+        return x
+
+    def residual(self, space: "Subspace", v: Vector) -> Vector:
+        v = self.reduce(zip(space.pivots, space._basis), v)
+        return v if any(v) else ()
+
+    def entry(self, x: Vector) -> Optional[tuple[int, Vector]]:
+        """(pivot, x scaled to 1 there), or None for the zero row."""
+        p = next((j for j, a in enumerate(x) if a), None)
+        if p is None:
+            return None
+        inv = self.field.inv(x[p])
+        return p, x if inv == 1 else tuple(self.field.mul(inv, a) for a in x)
+
+    def add(self, x: Vector, y: Vector) -> Vector:
+        return tuple(self.field.add(a, b) for a, b in zip(x, y))
+
+    @staticmethod
+    def zero(m: int) -> Vector:
+        return (0,) * m
+
+    unit = staticmethod(standard_basis_vector)
+
+    @staticmethod
+    def join(left: Vector, right: Vector, m: int) -> Vector:
+        return left + right
+
+    @staticmethod
+    def split(row: Vector, m: int) -> tuple[Vector, Vector]:
+        return row[:m], row[m:]
+
+    def matmul(self, a: Iterable[Vector], b: Sequence[Vector]) -> list[Vector]:
+        field = self.field
+        zero = (0,) * (len(b[0]) if b else 0)
+        out = []
+        for row in a:
+            acc = zero
+            for x, br in zip(row, b):
+                if x:
+                    acc = vec_add(field, acc, vec_scale(field, x, br))
+            out.append(acc)
+        return out
+
+    def key(self, m: int, rows: Sequence[Vector], pivots: Sequence[int]) -> bytes:
+        return _make_key(self.field.q, m, rows, pivots)
+
+    def span(self, basis: Sequence[Vector], m: int) -> Iterator[Vector]:
+        """Every vector of the span, in lexicographic order of coefficient tuples."""
+        field = self.field
+        for coeffs in itertools.product(range(field.q), repeat=len(basis)):
+            v = (0,) * m
+            for c, row in zip(coeffs, basis):
+                if c:
+                    v = vec_add(field, v, vec_scale(field, c, row))
+            yield v
+
+    def fill(self, m: int, pivots: Sequence[int],
+             free: Sequence[tuple[int, int]]) -> Iterator[list[Vector]]:
+        """The reduced bases with these pivots, the free entries in row-major order."""
+        base = []
+        for p in pivots:
+            row = [0] * m
+            row[p] = 1
+            base.append(row)
+        for values in itertools.product(range(self.field.q), repeat=len(free)):
+            rows = [list(r) for r in base]
+            for (i, j), v in zip(free, values):
+                rows[i][j] = v
+            yield [tuple(r) for r in rows]
+
+
+_Kernels = _BitRows | _TupleRows
+# keyed by the identity of the field, which its table keeps alive
+_TABLES: dict[int, _Kernels] = {}
+
+
+def _kernels(field: Field) -> _Kernels:
+    """The kernel table of field's rows: the one place the row format is chosen."""
+    try:
+        return _TABLES[id(field)]
+    except KeyError:
+        table = _TABLES[id(field)] = _BitRows(field) if field.q == 2 else _TupleRows(field)
+        return table
+
+
+# ----------------------------------------------------------------------
+
 class Subspace:
     """An immutable subspace of F_q^m held as its canonical basis.
 
-    Over GF(2) the basis is _bits, the reduced rows packed into ints and
-    sorted by pivot; rows is a tuple view of them and key their byte
-    key, each built on first use (many sums are only compared, never
-    keyed).  Over other fields rows holds the reduced tuple rows and
-    _bits is None.  pivots, dim and key derive from the canonical basis.
+    _basis is the canonical basis in the row format of _k, the kernel
+    table of the field: its reduced rows, sorted by pivot.  rows is a
+    tuple view of them and key their byte key, each built on first use
+    (many sums are only compared, never keyed).  pivots and dim derive
+    from the canonical basis.
     """
 
-    __slots__ = ("field", "m", "pivots", "_key", "_bits", "_rows")
+    __slots__ = ("field", "m", "pivots", "_k", "_basis", "_key", "_rows")
 
-    def __init__(self, field: Field, m: int, vectors: Iterable[Sequence[int]] = ()):
-        vectors = [tuple(v) for v in vectors]
-        _check_ambient(field, m, vectors)
-        if field.q == 2 and _PACKED_KERNELS:
-            self._set_bits(field, m, _rref_bits(_pack(v) for v in vectors))
-        else:
-            self._set_rows(field, m, _rref_general(field, vectors))
+    def __new__(cls, field: Field, m: int, vectors: Iterable[Sequence[int]] = ()) -> "Subspace":
+        _check_ambient(m)
+        k = _kernels(field)
+        return cls._canonical(k, m, k.rref([k.pack(v, m) for v in vectors]))
 
     @classmethod
-    def _from_bits(cls, field: Field, m: int, bits: Sequence[int]) -> "Subspace":
-        """A GF(2) subspace from packed rows already reduced and sorted."""
+    def _canonical(cls, k: _Kernels, m: int, basis: Iterable) -> "Subspace":
+        """A subspace from held rows already reduced and sorted by pivot."""
         self = object.__new__(cls)
-        self._set_bits(field, m, bits)
-        return self
-
-    @classmethod
-    def _make(cls, field: Field, m: int, canonical_rows: list[Vector]) -> "Subspace":
-        self = object.__new__(cls)
-        self._set_rows(field, m, canonical_rows)
-        return self
-
-    def _set_bits(self, field: Field, m: int, bits: Sequence[int]) -> None:
-        self.field = field
+        self.field = k.field
         self.m = m
-        self._bits = bits = tuple(bits)
-        self.pivots = tuple([(b & -b).bit_length() - 1 for b in bits])
+        self._k = k
+        self._basis = basis = tuple(basis)
+        self.pivots = k.pivots(basis)
         self._key = None
         self._rows = None
+        return self
 
-    def _set_rows(self, field: Field, m: int, rows: Sequence[Vector]) -> None:
-        if field.q == 2:
-            # generic kernel results at q = 2 keep the packed canonical form
-            self._set_bits(field, m, [_pack(r) for r in rows])
-            self._rows = tuple(rows)
-            return
-        self.field = field
-        self.m = m
-        self._rows = tuple(rows)
-        self.pivots = tuple(next(j for j, x in enumerate(r) if x) for r in rows)
-        self._key = _make_key(field.q, m, self._rows, self.pivots)
-        self._bits = None
+    def __reduce__(self) -> tuple:
+        return Subspace, (self.field, self.m, self.rows)
 
     # ------------------------------------------------------------------
 
     @property
     def rows(self) -> tuple[Vector, ...]:
-        """The canonical basis as tuple rows (a view of _bits over GF(2))."""
+        """The canonical basis as tuple rows."""
         rows = self._rows
         if rows is None:
-            m = self.m
-            rows = self._rows = tuple([_unpack(b, m) for b in self._bits])
+            m, unpack = self.m, self._k.unpack
+            rows = self._rows = tuple([unpack(b, m) for b in self._basis])
         return rows
 
     @property
     def key(self) -> bytes:
-        """The canonical byte key (from _bits over GF(2))."""
+        """The canonical byte key."""
         key = self._key
         if key is None:
-            key = self._key = _bits_key(self.m, self._bits, self.pivots)
+            key = self._key = self._k.key(self.m, self._basis, self.pivots)
         return key
 
     @property
@@ -327,124 +485,72 @@ class Subspace:
 
     # ------------------------------------------------------------------
 
-    def _packed(self) -> bool:
-        return self._bits is not None and _PACKED_KERNELS
-
-    def _residual_bits(self, v: int) -> int:
-        for p, b in zip(self.pivots, self._bits):
-            if (v >> p) & 1:
-                v ^= b
-        return v
-
     def reduce(self, vector: Sequence[int]) -> Vector:
         """Residual of vector after elimination against the basis."""
-        if len(vector) != self.m:
-            raise ValueError(f"vector length {len(vector)} does not match ambient {self.m}")
-        if self._packed():
-            return _unpack(self._residual_bits(_pack_checked(self.field, vector)), self.m)
-        field = self.field
-        _check_entries(field, [vector])
-        v = list(vector)
-        for p, row in zip(self.pivots, self.rows):
-            c = v[p]
-            if c:
-                v = [field.sub(x, field.mul(c, y)) for x, y in zip(v, row)]
-        return tuple(v)
+        k, m = self._k, self.m
+        residual = k.residual(self, k.pack(vector, m))
+        return k.unpack(residual, m) if residual else (0,) * m
 
     def __contains__(self, vector: Sequence[int]) -> bool:
         return not any(self.reduce(vector))
 
     def __le__(self, other: "Subspace") -> bool:
         _require_same_space(self, other)
-        if self._packed():
-            return not any(map(other._residual_bits, self._bits))
-        return all(row in other for row in self.rows)
+        residual = other._k.residual
+        for b in self._basis:
+            if residual(other, b):
+                return False
+        return True
 
     def __add__(self, other: "Subspace") -> "Subspace":
         _require_same_space(self, other)
-        if self._packed():
-            return Subspace._from_bits(self.field, self.m, _rref_bits(self._bits + other._bits))
-        return Subspace._make(self.field, self.m,
-                              _rref_general(self.field, self.rows + other.rows))
+        k = self._k
+        return Subspace._canonical(k, self.m, k.rref(self._basis + other._basis))
 
     def __and__(self, other: "Subspace") -> "Subspace":
         """Intersection, computed from a doubled-column block reduction."""
         _require_same_space(self, other)
-        m = self.m
-        if self._packed():
-            combined = [b | b << m for b in self._bits]
-            combined.extend(other._bits)
-            low = (1 << m) - 1
-            # the rows with no left half are the reduced tail of a
-            # reduced basis, so their right halves are reduced already
-            inter = [r >> m for r in _rref_bits(combined) if not r & low]
-            return Subspace._from_bits(self.field, m, inter)
-        combined = [row + row for row in self.rows]
-        combined.extend(row + (0,) * m for row in other.rows)
-        reduced = _rref_general(self.field, combined)
-        inter = [row[m:] for row in reduced if not any(row[:m])]
-        return Subspace._make(self.field, m, _rref_general(self.field, inter))
+        k, m = self._k, self.m
+        join, zero = k.join, k.zero(m)
+        combined = [join(b, b, m) for b in self._basis]
+        combined.extend([join(b, zero, m) for b in other._basis])
+        reduced = k.rref(combined)
+        # the rows with no left half are the reduced tail of a reduced
+        # basis, so their right halves are reduced already
+        tail = bisect.bisect_left(k.pivots(reduced), m)
+        return Subspace._canonical(k, m, [k.split(r, m)[1] for r in reduced[tail:]])
 
     # ------------------------------------------------------------------
 
+    def _span(self, cap: int = VECTOR_ENUM_CAP) -> Iterable:
+        """All vectors as held rows, in the order of vectors()."""
+        if self.field.q**self.dim > cap:
+            raise CapExceeded(f"{self.field.q}^{self.dim} vectors exceed cap {cap}")
+        return self._k.span(self._basis, self.m)
+
     def vectors(self, cap: int = VECTOR_ENUM_CAP) -> Iterator[Vector]:
         """All vectors, in lexicographic order of coefficient tuples."""
-        q = self.field.q
-        if q**self.dim > cap:
-            raise CapExceeded(f"{q}^{self.dim} vectors exceed cap {cap}")
-        if self.dim == 0:
-            yield (0,) * self.m
-            return
-        for coeffs in itertools.product(range(q), repeat=self.dim):
-            v = (0,) * self.m
-            for c, row in zip(coeffs, self.rows):
-                if c:
-                    v = vec_add(self.field, v, vec_scale(self.field, c, row))
-            yield v
-
-    def _packed_vectors(self) -> list[int]:
-        """All vectors of a GF(2) space as packed ints, in the order of vectors()."""
-        if 2**self.dim > VECTOR_ENUM_CAP:
-            raise CapExceeded(f"2^{self.dim} vectors exceed cap {VECTOR_ENUM_CAP}")
-        out = [0]
-        for b in reversed(self._bits):  # the last row varies fastest
-            out += [x ^ b for x in out]
-        return out
+        k, m = self._k, self.m
+        for v in self._span(cap):
+            yield k.unpack(v, m)
 
     def subspaces(self, d: int, cap: int = SUBSPACE_ENUM_CAP) -> Iterator["Subspace"]:
         """All d-dimensional subspaces of this space."""
         if d < 0 or d > self.dim:
             return
-        field, m = self.field, self.m
-        if self._packed():
-            # a reduced relative basis times a reduced basis is reduced:
-            # row i has its pivot where rel[i] picks its pivot row, and
-            # a zero in every other row's pivot column
-            for rel in _iter_reduced_bases(field, self.dim, d, cap, packed=True):
-                yield Subspace._from_bits(field, m, _matmul_bits(rel, self._bits))
-            return
-        for rel in _iter_reduced_bases(field, self.dim, d, cap):
-            rows = []
-            for coeffs in rel:
-                v = (0,) * m
-                for c, row in zip(coeffs, self.rows):
-                    if c:
-                        v = vec_add(field, v, vec_scale(field, c, row))
-                rows.append(v)
-            yield Subspace._make(field, m, _rref_general(field, rows))
+        k, m = self._k, self.m
+        # a reduced relative basis times a reduced basis is reduced:
+        # row i has its pivot where rel[i] picks its pivot row, and
+        # a zero in every other row's pivot column
+        for rel in _reduced_bases(k, self.dim, d, cap):
+            yield Subspace._canonical(k, m, k.matmul(rel, self._basis))
 
 
-def _check_ambient(field: Field, m: int, vectors: Sequence[Vector]) -> None:
+def _check_ambient(m: int) -> None:
     if not isinstance(m, int) or m < 0:
         raise ValueError(f"ambient dimension must be a non-negative int, got {m!r}")
     if m > MAX_AMBIENT:
         raise ValueError(f"ambient dimension {m} exceeds the supported maximum {MAX_AMBIENT}")
-    for v in vectors:
-        if len(v) != m:
-            raise ValueError(f"vector {v!r} does not have ambient length {m}")
-        for x in v:
-            if not isinstance(x, int) or not 0 <= x < field.q:
-                raise ValueError(f"coordinate {x!r} is not an element of {field!r}")
 
 
 def _require_same_space(a: "Subspace", b: "Subspace") -> None:
@@ -456,9 +562,7 @@ def _require_same_space(a: "Subspace", b: "Subspace") -> None:
 
 def _sum_dim(spaces: Sequence[Subspace]) -> int:
     """Dimension of the sum of subspaces of one ambient space."""
-    if spaces[0]._packed():
-        return len(_echelon_bits([b for u in spaces for b in u._bits]))
-    return len(_rref_general(spaces[0].field, [row for u in spaces for row in u.rows]))
+    return len(spaces[0]._k.echelon([b for u in spaces for b in u._basis]))
 
 
 # ----------------------------------------------------------------------
@@ -474,7 +578,8 @@ def zero_subspace(field: Field, m: int) -> Subspace:
 
 
 def full_space(field: Field, m: int) -> Subspace:
-    return Subspace._make(field, m, [standard_basis_vector(m, i) for i in range(m)])
+    k = _kernels(field)
+    return Subspace._canonical(k, m, [k.unit(m, i) for i in range(m)])
 
 
 def gaussian_binomial(m: int, d: int, q: int) -> int:
@@ -490,14 +595,9 @@ def gaussian_binomial(m: int, d: int, q: int) -> int:
     return num // den
 
 
-def _iter_reduced_bases(field: Field, m: int, d: int, cap: int,
-                        packed: bool = False) -> Iterator[list]:
-    """Reduced-basis matrices of all d-dim subspaces of F_q^m, canonical order.
-
-    Rows are tuples, or with packed=True (q = 2) ints.
-    """
-    q = field.q
-    count = gaussian_binomial(m, d, q)
+def _reduced_bases(k: _Kernels, m: int, d: int, cap: int) -> Iterator[list]:
+    """Reduced-basis matrices of all d-dim subspaces of F_q^m, canonical order."""
+    count = gaussian_binomial(m, d, k.field.q)
     if count > cap:
         raise CapExceeded(f"{count} subspaces of dimension {d} exceed cap {cap}")
     if d == 0:
@@ -506,28 +606,7 @@ def _iter_reduced_bases(field: Field, m: int, d: int, cap: int,
     for pivots in itertools.combinations(range(m), d):
         pivset = set(pivots)
         free = [(i, j) for i in range(d) for j in range(pivots[i] + 1, m) if j not in pivset]
-        if packed:
-            base = [1 << p for p in pivots]
-            for values in itertools.product((0, 1), repeat=len(free)):
-                rows = base[:]
-                for (i, j), v in zip(free, values):
-                    if v:
-                        rows[i] |= 1 << j
-                yield rows
-            continue
-        base = []
-        for i in range(d):
-            row = [0] * m
-            row[pivots[i]] = 1
-            base.append(row)
-        if not free:
-            yield [tuple(r) for r in base]
-            continue
-        for values in itertools.product(range(q), repeat=len(free)):
-            rows = [list(r) for r in base]
-            for (i, j), v in zip(free, values):
-                rows[i][j] = v
-            yield [tuple(r) for r in rows]
+        yield from k.fill(m, pivots, free)
 
 
 def subspaces(field: Field, m: int, d: int, cap: int = SUBSPACE_ENUM_CAP) -> Iterator[Subspace]:
@@ -536,23 +615,35 @@ def subspaces(field: Field, m: int, d: int, cap: int = SUBSPACE_ENUM_CAP) -> Ite
         raise ValueError(f"dimension {d} is not between 0 and {m}")
     if m > MAX_AMBIENT:
         raise ValueError(f"ambient dimension {m} exceeds the supported maximum {MAX_AMBIENT}")
-    if field.q == 2 and _PACKED_KERNELS:
-        for bits in _iter_reduced_bases(field, m, d, cap, packed=True):
-            yield Subspace._from_bits(field, m, bits)
-        return
-    for rows in _iter_reduced_bases(field, m, d, cap):
-        yield Subspace._make(field, m, rows)
+    k = _kernels(field)
+    for basis in _reduced_bases(k, m, d, cap):
+        yield Subspace._canonical(k, m, basis)
 
 
 # ----------------------------------------------------------------------
 # matrix utilities shared by the higher layers
 
 def rank_of(field: Field, m: int, rows: Iterable[Sequence[int]]) -> int:
-    if field.q == 2 and _PACKED_KERNELS:
-        return len(_echelon_bits([_pack_checked(field, r) for r in rows]))
-    rows = list(rows)
-    _check_entries(field, rows)
-    return len(_rref_general(field, rows))
+    k = _kernels(field)
+    return len(k.echelon([k.pack(r, m) for r in rows]))
+
+
+def _eliminate(k: _Kernels, m: int, rows: Sequence[Sequence[int]]) -> tuple[list, list]:
+    """Each row beside its unit coefficient vector, eliminated in insertion order.
+
+    Returns the echelon of the independent rows, as (pivot, row) pairs,
+    and the relations the dependent rows leave in their right halves.
+    """
+    n = len(rows)
+    echelon: list = []
+    relations = []
+    for i, row in enumerate(rows):
+        pivot, x = k.entry(k.reduce(echelon, k.join(k.pack(row, m), k.unit(n, i), m)))
+        if pivot < m:
+            echelon.append((pivot, x))
+        else:
+            relations.append(k.split(x, m)[1])
+    return echelon, relations
 
 
 def left_kernel(field: Field, m: int, rows: Sequence[Sequence[int]]) -> Subspace:
@@ -560,32 +651,8 @@ def left_kernel(field: Field, m: int, rows: Sequence[Sequence[int]]) -> Subspace
 
     The result lives in F_q^len(rows).
     """
-    n = len(rows)
-    pivots: list[tuple[int, Vector, Vector]] = []
-    kernel: list[Vector] = []
-    for i, raw in enumerate(rows):
-        row = tuple(raw)
-        if len(row) != m:
-            raise ValueError(f"row of length {len(row)}, expected {m}")
-        for a in row:
-            field._check(a)
-        coeff = tuple(1 if j == i else 0 for j in range(n))
-        for p, prow, pcoeff in pivots:
-            f = row[p]
-            if f:
-                row = tuple(field.sub(a, field.mul(f, b)) for a, b in zip(row, prow))
-                coeff = tuple(field.sub(a, field.mul(f, b)) for a, b in zip(coeff, pcoeff))
-        p = next((j for j, a in enumerate(row) if a), None)
-        if p is None:
-            # coeff still has a 1 in position i, so it is a nonzero relation
-            kernel.append(coeff)
-        else:
-            inv = field.inv(row[p])
-            if inv != 1:
-                row = tuple(field.mul(inv, a) for a in row)
-                coeff = tuple(field.mul(inv, a) for a in coeff)
-            pivots.append((p, row, coeff))
-    return Subspace(field, n, kernel)
+    k = _kernels(field)
+    return Subspace._canonical(k, len(rows), k.rref(_eliminate(k, m, rows)[1]))
 
 
 def express(field: Field, target: Sequence[int],
@@ -595,55 +662,16 @@ def express(field: Field, target: Sequence[int],
     Returns None when the target is outside their span.  Free choices are
     resolved to zero, so the result is deterministic.
     """
-    n = len(generators)
-    if field.q == 2 and _PACKED_KERNELS:
-        # the generic elimination on packed rows, coefficients as bitmasks
-        basis: list[tuple[int, int, int]] = []
-        for idx, g in enumerate(generators):
-            v = _pack_checked(field, g)
-            c = 1 << idx
-            for p, bv, bc in basis:
-                if (v >> p) & 1:
-                    v ^= bv
-                    c ^= bc
-            if v:
-                basis.append(((v & -v).bit_length() - 1, v, c))
-        v = _pack_checked(field, target)
-        coeffs = 0
-        for p, bv, bc in basis:
-            if (v >> p) & 1:
-                v ^= bv
-                coeffs ^= bc
-        return None if v else _unpack(coeffs, n)
-    _check_entries(field, [target, *generators])
-    piv: dict[int, tuple[list[int], list[int]]] = {}
-    for idx, g in enumerate(generators):
-        v = list(g)
-        c = [0] * n
-        c[idx] = 1
-        for p, (bv, bc) in piv.items():
-            f = v[p]
-            if f:
-                v = [field.sub(x, field.mul(f, y)) for x, y in zip(v, bv)]
-                c = [field.sub(x, field.mul(f, y)) for x, y in zip(c, bc)]
-        p = next((j for j, x in enumerate(v) if x), None)
-        if p is None:
-            continue
-        inv = field.inv(v[p])
-        if inv != 1:
-            v = [field.mul(inv, x) for x in v]
-            c = [field.mul(inv, x) for x in c]
-        piv[p] = (v, c)
-    v = list(target)
-    coeffs = [0] * n
-    for p, (bv, bc) in piv.items():
-        f = v[p]
-        if f:
-            v = [field.sub(x, field.mul(f, y)) for x, y in zip(v, bv)]
-            coeffs = [field.add(x, field.mul(f, y)) for x, y in zip(coeffs, bc)]
-    if any(v):
+    k = _kernels(field)
+    m, n = len(target), len(generators)
+    echelon = _eliminate(k, m, generators)[0]
+    # (target | 0) minus a combination of the generators leaves
+    # (0 | -coefficients), dependent generators taking none
+    x = k.reduce(echelon, k.join(k.pack(target, m), k.zero(n), m))
+    pivot = k.entry(x)
+    if pivot is not None and pivot[0] < m:
         return None
-    return tuple(coeffs)
+    return vec_scale(field, field.neg(1), k.unpack(k.split(x, m)[1], n))
 
 
 def solve(field: Field, rows: Sequence[Sequence[int]], rhs: Sequence[int]) -> Optional[Vector]:
@@ -655,43 +683,25 @@ def solve(field: Field, rows: Sequence[Sequence[int]], rhs: Sequence[int]) -> Op
         raise ValueError("number of equations does not match right-hand side")
     if not rows:
         return ()
+    k = _kernels(field)
     m = len(rows[0])
-    if field.q == 2 and _PACKED_KERNELS:
-        rhs_bits = _pack_checked(field, rhs)
-        aug = [_pack_checked(field, r) | ((rhs_bits >> i) & 1) << m for i, r in enumerate(rows)]
-        x = 0
-        for row in _rref_bits(aug):
-            if row == 1 << m:
-                return None  # 0 = 1
-            # free variables are zero, other pivot columns are already cleared
-            x |= ((row >> m) & 1) << ((row & -row).bit_length() - 1)
-        return _unpack(x, m)
-    _check_entries(field, [*rows, rhs])
-    aug = [tuple(r) + (b,) for r, b in zip(rows, rhs)]
-    reduced = _rref_general(field, aug)
+    # each row with its right-hand side appended, so pack also rejects a
+    # row whose length is not m
+    reduced = k.rref([k.pack((*r, b), m + 1) for r, b in zip(rows, rhs)])
+    pivots = k.pivots(reduced)
+    if pivots and pivots[-1] == m:
+        return None  # 0 = nonzero
     x = [0] * m
-    for row in reduced:
-        p = next(j for j, v in enumerate(row) if v)
-        if p == m:
-            return None  # 0 = nonzero
+    unpack = k.unpack
+    for p, row in zip(pivots, reduced):
         # free variables are zero, other pivot columns are already cleared
-        x[p] = row[m]
+        x[p] = unpack(row, m + 1)[m]
     return tuple(x)
 
 
 def matmul(field: Field, a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> tuple[Vector, ...]:
     """Matrix product with rows as vectors: (a @ b)[i] = sum_j a[i][j] * b[j]."""
-    ncols = len(b[0]) if b else 0
-    if field.q == 2 and _PACKED_KERNELS:
-        product = _matmul_bits([_pack_checked(field, r) for r in a],
-                               [_pack_checked(field, r) for r in b])
-        return tuple(_unpack(r, ncols) for r in product)
-    _check_entries(field, [*a, *b])
-    out = []
-    for row in a:
-        acc = (0,) * ncols
-        for x, br in zip(row, b):
-            if x:
-                acc = vec_add(field, acc, vec_scale(field, x, br))
-        out.append(acc)
-    return tuple(out)
+    k = _kernels(field)
+    n, ncols = len(b), len(b[0]) if b else 0
+    product = k.matmul([k.pack(r, n) for r in a], [k.pack(r, ncols) for r in b])
+    return tuple([k.unpack(r, ncols) for r in product])

@@ -3,11 +3,27 @@ the listing of a group, the oracle for its stabilizer-chain order."""
 
 from __future__ import annotations
 
+import contextlib
+
 import pytest
 
+from frcodes import subspace
 from frcodes.gf import GF
 from frcodes.storage import CodeParams
 from frcodes.subspace import span
+
+
+@pytest.fixture(scope="session")
+def tuple_rows():
+    """A context manager that makes the tuple kernel table the choice for
+    a field.  At q = 2 the tuple kernels are the oracle of the bit ones;
+    spaces and maps built inside hold tuple rows."""
+    @contextlib.contextmanager
+    def choose(field):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setitem(subspace._TABLES, id(field), subspace._TupleRows(field))
+            yield
+    return choose
 
 
 @pytest.fixture(scope="session")

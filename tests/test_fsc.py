@@ -128,6 +128,15 @@ class TestParseErrors:
         assert (err.line, err.col) == (9, 1)
         assert "unknown directive 'map'" in str(err)
 
+    def test_ambient_above_the_maximum(self):
+        # rejected at its token, before any row of that length is read
+        row = "  row" + " 1" + " 0" * 64 + "\n"
+        text = MINIMAL.replace("ambient 4", "ambient 65").replace(
+            "  row 1 0 0 0\n  row 0 1 0 0\n", row)
+        err = error_of(text)
+        assert (err.line, err.col) == (3, 9)
+        assert "between 1 and 64" in str(err)
+
     def test_bad_params(self):
         err = error_of(MINIMAL.replace("params 4 2 3 2 1", "params 4 2 9 2 1"))
         assert err.line == 4

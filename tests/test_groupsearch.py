@@ -65,7 +65,7 @@ def e_sum(m, *idx):
 def invert_rows(field, rows):
     """The inverse matrix: the right half of the reduced echelon form of (rows | I)."""
     m = len(rows)
-    reduced = sub._rref_general(field, [tuple(r) + e(m, i) for i, r in enumerate(rows)])
+    reduced = sub._TupleRows(field).rref([tuple(r) + e(m, i) for i, r in enumerate(rows)])
     return tuple(r[m:] for r in reduced)
 
 
@@ -774,8 +774,8 @@ def _product_by_hand(p, a, b):
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.integers(0, 5), min_size=1, max_size=16))
-def test_packed_compose_matches_generic_product(word):
-    # over GF(2) compose multiplies packed rows; the generic kernels and
+def test_packed_compose_matches_generic_product(tuple_rows, word):
+    # over GF(2) compose multiplies packed rows; the tuple kernels and
     # plain integer arithmetic must give the same matrix, which the
     # checking constructor accepts with the same key
     gens = _gl_generators(F2, 5)
@@ -784,12 +784,11 @@ def test_packed_compose_matches_generic_product(word):
     for i in word:
         g = gens[i % len(gens)]
         expected = _product_by_hand(2, rows, g.rows)
-        try:
-            sub._PACKED_KERNELS = False
+        with tuple_rows(F2):
             rows = matmul(F2, rows, g.rows)
-        finally:
-            sub._PACKED_KERNELS = True
+            generic = LinearMap(F2, 5, g.rows).compose(LinearMap(F2, 5, product.rows))
         assert rows == expected
+        assert generic.rows == expected
         product = g.compose(product)
     checked = LinearMap(F2, 5, rows)
     assert product.rows == checked.rows
@@ -896,20 +895,18 @@ def _random_invertible(rng, field, m):
             return LinearMap(field, m, rows)
 
 
-def test_packed_apply_matches_generic_image():
+def test_packed_apply_matches_generic_image(tuple_rows):
     # over GF(2) apply multiplies packed rows and reduces them; with the
-    # packed kernels off it runs on tuple rows, and both give one image
+    # tuple table chosen it runs on tuple rows, and both give one image
     rng = random.Random(59)
     planes = list(subspaces(F2, 5, 2))
     assert len(planes) == 155
     for _ in range(20):
         g = _random_invertible(rng, F2, 5)
         packed = [g.apply(u) for u in planes]
-        try:
-            sub._PACKED_KERNELS = False
-            generic = [g.apply(u) for u in planes]
-        finally:
-            sub._PACKED_KERNELS = True
+        with tuple_rows(F2):
+            h = LinearMap(F2, 5, g.rows)
+            generic = [h.apply(span(F2, 5, u.rows)) for u in planes]
         assert [u.key for u in packed] == [u.key for u in generic]
         assert [u.rows for u in packed] == [u.rows for u in generic]
         assert len({u.key for u in packed}) == 155
@@ -977,7 +974,7 @@ def _run_search(search, field, m, pairs, cap):
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from([2, 3, 4]), st.integers(1, 4), st.integers(0, 2**32),
        st.booleans())
-def test_map_search_matches_express_oracle(q, m, seed, mismatched):
+def test_map_search_matches_express_oracle(tuple_rows, q, m, seed, mismatched):
     # sources paired with their images under a random invertible map,
     # some of them replaced by random spaces when mismatched: the
     # incremental echelons give the oracle's maps in its order, its node
@@ -993,15 +990,14 @@ def test_map_search_matches_express_oracle(q, m, seed, mismatched):
         targets = [_random_subspace(rng, field, m) if rng.random() < 0.5 else u
                    for u in targets]
     pairs = list(zip(sources, targets))
-    modes = [True, False] if q == 2 else [True]
     for cap in (800, rng.randrange(1, 60)):
         expected = _run_search(express_map_search, field, m, pairs, cap)
-        for packed in modes:
-            try:
-                sub._PACKED_KERNELS = packed
-                got = _run_search(groupsearch._constrained_images, field, m, pairs, cap)
-            finally:
-                sub._PACKED_KERNELS = True
+        got = _run_search(groupsearch._constrained_images, field, m, pairs, cap)
+        assert got == expected
+        if q == 2:
+            with tuple_rows(F2):
+                held = [(span(field, m, a.rows), span(field, m, b.rows)) for a, b in pairs]
+                got = _run_search(groupsearch._constrained_images, field, m, held, cap)
             assert got == expected
         found, nodes, capped = expected
         if not capped:

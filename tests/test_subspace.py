@@ -1,7 +1,10 @@
 """Subspace tests: canonical form, set operations against brute-force oracles,
 enumeration counts against the Gaussian binomial, packed vs generic kernels."""
 
+import contextlib
+import copy
 import itertools
+import pickle
 import random
 
 import pytest
@@ -234,21 +237,19 @@ def test_subspaces_within_a_space():
 # ----------------------------------------------------------------------
 # packed vs generic kernels
 
-def test_packed_and_generic_kernels_agree():
+def test_packed_and_generic_kernels_agree(tuple_rows):
     rng = random.Random(1234)
+    bits = sub._BitRows(F2)
     cases = []
     for m in (3, 5, 8):
         for _ in range(40):
             n = rng.randrange(1, m + 2)
             cases.append((m, [tuple(rng.randrange(2) for _ in range(m)) for _ in range(n)]))
     for m, rows in cases:
-        packed = [sub._unpack(r, m) for r in sub._rref_bits(sub._pack(r) for r in rows)]
-        generic = sub._rref_general(F2, rows)
-        try:
-            sub._PACKED_KERNELS = False
+        packed = [bits.unpack(r, m) for r in sub._rref_bits(bits.pack(r, m) for r in rows)]
+        generic = sub._TupleRows(F2).rref(rows)
+        with tuple_rows(F2):
             a = span(F2, m, rows)
-        finally:
-            sub._PACKED_KERNELS = True
         assert packed == generic
         b = span(F2, m, rows)
         assert a.key == b.key and a.rows == b.rows
@@ -256,23 +257,23 @@ def test_packed_and_generic_kernels_agree():
 
 def test_bit_bytes_matches_unpack():
     # packed rows become entry bytes eight bits at a time, in one or
-    # more chunks
+    # more chunks, and unpack reads the rows from those bytes
     rng = random.Random(5)
     for m in range(65):
         for row in [0, (1 << m) - 1] + [rng.getrandbits(m) for _ in range(20)]:
-            assert sub._bit_bytes(row, m) == bytes(sub._unpack(row, m))
+            entries = tuple((row >> j) & 1 for j in range(m))
+            assert sub._bit_bytes(row, m) == bytes(entries)
+            assert sub._unpack(row, m) == entries
 
 
-def test_packed_and_generic_intersection_agree():
+def test_packed_and_generic_intersection_agree(tuple_rows):
     rng = random.Random(77)
     spaces = _sample_spaces(F2, 6, rng, 12)
     for a, b in itertools.combinations(spaces, 2):
         fast = (a & b, a + b)
-        try:
-            sub._PACKED_KERNELS = False
+        with tuple_rows(F2):
+            a, b = span(F2, 6, a.rows), span(F2, 6, b.rows)
             slow = (a & b, a + b)
-        finally:
-            sub._PACKED_KERNELS = True
         assert fast[0].rows == slow[0].rows
         assert fast[1].rows == slow[1].rows
 
@@ -360,7 +361,7 @@ def test_matmul_and_inverse():
                 continue
             found += 1
             # the right half of the reduced echelon form of (rows | I)
-            reduced = sub._rref_general(field, [r + e for r, e in zip(rows, ident)])
+            reduced = sub._TupleRows(field).rref([r + e for r, e in zip(rows, ident)])
             inv = tuple(r[m:] for r in reduced)
             assert matmul(field, rows, inv) == ident
             assert matmul(field, inv, rows) == ident
@@ -368,7 +369,7 @@ def test_matmul_and_inverse():
             assert matmul(field, matmul(field, [v], rows), inv) == (v,)
 
 
-def test_out_of_field_entries_rejected():
+def test_out_of_field_entries_rejected(tuple_rows):
     # every path checks the entries of its tuple input, the packed GF(2)
     # ones included, which once read any nonzero entry as 1
     ident = ((1, 0), (0, 1))
@@ -388,32 +389,54 @@ def test_out_of_field_entries_rejected():
         lambda: matmul(F4, [(4, 0)], ident),
         lambda: express(F3, (1, 0), [(1, 3)]),
     ]
-    for packed in (True, False):
-        try:
-            sub._PACKED_KERNELS = packed
+    for choice in (contextlib.nullcontext(), tuple_rows(F2)):
+        with choice:
             for call in calls:
                 with pytest.raises(ValueError, match="not an element"):
                     call()
-        finally:
-            sub._PACKED_KERNELS = True
 
 
-def _generic(compute):
-    """compute() with the generic kernels at q = 2, the packed ones' oracle."""
-    try:
-        sub._PACKED_KERNELS = False
+@pytest.mark.parametrize("field", [F2, F3], ids=["GF(2)", "GF(3)"])
+def test_malformed_rows_rejected(field):
+    # every public matrix utility checks the length of each row in the
+    # table's checked pack, the same on every field
+    ident = [(1, 0), (0, 1)]
+    calls = [
+        lambda: matmul(field, [(1, 1, 1)], ident),
+        lambda: matmul(field, ident, [(1, 0), (1,)]),
+        lambda: express(field, (1, 0), [(1, 0, 1)]),
+        lambda: solve(field, [(1, 0), (1,)], [1, 1]),
+        lambda: rank_of(field, 2, [(1, 0, 1)]),
+        lambda: left_kernel(field, 2, [(1, 0, 1)]),
+        lambda: span(field, 2, [(1, 0, 1)]),
+        lambda: span(field, 2, [(1, 0)]).reduce((1, 0, 0)),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="length"):
+            call()
+
+
+@pytest.mark.parametrize("field", [F2, F3], ids=["GF(2)", "GF(3)"])
+def test_pickle_and_copy_keep_the_space(field):
+    space = span(field, 3, [(1, 1, 0), (0, 0, 1)])
+    for twin in (pickle.loads(pickle.dumps(space)), copy.copy(space), copy.deepcopy(space)):
+        assert twin == space and twin.rows == space.rows
+        assert twin + space == space
+
+
+def _generic(tuple_rows, compute):
+    """compute() with the tuple kernels chosen at q = 2, the bit ones' oracle."""
+    with tuple_rows(F2):
         return compute()
-    finally:
-        sub._PACKED_KERNELS = True
 
 
-def test_packed_keys_match_make_key():
+def test_packed_keys_match_make_key(tuple_rows):
     # every subspace of F_2^m for m <= 6, in enumeration order, then
     # random spans up to the largest ambient dimension
     for m in range(7):
         for d in range(m + 1):
             packed = list(subspaces(F2, m, d))
-            generic = _generic(lambda: list(subspaces(F2, m, d)))
+            generic = _generic(tuple_rows, lambda: list(subspaces(F2, m, d)))
             assert [s.rows for s in packed] == [s.rows for s in generic]
             for s in packed:
                 assert s.key == sub._make_key(2, m, s.rows, s.pivots)
@@ -425,7 +448,7 @@ def test_packed_keys_match_make_key():
         s = span(F2, m, vectors)
         assert s.key == sub._make_key(2, m, s.rows, s.pivots)
         if trial % 10 == 0:
-            assert s.rows == _generic(lambda: span(F2, m, vectors).rows)
+            assert s.rows == _generic(tuple_rows, lambda: span(F2, m, vectors).rows)
 
 
 @st.composite
@@ -456,9 +479,9 @@ def _core_results(m, a, b, target, rhs):
 
 @settings(max_examples=300, deadline=None)
 @given(_generator_sets())
-def test_packed_core_matches_generic(case):
+def test_packed_core_matches_generic(tuple_rows, case):
     packed = _core_results(*case)
-    generic = _generic(lambda: _core_results(*case))
+    generic = _generic(tuple_rows, lambda: _core_results(*case))
     assert packed == generic
     m = case[0]
     for rows, pivots, _, key in generic["spaces"].values():
