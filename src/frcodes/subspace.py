@@ -222,8 +222,9 @@ class _BitRows:
 
     def pack(self, row: Sequence[int], m: int) -> int:
         """row as one int, after checking it has m entries, each 0 or 1."""
+        row = tuple(row)
         if len(row) != m:
-            raise ValueError(f"{tuple(row)!r} does not have length {m}")
+            raise ValueError(f"{row!r} does not have length {m}")
         acc = 0
         for x in reversed(row):  # the last entry is the highest bit
             if (x.__class__ is not int and not isinstance(x, int)) or not 0 <= x <= 1:
@@ -613,8 +614,7 @@ def subspaces(field: Field, m: int, d: int, cap: int = SUBSPACE_ENUM_CAP) -> Ite
     """All d-dimensional subspaces of F_q^m, in ascending canonical-key order."""
     if not 0 <= d <= m:
         raise ValueError(f"dimension {d} is not between 0 and {m}")
-    if m > MAX_AMBIENT:
-        raise ValueError(f"ambient dimension {m} exceeds the supported maximum {MAX_AMBIENT}")
+    _check_ambient(m)
     k = _kernels(field)
     for basis in _reduced_bases(k, m, d, cap):
         yield Subspace._canonical(k, m, basis)
