@@ -267,7 +267,7 @@ def _constrained_images(field: Field, m: int, pairs: Sequence[tuple[Subspace, Su
     k = _kernels(field)
     reduce, entry, join = k.reduce, k.entry, k.join
     full = full_space(field, m)
-    zero = k.pack((0,) * m, m)
+    zero = k.zero(m)
     minus_one = field.neg(1)
 
     def image(x) -> tuple[int, ...]:

@@ -635,10 +635,11 @@ def _eliminate(k: _Kernels, m: int, rows: Sequence[Sequence[int]]) -> tuple[list
     and the relations the dependent rows leave in their right halves.
     """
     n = len(rows)
+    pack, unit, join, reduce, entry = k.pack, k.unit, k.join, k.reduce, k.entry
     echelon: list = []
     relations = []
     for i, row in enumerate(rows):
-        pivot, x = k.entry(k.reduce(echelon, k.join(k.pack(row, m), k.unit(n, i), m)))
+        pivot, x = entry(reduce(echelon, join(pack(row, m), unit(n, i), m)))
         if pivot < m:
             echelon.append((pivot, x))
         else:
@@ -687,7 +688,8 @@ def solve(field: Field, rows: Sequence[Sequence[int]], rhs: Sequence[int]) -> Op
     m = len(rows[0])
     # each row with its right-hand side appended, so pack also rejects a
     # row whose length is not m
-    reduced = k.rref([k.pack((*r, b), m + 1) for r, b in zip(rows, rhs)])
+    pack = k.pack
+    reduced = k.rref([pack((*r, b), m + 1) for r, b in zip(rows, rhs)])
     pivots = k.pivots(reduced)
     if pivots and pivots[-1] == m:
         return None  # 0 = nonzero
