@@ -203,7 +203,7 @@ def _bits_key(m: int, bits: Sequence[int], pivots: Sequence[int]) -> bytes:
 # reduce(echelon, x) the reduction of x against (pivot, row) pairs whose
 # rows are 1 at their pivot and 0 at the pivots before.  join and split
 # put two rows side by side and take them apart again, for the
-# doubled-column reductions.
+# doubled-column reductions, and column(rows, j) reads column j of rows.
 
 class _BitRows:
     """GF(2) rows packed into ints, bit j holding coordinate j."""
@@ -222,14 +222,16 @@ class _BitRows:
 
     def pack(self, row: Sequence[int], m: int) -> int:
         """row as one int, after checking it has m entries, each 0 or 1."""
-        row = tuple(row)
-        if len(row) != m:
-            raise ValueError(f"{row!r} does not have length {m}")
         acc = 0
-        for x in reversed(row):  # the last entry is the highest bit
+        bit = 1
+        for x in row:
             if (x.__class__ is not int and not isinstance(x, int)) or not 0 <= x <= 1:
                 raise ValueError(f"{x!r} is not an element of {self.field!r}")
-            acc = acc << 1 | x
+            if x:
+                acc |= bit
+            bit <<= 1
+        if bit >> m != 1:
+            raise ValueError(f"{row!r} does not have length {m}")
         return acc
 
     @staticmethod
@@ -269,6 +271,10 @@ class _BitRows:
         return row & ((1 << m) - 1), row >> m
 
     @staticmethod
+    def column(rows: Iterable[int], j: int) -> list[int]:
+        return [(r >> j) & 1 for r in rows]
+
+    @staticmethod
     def span(basis: Sequence[int], m: int) -> list[int]:
         """Every vector of the span, in the order of Subspace.vectors."""
         out = [0]
@@ -277,15 +283,15 @@ class _BitRows:
         return out
 
     @staticmethod
-    def fill(m: int, pivots: Sequence[int], free: Sequence[tuple[int, int]]) -> Iterator[list[int]]:
-        """The reduced bases with these pivots, the free entries in row-major order."""
-        base = [1 << p for p in pivots]
-        for values in itertools.product((0, 1), repeat=len(free)):
-            rows = base[:]
-            for (i, j), v in zip(free, values):
-                if v:
-                    rows[i] |= 1 << j
-            yield rows
+    def reduced_bases(m: int, d: int) -> Iterator[list[int]]:
+        for pivots, free in _pivot_patterns(m, d):
+            base = [1 << p for p in pivots]
+            for values in itertools.product((0, 1), repeat=len(free)):
+                rows = base[:]
+                for (i, j), v in zip(free, values):
+                    if v:
+                        rows[i] |= 1 << j
+                yield rows
 
 
 class _TupleRows:
@@ -363,6 +369,10 @@ class _TupleRows:
     def split(row: Vector, m: int) -> tuple[Vector, Vector]:
         return row[:m], row[m:]
 
+    @staticmethod
+    def column(rows: Iterable[Vector], j: int) -> list[int]:
+        return [r[j] for r in rows]
+
     def matmul(self, a: Iterable[Vector], b: Sequence[Vector]) -> list[Vector]:
         field = self.field
         zero = (0,) * (len(b[0]) if b else 0)
@@ -388,19 +398,14 @@ class _TupleRows:
                     v = vec_add(field, v, vec_scale(field, c, row))
             yield v
 
-    def fill(self, m: int, pivots: Sequence[int],
-             free: Sequence[tuple[int, int]]) -> Iterator[list[Vector]]:
-        """The reduced bases with these pivots, the free entries in row-major order."""
-        base = []
-        for p in pivots:
-            row = [0] * m
-            row[p] = 1
-            base.append(row)
-        for values in itertools.product(range(self.field.q), repeat=len(free)):
-            rows = [list(r) for r in base]
-            for (i, j), v in zip(free, values):
-                rows[i][j] = v
-            yield [tuple(r) for r in rows]
+    def reduced_bases(self, m: int, d: int) -> Iterator[list[Vector]]:
+        for pivots, free in _pivot_patterns(m, d):
+            base = [[1 if j == p else 0 for j in range(m)] for p in pivots]
+            for values in itertools.product(range(self.field.q), repeat=len(free)):
+                rows = [list(r) for r in base]
+                for (i, j), v in zip(free, values):
+                    rows[i][j] = v
+                yield [tuple(r) for r in rows]
 
 
 _Kernels = _BitRows | _TupleRows
@@ -596,18 +601,22 @@ def gaussian_binomial(m: int, d: int, q: int) -> int:
     return num // den
 
 
+def _pivot_patterns(m: int, d: int) -> Iterator[tuple[tuple[int, ...], list[tuple[int, int]]]]:
+    """Each pivot-column pattern of a d-row reduced basis of F_q^m, with
+    its free entries (row, column) in row-major order."""
+    for pivots in itertools.combinations(range(m), d):
+        pivset = set(pivots)
+        yield pivots, [(i, j) for i in range(d) for j in range(pivots[i] + 1, m)
+                       if j not in pivset]
+
+
 def _reduced_bases(k: _Kernels, m: int, d: int, cap: int) -> Iterator[list]:
-    """Reduced-basis matrices of all d-dim subspaces of F_q^m, canonical order."""
+    """Reduced-basis matrices of all d-dim subspaces of F_q^m, canonical order,
+    in the table's row format."""
     count = gaussian_binomial(m, d, k.field.q)
     if count > cap:
         raise CapExceeded(f"{count} subspaces of dimension {d} exceed cap {cap}")
-    if d == 0:
-        yield []
-        return
-    for pivots in itertools.combinations(range(m), d):
-        pivset = set(pivots)
-        free = [(i, j) for i in range(d) for j in range(pivots[i] + 1, m) if j not in pivset]
-        yield from k.fill(m, pivots, free)
+    return k.reduced_bases(m, d)
 
 
 def subspaces(field: Field, m: int, d: int, cap: int = SUBSPACE_ENUM_CAP) -> Iterator[Subspace]:
@@ -694,10 +703,9 @@ def solve(field: Field, rows: Sequence[Sequence[int]], rhs: Sequence[int]) -> Op
     if pivots and pivots[-1] == m:
         return None  # 0 = nonzero
     x = [0] * m
-    unpack = k.unpack
-    for p, row in zip(pivots, reduced):
-        # free variables are zero, other pivot columns are already cleared
-        x[p] = unpack(row, m + 1)[m]
+    # free variables are zero, other pivot columns are already cleared
+    for p, c in zip(pivots, k.column(reduced, m)):
+        x[p] = c
     return tuple(x)
 
 
