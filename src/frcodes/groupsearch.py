@@ -272,7 +272,7 @@ def _constrained_images(field: Field, m: int, pairs: Sequence[tuple[Subspace, Su
 
     def image(x) -> tuple[int, ...]:
         # -g(v), read from the image half of a reduced (v | 0)
-        return vec_scale(field, minus_one, k.unpack(k.split(x, m)[1], m))
+        return vec_scale(field, minus_one, k.unpack(k.right(x, m), m))
 
     # (v | 0), the target's rows in the image half (None: no constraint),
     # the space of candidate images

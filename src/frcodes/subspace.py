@@ -196,14 +196,17 @@ def _bits_key(m: int, bits: Sequence[int], pivots: Sequence[int]) -> bytes:
 # the two row formats
 #
 # A table holds every kernel that depends on the row format; rows in a
-# table's own format are "held" rows.  echelon(rows) is an echelon basis
+# table's own format are "held" rows.  pack checks a tuple row and
+# holds it, unpack gives it back.  echelon(rows) is an echelon basis
 # (its length is the rank), rref(rows) the reduced basis sorted by
 # pivot, residual(space, v) the reduction of v against a space's
 # canonical basis (falsy exactly when v lies in the space), and
 # reduce(echelon, x) the reduction of x against (pivot, row) pairs whose
-# rows are 1 at their pivot and 0 at the pivots before.  join and split
-# put two rows side by side and take them apart again, for the
-# doubled-column reductions, and column(rows, j) reads column j of rows.
+# rows are 1 at their pivot and 0 at the pivots before.  join(left,
+# right, m) puts two rows side by side and right(row, m) takes back the
+# columns from m on, for the doubled-column reductions; column(rows, j)
+# reads one column.  span lists the vectors of a span and reduced_bases
+# the reduced bases of every d-dimensional subspace, in canonical order.
 
 class _BitRows:
     """GF(2) rows packed into ints, bit j holding coordinate j."""
@@ -267,8 +270,8 @@ class _BitRows:
         return left | right << m
 
     @staticmethod
-    def split(row: int, m: int) -> tuple[int, int]:
-        return row & ((1 << m) - 1), row >> m
+    def right(row: int, m: int) -> int:
+        return row >> m
 
     @staticmethod
     def column(rows: Iterable[int], j: int) -> list[int]:
@@ -366,8 +369,8 @@ class _TupleRows:
         return left + right
 
     @staticmethod
-    def split(row: Vector, m: int) -> tuple[Vector, Vector]:
-        return row[:m], row[m:]
+    def right(row: Vector, m: int) -> Vector:
+        return row[m:]
 
     @staticmethod
     def column(rows: Iterable[Vector], j: int) -> list[int]:
@@ -524,7 +527,7 @@ class Subspace:
         # the rows with no left half are the reduced tail of a reduced
         # basis, so their right halves are reduced already
         tail = bisect.bisect_left(k.pivots(reduced), m)
-        return Subspace._canonical(k, m, [k.split(r, m)[1] for r in reduced[tail:]])
+        return Subspace._canonical(k, m, [k.right(r, m) for r in reduced[tail:]])
 
     # ------------------------------------------------------------------
 
@@ -652,7 +655,7 @@ def _eliminate(k: _Kernels, m: int, rows: Sequence[Sequence[int]]) -> tuple[list
         if pivot < m:
             echelon.append((pivot, x))
         else:
-            relations.append(k.split(x, m)[1])
+            relations.append(k.right(x, m))
     return echelon, relations
 
 
@@ -681,7 +684,7 @@ def express(field: Field, target: Sequence[int],
     pivot = k.entry(x)
     if pivot is not None and pivot[0] < m:
         return None
-    return vec_scale(field, field.neg(1), k.unpack(k.split(x, m)[1], n))
+    return vec_scale(field, field.neg(1), k.unpack(k.right(x, m), n))
 
 
 def solve(field: Field, rows: Sequence[Sequence[int]], rhs: Sequence[int]) -> Optional[Vector]:
