@@ -51,11 +51,10 @@ from .subspace import (
     Vector,
     _sum_dim,
     left_kernel,
+    matmul,
     rank_of,
     span,
     subspaces,
-    vec_add,
-    vec_scale,
 )
 
 __all__ = [
@@ -228,19 +227,7 @@ def mds_check(field: Field, generator: Sequence[Sequence[int]], r: int, kdim: in
             raise ValueError(f"generator row of length {len(row)}, expected {r}")
     if len(rows) != kdim or rank_of(field, r, rows) != kdim:
         return False
-    if field.q ** kdim > cap:
-        raise CapExceeded(f"q^{kdim} codewords exceed cap {cap}")
-    best = None
-    for coeffs in itertools.product(range(field.q), repeat=kdim):
-        if not any(coeffs):
-            continue
-        word = (0,) * r
-        for c, row in zip(coeffs, rows):
-            word = vec_add(field, word, vec_scale(field, c, row))
-        weight = sum(1 for a in word if a)
-        if best is None or weight < best:
-            best = weight
-    return best == d_target
+    return _min_weight(span(field, r, rows).vectors(cap)) == d_target
 
 
 class NoMDSCodeError(ValueError):
@@ -309,6 +296,21 @@ def forbidden_traces(collection: GoodCollection) -> tuple[Subspace, ...]:
     return _traces(collection.spaces)
 
 
+def _repair_vectors(collection: GoodCollection,
+                    w: Sequence[Sequence[int]]) -> tuple[Vector, ...]:
+    """The repair vectors as tuples, each checked to lie in its member
+    and off that member's forbidden trace."""
+    w = tuple(tuple(v) for v in w)
+    if len(w) != collection.r:
+        raise ValueError(f"expected {collection.r} repair vectors, got {len(w)}")
+    for i, (v, trace) in enumerate(zip(w, forbidden_traces(collection))):
+        if v not in collection.spaces[i]:
+            raise ValueError(f"repair vector {i} is not in its member space")
+        if v in trace:
+            raise ValueError(f"repair vector {i} lies in the span of the other members")
+    return w
+
+
 def verify_replacement_equivalence(collection: GoodCollection,
                                    w: Sequence[Sequence[int]],
                                    target: Subspace) -> bool:
@@ -323,19 +325,10 @@ def verify_replacement_equivalence(collection: GoodCollection,
     """
     r, s = collection.r, collection.s
     field = collection.field
-    w = tuple(tuple(v) for v in w)
-    if len(w) != r:
-        raise ValueError(f"expected {r} repair vectors, got {len(w)}")
-    traces = forbidden_traces(collection)
-    for i, v in enumerate(w):
-        if v not in collection.spaces[i]:
-            raise ValueError(f"repair vector {i} is not in its member space")
-        if v in traces[i]:
-            raise ValueError(
-                f"repair vector {i} lies in the span of the other members")
+    w = _repair_vectors(collection, w)
     if target.dim != s + 1:
         raise ValueError(f"newcomer of dimension {target.dim}, expected {s + 1}")
-    hull = span(field, collection.m, [tuple(v) for v in w])
+    hull = span(field, collection.m, w)
     if not target <= hull:
         raise ValueError("newcomer is not inside the span of the repair vectors")
     replaced_good = True
@@ -346,12 +339,12 @@ def verify_replacement_equivalence(collection: GoodCollection,
             replaced_good = False
             break
     code = repair_code(collection, w, target)
-    independent = rank_of(field, collection.m, [tuple(v) for v in w]) == r
+    independent = rank_of(field, collection.m, w) == r
     code_good = independent and code.is_mds(s + 1, r - s)
     if replaced_good != code_good:
         raise RuntimeError(
             f"replacement equivalence violated: replacements good = {replaced_good}, "
-            f"independent w and MDS code = {code_good} (w = {tuple(map(tuple, w))})")
+            f"independent w and MDS code = {code_good} (w = {w})")
     return replaced_good
 
 
@@ -452,8 +445,7 @@ def choose_repair_vectors(collection: GoodCollection,
 def family_step(collection: GoodCollection,
                 w: Optional[Sequence[Sequence[int]]] = None,
                 generator: Optional[Sequence[Sequence[int]]] = None,
-                rng: Optional[random.Random] = None,
-                check_equivalence: bool = False) -> StepResult:
+                rng: Optional[random.Random] = None) -> StepResult:
     """Produce a newcomer preserving goodness, with all r replacements.
 
     The newcomer is the image of the MDS coefficient code under
@@ -464,16 +456,8 @@ def family_step(collection: GoodCollection,
     r, s = collection.r, collection.s
     field = collection.field
     m = collection.m
-    if w is None:
-        w = choose_repair_vectors(collection, rng)
-    w = tuple(tuple(v) for v in w)
-    traces = forbidden_traces(collection)
-    for i, v in enumerate(w):
-        if v not in collection.spaces[i]:
-            raise ValueError(f"repair vector {i} is not in its member space")
-        if v in traces[i]:
-            raise ValueError(
-                f"repair vector {i} lies in the span of the other members")
+    w = _repair_vectors(collection, w if w is not None
+                        else choose_repair_vectors(collection, rng))
     if rank_of(field, m, w) != r:
         raise ValueError("repair vectors are not independent")
     if generator is None:
@@ -481,17 +465,8 @@ def family_step(collection: GoodCollection,
     generator = tuple(tuple(row) for row in generator)
     if not mds_check(field, generator, r, s + 1):
         raise ValueError(f"generator does not span an [{r},{s + 1},{r - s}] MDS code")
-    images = []
-    for row in generator:
-        total = (0,) * m
-        for c, v in zip(row, w):
-            total = vec_add(field, total, vec_scale(field, c, v))
-        images.append(total)
-    newcomer = span(field, m, images)
+    newcomer = span(field, m, matmul(field, generator, w))
     _require(newcomer.dim == s + 1, "the newcomer has dimension s + 1")
-    if check_equivalence:
-        if not verify_replacement_equivalence(collection, w, newcomer):
-            raise AssertionError("replacements are not good despite an MDS code")
     replacements = []
     for i in range(r):
         members = list(collection.spaces)
@@ -536,13 +511,12 @@ def cutset_bound(k: int, r: int, alpha: int, beta: int) -> int:
 # ----------------------------------------------------------------------
 # the family as a storage code
 
-def family_code(r: int, s: int, q: int, closure_cap: int = 100_000,
-                obtainable_cap: int = 10**5) -> StateSet:
+def family_code(r: int, s: int, q: int) -> StateSet:
     """Materialized reachable closure of the family code from its seed.
 
     Every collection the closure adds is good, and every collection gets
-    a certifying newcomer during the search.  Sizes grow quickly; the
-    cap guards against runaway enumeration.
+    a certifying newcomer during the search.  Sizes grow quickly;
+    storage.CLOSURE_CAP guards against runaway enumeration.
     """
     params = family_params(r, s, q)
     seed = construct_good(r, s, q).to_repairing_collection()
@@ -550,8 +524,7 @@ def family_code(r: int, s: int, q: int, closure_cap: int = 100_000,
     def admissible(members: Sequence[Subspace]) -> bool:
         return is_good(list(members), r, s)
 
-    return reachable_closure(seed, params, admissible, cap=closure_cap,
-                             obtainable_cap=obtainable_cap)
+    return reachable_closure(seed, params, admissible)
 
 
 class GoodCollectionSet(StateSet):
@@ -566,11 +539,12 @@ class GoodCollectionSet(StateSet):
     Goodness is a set of rank conditions on sums of members, so every
     invertible map g carries the code onto itself, and the (r, beta)
     repairs of C onto those of gC: the valid newcomers of gC are g
-    applied to those of C.  So valid_newcomers keeps one searched
-    representative R per orbit met, with its newcomers N_j, candidate
-    cap and member traces (computed once, for every transport from it),
-    and answers a collection C with some map g, g(R) = C, by the moved
-    newcomers sorted by key, the tuple the search would give.
+    applied to those of C.  So _newcomers, which answers
+    valid_newcomers, keeps one representative R per orbit met, with the
+    newcomers N_j the engine found for it and its member traces
+    (computed once, for every transport from it), and answers a
+    collection C with some map g, g(R) = C, by the moved newcomers
+    sorted by key, the tuple the engine would give.
 
     Each collection so answered that is in the collection cache gets a
     placement: its orbit, g (None for R itself), which member R_i each
@@ -584,9 +558,9 @@ class GoodCollectionSet(StateSet):
     by a map search once per edge (orbit, j, i) and cached, and the
     composite is checked by moving the representative's members.  When
     no edge applies or the check fails, the set searches a map from each
-    representative in turn; past that (no map, a map search past its
-    cap, or a smaller candidate cap than the representative's) it
-    searches the newcomers, and records a new representative.
+    representative in turn; past that (no map, or a map search past its
+    cap) the engine enumerates the newcomers, and the collection becomes
+    a new representative.
     """
 
     def __init__(self, r: int, s: int, q: int):
@@ -594,7 +568,7 @@ class GoodCollectionSet(StateSet):
         self.s = s
         seed = construct_good(r, s, q)
         super().__init__(seed.params, [seed.to_repairing_collection()])
-        self._orbits: list[tuple[RepairingCollection, int, tuple[Subspace, ...],
+        self._orbits: list[tuple[RepairingCollection, tuple[Subspace, ...],
                                  tuple[Subspace, ...]]] = []
         # each placed collection minus one member -> the removed member's
         # key -> ((orbit, g, member origins, newcomer key -> j), position)
@@ -605,12 +579,9 @@ class GoodCollectionSet(StateSet):
     def _completions(self, collection: RepairingCollection) -> None:
         return None
 
-    def _transport(self, collection: RepairingCollection,
-                   cap: int) -> Optional[tuple[int, LinearMap]]:
+    def _transport(self, collection: RepairingCollection) -> Optional[tuple[int, LinearMap]]:
         # the first representative some map carries onto the collection
-        for orbit, (representative, searched_cap, _, traces) in enumerate(self._orbits):
-            if cap < searched_cap:
-                continue
+        for orbit, (representative, _, traces) in enumerate(self._orbits):
             try:
                 g = _transporter(representative, collection, TRANSPORT_CAP, traces)
             except CapExceeded:
@@ -623,7 +594,7 @@ class GoodCollectionSet(StateSet):
                g: Optional[LinearMap]) -> Optional[tuple[Subspace, ...]]:
         """The newcomers of the collection when g carries the orbit's
         representative onto it, else None; records the placement."""
-        representative, _, newcomers, _ = self._orbits[orbit]
+        representative, newcomers, _ = self._orbits[orbit]
         members = (representative.spaces if g is None
                    else [g.apply(u) for u in representative.spaces])
         origins = sorted(range(len(members)), key=lambda t: members[t].key)
@@ -638,8 +609,7 @@ class GoodCollectionSet(StateSet):
                     placement, p)
         return tuple(sorted(moved, key=lambda u: u.key))
 
-    def _place_by_edge(self, collection: RepairingCollection,
-                       cap: int) -> Optional[tuple[Subspace, ...]]:
+    def _place_by_edge(self, collection: RepairingCollection) -> Optional[tuple[Subspace, ...]]:
         # the first placed collection that a repair edge leads from
         key = collection.key
         for p, member in enumerate(key):
@@ -651,29 +621,26 @@ class GoodCollectionSet(StateSet):
                 i = origins[q]
                 edge = self._edges.get((orbit, j, i))
                 if edge is None:
-                    representative, _, newcomers, _ = self._orbits[orbit]
-                    edge = self._transport(representative.replace(i, newcomers[j]), cap)
+                    representative, newcomers, _ = self._orbits[orbit]
+                    edge = self._transport(representative.replace(i, newcomers[j]))
                     if edge is None:
                         return None
                     self._edges[(orbit, j, i)] = edge
                 target, h = edge
-                if cap < self._orbits[target][1]:
-                    return None
                 return self._place(collection, target, h if g is None else g.compose(h))
         return None
 
-    def _equivariant_newcomers(self, collection: RepairingCollection,
-                               cap: int) -> tuple[Subspace, ...]:
-        newcomers = self._place_by_edge(collection, cap)
+    def _newcomers(self, collection: RepairingCollection) -> tuple[Subspace, ...]:
+        newcomers = self._place_by_edge(collection)
         if newcomers is not None:
             return newcomers
-        found = self._transport(collection, cap)
+        found = self._transport(collection)
         if found is not None:
             newcomers = self._place(collection, *found)
             if newcomers is not None:
                 return newcomers
-        _, newcomers = _newcomer_search(self, collection, True, cap)
-        self._orbits.append((collection, cap, newcomers, _traces(collection.spaces)))
+        _, newcomers = _newcomer_search(self.params, self.__contains__, collection, None, True)
+        self._orbits.append((collection, newcomers, _traces(collection.spaces)))
         self._place(collection, len(self._orbits) - 1, None)
         return newcomers
 

@@ -15,16 +15,23 @@ every collection in A there is at least one obtainable newcomer space U
 such that replacing any single member by U lands inside A again, and
 every collection contains a spanning k-subset.  `check_repair_property`
 verifies exactly that, recording one witness per collection (or, on
-request, every valid newcomer).  A newcomer declared for a collection is
-a certificate: it is checked and is the verdict, with no newcomer
-search.  `check_repair_property` is the full check that `frcodes verify`
-runs on every collection; an orbit of a symmetry group
-(`groupsearch.orbit_code`) is checked at its seed alone, and its other
-members take the seed's verdict.
-Replacing a member of C by a valid newcomer gives a member of A, so for
-a listed A only such completions of C are tested for obtainability; a
-set whose membership is a predicate enumerates every obtainable space
-instead.
+request, every valid newcomer); `frcodes verify` runs it on every
+collection.  An orbit of a symmetry group (`groupsearch.orbit_code`) is
+checked at its seed alone, and its other members take the seed's
+verdict.
+
+One engine, `_newcomer_search`, decides which newcomers of a collection
+are valid, given the membership test and the candidates to try:
+- the completions of a listed A: replacing a member of C by a valid
+  newcomer gives a member of A, so only those are tested for
+  obtainability;
+- a newcomer declared for the collection, a certificate that is checked
+  alone and is the verdict;
+- for a set whose membership is a predicate, every space that
+  `iter_obtainable` enumerates.
+The repair check, `valid_newcomers` and `reachable_closure` all ask it.
+Only the two enumerations take a cap: `iter_obtainable` on the distinct
+candidates of one collection, `reachable_closure` on its collections.
 
 Collections are multisets: members are kept sorted by canonical key and
 duplicates are significant.  All verification routines are pure
@@ -64,7 +71,7 @@ __all__ = [
 ]
 
 OBTAINABLE_CAP = 10**5
-CLOSURE_CAP = 500_000
+CLOSURE_CAP = 100_000
 
 
 @dataclass(frozen=True)
@@ -359,6 +366,8 @@ class StateSet:
     and takes the result as the verdict.  verify() runs the full check;
     groupsearch.orbit_code records an orbit's report from its seed's
     verdict instead, and the full check stays the oracle of its tests.
+    _completions gives the newcomer engine its candidates, and
+    _newcomers answers valid_newcomers.
     """
 
     def __init__(self, params: CodeParams, collections: Iterable[RepairingCollection],
@@ -396,11 +405,10 @@ class StateSet:
     def verified(self) -> bool:
         return self.report is not None and self.report.ok
 
-    def verify(self, all_newcomers: bool = False,
-               cap: int = OBTAINABLE_CAP) -> RepairReport:
+    def verify(self, all_newcomers: bool = False) -> RepairReport:
         """Run (and cache) the repair-property check over this set."""
         if self.report is None or (all_newcomers and not self.report.full):
-            self._record(check_repair_property(self, all_newcomers=all_newcomers, cap=cap))
+            self._record(check_repair_property(self, all_newcomers=all_newcomers))
         return self.report
 
     def _record(self, report: RepairReport) -> None:
@@ -418,6 +426,14 @@ class StateSet:
         which every valid newcomer is one; None for a set whose listing is
         not its whole membership, whose newcomers are enumerated instead."""
         return self._completion_index.get(collection.key[1:], {}).values()
+
+    def _newcomers(self, collection: RepairingCollection) -> tuple[Subspace, ...]:
+        """The valid newcomers of a collection, from the cache of a full
+        report or else from the newcomer engine."""
+        if self.transitions is not None and collection.key in self.transitions:
+            return self.transitions[collection.key]
+        return _newcomer_search(self.params, self.__contains__, collection,
+                                self._completions(collection), True)[1]
 
 
 def _has_spanning_subset(collection: RepairingCollection, params: CodeParams) -> bool:
@@ -438,25 +454,24 @@ def _replacements_inside(inside: Callable[[RepairingCollection], bool],
     return True
 
 
-def _newcomer_search(states: StateSet, collection: RepairingCollection,
-                     all_newcomers: bool, cap: int
+def _newcomer_search(params: CodeParams, inside: Callable[[RepairingCollection], bool],
+                     collection: RepairingCollection,
+                     candidates: Optional[Iterable[Subspace]], all_newcomers: bool
                      ) -> tuple[Optional[AdmissibleState], tuple[Subspace, ...]]:
     """The certificate of a collection and, with all_newcomers, its valid
     newcomers sorted by key (else an empty tuple).
 
-    The certificate is the first valid newcomer in the order of
-    iter_obtainable, with the witness of its first appearance.  A listed
-    set tests only its completions of dimension alpha whose every
-    replacement is inside, in one pass over the slice sums; a predicate
-    set tests the newcomers of iter_obtainable in turn, up to cap.
+    A valid newcomer is obtainable and has every replacement inside.
+    The certificate is the first one in the order of iter_obtainable,
+    with the witness of its first appearance.  Listed candidates (a
+    set's completions, or one declared newcomer) are tested by dimension
+    and replacements first, then placed in one pass over the slice sums;
+    candidates=None tests the newcomers of iter_obtainable in turn.
     """
-    params = states.params
-    inside = states.__contains__
-    completions = states._completions(collection)
     state = None
     valid: list[Subspace] = []
-    if completions is None:
-        for cand, witness in iter_obtainable(collection, params, cap):
+    if candidates is None:
+        for cand, witness in iter_obtainable(collection, params):
             if _replacements_inside(inside, collection, cand):
                 if state is None:
                     state = AdmissibleState(collection, cand, witness)
@@ -464,93 +479,70 @@ def _newcomer_search(states: StateSet, collection: RepairingCollection,
                     break
                 valid.append(cand)
     else:
-        pending = {u.key: u for u in completions
+        pending = {u.key: u for u in candidates
                    if u.dim == params.alpha and _replacements_inside(inside, collection, u)}
         for indices, ws, total in _slice_sums(collection, params) if pending else ():
-            held = {key for key, u in pending.items() if u <= total}
+            held = [u for u in pending.values() if u <= total]
             if not held:
                 continue
             if state is None:
-                first = next(c for c in total.subspaces(params.alpha) if c.key in held)
+                # the first held candidate in the slice sum's canonical order
+                first = held[0] if len(held) == 1 else next(
+                    c for c in total.subspaces(params.alpha) if c in held)
                 state = AdmissibleState(collection, first, RepairWitness(indices, ws))
                 if not all_newcomers:
                     break
-            valid.extend(pending.pop(key) for key in held)
+            valid.extend(pending.pop(u.key) for u in held)
             if not pending:
                 break
     return state, tuple(sorted(valid, key=lambda u: u.key))
 
 
 def _check_collection(states: StateSet, collection: RepairingCollection,
-                      all_newcomers: bool = False,
-                      cap: int = OBTAINABLE_CAP) -> CollectionCheck:
+                      all_newcomers: bool = False) -> CollectionCheck:
     """The repair-property record of one collection of the state set.
 
-    A newcomer declared in states.certificates is the certificate when
-    it has dimension alpha, a repair witness from find_repair_witness,
-    and every replacement inside the set; otherwise the collection
-    fails, naming it.  Without a declared newcomer, and whenever every
-    valid newcomer is wanted, _newcomer_search finds the certificate,
-    and with all_newcomers every valid newcomer.  check_repair_property
-    calls it on every collection; groupsearch.orbit_code on an orbit's
-    seed alone, whose verdict the other members take.
+    A newcomer declared in states.certificates is the engine's only
+    candidate, so it is the certificate or the collection fails, naming
+    it.  Otherwise, and whenever every valid newcomer is wanted, the
+    candidates are the set's completions.  check_repair_property calls
+    it on every collection; groupsearch.orbit_code on an orbit's seed
+    alone, whose verdict the other members take.
     """
     params = states.params
     spanning = _has_spanning_subset(collection, params)
     declared = None if all_newcomers else states.certificates.get(collection.key)
-    if declared is None:
-        state, valid = _newcomer_search(states, collection, all_newcomers, cap)
-    else:
-        state, valid = None, ()
-        witness = (find_repair_witness(collection, declared, params)
-                   if declared.dim == params.alpha else None)
-        if witness is not None and _replacements_inside(states.__contains__,
-                                                        collection, declared):
-            state = AdmissibleState(collection, declared, witness)
+    candidates = states._completions(collection) if declared is None else (declared,)
+    state, valid = _newcomer_search(params, states.__contains__, collection, candidates,
+                                    all_newcomers)
     if state is not None:
         state.verify(params)
     return CollectionCheck(collection, spanning, state, valid if all_newcomers else None,
                            declared)
 
 
-def check_repair_property(states: StateSet, all_newcomers: bool = False,
-                          cap: int = OBTAINABLE_CAP) -> RepairReport:
+def check_repair_property(states: StateSet, all_newcomers: bool = False) -> RepairReport:
     """Verify the repair property of a state set.
 
-    For every collection, searches the obtainable spaces for a newcomer
-    whose every single-member replacement stays inside the set, and
-    checks that some k members span.  With all_newcomers=True the full
-    set of valid newcomers is recorded instead of stopping at the first
-    witness.  A collection with a declared newcomer (StateSet.certificates)
-    is decided by checking that newcomer alone, never by a search.  A
-    listed set tests only its completions, so cap bounds only the
-    enumeration of a predicate set (CapExceeded past cap distinct
-    candidates of one collection).
+    For every collection, finds a newcomer whose every single-member
+    replacement stays inside the set, and checks that some k members
+    span.  With all_newcomers=True the full set of valid newcomers is
+    recorded instead of stopping at the first witness.  A collection
+    with a declared newcomer (StateSet.certificates) is decided by that
+    newcomer alone.  A predicate set enumerates through iter_obtainable,
+    whose cap raises CapExceeded.
     """
-    checks = [_check_collection(states, states.collections[key], all_newcomers, cap)
+    checks = [_check_collection(states, states.collections[key], all_newcomers)
               for key in sorted(states.collections)]
     return RepairReport(states.params, checks, all_newcomers)
 
 
-def valid_newcomers(states: StateSet, collection: RepairingCollection,
-                    cap: int = OBTAINABLE_CAP) -> tuple[Subspace, ...]:
+def valid_newcomers(states: StateSet, collection: RepairingCollection) -> tuple[Subspace, ...]:
     """All obtainable newcomers whose replacements stay inside the set,
-    sorted by canonical key.
-
-    If an invertible map g carries the set onto itself, the valid
-    newcomers of gC are g applied to those of C.  A set with that
-    symmetry answers through its _equivariant_newcomers(collection,
-    cap), which must return what the search here returns and falls back
-    to it; a plain StateSet has no such method and is searched.  As in
-    check_repair_property, cap bounds only the enumeration of a
-    predicate set.
+    sorted by canonical key: the answer of states._newcomers, which a
+    set with a symmetry may give by moving another collection's answer.
     """
-    if states.transitions is not None and collection.key in states.transitions:
-        return states.transitions[collection.key]
-    equivariant = getattr(states, "_equivariant_newcomers", None)
-    if equivariant is not None:
-        return equivariant(collection, cap)
-    return _newcomer_search(states, collection, True, cap)[1]
+    return states._newcomers(collection)
 
 
 # ----------------------------------------------------------------------
@@ -582,19 +574,19 @@ class ClosureError(RuntimeError):
 
 def reachable_closure(seed: RepairingCollection, params: CodeParams,
                       admissible: Callable[[Sequence[Subspace]], bool],
-                      cap: int = CLOSURE_CAP,
-                      obtainable_cap: int = OBTAINABLE_CAP) -> StateSet:
+                      cap: int = CLOSURE_CAP) -> StateSet:
     """A repair-closed set containing the seed, inside a predicate.
 
-    Breadth-first: for each pending collection the first obtainable
-    newcomer whose every replacement satisfies the predicate is taken as
-    its certificate, and the replaced collections join the set.  Only
-    that one certificate is expanded per collection, so the result can
-    be much smaller than the full predicate-admissible set.  The result
-    carries each pick as its certificate, so verify() checks the picks
-    without a search.  A pick is also the first valid newcomer of the
-    result: every earlier candidate has a replacement outside the
-    predicate, hence outside the result.
+    Breadth-first: for each pending collection the newcomer engine finds
+    the first obtainable newcomer whose every replacement is already
+    found or satisfies the predicate; it is taken as the collection's
+    certificate, and the replaced collections join the set, up to cap
+    collections.  Only that one certificate is expanded per collection,
+    so the result can be much smaller than the full predicate-admissible
+    set.  The result carries each pick as its certificate, so verify()
+    checks the picks without enumerating.  A pick is also the first
+    valid newcomer of the result: every earlier candidate has a
+    replacement outside the predicate, hence outside the result.
     """
     if not admissible(seed.spaces):
         raise ValueError("the seed collection does not satisfy the predicate")
@@ -605,14 +597,12 @@ def reachable_closure(seed: RepairingCollection, params: CodeParams,
     while qi < len(queue):
         collection = queue[qi]
         qi += 1
-        for cand, _ in iter_obtainable(collection, params, obtainable_cap):
-            if _replacements_inside(lambda rc: rc.key in found or admissible(rc.spaces),
-                                    collection, cand):
-                break
-        else:
+        state, _ = _newcomer_search(params, lambda rc: rc.key in found or admissible(rc.spaces),
+                                    collection, None, False)
+        if state is None:
             raise ClosureError(
                 f"no certifying newcomer for collection {_short_hash(b''.join(collection.key))}")
-        picks[collection.key] = cand
+        picks[collection.key] = cand = state.newcomer
         for i in range(len(collection.spaces)):
             rc = collection.replace(i, cand)
             if rc.key not in found:

@@ -65,18 +65,21 @@ class TestVerify:
 
     def test_certified_codes_verify_without_a_search(self, tmp_path, monkeypatch, capsys):
         # every collection of these documents has a state line, and the
-        # family closure certifies each collection as it adds it
+        # family closure certifies each collection as it adds it, so
+        # verify checks each declared newcomer alone
         found = tmp_path / "search.fsc"
         family = tmp_path / "family.fsc"
         assert cli.main(["search", str(BENCH_DATA / "seed56.fsc"), "--group-cap", "5000",
                          "--orbit-cap", "500", "--out", str(found)]) == 0
+        assert cli.main(["family", "--r", "2", "--s", "1", "--q", "3",
+                         "--out", str(family)]) == 0
 
         def no_search(*args, **kwargs):
             raise AssertionError("a newcomer was searched for")
 
-        monkeypatch.setattr(storage, "_newcomer_search", no_search)
-        assert cli.main(["family", "--r", "2", "--s", "1", "--q", "3",
-                         "--out", str(family)]) == 0
+        # neither an enumeration nor a listing of completions
+        monkeypatch.setattr(storage, "iter_obtainable", no_search)
+        monkeypatch.setattr(storage.StateSet, "_completions", no_search)
         for path in [BENCH_DATA / "code56.fsc", DATA / "example1.fsc", found, family]:
             assert cli.main(["verify", str(path)]) == 0
         assert capsys.readouterr().out.count("repair property holds") == 4

@@ -232,7 +232,8 @@ def test_family_step_documented_instance(functional_triple):
     _, spaces = functional_triple
     good = GoodCollection(3, 1, tuple(spaces))
     w = [(1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0)]
-    result = family_step(good, w=w, check_equivalence=True)
+    result = family_step(good, w=w)
+    assert verify_replacement_equivalence(good, w, result.newcomer)
     assert result.newcomer == span(F2, 5, [(1, 1, 0, 0, 0), (1, 0, 1, 0, 0)])
     assert len(result.replacements) == 3
     for i, replaced in enumerate(result.replacements):
@@ -525,14 +526,6 @@ def test_transport_falls_back_to_search(monkeypatch):
     for c in trail:
         assert valid_newcomers(code, c) == _direct(3, 1, 2, c)
     assert [rep.key for rep, *_ in code._orbits] == [c.key for c in trail]
-    monkeypatch.undo()
-    # a smaller candidate cap than the representative's: searched again
-    code = family_state_space(3, 1, 2)
-    valid_newcomers(code, trail[0])
-    valid_newcomers(code, trail[1], cap=1000)
-    assert len(code._orbits) == 2
-    with pytest.raises(CapExceeded):
-        valid_newcomers(code, trail[2], cap=10)
 
 
 def test_plain_state_set_never_transports(monkeypatch):
@@ -549,7 +542,6 @@ def test_plain_state_set_never_transports(monkeypatch):
     states = code_states(build_partition())
     plain = StateSet(states.params, states)
     assert plain.transitions is None
-    assert not hasattr(plain, "_equivariant_newcomers")
     for collection in plain:
         assert valid_newcomers(plain, collection) == states.transitions[collection.key]
 
@@ -603,7 +595,7 @@ def test_family_soak_searches_one_map_per_repair_edge(monkeypatch):
     assert report.verdict == "ok"
     assert report.distinct_states > 150
     assert len(code._orbits) == 1
-    representative, _, newcomers, _ = code._orbits[0]
+    representative, newcomers, _ = code._orbits[0]
     assert len(newcomers) * len(representative) == 24
     assert len(searches) == len(code._edges) <= 24
 
@@ -630,7 +622,7 @@ def test_wrong_edge_map_falls_back_to_a_map_search(monkeypatch):
     code = family_state_space(3, 1, 2)
     assert trail[0] in code
     valid_newcomers(code, trail[0])
-    representative, _, newcomers, _ = code._orbits[0]
+    representative, newcomers, _ = code._orbits[0]
     # every edge claims the identity, which carries the representative
     # onto itself and not onto the repaired collection
     identity = LinearMap.identity(representative.field, representative.m)

@@ -289,8 +289,9 @@ def test_collection_check_takes_a_hint(exact_code_spaces, monkeypatch):
     def no_search(*args, **kwargs):
         raise AssertionError("a declared newcomer was searched for")
 
-    # the one entry point of every newcomer search, listed or enumerated
-    monkeypatch.setattr(storage, "_newcomer_search", no_search)
+    # neither an enumeration nor a listing of completions
+    monkeypatch.setattr(storage, "iter_obtainable", no_search)
+    monkeypatch.setattr(StateSet, "_completions", no_search)
     declared = StateSet(params, exact, {rest.key: spaces[0]})
     good = _check_collection(declared, rest)
     assert good.ok and good.state == plain.state
@@ -497,6 +498,16 @@ def test_completions_match_enumeration_on_small_codes(exact_code_spaces):
                      map(RepairingCollection, itertools.combinations_with_replacement(lines, 2)))
     _assert_completions_match_enumeration(pairs, pairs)
     assert [len(valid_newcomers(pairs, c)) for c in pairs] == [1, 3, 3, 1, 3, 1]
+    # on each pair of distinct lines, the last of its three valid
+    # newcomers is not the certificate found without a declaration;
+    # declared, it is the certificate, with the witness of its first repair
+    for c in (c for c in pairs if c.spaces[0] != c.spaces[1]):
+        *_, last = valid_newcomers(pairs, c)
+        assert _check_collection(pairs, c).state.newcomer != last
+        declared = StateSet(pairs.params, pairs, {c.key: last})
+        check = _check_collection(declared, c)
+        assert check.ok and check.state.newcomer == last
+        assert check.state.witness == find_repair_witness(c, last, pairs.params)
     family = family_code(2, 1, 3)
     assert type(family) is StateSet
     _assert_completions_match_enumeration(family, family)
