@@ -36,6 +36,9 @@ tree edges.  The group acts on spaces and a collection is a multiset of
 them (Kerber, Applied Finite Group Actions), so each walk keeps a table
 of the images of the distinct spaces it meets under each generator: an
 orbit of collections built from a few spaces costs a few applications.
+Trials that generate one group by construction, a candidate paired with
+a transitive cyclic stabilizer generator and the rest of its coset,
+are closed and walked once per search.
 
 Searches are exact but bounded: the backtracking node count, the group
 order, and the orbit size each have a cap, and hitting one is reported
@@ -111,7 +114,10 @@ class LinearMap:
     hashable and compare by matrix entries, so they can live in sets and
     serve as group elements.  The byte key of the entries is computed
     once, and _matrix holds the rows in the row format of the field's
-    kernel table _k, on which products run.
+    kernel table _k, on which products run.  _points is a private memo
+    of the images of held rows under the map, filled on first use by
+    _basis_permutations, so a map shared by many trial groups moves each
+    point once.
     """
 
     field: Field
@@ -120,6 +126,7 @@ class LinearMap:
     key: bytes = dc_field(init=False, repr=False, compare=False)
     _k: object = dc_field(init=False, repr=False, compare=False)
     _matrix: tuple = dc_field(init=False, repr=False, compare=False)
+    _points: dict = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.rows) != self.m:
@@ -153,6 +160,7 @@ class LinearMap:
         object.__setattr__(self, "key", key)
         object.__setattr__(self, "_k", k)
         object.__setattr__(self, "_matrix", tuple(matrix))
+        object.__setattr__(self, "_points", {})
 
     @classmethod
     def identity(cls, field: Field, m: int) -> "LinearMap":
@@ -485,7 +493,10 @@ def _basis_permutations(generators: Sequence[LinearMap],
     generated group, numbered in breadth-first order; a map fixing them
     all fixes a basis, so the action is faithful.  An orbit is no larger
     than the group, so one orbit of more than cap points means the group
-    order exceeds cap, and None is returned without further work.
+    order exceeds cap, and None is returned without further work.  Each
+    point image is read from the generator's _points memo, computed by
+    _point_images only the first time any group asks that map for it;
+    the numbering stays the group's own.
     """
     index: dict = {}
     points: list = []
@@ -501,7 +512,9 @@ def _basis_permutations(generators: Sequence[LinearMap],
             x = points[position]
             position += 1
             for g, row in zip(generators, images):
-                y = _point_images(g, [x])[0]
+                y = g._points.get(x)
+                if y is None:
+                    y = g._points[x] = _point_images(g, [x])[0]
                 row.append(y)
                 if y not in index:
                     if len(points) - first >= cap:
@@ -775,27 +788,27 @@ class SearchOutcome:
         return "\n".join(self.log)
 
 
-def _cyclic_transitive_generators(stab: GroupClosure,
-                                  collection: RepairingCollection) -> tuple[LinearMap, ...]:
+def _cyclic_transitive_generators(stab: GroupClosure, collection: RepairingCollection
+                                  ) -> tuple[tuple[LinearMap, tuple[LinearMap, ...]], ...]:
     # one representative generator per distinct transitive cyclic
-    # subgroup of the stabilizer, smallest subgroups first
-    subgroups: dict[frozenset, tuple[int, LinearMap]] = {}
+    # subgroup of the stabilizer, smallest subgroups first, each with the
+    # subgroup's elements, listed as its powers
+    subgroups: dict[frozenset, tuple[LinearMap, tuple[LinearMap, ...]]] = {}
     for g in stab.generators:
         if not _orbit_of_first_member([g], collection):
             continue
         power = g
-        members = {g.key}
+        powers = {g.key: g}
         while True:
             power = power.compose(g)
-            if power.key in members:
+            if power.key in powers:
                 break
-            members.add(power.key)
-        signature = frozenset(members)
+            powers[power.key] = power
+        signature = frozenset(powers)
         best = subgroups.get(signature)
-        if best is None or g.key < best[1].key:
-            subgroups[signature] = (len(members), g)
-    ranked = sorted(subgroups.values(), key=lambda item: (item[0], item[1].key))
-    return tuple(g for _, g in ranked)
+        if best is None or g.key < best[0].key:
+            subgroups[signature] = (g, tuple(powers.values()))
+    return tuple(sorted(subgroups.values(), key=lambda item: (len(item[1]), item[0].key)))
 
 
 def symmetry_search(collection: RepairingCollection, newcomer: Subspace,
@@ -808,17 +821,21 @@ def symmetry_search(collection: RepairingCollection, newcomer: Subspace,
     on the members is transitive a single transition map suffices, so
     only replacements of the first member are tried, otherwise every
     index is.  Each candidate map is tried alone and together with each
-    transitive cyclic stabilizer subgroup.  The orbit of every trial
-    whose group order is within group_cap is walked under the trial's
-    generators and verified once per distinct (group order, orbit):
-    trials that meet the same pair share the outcome, and a verified
-    code is reported once.  The verified codes are returned sorted by
-    state count, then group order.  A group whose order exceeds
-    group_cap, or whose orbit exceeds orbit_cap or meets an enumeration
-    cap while it is verified, is logged and skipped, so callers should
-    size the caps to the instance they search.  A cap below 1, or a
-    member or newcomer whose dimension is not alpha, raises ValueError
-    before any work.
+    transitive cyclic stabilizer subgroup.  The paired trials (t, m s),
+    s in <t>, of one coset generate one group, and the maps m s, the
+    stabilizer element applied first, are all candidates: the first of
+    them is closed and walked, and the others share its outcome while
+    logging their own lines.  The orbit of every trial group whose order
+    is within group_cap is walked under the trial's generators and
+    verified once per distinct (group order, orbit): trials that meet
+    the same pair share the outcome, and a verified code is reported
+    once, with the generators of the trial that verified it.  The
+    verified codes are returned sorted by state count, then group order.
+    A group whose order exceeds group_cap, or whose orbit exceeds
+    orbit_cap or meets an enumeration cap while it is verified, is
+    logged and skipped, so callers should size the caps to the instance
+    they search.  A cap below 1, or a member or newcomer whose dimension
+    is not alpha, raises ValueError before any work.
     """
     for name, cap in (("backtrack_cap", backtrack_cap), ("group_cap", group_cap),
                       ("orbit_cap", orbit_cap)):
@@ -828,7 +845,7 @@ def symmetry_search(collection: RepairingCollection, newcomer: Subspace,
         raise ValueError("the seed's members and newcomer must have dimension "
                          f"alpha = {params.alpha}")
     stab = stabilizer(collection, newcomer, cap=backtrack_cap)
-    transitive_gens = _cyclic_transitive_generators(stab, collection)
+    cyclic = _cyclic_transitive_generators(stab, collection)
     indices = [0] if stab.transitive else list(range(len(collection.spaces)))
     log: list[str] = [
         f"stabilizer order {stab.order}, "
@@ -840,6 +857,37 @@ def symmetry_search(collection: RepairingCollection, newcomer: Subspace,
     # one orbit_code run per (group order, orbit keys): None once the
     # orbit verified and was reported, else the line its failure logs
     outcomes: dict[tuple[int, frozenset], Optional[str]] = {}
+    # the line each later trial (t, m s) of a computed coset logs, by
+    # generator keys: None when it logs nothing
+    cosets: dict[tuple[bytes, bytes], Optional[str]] = {}
+
+    def trial(generators: tuple[LinearMap, ...], mapping: LinearMap,
+              fps: str) -> Optional[str]:
+        # closes and walks one trial group and verifies its orbit if new;
+        # returns the line the later trials of its coset log (None: none)
+        group = group_closure(generators, cap=group_cap)
+        if not group.complete:
+            return f"{group.describe()}, skipped"
+        try:
+            walk = orbit(group, collection, orbit_cap)
+        except CapExceeded:
+            return f"group order {group.order}, orbit exceeds {orbit_cap}, skipped"
+        signature = (group.order, frozenset(walk))
+        if signature not in outcomes:
+            try:
+                states = orbit_code(group, walk, params)
+            except OrbitVerificationError:
+                outcomes[signature] = f"group order {group.order}, orbit fails verification"
+            except CapExceeded:
+                outcomes[signature] = (f"group order {group.order}, "
+                                       f"orbit exceeds {orbit_cap}, skipped")
+            else:
+                outcomes[signature] = None
+                log.append(f"  <{fps}>: group order {group.order}, "
+                           f"orbit {len(states)}, verified")
+                results.append(SearchResult(mapping, group, states))
+        return outcomes[signature]
+
     for index in indices:
         found = transition_maps(collection, newcomer, index, cap=backtrack_cap)
         _require(len(found) % stab.order == 0,
@@ -850,42 +898,21 @@ def symmetry_search(collection: RepairingCollection, newcomer: Subspace,
                    f"{classes} classes modulo the stabilizer")
         for mapping in found:
             candidates.append((index, mapping))
-            trials: list[tuple[LinearMap, ...]] = [(mapping,)]
-            trials.extend((t, mapping) for t in transitive_gens)
-            for generators in trials:
+            trials = [((mapping,), ())] + [((t, mapping), powers) for t, powers in cyclic]
+            for generators, powers in trials:
                 fps = "+".join(_short_hash(g.key) for g in generators)
-                group = group_closure(generators, cap=group_cap)
-                if not group.complete:
-                    log.append(f"  <{fps}>: {group.describe()}, skipped")
-                    continue
-                try:
-                    walk = orbit(group, collection, orbit_cap)
-                except CapExceeded:
-                    log.append(f"  <{fps}>: group order {group.order}, "
-                               f"orbit exceeds {orbit_cap}, skipped")
-                    continue
-                signature = (group.order, frozenset(walk))
-                if signature in outcomes:
-                    if outcomes[signature] is not None:
-                        log.append(f"  <{fps}>: {outcomes[signature]}")
-                    continue
-                try:
-                    states = orbit_code(group, walk, params)
-                except OrbitVerificationError:
-                    outcomes[signature] = (f"group order {group.order}, "
-                                           "orbit fails verification")
-                    log.append(f"  <{fps}>: {outcomes[signature]}")
-                    continue
-                except CapExceeded:
-                    outcomes[signature] = (f"group order {group.order}, "
-                                           f"orbit exceeds {orbit_cap}, skipped")
-                    log.append(f"  <{fps}>: {outcomes[signature]}")
-                    continue
-                outcomes[signature] = None
-                log.append(f"  <{fps}>: group order {group.order}, "
-                           f"orbit {len(states)}, verified")
-                results.append(SearchResult(mapping, group, states))
+                keys = tuple(g.key for g in generators)
+                if keys in cosets:
+                    line = cosets[keys]
+                else:
+                    line = trial(generators, mapping, fps)
+                    # <t, m> = <t, m s> for s in <t>, and m s, with the
+                    # stabilizer element s applied first, is a candidate
+                    for s in powers:
+                        cosets[keys[0], mapping.compose(s).key] = line
+                if line is not None:
+                    log.append(f"  <{fps}>: {line}")
     results.sort(key=lambda res: (len(res.states), res.group.order,
                                   res.transition.key))
-    return SearchOutcome(stab, transitive_gens, tuple(candidates),
+    return SearchOutcome(stab, tuple(t for t, _ in cyclic), tuple(candidates),
                          tuple(candidate_classes), tuple(results), tuple(log))

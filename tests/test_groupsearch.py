@@ -617,10 +617,11 @@ def test_symmetry_search_rejects_seeds_of_wrong_dimension(rotation_code, monkeyp
 
 def test_symmetry_search_verifies_each_group_once(partition_search, monkeypatch,
                                                   list_group):
-    # each of the 54 complete trials is walked once, and trials that
-    # meet the same (group order, orbit) share one orbit_code run: 49
-    # runs, since two of the 50 distinct groups (both of order 6) have
-    # one orbit; the log is unchanged
+    # the 54 complete trials generate 50 distinct groups, and each is
+    # walked once: the paired trials (t, m s), s in <t>, of one coset
+    # share one walk; trials that meet the same (group order, orbit)
+    # share one orbit_code run: 49 runs, since two of the 50 groups
+    # (both of order 6) have one orbit; the log is unchanged
     params, seed, outcome = partition_search
     groups = set()
     signatures = set()
@@ -648,7 +649,7 @@ def test_symmetry_search_verifies_each_group_once(partition_search, monkeypatch,
     monkeypatch.setattr(groupsearch, "orbit_code", counted_code)
     again = symmetry_search(seed, _partition_member(6), params,
                             group_cap=5000, orbit_cap=500)
-    assert len(walks) == 54
+    assert len(walks) == len(groups) == 50
     assert len(calls) == len(set(calls)) == len(signatures) == 49
     assert again.log == outcome.log
     assert [res.states.collections.keys() for res in again.results] == \
@@ -1101,3 +1102,84 @@ def test_symmetry_search_finds_the_partition_code_from_the_family_seed(partition
                 images.append({RepairingCollection(table[u.key] for u in c.spaces).key
                                for c in partition})
             assert set(found.collections) in images
+
+
+@pytest.mark.parametrize("which", ["seed56", "family213"])
+def test_symmetry_search_shares_each_coset_outcome(which, monkeypatch, list_group):
+    # the paired trials (t, m s), s in <t>, of one coset share the closure
+    # and walk of the first of them: each trial's shared outcome has the
+    # completeness, order and orbit keys of group_closure and orbit run
+    # on fresh copies of its own generators, every trial class is closed
+    # once, and each result keeps the generators of the trial that
+    # verified it; on the 56-state seed the work is pinned
+    if which == "seed56":
+        params = CodeParams(5, 4, 3, 3, 2, 1, 2)
+        seed = RepairingCollection([_partition_member(0), _partition_member(1),
+                                    _partition_member(2)])
+        newcomer = _partition_member(6)
+    else:
+        good = construct_good(2, 1, 3)
+        params, seed = good.params, good.to_repairing_collection()
+        newcomer = valid_newcomers(family_state_space(2, 1, 3), seed)[0]
+    computed = []  # (generator keys, group), in the order closed
+    walked = {}    # id(group) -> orbit keys, None past the orbit cap
+    points = []
+    real_closure, real_orbit = groupsearch.group_closure, groupsearch.orbit
+    real_images = groupsearch._point_images
+
+    def counted_closure(generators, cap=groupsearch.GROUP_CAP):
+        group = real_closure(generators, cap=cap)
+        computed.append((tuple(g.key for g in generators), group))
+        return group
+
+    def counted_orbit(group, collection, cap=groupsearch.ORBIT_CAP):
+        walked[id(group)] = None
+        tree = real_orbit(group, collection, cap)
+        walked[id(group)] = frozenset(tree)
+        return tree
+
+    def counted_images(mapping, rows):
+        points.extend(rows)
+        return real_images(mapping, rows)
+
+    monkeypatch.setattr(groupsearch, "group_closure", counted_closure)
+    monkeypatch.setattr(groupsearch, "orbit", counted_orbit)
+    monkeypatch.setattr(groupsearch, "_point_images", counted_images)
+    outcome = symmetry_search(seed, newcomer, params, group_cap=5000, orbit_cap=500)
+    monkeypatch.undo()
+    if which == "seed56":
+        assert (len(computed), len(points), len(walked)) == (64, 1062, 50)
+    cyclic = {t.key: {s.key: s for s in list_group(group_closure([t])).values()}
+              for t in outcome.transitive_generators}
+    owners = set()
+    for _, mapping in outcome.candidates:
+        trials = [(mapping,)] + [(t, mapping) for t in outcome.transitive_generators]
+        for generators in trials:
+            if len(generators) == 1:
+                coset = {(mapping.key,)}
+            else:
+                t = generators[0]
+                coset = {(t.key, mapping.compose(s).key) for s in cyclic[t.key].values()}
+            owner = [i for i, (keys, _) in enumerate(computed) if keys in coset]
+            assert len(owner) == 1
+            owners.add(owner[0])
+            shared = computed[owner[0]][1]
+            fresh = group_closure([LinearMap(g.field, g.m, g.rows) for g in generators],
+                                  cap=5000)
+            assert shared.complete == fresh.complete
+            if not fresh.complete:
+                assert id(shared) not in walked
+                continue
+            assert shared.order == fresh.order
+            try:
+                keys = frozenset(orbit(fresh, seed, cap=500))
+            except CapExceeded:
+                keys = None
+            assert walked[id(shared)] == keys
+    assert owners == set(range(len(computed)))
+    assert outcome.results
+    for res in outcome.results:
+        keys = tuple(g.key for g in res.group.generators)
+        assert any(group is res.group and k == keys for k, group in computed)
+        assert res.transition is res.group.generators[-1]
+        assert walked[id(res.group)] == frozenset(res.states.collections)
