@@ -299,6 +299,22 @@ class TestCorruptRecovery:
         assert last.startswith("corrupt state: nodes [")
         assert last.endswith("span the space but their stored symbols give no solution")
 
+    def test_inconsistent_symbols_over_gf3_end_the_run(self):
+        # the same over the tuple rows of GF(3): two planes of F_3^3 give
+        # four equations in three unknowns
+        from frcodes.family import family_state_space
+
+        code = family_state_space(2, 1, 3)
+        code.verify()
+        state = dss_init(code, (1, 2, 0), seed=2)
+        assert run_random(state, 5).verdict == "ok"
+        node = state.nodes[0]
+        node.stored = (node.stored[0], (node.stored[1] + 1) % 3)
+        report = run_random(state, 20)
+        assert report.verdict == "FAILED"
+        assert report.log[-1] == ("corrupt state: nodes [0, 1] span the space but "
+                                  "their stored symbols give no solution")
+
     def test_collect_names_the_nodes(self, partition_states):
         # three planes of F_2^5 give six equations in five unknowns, so
         # flipping a symbol of a row that the others determine leaves the
@@ -373,6 +389,22 @@ class TestFamilyCode:
             repair(state, randomize=True)
         assert hashlib.sha256("\n".join(state.log).encode()).hexdigest() == \
             "2a556745f54cc32d0b8446f1095e1ca55068ac305abe0b682b7a6806aa706b40"
+
+    @pytest.mark.parametrize("q, digest", [
+        (3, "915c6fe0dbc62b31486734d869faf8ee58a195278db7bcfe87deac7f375f25f0"),
+        (4, "d252e2b7f553e226106e346c7b59eed7e8a57041978c04c0922b469d11486dcf"),
+    ])
+    def test_seeded_larger_field_runs_are_pinned(self, q, digest):
+        # the tuple-row path: strict runs on the (2, 1) family code over
+        # GF(3) and GF(4), pinned by the sha256 of the report
+        from frcodes.family import family_state_space
+
+        code = family_state_space(2, 1, q)
+        code.verify()
+        x = tuple((i + 1) % q for i in range(code.params.m))
+        report = run_random(dss_init(code, x, seed=7), 200)
+        assert report.verdict == "ok"
+        assert hashlib.sha256(report.render().encode()).hexdigest() == digest
 
 
 def soak_against_oracle(code, x, seed, steps, monkeypatch):
