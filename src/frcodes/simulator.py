@@ -14,17 +14,19 @@ explicit errors, not asserts, so they hold under python -O as well.
 The linear algebra of an event depends only on the node spaces, so it
 is done once per distinct configuration, keyed by canonical subspace
 keys: a repair plan (the witness with each helper's combination rows,
-and the newcomer's rebuild rows) per (collection key, newcomer key), the
-span rank per sorted key tuple of a node subset, and the strict
-leave-one-out admission per sorted key tuple of all n nodes.  No memo
-holds stored data: every download, rebuilt symbol and recovery is
-computed from the stored symbols on every event and, in strict mode,
-checked against the message.
+and the newcomer's rebuild rows) per (collection key, newcomer key), a
+decoder (recovery and check rows from one reduction) per sorted key
+tuple of a node subset, and the strict leave-one-out admission per
+sorted key tuple of all n nodes.  No memo holds stored data: every
+download, rebuilt symbol and recovery is a dot product of held rows
+with the stored symbols on every event and, in strict mode, is checked
+against the message.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from dataclasses import dataclass, field as dc_field
 from typing import Optional, Sequence
@@ -37,7 +39,7 @@ from .storage import (
     find_repair_witness,
     valid_newcomers,
 )
-from .subspace import Subspace, Vector, express, rank_of, solve, vec_dot
+from .subspace import Subspace, Vector, _decoder, _kernels, express, rank_of
 
 __all__ = [
     "Node",
@@ -131,10 +133,10 @@ class DssState:
     Three memos, each keyed by canonical subspace keys and growing only
     with distinct configurations: newcomer_cache maps a collection key
     to its valid newcomers and to the repair plans built so far, by
-    newcomer key; span_ranks maps the sorted key tuple of a node subset
-    to the rank of its bases; admitted holds the sorted key tuples of
-    the configurations whose every leave-one-out collection is in the
-    code.
+    newcomer key; decoders maps the sorted key tuple of a node subset
+    to its recovery and check rows, or None when it does not span;
+    admitted holds the sorted key tuples of the configurations whose
+    every leave-one-out collection is in the code.
     """
 
     params: CodeParams
@@ -146,7 +148,7 @@ class DssState:
     rng: random.Random
     log: list[str] = dc_field(default_factory=list)
     newcomer_cache: dict = dc_field(default_factory=dict)
-    span_ranks: dict = dc_field(default_factory=dict, init=False, repr=False)
+    decoders: dict = dc_field(default_factory=dict, init=False, repr=False)
     admitted: set = dc_field(default_factory=set, init=False, repr=False)
 
     @property
@@ -157,10 +159,6 @@ class DssState:
     def failed_node(self) -> Optional[Node]:
         down = [node for node in self.nodes if not node.alive]
         return down[0] if down else None
-
-
-def _stored_symbols(space: Subspace, x: Sequence[int]) -> tuple[int, ...]:
-    return tuple(vec_dot(space.field, x, row) for row in space.rows)
 
 
 def dss_init(code: StateSet, x: Sequence[int], seed: int = 0,
@@ -181,13 +179,11 @@ def dss_init(code: StateSet, x: Sequence[int], seed: int = 0,
     x = tuple(x)
     if len(x) != params.m:
         raise ValueError(f"message length {len(x)} does not match ambient {params.m}")
-    for a in x:
-        first.field._check(a)
+    held = _kernels(first.field).pack(x, params.m)
     newcomer = code.witnesses[first.key].newcomer
     spaces = list(first.spaces) + [newcomer]
-    nodes = []
-    for i, space in enumerate(spaces):
-        nodes.append(Node(i, space, _stored_symbols(space, x)))
+    nodes = [Node(i, space, tuple([space._k.dot(held, b) for b in space._basis]))
+             for i, space in enumerate(spaces)]
     state = DssState(params, code, nodes, x, seed, strict, random.Random(seed))
     state.log.append(
         f"init: {params.n} nodes, collection {_short_hash(b''.join(first.key))}, "
@@ -226,12 +222,13 @@ class _RepairPlan:
 
     helpers holds, per helper of the repair witness, its sorted position
     in the collection, its repair space and the combination rows that
-    express the repair space's basis in the helper's basis; rebuild
-    expresses each newcomer basis row over the concatenated repair rows.
+    express the repair space's basis in the helper's basis, as tuples
+    and as held rows; rebuild holds the held rows that express each
+    newcomer basis row over the concatenated repair rows.
     """
 
-    helpers: tuple[tuple[int, Subspace, tuple[Vector, ...]], ...]
-    rebuild: tuple[Vector, ...]
+    helpers: tuple[tuple[int, Subspace, tuple[Vector, ...], tuple], ...]
+    rebuild: tuple
 
 
 def _repair_plan(collection: RepairingCollection, newcomer: Subspace,
@@ -239,6 +236,7 @@ def _repair_plan(collection: RepairingCollection, newcomer: Subspace,
     witness = find_repair_witness(collection, newcomer, params)
     _require(witness is not None, "a valid newcomer has a repair witness")
     field = collection.field
+    pack = _kernels(field).pack
     helpers = []
     flat_rows: list[Vector] = []
     for position, repair_space in zip(witness.repair_indices, witness.repair_spaces):
@@ -247,13 +245,14 @@ def _repair_plan(collection: RepairingCollection, newcomer: Subspace,
             coeffs = express(field, w_row, collection.spaces[position].rows)
             _require(coeffs is not None, "a repair space lies in its helper's space")
             combination.append(coeffs)
-        helpers.append((position, repair_space, tuple(combination)))
+        helpers.append((position, repair_space, tuple(combination),
+                        tuple([pack(coeffs, len(coeffs)) for coeffs in combination])))
         flat_rows.extend(repair_space.rows)
     rebuild = []
     for basis_row in newcomer.rows:
         coeffs = express(field, basis_row, flat_rows)
         _require(coeffs is not None, "the newcomer lies in the span of the downloads")
-        rebuild.append(coeffs)
+        rebuild.append(pack(coeffs, len(coeffs)))
     return _RepairPlan(tuple(helpers), tuple(rebuild))
 
 
@@ -288,22 +287,25 @@ def repair(state: DssState, node_id: Optional[int] = None,
     if plan is None:
         plan = _repair_plan(collection, newcomer, params)
         plans[newcomer.key] = plan
-    field = collection.field
+    k = _kernels(collection.field)
+    message = k.pack(state.message, params.m)
     shares = []
     flat_downloads: list[int] = []
-    for position, repair_space, combination in plan.helpers:
+    for position, repair_space, combination, held in plan.helpers:
         helper = ordered[position]
-        downloads = tuple(vec_dot(field, coeffs, helper.stored) for coeffs in combination)
-        if state.strict and any(symbol != vec_dot(field, state.message, w_row)
-                                for w_row, symbol in zip(repair_space.rows, downloads)):
+        stored = k.pack(helper.stored, helper.space.dim)
+        downloads = tuple([k.dot(coeffs, stored) for coeffs in held])
+        if state.strict and any(symbol != k.dot(message, w_row)
+                                for w_row, symbol in zip(repair_space._basis, downloads)):
             raise CorruptStateError(
                 f"{_event(state, failed.id)}: helper node {helper.id} served "
                 "a symbol that disagrees with the message")
         shares.append(HelperShare(helper.id, repair_space, combination, downloads))
         flat_downloads.extend(downloads)
-    new_stored = tuple(vec_dot(field, coeffs, flat_downloads) for coeffs in plan.rebuild)
-    if state.strict and any(symbol != vec_dot(field, state.message, basis_row)
-                            for basis_row, symbol in zip(newcomer.rows, new_stored)):
+    received = k.pack(flat_downloads, len(flat_downloads))
+    new_stored = tuple([k.dot(coeffs, received) for coeffs in plan.rebuild])
+    if state.strict and any(symbol != k.dot(message, basis_row)
+                            for basis_row, symbol in zip(newcomer._basis, new_stored)):
         raise CorruptStateError(
             f"{_event(state, failed.id)}: a rebuilt symbol disagrees with the message")
     failed.space = newcomer
@@ -331,14 +333,17 @@ def repair(state: DssState, node_id: Optional[int] = None,
     return transcript
 
 
-def _span_rank(state: DssState, nodes: Sequence[Node]) -> int:
-    # the rank of the nodes' bases, once per multiset of node spaces
-    key = tuple(sorted(node.space.key for node in nodes))
-    rank = state.span_ranks.get(key)
-    if rank is None:
+_by_space = operator.attrgetter("space.key", "id")
+
+
+def _node_decoder(state: DssState, nodes: Sequence[Node]) -> Optional[tuple]:
+    # one reduction per multiset of node spaces; nodes come sorted by _by_space,
+    # so their rows follow the key tuple, a repeated node once per naming
+    key = tuple([node.space.key for node in nodes])
+    if key not in state.decoders:
         rows = [row for node in nodes for row in node.space.rows]
-        rank = state.span_ranks[key] = rank_of(state.field, state.params.m, rows)
-    return rank
+        state.decoders[key] = _decoder(state.field, state.params.m, rows)
+    return state.decoders[key]
 
 
 def collect(state: DssState, node_ids: Sequence[int]) -> tuple[int, ...]:
@@ -357,19 +362,22 @@ def collect(state: DssState, node_ids: Sequence[int]) -> tuple[int, ...]:
         if not node.alive:
             raise ValueError(f"node {node_id} is failed")
         nodes.append(node)
-    rank = _span_rank(state, nodes)
-    if rank != params.m:
+    nodes.sort(key=_by_space)
+    decoder = _node_decoder(state, nodes)
+    if decoder is None:
+        rank = rank_of(state.field, params.m, [r for node in nodes for r in node.space.rows])
         raise RecoveryError(
             f"nodes {list(node_ids)} span only {rank} of {params.m} dimensions; "
             "insufficient to recover")
-    rows = [row for node in nodes for row in node.space.rows]
-    rhs = [symbol for node in nodes for symbol in node.stored]
-    recovered = solve(state.field, rows, rhs)
-    if recovered is None:
+    recover, checks = decoder
+    k = _kernels(state.field)
+    rhs = k.pack([symbol for node in nodes for symbol in node.stored],
+                 len(recover) + len(checks))
+    if any(k.dot(check, rhs) for check in checks):
         raise CorruptStateError(
             f"nodes {list(node_ids)} span the space but their stored symbols "
             "give no solution")
-    return recovered
+    return tuple([k.dot(row, rhs) for row in recover])
 
 
 @dataclass(frozen=True)
@@ -434,8 +442,8 @@ def run_random(state: DssState, steps: int,
         visited.add(transcript.collection_key)
         downloads += transcript.total_download
         combos = itertools.combinations(range(len(state.nodes)), params.k)
-        spanning = [combo for combo in combos
-                    if _span_rank(state, [state.nodes[i] for i in combo]) == params.m]
+        spanning = [combo for combo in combos if _node_decoder(
+            state, sorted([state.nodes[i] for i in combo], key=_by_space)) is not None]
         _require(bool(spanning), "some k nodes span after a verified repair")
         checks = spanning if state.strict else [state.rng.choice(spanning)]
         for combo in checks:

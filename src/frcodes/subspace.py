@@ -78,8 +78,8 @@ def standard_basis_vector(m: int, i: int) -> Vector:
 
 def vec_add(field: Field, u: Sequence[int], v: Sequence[int]) -> Vector:
     if field.p == 2:
-        return tuple(x ^ y for x, y in zip(u, v))
-    return tuple(field.add(x, y) for x, y in zip(u, v))
+        return tuple(x ^ y for x, y in zip(u, v, strict=True))
+    return tuple(field.add(x, y) for x, y in zip(u, v, strict=True))
 
 
 def vec_scale(field: Field, c: int, v: Sequence[int]) -> Vector:
@@ -92,7 +92,7 @@ def vec_scale(field: Field, c: int, v: Sequence[int]) -> Vector:
 
 def vec_dot(field: Field, u: Sequence[int], v: Sequence[int]) -> int:
     acc = 0
-    for x, y in zip(u, v):
+    for x, y in zip(u, v, strict=True):
         if x and y:
             acc = field.add(acc, field.mul(x, y))
     return acc
@@ -205,8 +205,9 @@ def _bits_key(m: int, bits: Sequence[int], pivots: Sequence[int]) -> bytes:
 # rows are 1 at their pivot and 0 at the pivots before.  join(left,
 # right, m) puts two rows side by side and right(row, m) takes back the
 # columns from m on, for the doubled-column reductions; column(rows, j)
-# reads one column.  span lists the vectors of a span and reduced_bases
-# the reduced bases of every d-dimensional subspace, in canonical order.
+# reads one column and dot(x, y) is the dot product of two rows.  span
+# lists the vectors of a span and reduced_bases the reduced bases of
+# every d-dimensional subspace, in canonical order.
 
 class _BitRows:
     """GF(2) rows packed into ints, bit j holding coordinate j."""
@@ -276,6 +277,10 @@ class _BitRows:
     @staticmethod
     def column(rows: Iterable[int], j: int) -> list[int]:
         return [(r >> j) & 1 for r in rows]
+
+    @staticmethod
+    def dot(x: int, y: int) -> int:
+        return (x & y).bit_count() & 1
 
     @staticmethod
     def span(basis: Sequence[int], m: int) -> list[int]:
@@ -375,6 +380,9 @@ class _TupleRows:
     @staticmethod
     def column(rows: Iterable[Vector], j: int) -> list[int]:
         return [r[j] for r in rows]
+
+    def dot(self, x: Vector, y: Vector) -> int:
+        return vec_dot(self.field, x, y)
 
     def matmul(self, a: Iterable[Vector], b: Sequence[Vector]) -> list[Vector]:
         field = self.field
@@ -685,6 +693,23 @@ def express(field: Field, target: Sequence[int],
     if pivot is not None and pivot[0] < m:
         return None
     return vec_scale(field, field.neg(1), k.unpack(k.right(x, m), n))
+
+
+def _decoder(field: Field, m: int, rows: Sequence[Sequence[int]]) -> Optional[tuple[tuple, tuple]]:
+    """(recover, checks) for the systems rows . x = b, or None unless rows span F_q^m.
+
+    Both are held rows of length len(rows): recover[p] . rows = e_p, so
+    x_p = recover[p] . b, and checks is a basis of the left kernel, so a
+    solution exists exactly when every check . b is 0.
+    """
+    k, n = _kernels(field), len(rows)
+    # (rows | I) has full row rank, so every reduced row is (c . rows | c),
+    # and the first rank of them have their pivots in the left half
+    reduced = k.rref([k.join(k.pack(row, m), k.unit(n, i), m) for i, row in enumerate(rows)])
+    if bisect.bisect_left(k.pivots(reduced), m) < m:
+        return None
+    return (tuple([k.right(r, m) for r in reduced[:m]]),
+            tuple([k.right(r, m) for r in reduced[m:]]))
 
 
 def solve(field: Field, rows: Sequence[Sequence[int]], rhs: Sequence[int]) -> Optional[Vector]:

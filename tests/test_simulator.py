@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import hashlib
 import itertools
 import json
@@ -180,6 +181,18 @@ class TestCollect:
         state = dss_init(code, (1, 0, 0, 1))
         with pytest.raises(RecoveryError, match="insufficient"):
             collect(state, [0])
+
+    def test_repeated_node_id(self, exact_code):
+        # a repeated node adds only dependent equations; its key appears
+        # twice in the decoder's key
+        _, _, code = exact_code
+        x = (1, 0, 1, 1)
+        state = dss_init(code, x)
+        assert collect(state, [2, 0, 2]) == x
+        key = tuple(sorted(state.nodes[i].space.key for i in (0, 2, 2)))
+        assert state.decoders[key] is not None
+        with pytest.raises(RecoveryError, match="span only 2 of 4 dimensions"):
+            collect(state, [1, 1])
 
     def test_collect_validates_nodes(self, exact_code):
         _, _, code = exact_code
@@ -412,9 +425,10 @@ def soak_against_oracle(code, x, seed, steps, monkeypatch):
 
     Each share's combination and each rebuilt symbol are recomputed by
     a fresh express, and every k-subset of every configuration visited
-    must have a memoized rank that agrees with is_recovery_set.  express
-    may run only when a (collection, newcomer) pair is met for the first
-    time, at most r * beta + alpha times.  Returns the final state.
+    must have a memoized decoder, None exactly when is_recovery_set
+    fails.  express may run only when a (collection, newcomer) pair is
+    met for the first time, at most r * beta + alpha times.  Returns the
+    final state.
     """
     from frcodes import simulator
 
@@ -460,15 +474,60 @@ def soak_against_oracle(code, x, seed, steps, monkeypatch):
             key = tuple(sorted(node.space.key for node in combo))
             subsets.add(key)
             spans = is_recovery_set([node.space for node in combo], params.m)
-            assert (state.span_ranks[key] == params.m) == spans
+            assert (state.decoders[key] is not None) == spans
     # the memos grow only with distinct configurations
     assert sum(len(plans) for _, plans in state.newcomer_cache.values()) == len(pairs)
     assert state.admitted == configurations
-    assert set(state.span_ranks) == subsets
+    assert set(state.decoders) == subsets
     # single-event runs continue the generator: one run gives the same log
     whole = run_random(dss_init(code, x, seed=seed), steps)
     assert whole.log == tuple(state.log)
     return state
+
+
+class TestWorkCounts:
+    """The main phase of the benchmark soaks reduces once per node multiset.
+
+    With the message and seed of each soak's first process (perfbench
+    seed 1, index 0), in strict mode: no solve, vec_dot or rank_of call,
+    and one decoder per distinct sorted key tuple of a node subset.
+    """
+
+    @staticmethod
+    def counted_run(code, x, seed, steps, monkeypatch):
+        from frcodes import simulator, subspace
+
+        calls = collections.Counter()
+
+        def counter(name, fn):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return counted
+
+        state = dss_init(code, x, seed=seed)
+        for module in (subspace, simulator):
+            for name in ("solve", "vec_dot", "rank_of", "_decoder"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counter(name, getattr(module, name)))
+        assert run_random(state, steps).verdict == "ok"
+        return state, calls
+
+    def test_soak56_counts(self, partition_states, monkeypatch):
+        state, calls = self.counted_run(partition_states, (0, 1, 0, 1, 0), 1351038068,
+                                        500, monkeypatch)
+        assert calls == {"_decoder": 56}
+        assert len(state.decoders) == 56
+
+    def test_soak_family_counts(self, monkeypatch):
+        from frcodes.family import family_state_space
+
+        code = family_state_space(3, 1, 2)
+        code.verify()
+        state, calls = self.counted_run(code, (1, 1, 1, 1, 1), 2037067407, 300,
+                                        monkeypatch)
+        assert calls == {"_decoder": 574}
+        assert len(state.decoders) == 574
 
 
 class TestMemos:

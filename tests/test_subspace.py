@@ -324,6 +324,52 @@ def test_solve_consistent_and_inconsistent():
         assert vec_dot(F3, r, x3) == b
 
 
+def test_vector_helpers_reject_mismatched_lengths():
+    for field in (F2, F3):
+        with pytest.raises(ValueError):
+            vec_dot(field, (1, 1), (1,))
+        with pytest.raises(ValueError):
+            vec_add(field, (1,), (1, 0))
+
+
+@st.composite
+def _systems(draw):
+    field = draw(st.sampled_from([F2, F3, F4]))
+    m = draw(st.integers(1, 5))
+    element = st.integers(0, field.q - 1)
+    vector = st.tuples(*[element] * m)
+    rows = draw(st.lists(vector, max_size=m + 3))
+    rhs = draw(st.lists(element, min_size=len(rows), max_size=len(rows)))
+    return field, m, rows, draw(vector), rhs
+
+
+@settings(max_examples=300, deadline=None)
+@given(_systems())
+def test_decoder_matches_solve(case):
+    # solve is the oracle of the one-reduction decoder
+    field, m, rows, x, rhs = case
+    decoder = sub._decoder(field, m, rows)
+    assert (decoder is not None) == (rank_of(field, m, rows) == m)
+    if decoder is None:
+        return
+    k, n = sub._kernels(field), len(rows)
+    recover, checks = decoder
+    # the checks are a basis of the left kernel
+    unpacked = [k.unpack(c, n) for c in checks]
+    assert len(checks) == n - m == rank_of(field, n, unpacked)
+    assert matmul(field, unpacked, rows) == ((0,) * m,) * len(checks)
+    # recover decodes rows . x back to x
+    b = k.pack([vec_dot(field, row, x) for row in rows], n)
+    assert not any(k.dot(c, b) for c in checks)
+    assert tuple(k.dot(r, b) for r in recover) == x
+    # the checks flag a right-hand side exactly when solve finds no solution
+    held = k.pack(rhs, n)
+    solution = solve(field, rows, rhs)
+    assert any(k.dot(c, held) for c in checks) == (solution is None)
+    if solution is not None:
+        assert tuple(k.dot(r, held) for r in recover) == solution
+
+
 def test_left_kernel_matches_bruteforce():
     rng = random.Random(17)
     for field, m, n in [(F2, 3, 4), (F2, 4, 3), (F3, 2, 3), (F4, 2, 2), (F2, 5, 6)]:
