@@ -18,9 +18,9 @@ and the newcomer's rebuild rows) per (collection key, newcomer key), a
 decoder (recovery and check rows from one reduction) per sorted key
 tuple of a node subset, and the strict leave-one-out admission per
 sorted key tuple of all n nodes.  No memo holds stored data: every
-download, rebuilt symbol and recovery is a dot product of held rows
-with the stored symbols on every event and, in strict mode, is checked
-against the message.
+download, rebuilt symbol and recovery is computed from the stored
+symbols on every event, as dot products on held rows, and, in strict
+mode, checked against the message.
 """
 
 from __future__ import annotations
