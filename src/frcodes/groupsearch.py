@@ -480,11 +480,6 @@ def stabilizer(collection: RepairingCollection, newcomer: Subspace,
     return GroupClosure(maps, len(maps), cap, transitive=transitive)
 
 
-def _point_images(mapping: LinearMap, points: Sequence) -> list:
-    """Images of points, held rows of the map's kernel table, under the map."""
-    return mapping._k.matmul(points, mapping._matrix)
-
-
 def _basis_permutations(generators: Sequence[LinearMap],
                         cap: int) -> Optional[list[tuple[int, ...]]]:
     """The generators as permutations of the basis-vector orbits.
@@ -494,8 +489,8 @@ def _basis_permutations(generators: Sequence[LinearMap],
     all fixes a basis, so the action is faithful.  An orbit is no larger
     than the group, so one orbit of more than cap points means the group
     order exceeds cap, and None is returned without further work.  Each
-    point image is read from the generator's _points memo, computed by
-    _point_images only the first time any group asks that map for it;
+    point image is read from the generator's _points memo, computed as a
+    held-row product only the first time any group asks that map for it;
     the numbering stays the group's own.
     """
     index: dict = {}
@@ -514,7 +509,7 @@ def _basis_permutations(generators: Sequence[LinearMap],
             for g, row in zip(generators, images):
                 y = g._points.get(x)
                 if y is None:
-                    y = g._points[x] = _point_images(g, [x])[0]
+                    y = g._points[x] = g._k.matmul([x], g._matrix)[0]
                 row.append(y)
                 if y not in index:
                     if len(points) - first >= cap:

@@ -11,6 +11,11 @@ valid newcomer, again a graph, whose scalar label is a closed-form
 function of the three labels.  The resulting 56 states form a
 functional-repair code whose symmetry group has order 168, and eight is
 the largest any such family of planes in F_2^5 can be.
+
+This module keeps the model, the code with its canonical seed state,
+and the maximality proof.  The 168 semilinear maps of the symmetry
+group, and the exhaustive list of all maximum families, are built and
+checked in the test suite (tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -20,9 +25,9 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .gf import GF, Field
-from .groupsearch import GROUP_CAP, GroupClosure, LinearMap, _point_images, group_closure
+from .groupsearch import LinearMap
 from .storage import CodeParams, RepairingCollection, StateSet
-from .subspace import Subspace, full_space, span, standard_basis_vector, subspaces
+from .subspace import Subspace, full_space, matmul, span, standard_basis_vector, subspaces
 
 __all__ = [
     "PartitionModel",
@@ -31,14 +36,7 @@ __all__ = [
     "code_states",
     "partition_params",
     "canonical_seed_state",
-    "label_action",
-    "compose_semilinear",
-    "semilinear_map",
-    "enumerate_semilinear",
-    "symmetry_group",
     "max_collection_size",
-    "maximum_collections",
-    "unique_maximum_collection",
 ]
 
 
@@ -71,21 +69,6 @@ class PartitionModel:
     field_block: Subspace
     members: tuple[Subspace, ...]
     labels: dict[bytes, int]
-
-    def vector_of(self, w: int, u: int) -> tuple[int, ...]:
-        """Coordinates of the pair (w, u); u must lie on the plane."""
-        self.field8._check(w)
-        if u not in self.plane:
-            raise ValueError(f"{u} is not on the plane")
-        return tuple(self.field8.digits(w)) + tuple(self.field8.digits(u)[1:])
-
-    def parts_of(self, vector: Sequence[int]) -> tuple[int, int]:
-        """The (w, u) pair behind a coordinate vector."""
-        if len(vector) != self.m:
-            raise ValueError(f"vector length {len(vector)} does not match ambient {self.m}")
-        w = self.field8.from_digits(list(vector[:3]))
-        u = self.field8.from_digits([0] + list(vector[3:]))
-        return w, u
 
     def member(self, label: int) -> Subspace:
         self.field8._check(label)
@@ -206,90 +189,14 @@ def canonical_seed_state(model: Optional[PartitionModel] = None,
     return collection, model.members[repair_label(0, 1, alpha)]
 
 
-def label_action(a: int, b: int, i: int, beta: int) -> int:
-    """Image of a label under the map x -> a * x^(2^i) + b."""
-    field8 = GF(2, 3)
-    for x in (a, b, beta):
-        field8._check(x)
-    if a == 0:
-        raise ValueError("the scale must be nonzero")
-    return field8.add(field8.mul(a, field8.frobenius(beta, i % 3)), b)
-
-
-def compose_semilinear(outer: tuple[int, int, int],
-                       inner: tuple[int, int, int]) -> tuple[int, int, int]:
-    """Parameters of the composite map: inner first, then outer.
-
-    Substituting a*x^(2^i) + b into c*x^(2^j) + d gives the scale
-    c * a^(2^j), the shift c * b^(2^j) + d, and the twist i + j mod 3.
-    """
-    field8 = GF(2, 3)
-    c, d, j = outer
-    a, b, i = inner
-    for x in (a, b, c, d):
-        field8._check(x)
-    if a == 0 or c == 0:
-        raise ValueError("the scale must be nonzero")
-    scale = field8.mul(c, field8.frobenius(a, j % 3))
-    shift = field8.add(field8.mul(c, field8.frobenius(b, j % 3)), d)
-    return scale, shift, (i + j) % 3
-
-
-def semilinear_map(a: int, b: int, i: int,
-                   model: Optional[PartitionModel] = None) -> LinearMap:
-    """The invertible map (w, u) -> (a*w^(2^i) + b*u^(2^i), u^(2^i)).
-
-    Frobenius twists are GF(2)-linear and the plane is closed under
-    them, so the map is a 5x5 matrix over GF(2) in the fixed
-    coordinates.  It carries the graph of multiplication by x to the
-    graph of multiplication by a*x^(2^i) + b.
-    """
-    if model is None:
-        model = build_partition()
-    field8 = model.field8
-    field8._check(a)
-    field8._check(b)
-    if a == 0:
-        raise ValueError("the scale must be nonzero")
-    i = i % 3
-    rows = []
-    for j in range(3):
-        w = field8.from_digits([1 if t == j else 0 for t in range(3)])
-        image_w = field8.mul(a, field8.frobenius(w, i))
-        rows.append(model.vector_of(image_w, 0))
-    for u in model.plane[1:3]:
-        twisted = field8.frobenius(u, i)
-        rows.append(model.vector_of(field8.mul(b, twisted), twisted))
-    return LinearMap(model.base, model.m, tuple(rows))
-
-
-def enumerate_semilinear(model: Optional[PartitionModel] = None,
-                         ) -> tuple[tuple[tuple[int, int, int], LinearMap], ...]:
-    """All 168 parameterized maps, as (parameters, map) pairs."""
-    if model is None:
-        model = build_partition()
-    out = []
-    for a in model.field8.nonzero():
-        for b in model.field8.elements():
-            for i in range(3):
-                out.append(((a, b, i), semilinear_map(a, b, i, model)))
-    return tuple(out)
-
-
-def symmetry_group(model: Optional[PartitionModel] = None,
-                   cap: int = GROUP_CAP) -> GroupClosure:
-    """The full symmetry group, generated by scaling, shift and Frobenius."""
-    if model is None:
-        model = build_partition()
-    alpha = model.field8.generator
-    generators = [semilinear_map(alpha, 0, 0, model),
-                  semilinear_map(1, 1, 0, model),
-                  semilinear_map(1, 0, 1, model)]
-    return group_closure(generators, cap=cap)
+def _point(row: Sequence[int]) -> int:
+    # a vector of F_2^5 as a point of this module's numbering: bit j
+    # holds coordinate j
+    return sum(x << j for j, x in enumerate(row))
 
 
 def _vector_mask(a: int, b: int) -> int:
-    # the three nonzero vectors of the plane with packed basis a, b, as
+    # the three nonzero vectors of the plane with basis points a, b, as
     # bits of a 2^m-bit mask; the mask identifies the plane
     return (1 << a) | (1 << b) | (1 << (a ^ b))
 
@@ -299,14 +206,16 @@ class _PlaneTables:
     """The planes of F_2^5 as indices, with the bitsets of the clique search.
 
     planes is in ascending canonical-key order, and a plane's index is
-    its position there; index maps the vector mask of a plane back to
-    its index.  Bit y of disjoint[x] is set when planes x and y meet
+    its position there; bases[x] holds the points of the canonical rows
+    of plane x, and index maps the vector mask of a plane back to its
+    index.  Bit y of disjoint[x] is set when planes x and y meet
     trivially.  For such a pair, bit d of outside[x][y] is set when
     plane d is not contained in the 4-space x + y, so that x, y and d
     span F_2^5; outside[x][y] is 0 for every other pair.
     """
 
     planes: tuple[Subspace, ...]
+    bases: tuple[tuple[int, ...], ...]
     index: dict[int, int]
     disjoint: tuple[int, ...]
     outside: tuple[tuple[int, ...], ...]
@@ -315,7 +224,8 @@ class _PlaneTables:
 def _plane_tables(model: PartitionModel) -> _PlaneTables:
     planes = tuple(subspaces(model.base, model.m, 2))
     everything = (1 << len(planes)) - 1
-    masks = [_vector_mask(*u._basis) for u in planes]
+    bases = tuple(tuple(_point(row) for row in u.rows) for u in planes)
+    masks = [_vector_mask(*basis) for basis in bases]
     disjoint = [0] * len(planes)
     outside = [[0] * len(planes) for _ in planes]
     # two planes that meet trivially span exactly one of the 31
@@ -332,7 +242,7 @@ def _plane_tables(model: PartitionModel) -> _PlaneTables:
                     disjoint[y] |= 1 << x
                     outside[x][y] = outside[y][x] = rest
     index = {mask: x for x, mask in enumerate(masks)}
-    return _PlaneTables(planes, index, tuple(disjoint),
+    return _PlaneTables(planes, bases, index, tuple(disjoint),
                         tuple(tuple(row) for row in outside))
 
 
@@ -392,7 +302,7 @@ def _member_indices(tables: _PlaneTables, model: PartitionModel) -> list[int]:
     out = []
     for u in model.members:
         _require(u.dim == 2, "every graph space is a plane")
-        out.append(tables.index[_vector_mask(*u._basis)])
+        out.append(tables.index[_vector_mask(*map(_point, u.rows))])
     return out
 
 
@@ -409,27 +319,28 @@ def _is_clique(tables: _PlaneTables, family: Sequence[int]) -> bool:
 def _plane_permutations(tables: _PlaneTables,
                         generators: Sequence[LinearMap]) -> list[tuple[int, ...]]:
     # the permutation of plane indices induced by each map, from the
-    # images of each plane's packed basis
-    return [tuple(tables.index[_vector_mask(*_point_images(g, u._basis))]
-                  for u in tables.planes)
-            for g in generators]
+    # images of all 2^m points, computed once per map
+    m = tables.planes[0].m
+    vectors = [tuple(v >> j & 1 for j in range(m)) for v in range(1 << m)]
+    perms = []
+    for g in generators:
+        image = [_point(row) for row in matmul(g.field, vectors, g.rows)]
+        perms.append(tuple(tables.index[_vector_mask(image[a], image[b])]
+                           for a, b in tables.bases))
+    return perms
 
 
-def _orbit(family: frozenset[int], perms: Sequence[tuple[int, ...]],
-           cap: int) -> set[frozenset[int]]:
-    # the orbit of a family of plane indices under the group that the
-    # generator permutations generate
-    orbit = {family}
-    frontier = [family]
+def _orbit(start: int, perms: Sequence[tuple[int, ...]]) -> set[int]:
+    # the orbit of a plane index under the group that the generator
+    # permutations generate
+    orbit = {start}
+    frontier = [start]
     while frontier:
-        current = frontier.pop()
+        x = frontier.pop()
         for perm in perms:
-            image = frozenset(perm[x] for x in current)
-            if image not in orbit:
-                if len(orbit) >= cap:
-                    raise RuntimeError(f"orbit exceeded {cap} families")
-                orbit.add(image)
-                frontier.append(image)
+            if perm[x] not in orbit:
+                orbit.add(perm[x])
+                frontier.append(perm[x])
     return orbit
 
 
@@ -468,34 +379,18 @@ def max_collection_size(model: Optional[PartitionModel] = None) -> int:
     family = _member_indices(tables, model)
     _require(len(set(family)) >= 8 and _is_clique(tables, family),
              "the graph spaces are a family of at least 8 planes in the search tables")
-    orbit = _orbit(frozenset([0]),
-                   _plane_permutations(tables, _general_linear_generators(model)), count)
+    orbit = _orbit(0, _plane_permutations(tables, _general_linear_generators(model)))
     _require(len(orbit) == count, "the linear group is transitive on the planes")
     perms = _plane_permutations(tables, _plane_zero_stabilizer_generators(model))
     _require(all(perm[0] == 0 for perm in perms),
              "every stabilizer generator fixes plane 0")
     neighbours = tables.disjoint[0]
     second = (neighbours & -neighbours).bit_length() - 1
-    orbit = _orbit(frozenset([second]), perms, count)
-    _require(orbit == {frozenset([y]) for y in range(count) if neighbours >> y & 1},
+    _require(_orbit(second, perms) == {y for y in range(count) if neighbours >> y & 1},
              "the stabilizer of plane 0 is transitive on the planes disjoint from it")
     best, _, _ = _clique_search(tables, collect_all=False, fixed=(0, second))
     _require(best >= len(family), "the maximum is at least the number of graph spaces")
     return best
-
-
-def maximum_collections(model: Optional[PartitionModel] = None,
-                        ) -> tuple[tuple[bytes, ...], ...]:
-    """Every maximum family, as sorted tuples of subspace keys.
-
-    The search runs over all 155 planes with no symmetry reduction.
-    """
-    if model is None:
-        model = build_partition()
-    tables = _plane_tables(model)
-    _, witnesses, _ = _clique_search(tables, collect_all=True)
-    return tuple(sorted(tuple(sorted(tables.planes[x].key for x in w))
-                        for w in witnesses))
 
 
 def _general_linear_generators(model: PartitionModel) -> list[LinearMap]:
@@ -524,28 +419,3 @@ def _plane_zero_stabilizer_generators(model: PartitionModel) -> list[LinearMap]:
     return [LinearMap(model.base, m,
                       tuple(tuple(int(j in image) for j in range(m)) for image in images))
             for images in _PLANE_ZERO_STABILIZER]
-
-
-def unique_maximum_collection(model: Optional[PartitionModel] = None,
-                              orbit_cap: int = 10**5,
-                              witnesses: Optional[Sequence[tuple[bytes, ...]]] = None,
-                              ) -> bool:
-    """Whether all maximum families are images of the graph family.
-
-    Compares the exhaustive count of maximum families against the orbit
-    of the canonical one under the invertible maps of F_2^5; equality
-    means every maximum family is linearly equivalent to the graphs.
-    The orbit is walked on plane indices, with each generator applied
-    once to all 155 planes.  Without a precomputed witness list this
-    rebuilds it, which is noticeably slower than max_collection_size.
-    """
-    if model is None:
-        model = build_partition()
-    if witnesses is None:
-        witnesses = maximum_collections(model)
-    tables = _plane_tables(model)
-    orbit = _orbit(frozenset(_member_indices(tables, model)),
-                   _plane_permutations(tables, _general_linear_generators(model)),
-                   orbit_cap)
-    keyed = {tuple(sorted(tables.planes[x].key for x in family)) for family in orbit}
-    return keyed == set(witnesses)

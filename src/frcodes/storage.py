@@ -60,7 +60,6 @@ __all__ = [
     "RepairReport",
     "ClosureError",
     "is_recovery_set",
-    "recovery_dimension",
     "iter_obtainable",
     "find_repair_witness",
     "valid_newcomers",
@@ -208,21 +207,6 @@ def is_recovery_set(spaces: Sequence[Subspace], m: int) -> bool:
         if total.dim == m:
             return True
     return total.dim == m
-
-
-def recovery_dimension(spaces: Sequence[Subspace], m: int) -> int:
-    """Smallest number of the given spaces that suffices to span F_q^m.
-
-    Scans subsets by increasing size and returns the first size for which
-    some subset spans.  Raises when even the full list does not span.
-    """
-    if not is_recovery_set(list(spaces), m):
-        raise ValueError("the full list of spaces does not span the ambient space")
-    for size in range(1, len(spaces) + 1):
-        for combo in itertools.combinations(spaces, size):
-            if is_recovery_set(list(combo), m):
-                return size
-    raise AssertionError("unreachable")
 
 
 # ----------------------------------------------------------------------

@@ -31,14 +31,11 @@ from frcodes.partition_code import (
     build_partition,
     canonical_seed_state,
     code_states,
-    compose_semilinear,
-    enumerate_semilinear,
     max_collection_size,
     partition_params,
     repair_label,
 )
 from frcodes.simulator import dss_init, fail, repair, run_random
-from frcodes.storage import recovery_dimension
 from frcodes.subspace import (
     gaussian_binomial,
     rank_of,
@@ -47,6 +44,8 @@ from frcodes.subspace import (
     vec_dot,
     zero_subspace,
 )
+from oracles import (compose_semilinear, enumerate_semilinear, label_action,
+                     recovery_dimension)
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -183,7 +182,6 @@ def test_criterion_5_group_action():
     for (p1, m1), (p2, m2) in itertools.product(maps, maps):
         composed = m1.compose(m2)  # apply m2 first
         assert composed == by_params[compose_semilinear(p1, p2)]
-    from frcodes.partition_code import label_action
     for params, mapping in maps:
         a, b, i = params
         for beta in range(8):

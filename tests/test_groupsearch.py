@@ -1125,7 +1125,7 @@ def test_symmetry_search_shares_each_coset_outcome(which, monkeypatch, list_grou
     walked = {}    # id(group) -> orbit keys, None past the orbit cap
     points = []
     real_closure, real_orbit = groupsearch.group_closure, groupsearch.orbit
-    real_images = groupsearch._point_images
+    real_permutations = groupsearch._basis_permutations
 
     def counted_closure(generators, cap=groupsearch.GROUP_CAP):
         group = real_closure(generators, cap=cap)
@@ -1138,17 +1138,21 @@ def test_symmetry_search_shares_each_coset_outcome(which, monkeypatch, list_grou
         walked[id(group)] = frozenset(tree)
         return tree
 
-    def counted_images(mapping, rows):
-        points.extend(rows)
-        return real_images(mapping, rows)
+    def counted_permutations(generators, cap):
+        # each point image is computed once, into its map's _points memo
+        maps = {id(g): g for g in generators}.values()
+        before = sum(len(g._points) for g in maps)
+        perms = real_permutations(generators, cap)
+        points.append(sum(len(g._points) for g in maps) - before)
+        return perms
 
     monkeypatch.setattr(groupsearch, "group_closure", counted_closure)
     monkeypatch.setattr(groupsearch, "orbit", counted_orbit)
-    monkeypatch.setattr(groupsearch, "_point_images", counted_images)
+    monkeypatch.setattr(groupsearch, "_basis_permutations", counted_permutations)
     outcome = symmetry_search(seed, newcomer, params, group_cap=5000, orbit_cap=500)
     monkeypatch.undo()
     if which == "seed56":
-        assert (len(computed), len(points), len(walked)) == (64, 1062, 50)
+        assert (len(computed), sum(points), len(walked)) == (64, 1062, 50)
     cyclic = {t.key: {s.key: s for s in list_group(group_closure([t])).values()}
               for t in outcome.transitive_generators}
     owners = set()

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from frcodes import partition_code
 from frcodes.gf import GF
-from frcodes.groupsearch import LinearMap, orbit, orbit_code
+from frcodes.groupsearch import GROUP_CAP, GroupClosure, LinearMap, orbit, orbit_code
 from frcodes.partition_code import (
     _clique_search,
     _general_linear_generators,
@@ -21,20 +21,22 @@ from frcodes.partition_code import (
     _plane_zero_stabilizer_generators,
     build_partition,
     canonical_seed_state,
-    code_states,
-    compose_semilinear,
-    enumerate_semilinear,
-    label_action,
     max_collection_size,
-    maximum_collections,
     partition_params,
     repair_label,
-    semilinear_map,
-    symmetry_group,
-    unique_maximum_collection,
 )
 from frcodes.storage import RepairingCollection
 from frcodes.subspace import full_space, span, standard_basis_vector, subspaces
+from oracles import (
+    compose_semilinear,
+    enumerate_semilinear,
+    label_action,
+    maximum_collections,
+    parts_of,
+    semilinear_map,
+    symmetry_group,
+    vector_of,
+)
 
 F2 = GF(2)
 F8 = GF(2, 3)
@@ -107,12 +109,12 @@ def test_vector_embedding_roundtrip(partition_model):
     model = partition_model
     for w in range(8):
         for u in model.plane:
-            vec = model.vector_of(w, u)
-            assert model.parts_of(vec) == (w, u)
+            vec = vector_of(model, w, u)
+            assert parts_of(model, vec) == (w, u)
     with pytest.raises(ValueError):
-        model.vector_of(1, 1)
+        vector_of(model, 1, 1)
     with pytest.raises(ValueError):
-        model.parts_of((1, 0, 0))
+        parts_of(model, (1, 0, 0))
 
 
 def test_repair_label_worked_case():
@@ -297,6 +299,23 @@ def test_plane_permutations_match_linear_maps(partition_model, plane_tables):
         assert list(perm) == [index[g.apply(p).key] for p in planes]
 
 
+def test_maximality_proof_runs_on_tuple_rows(partition_model, plane_tables, tuple_rows):
+    # the proof reads spaces and maps only through their public rows, so
+    # a model whose spaces hold tuple rows gives the same tables
+    generators = (_general_linear_generators(partition_model)
+                  + _plane_zero_stabilizer_generators(partition_model))
+    with tuple_rows(F2):
+        model = build_partition()
+        assert max_collection_size(model) == 8
+        tables = _plane_tables(model)
+        perms = _plane_permutations(tables, _general_linear_generators(model)
+                                    + _plane_zero_stabilizer_generators(model))
+    assert [p.key for p in tables.planes] == [p.key for p in plane_tables.planes]
+    for name in ("bases", "index", "disjoint", "outside"):
+        assert getattr(tables, name) == getattr(plane_tables, name)
+    assert perms == _plane_permutations(plane_tables, generators)
+
+
 def test_stabilizer_generators_fix_plane_zero(partition_model, plane_tables):
     planes = plane_tables.planes
     index = {p.key: x for x, p in enumerate(planes)}
@@ -383,7 +402,11 @@ def test_unique_maximum_collection(partition_model, maximum_witnesses):
     assert len(witnesses) == 59520
     canonical = tuple(sorted(u.key for u in partition_model.members))
     assert canonical in witnesses
-    assert unique_maximum_collection(partition_model, witnesses=witnesses)
+    # they are exactly the images of the graph family under GL(5, 2),
+    # walked as collections; the group order is not needed
+    group = GroupClosure(_general_linear_generators(partition_model), None, GROUP_CAP)
+    walked = orbit(group, RepairingCollection(partition_model.members), cap=10**5)
+    assert set(walked) == set(witnesses)
     # the stabilizer of the family inside the full linear group has
     # exactly the symmetry group's order
     general_linear_order = 1
@@ -391,8 +414,3 @@ def test_unique_maximum_collection(partition_model, maximum_witnesses):
         general_linear_order *= 2**5 - 2**i
     assert general_linear_order == 9999360
     assert len(witnesses) * 168 == general_linear_order
-
-
-def test_unique_maximum_collection_orbit_cap(partition_model):
-    with pytest.raises(RuntimeError, match="orbit exceeded 100 families"):
-        unique_maximum_collection(partition_model, orbit_cap=100, witnesses=())

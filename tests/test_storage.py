@@ -26,10 +26,10 @@ from frcodes.storage import (
     is_recovery_set,
     iter_obtainable,
     reachable_closure,
-    recovery_dimension,
     valid_newcomers,
 )
 from frcodes.subspace import CapExceeded, span, subspaces, zero_subspace
+from oracles import recovery_dimension
 
 
 def test_params_validation():
