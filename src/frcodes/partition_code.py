@@ -59,7 +59,7 @@ class PartitionModel:
     Vectors are (w, u) pairs: the first three coordinates hold a GF(8)
     value w in the polynomial basis and the last two hold an element u
     of the plane in its own basis.  members[b] is the graph of
-    multiplication by b, and labels inverts the assignment b -> member.
+    multiplication by b.
     """
 
     base: Field
@@ -68,17 +68,6 @@ class PartitionModel:
     plane: tuple[int, ...]
     field_block: Subspace
     members: tuple[Subspace, ...]
-    labels: dict[bytes, int]
-
-    def member(self, label: int) -> Subspace:
-        self.field8._check(label)
-        return self.members[label]
-
-    def label(self, space: Subspace) -> int:
-        found = self.labels.get(space.key)
-        if found is None:
-            raise ValueError("subspace is not one of the graph spaces")
-        return found
 
 
 def _graph_space(base: Field, field8: Field, plane: Sequence[int], scalar: int) -> Subspace:
@@ -107,15 +96,14 @@ def build_partition() -> PartitionModel:
              field8.add(alpha, field8.mul(alpha, alpha)))
     members = tuple(_graph_space(base, field8, plane, b) for b in field8.elements())
     field_block = span(base, 5, [standard_basis_vector(5, i) for i in range(3)])
-    labels = {u.key: b for b, u in enumerate(members)}
-    model = PartitionModel(base, field8, 5, plane, field_block, members, labels)
+    model = PartitionModel(base, field8, 5, plane, field_block, members)
 
     _require(model.members[0] == span(base, 5, [standard_basis_vector(5, 3),
                                                 standard_basis_vector(5, 4)]),
              "the graph of 0 is the plane of the last two coordinates")
     _require(field_block.dim == 3, "the field block has dimension 3")
     _require(all(u.dim == 2 for u in members), "every graph space is a plane")
-    _require(len(labels) == 8, "the eight graph spaces are distinct")
+    _require(len({u.key for u in members}) == 8, "the eight graph spaces are distinct")
     covered = {tuple(v) for v in field_block.vectors() if any(v)}
     _require(len(covered) == 7, "the field block has 7 nonzero vectors")
     for u in members:

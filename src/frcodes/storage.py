@@ -33,6 +33,13 @@ The repair check, `valid_newcomers` and `reachable_closure` all ask it.
 Only the two enumerations take a cap: `iter_obtainable` on the distinct
 candidates of one collection, `reachable_closure` on its collections.
 
+Each slice sum W_1 + ... + W_r is held as a subspace echelon, extended
+one slice at a time along the repairs, and a candidate lies in it when
+its basis reduces to zero against it.  A canonical Subspace of a sum is
+built in two places only: in `iter_obtainable`, for a sum of dimension
+at least alpha whose subspaces it enumerates, and in `_newcomer_search`,
+to order several pending candidates that first land in the same sum.
+
 Collections are multisets: members are kept sorted by canonical key and
 duplicates are significant.  All verification routines are pure
 functions of immutable inputs and safe to call concurrently;
@@ -48,7 +55,8 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .gf import Field
-from .subspace import CapExceeded, Subspace, zero_subspace
+from .subspace import (CapExceeded, Subspace, _echelon_extend, _echelon_holds, _echelon_space,
+                       _require_same_space, zero_subspace)
 
 __all__ = [
     "CodeParams",
@@ -213,18 +221,18 @@ def is_recovery_set(spaces: Sequence[Subspace], m: int) -> bool:
 # obtainable newcomer spaces
 
 def _slice_sums(collection: RepairingCollection, params: CodeParams
-                ) -> Iterator[tuple[tuple[int, ...], tuple[Subspace, ...], Subspace]]:
-    """(indices, beta-slices, their sum) of each (r, beta) repair, in the
-    order of iter_obtainable; ValueError when there are fewer than r members."""
+                ) -> Iterator[tuple[tuple[int, ...], tuple[Subspace, ...], list]]:
+    """(indices, beta-slices, a subspace echelon of their sum, whose length
+    is its dimension) of each (r, beta) repair, in the order of
+    iter_obtainable; ValueError when there are fewer than r members."""
     n1 = len(collection.spaces)
     if params.r > n1:
         raise ValueError(f"r={params.r} helpers but only {n1} members")
-    zero = zero_subspace(collection.field, collection.m)
     for indices in itertools.combinations(range(n1), params.r):
         slice_choices = [list(collection.spaces[i].subspaces(params.beta)) for i in indices]
-        # product advances the last slice fastest, so the running sums of
-        # the slices before the first changed one carry over
-        sums = [zero]
+        # product advances the last slice fastest, so the echelons of the
+        # slices before the first changed one carry over
+        sums: list[list] = [[]]
         previous: tuple[Subspace, ...] = ()
         for ws in itertools.product(*slice_choices):
             kept = 0
@@ -232,7 +240,7 @@ def _slice_sums(collection: RepairingCollection, params: CodeParams
                 kept += 1
             del sums[kept + 1:]
             for w in ws[kept:]:
-                sums.append(sums[-1] + w)
+                sums.append(_echelon_extend(sums[-1], w))
             previous = ws
             yield indices, ws, sums[-1]
 
@@ -243,17 +251,20 @@ def iter_obtainable(collection: RepairingCollection, params: CodeParams,
 
     Deterministic order: repair sets by ascending index tuples, repair
     slices by canonical enumeration within each helper, candidate spaces
-    by canonical enumeration within each slice sum.  A newcomer reached
-    by several repairs comes once, with the witness of its first
-    appearance; CapExceeded is raised past cap distinct candidates.
-    Every newcomer search here calls it by its module-level name.
+    by canonical enumeration within each slice sum.  A slice sum of
+    dimension at least alpha is made a canonical Subspace to enumerate
+    its candidates.  A newcomer reached by several repairs comes once,
+    with the witness of its first appearance; CapExceeded is raised past
+    cap distinct candidates.  Every newcomer search here calls it by its
+    module-level name.
     """
     seen: set[bytes] = set()
     for indices, ws, total in _slice_sums(collection, params):
-        if total.dim < params.alpha:
+        if len(total) < params.alpha:
             continue
         witness = RepairWitness(indices, ws)
-        for cand in total.subspaces(params.alpha):
+        for cand in _echelon_space(collection.field, collection.m,
+                                   total).subspaces(params.alpha):
             if cand.key in seen:
                 continue
             if len(seen) >= cap:
@@ -269,11 +280,13 @@ def find_repair_witness(collection: RepairingCollection, target: Subspace,
 
     The first repair in the order of iter_obtainable whose slice sum
     contains the target; candidate spaces are never generated.  Raises
-    ValueError when the collection has fewer than r members.
+    ValueError when the collection has fewer than r members or the
+    target lives in another space.
     """
+    _require_same_space(target, collection.spaces[0])
     return next((RepairWitness(indices, ws)
                  for indices, ws, total in _slice_sums(collection, params)
-                 if target <= total), None)
+                 if _echelon_holds(total, target)), None)
 
 
 # ----------------------------------------------------------------------
@@ -466,13 +479,15 @@ def _newcomer_search(params: CodeParams, inside: Callable[[RepairingCollection],
         pending = {u.key: u for u in candidates
                    if u.dim == params.alpha and _replacements_inside(inside, collection, u)}
         for indices, ws, total in _slice_sums(collection, params) if pending else ():
-            held = [u for u in pending.values() if u <= total]
+            held = [u for u in pending.values() if _echelon_holds(total, u)]
             if not held:
                 continue
             if state is None:
                 # the first held candidate in the slice sum's canonical order
                 first = held[0] if len(held) == 1 else next(
-                    c for c in total.subspaces(params.alpha) if c in held)
+                    c for c in _echelon_space(collection.field, collection.m,
+                                              total).subspaces(params.alpha)
+                    if c in held)
                 state = AdmissibleState(collection, first, RepairWitness(indices, ws))
                 if not all_newcomers:
                     break

@@ -582,6 +582,37 @@ def _sum_dim(spaces: Sequence[Subspace]) -> int:
     return len(spaces[0]._k.echelon([b for u in spaces for b in u._basis]))
 
 
+# A sum of subspaces is held as an echelon when it is only extended and
+# tested: a list of the table's (pivot, row) pairs, in the form k.reduce
+# takes, whose length is the dimension of the sum.
+
+def _echelon_extend(echelon: list, space: Subspace) -> list:
+    """A new echelon of the sum of echelon's span and space."""
+    reduce, entry = space._k.reduce, space._k.entry
+    out = list(echelon)
+    for b in space._basis:
+        new = entry(reduce(out, b))
+        if new is not None:
+            out.append(new)
+    return out
+
+
+def _echelon_holds(echelon: Sequence, space: Subspace) -> bool:
+    """True when every canonical basis row of space reduces to zero
+    against echelon, that is when space lies in its span."""
+    reduce, zero = space._k.reduce, space._k.zero(space.m)
+    for b in space._basis:
+        if reduce(echelon, b) != zero:
+            return False
+    return True
+
+
+def _echelon_space(field: Field, m: int, echelon: Sequence) -> Subspace:
+    """The canonical Subspace that echelon spans in F_q^m."""
+    k = _kernels(field)
+    return Subspace._canonical(k, m, k.rref([row for _, row in echelon]))
+
+
 # ----------------------------------------------------------------------
 # construction and enumeration
 

@@ -1,5 +1,6 @@
-"""Test-only constructions: the semilinear maps of the partition code, the
-exhaustive list of maximum families, and the recovery dimension.
+"""Test-only constructions: the labels and semilinear maps of the partition
+code, the exhaustive list of maximum families, the recovery dimension, and
+repair-slice sums built as canonical subspaces.
 
 The program never runs these; tests use them as independent oracles.
 """
@@ -7,15 +8,29 @@ The program never runs these; tests use them as independent oracles.
 from __future__ import annotations
 
 import itertools
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from frcodes.gf import GF
 from frcodes.groupsearch import GroupClosure, LinearMap, group_closure
 from frcodes.partition_code import PartitionModel, _clique_search, _plane_tables
-from frcodes.storage import is_recovery_set
-from frcodes.subspace import Subspace
+from frcodes.storage import CodeParams, RepairingCollection, is_recovery_set
+from frcodes.subspace import Subspace, zero_subspace
 
 F8 = GF(2, 3)
+
+
+def member_of(model: PartitionModel, label: int) -> Subspace:
+    """The graph space of multiplication by a GF(8) label."""
+    model.field8._check(label)
+    return model.members[label]
+
+
+def label_of(model: PartitionModel, space: Subspace) -> int:
+    """The GF(8) label of a graph space; ValueError for any other space."""
+    for b, u in enumerate(model.members):
+        if u == space:
+            return b
+    raise ValueError("subspace is not one of the graph spaces")
 
 
 def vector_of(model: PartitionModel, w: int, u: int) -> tuple[int, ...]:
@@ -116,3 +131,29 @@ def recovery_dimension(spaces: Sequence[Subspace], m: int) -> int:
     return next(size for size in range(1, len(spaces) + 1)
                 if any(is_recovery_set(list(combo), m)
                        for combo in itertools.combinations(spaces, size)))
+
+
+def slice_sums(collection: RepairingCollection, params: CodeParams
+               ) -> Iterator[tuple[tuple[int, ...], tuple[Subspace, ...], Subspace]]:
+    """(indices, beta-slices, their sum) of each (r, beta) repair, in the
+    order of iter_obtainable, each sum a canonical Subspace; ValueError
+    when there are fewer than r members."""
+    n1 = len(collection.spaces)
+    if params.r > n1:
+        raise ValueError(f"r={params.r} helpers but only {n1} members")
+    zero = zero_subspace(collection.field, collection.m)
+    for indices in itertools.combinations(range(n1), params.r):
+        slice_choices = [list(collection.spaces[i].subspaces(params.beta)) for i in indices]
+        # product advances the last slice fastest, so the running sums of
+        # the slices before the first changed one carry over
+        sums = [zero]
+        previous: tuple[Subspace, ...] = ()
+        for ws in itertools.product(*slice_choices):
+            kept = 0
+            while kept < len(previous) and ws[kept] is previous[kept]:
+                kept += 1
+            del sums[kept + 1:]
+            for w in ws[kept:]:
+                sums.append(sums[-1] + w)
+            previous = ws
+            yield indices, ws, sums[-1]

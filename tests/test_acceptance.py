@@ -44,7 +44,7 @@ from frcodes.subspace import (
     vec_dot,
     zero_subspace,
 )
-from oracles import (compose_semilinear, enumerate_semilinear, label_action,
+from oracles import (compose_semilinear, enumerate_semilinear, label_action, label_of,
                      recovery_dimension)
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -157,7 +157,7 @@ def test_criterion_4_partition_code():
     for collection in states:
         choices = states.transitions[collection.key]
         assert len(choices) == 1
-        labels = [model.label(space) for space in collection.spaces]
+        labels = [label_of(model, space) for space in collection.spaces]
         expected = repair_label(*labels)
         assert choices[0] == model.members[expected]
         assert expected not in labels

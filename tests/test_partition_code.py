@@ -31,7 +31,9 @@ from oracles import (
     compose_semilinear,
     enumerate_semilinear,
     label_action,
+    label_of,
     maximum_collections,
+    member_of,
     parts_of,
     semilinear_map,
     symmetry_group,
@@ -60,18 +62,18 @@ def _packed(v):
 def test_build_partition_shapes(partition_model):
     model = partition_model
     assert model.plane == (0, 2, 4, 6)
-    assert model.member(0) == span(F2, 5, [standard_basis_vector(5, 3),
+    assert member_of(model, 0) == span(F2, 5, [standard_basis_vector(5, 3),
                                            standard_basis_vector(5, 4)])
     assert model.field_block == span(F2, 5, [standard_basis_vector(5, i)
                                              for i in range(3)])
     assert len(model.members) == 8
     for b in range(8):
-        assert model.member(b).dim == 2
-        assert model.label(model.member(b)) == b
+        assert member_of(model, b).dim == 2
+        assert label_of(model, member_of(model, b)) == b
     with pytest.raises(ValueError):
-        model.member(8)
+        member_of(model, 8)
     with pytest.raises(ValueError):
-        model.label(model.field_block)
+        label_of(model, model.field_block)
 
 
 def test_partition_covers_every_vector_once(partition_model):
@@ -83,7 +85,7 @@ def test_partition_covers_every_vector_once(partition_model):
     assert len(seen) == 7
     for b in range(8):
         count = 0
-        for v in model.member(b).vectors():
+        for v in member_of(model, b).vectors():
             if any(v):
                 assert tuple(v) not in seen
                 seen[tuple(v)] = b
@@ -151,9 +153,9 @@ def test_code_states(partition_model, partition_states):
         assert check.spanning_ok
         assert len(check.valid_newcomers) == 1
     for b, g, d in itertools.combinations(range(8), 3):
-        collection = RepairingCollection([model.member(b), model.member(g),
-                                          model.member(d)])
-        expected = model.member(repair_label(b, g, d))
+        collection = RepairingCollection([member_of(model, b), member_of(model, g),
+                                          member_of(model, d)])
+        expected = member_of(model, repair_label(b, g, d))
         assert states.transitions[collection.key] == (expected,)
         witness = states.witnesses[collection.key]
         assert witness.newcomer == expected
@@ -162,9 +164,9 @@ def test_code_states(partition_model, partition_states):
 
 def test_canonical_seed_state(partition_model):
     collection, newcomer = canonical_seed_state(partition_model)
-    labels = sorted(partition_model.label(u) for u in collection.spaces)
+    labels = sorted(label_of(partition_model, u) for u in collection.spaces)
     assert labels == [0, 1, 2]
-    assert partition_model.label(newcomer) == 6
+    assert label_of(partition_model, newcomer) == 6
 
 
 def test_semilinear_identity(partition_model):
@@ -182,8 +184,8 @@ def test_semilinear_action_exhaustive(partition_model):
     assert len({mapping.key for _, mapping in pairs}) == 168
     for (a, b, i), mapping in pairs:
         for beta in range(8):
-            assert mapping.apply(model.member(beta)) == \
-                model.member(label_action(a, b, i, beta))
+            assert mapping.apply(member_of(model, beta)) == \
+                member_of(model, label_action(a, b, i, beta))
 
 
 def test_semilinear_composition_exhaustive(partition_model):

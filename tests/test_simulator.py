@@ -35,6 +35,7 @@ from frcodes.storage import (
     valid_newcomers,
 )
 from frcodes.subspace import express, span, vec_dot
+from oracles import label_of
 
 
 @pytest.fixture(scope="module")
@@ -248,10 +249,10 @@ class TestPartitionCode:
         state = dss_init(partition_states, x, seed=4)
         fail(state, 2)
         survivors = [n for n in state.nodes if n.id != 2]
-        labels = [partition_model.label(n.space) for n in survivors]
+        labels = [label_of(partition_model, n.space) for n in survivors]
         transcript = repair(state)
         expect = repair_label(*labels)
-        assert partition_model.label(transcript.newcomer) == expect
+        assert label_of(partition_model, transcript.newcomer) == expect
 
     def test_run(self, partition_states):
         x = (1, 0, 1, 1, 0)

@@ -3,13 +3,17 @@
 from __future__ import annotations
 
 import itertools
+import pathlib
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frcodes import storage
 from frcodes.family import construct_good, family_state_space, random_walk
+from frcodes.fsc import document_to_states, parse_fsc
 from frcodes.gf import GF
 from frcodes.storage import (
     ClosureError,
@@ -28,8 +32,16 @@ from frcodes.storage import (
     reachable_closure,
     valid_newcomers,
 )
-from frcodes.subspace import CapExceeded, span, subspaces, zero_subspace
-from oracles import recovery_dimension
+from frcodes.subspace import (
+    CapExceeded,
+    Subspace,
+    _echelon_space,
+    full_space,
+    span,
+    subspaces,
+    zero_subspace,
+)
+from oracles import recovery_dimension, slice_sums
 
 
 def test_params_validation():
@@ -204,6 +216,10 @@ def test_find_repair_witness_negative():
     c = RepairingCollection(helpers)
     isolated = span(field, 4, [(1, 0, 0, 0), (0, 1, 0, 0)])
     assert find_repair_witness(c, isolated, params) is None
+    # a target of another ambient space or field is an error, not a miss
+    for other in (span(field, 5, [(1, 0, 0, 0, 0)]), span(GF(3), 4, [(1, 0, 0, 0)])):
+        with pytest.raises(ValueError, match="mixed"):
+            find_repair_witness(c, other, params)
 
 
 def test_exact_code_verifies(exact_code_spaces):
@@ -444,10 +460,7 @@ def test_completions_match_enumeration_on_search_orbits(monkeypatch):
     # every member of every orbit, passing or failing, that the search
     # on the 56-state seed verifies: 49 distinct (group order, orbit)
     # pairs, 650 collections
-    import pathlib
-
     from frcodes import groupsearch
-    from frcodes.fsc import parse_fsc
 
     orbits = []
 
@@ -527,6 +540,124 @@ def test_listed_set_tests_only_completions(partition_states, monkeypatch):
         assert len(completions) == 6
         assert set(valid_newcomers(plain, collection)) <= set(completions)
         assert valid_newcomers(plain, collection) == partition_states.transitions[collection.key]
+
+
+@st.composite
+def _small_collections(draw):
+    """A collection over GF(2), GF(3) or GF(4) with m <= 4, r <= 3 and
+    beta <= alpha <= 2, its members drawn from a pool that may repeat
+    them, and a few spaces of dimension at most alpha."""
+    field = draw(st.sampled_from([GF(2), GF(3), GF(2, 2)]))
+    alpha = draw(st.integers(1, 2))
+    beta = draw(st.integers(1, alpha))
+    m = draw(st.integers(alpha, 4))
+    r = draw(st.integers(1, 3))
+    size = draw(st.integers(r, 3 if r == 3 else 4))
+    vector = st.tuples(*[st.integers(0, field.q - 1)] * m)
+    space = st.lists(vector, min_size=alpha, max_size=alpha).map(
+        lambda rows: span(field, m, rows))
+    pool = draw(st.lists(space, min_size=1, max_size=size))
+    members = draw(st.lists(st.sampled_from(pool), min_size=size, max_size=size))
+    params = CodeParams(m=m, n=size + 1, k=draw(st.integers(1, size + 1)), r=r,
+                        alpha=alpha, beta=beta, q=field.q)
+    return params, RepairingCollection(members), draw(st.lists(space, max_size=3))
+
+
+def _oracle_obtainable(collection, params):
+    firsts = {}
+    for indices, ws, total in slice_sums(collection, params):
+        if total.dim >= params.alpha:
+            for cand in total.subspaces(params.alpha):
+                firsts.setdefault(cand.key, (cand, RepairWitness(indices, ws)))
+    return list(firsts.values())
+
+
+def _oracle_newcomer_search(params, inside, collection, candidates, all_newcomers):
+    # the certificate is the first held candidate, in canonical order, of
+    # the first slice sum holding any; the valid newcomers are the
+    # candidates held by some slice sum
+    pending = {u.key: u for u in candidates
+               if u.dim == params.alpha and storage._replacements_inside(inside, collection, u)}
+    sums = list(slice_sums(collection, params))
+    state = next((storage.AdmissibleState(collection, c, RepairWitness(indices, ws))
+                  for indices, ws, total in sums if any(u <= total for u in pending.values())
+                  for c in total.subspaces(params.alpha) if c.key in pending), None)
+    valid = [u for u in pending.values() if any(u <= total for _, _, total in sums)]
+    return state, tuple(sorted(valid, key=lambda u: u.key)) if all_newcomers else ()
+
+
+@settings(max_examples=80, deadline=None)
+@given(_small_collections(), st.data())
+def test_echelon_slice_sums_match_subspace_sums(case, data):
+    params, collection, spaces = case
+    field, m = collection.field, collection.m
+    want = list(slice_sums(collection, params))
+    got = list(storage._slice_sums(collection, params))
+    assert [(i, ws) for i, ws, _ in got] == [(i, ws) for i, ws, _ in want]
+    for (_, _, echelon), (_, _, total) in zip(got, want):
+        assert len(echelon) == total.dim
+        assert _echelon_space(field, m, echelon) == total
+    obtainable = _oracle_obtainable(collection, params)
+    assert list(iter_obtainable(collection, params)) == obtainable
+    # obtainable spaces, members, drawn spaces and the trivial spaces, in
+    # an order that the certificate must not depend on
+    picked = data.draw(st.lists(st.sampled_from(obtainable), max_size=6)) if obtainable else []
+    candidates = data.draw(st.permutations(
+        [u for u, _ in picked] + list(collection.spaces) + spaces
+        + [zero_subspace(field, m), full_space(field, m)]))
+    for target in candidates:
+        assert find_repair_witness(collection, target, params) == next(
+            (RepairWitness(i, ws) for i, ws, total in want if target <= total), None)
+    # a membership test that admits every replacement by some candidates
+    allowed = set()
+    for u in candidates:
+        if data.draw(st.booleans()):
+            allowed.update(collection.replace(i, u).key for i in range(len(collection)))
+    inside = lambda rc: rc.key in allowed  # noqa: E731
+    for all_newcomers in (False, True):
+        assert storage._newcomer_search(params, inside, collection, candidates,
+                                        all_newcomers) == _oracle_newcomer_search(
+            params, inside, collection, candidates, all_newcomers)
+    declared = (data.draw(st.sampled_from(candidates)),)
+    assert storage._newcomer_search(params, inside, collection, declared, False) == \
+        _oracle_newcomer_search(params, inside, collection, declared, False)
+
+
+def _code56():
+    data = pathlib.Path(__file__).parents[1] / "perfbench" / "data" / "code56.fsc"
+    return document_to_states(parse_fsc(data.read_text()))
+
+
+def _newcomers_and_witnesses(states):
+    out = []
+    for c in states:
+        newcomers = valid_newcomers(states, c)
+        out.append((newcomers, find_repair_witness(c, newcomers[0], states.params)))
+    return out
+
+
+def test_newcomer_work_builds_no_subspace_sums(monkeypatch):
+    # the newcomers and first witnesses of every collection of the
+    # 56-state code come from echelons of the slice sums: no Subspace
+    # is summed or compared
+    states = _code56()
+    calls = {"__add__": 0, "__le__": 0}
+    for name in calls:
+        def counted(self, other, name=name, method=getattr(Subspace, name)):
+            calls[name] += 1
+            return method(self, other)
+        monkeypatch.setattr(Subspace, name, counted)
+    found = _newcomers_and_witnesses(states)
+    assert len(found) == 56 and all(w is not None for _, w in found)
+    assert calls == {"__add__": 0, "__le__": 0}
+
+
+def test_newcomer_work_on_tuple_rows_matches_bit_rows(tuple_rows):
+    bits = _newcomers_and_witnesses(_code56())
+    with tuple_rows(GF(2)):
+        tuples = _newcomers_and_witnesses(_code56())
+    assert [n for n, _ in tuples] == [n for n, _ in bits]
+    assert [w.repair_indices for _, w in tuples] == [w.repair_indices for _, w in bits]
 
 
 def test_reachable_closure_recovers_exact_code(exact_code_spaces):
