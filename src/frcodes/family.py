@@ -35,7 +35,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .gf import GF, Field
+from .gf import GF, MAX_ORDER, Field
 from .groupsearch import LinearMap, _traces, _transporter
 from .storage import (
     CodeParams,
@@ -380,6 +380,9 @@ def construct_good(r: int, s: int, q: int) -> GoodCollection:
 def _prime_power(q: int) -> tuple[int, int]:
     if q < 2:
         raise ValueError(f"field order must be at least 2, got {q}")
+    # before trial division, whose cost grows with q
+    if q > MAX_ORDER:
+        raise ValueError(f"field order {q} exceeds the supported maximum {MAX_ORDER}")
     for p in range(2, q + 1):
         if q % p == 0:
             e = 0
@@ -540,11 +543,11 @@ class GoodCollectionSet(StateSet):
     invertible map g carries the code onto itself, and the (r, beta)
     repairs of C onto those of gC: the valid newcomers of gC are g
     applied to those of C.  So _newcomers, which answers
-    valid_newcomers, keeps one representative R per orbit met, with the
-    newcomers N_j the engine found for it and its member traces
-    (computed once, for every transport from it), and answers a
-    collection C with some map g, g(R) = C, by the moved newcomers
-    sorted by key, the tuple the engine would give.
+    valid_newcomers, keeps representatives R, each with the newcomers
+    N_j the engine found for it and its member traces (computed once,
+    for every transport from it), and answers a collection C with some
+    map g, g(R) = C, by the moved newcomers sorted by key, the tuple the
+    engine would give.
 
     Each collection so answered that is in the collection cache gets a
     placement: its orbit, g (None for R itself), which member R_i each
@@ -557,10 +560,10 @@ class GoodCollectionSet(StateSet):
     by N_j, g after h carries that representative onto C'.  h is found
     by a map search once per edge (orbit, j, i) and cached, and the
     composite is checked by moving the representative's members.  When
-    no edge applies or the check fails, the set searches a map from each
-    representative in turn; past that (no map, or a map search past its
-    cap) the engine enumerates the newcomers, and the collection becomes
-    a new representative.
+    no edge applies, or its map search finds no map or passes its cap,
+    or the composite fails its check, the engine enumerates the
+    newcomers and the collection becomes a new representative, even
+    when it lies in the orbit of an earlier one.
     """
 
     def __init__(self, r: int, s: int, q: int):
@@ -634,11 +637,6 @@ class GoodCollectionSet(StateSet):
         newcomers = self._place_by_edge(collection)
         if newcomers is not None:
             return newcomers
-        found = self._transport(collection)
-        if found is not None:
-            newcomers = self._place(collection, *found)
-            if newcomers is not None:
-                return newcomers
         _, newcomers = _newcomer_search(self.params, self.__contains__, collection, None, True)
         self._orbits.append((collection, newcomers, _traces(collection.spaces)))
         self._place(collection, len(self._orbits) - 1, None)

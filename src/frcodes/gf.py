@@ -142,13 +142,16 @@ class Field:
     __slots__ = ("p", "e", "q", "modulus", "generator", "_exp", "_log")
 
     def __init__(self, p: int, e: int = 1):
-        if not isinstance(p, int) or not _is_prime(p):
+        if not isinstance(p, int) or p < 2:
             raise ValueError(f"characteristic must be prime, got {p!r}")
         if not isinstance(e, int) or e < 1:
             raise ValueError(f"extension degree must be a positive int, got {e!r}")
+        # the order first: trial division of p and p ** e take time growing with p and e
+        if p > MAX_ORDER or e >= MAX_ORDER.bit_length() or p**e > MAX_ORDER:
+            raise ValueError(f"field order {p}^{e} exceeds the supported maximum {MAX_ORDER}")
+        if not _is_prime(p):
+            raise ValueError(f"characteristic must be prime, got {p!r}")
         q = p**e
-        if q > MAX_ORDER:
-            raise ValueError(f"field order {q} exceeds the supported maximum {MAX_ORDER}")
         self.p = p
         self.e = e
         self.q = q
@@ -249,9 +252,6 @@ class Field:
             return (-a) % self.p
         return self.from_digits([-x for x in self.digits(a)])
 
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
-
     def mul(self, a: int, b: int) -> int:
         self._check(a)
         self._check(b)
@@ -264,9 +264,6 @@ class Field:
         if a == 0:
             raise ZeroDivisionError(f"0 has no inverse in {self!r}")
         return self._exp[(-self._log[a]) % (self.q - 1)]
-
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
 
     def pow(self, a: int, n: int) -> int:
         self._check(a)

@@ -20,7 +20,9 @@ tuple of a node subset, and the strict leave-one-out admission per
 sorted key tuple of all n nodes.  No memo holds stored data: every
 download, rebuilt symbol and recovery is computed from the stored
 symbols on every event, as dot products on held rows, and, in strict
-mode, checked against the message.
+mode, checked against the message.  A helper's combination rows are
+the repair rows read at the helper's pivots, where its canonical basis
+is the identity; only the rebuild rows are found by express.
 """
 
 from __future__ import annotations
@@ -221,9 +223,9 @@ class _RepairPlan:
     """The linear maps of one (collection, newcomer) repair.
 
     helpers holds, per helper of the repair witness, its sorted position
-    in the collection, its repair space and the combination rows that
-    express the repair space's basis in the helper's basis, as tuples
-    and as held rows; rebuild holds the held rows that express each
+    in the collection, its repair space and the combination rows (the
+    repair basis read at the helper's pivots), as tuples and as held
+    rows; rebuild holds the held rows, found by express, that write each
     newcomer basis row over the concatenated repair rows.
     """
 
@@ -236,23 +238,23 @@ def _repair_plan(collection: RepairingCollection, newcomer: Subspace,
     witness = find_repair_witness(collection, newcomer, params)
     _require(witness is not None, "a valid newcomer has a repair witness")
     field = collection.field
-    pack = _kernels(field).pack
+    k = _kernels(field)
     helpers = []
     flat_rows: list[Vector] = []
     for position, repair_space in zip(witness.repair_indices, witness.repair_spaces):
-        combination = []
-        for w_row in repair_space.rows:
-            coeffs = express(field, w_row, collection.spaces[position].rows)
-            _require(coeffs is not None, "a repair space lies in its helper's space")
-            combination.append(coeffs)
-        helpers.append((position, repair_space, tuple(combination),
-                        tuple([pack(coeffs, len(coeffs)) for coeffs in combination])))
+        helper = collection.spaces[position]
+        combination = tuple([tuple([w_row[p] for p in helper.pivots])
+                             for w_row in repair_space.rows])
+        held = tuple([k.pack(coeffs, helper.dim) for coeffs in combination])
+        _require(k.matmul(held, helper._basis) == list(repair_space._basis),
+                 "a repair space lies in its helper's space")
+        helpers.append((position, repair_space, combination, held))
         flat_rows.extend(repair_space.rows)
     rebuild = []
     for basis_row in newcomer.rows:
         coeffs = express(field, basis_row, flat_rows)
         _require(coeffs is not None, "the newcomer lies in the span of the downloads")
-        rebuild.append(pack(coeffs, len(coeffs)))
+        rebuild.append(k.pack(coeffs, len(coeffs)))
     return _RepairPlan(tuple(helpers), tuple(rebuild))
 
 

@@ -56,7 +56,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .gf import Field
 from .subspace import (CapExceeded, Subspace, _echelon_extend, _echelon_holds, _echelon_space,
-                       _require_same_space, zero_subspace)
+                       _require_same_space, _sum_dim, zero_subspace)
 
 __all__ = [
     "CodeParams",
@@ -207,14 +207,11 @@ def is_recovery_set(spaces: Sequence[Subspace], m: int) -> bool:
     """True when the spaces jointly span the full m-dimensional space."""
     if not spaces:
         return m == 0
-    total = zero_subspace(spaces[0].field, m)
     for s in spaces:
         if s.m != m:
             raise ValueError(f"ambient mismatch: {s.m} != {m}")
-        total = total + s
-        if total.dim == m:
-            return True
-    return total.dim == m
+        _require_same_space(spaces[0], s)
+    return _sum_dim(spaces) == m
 
 
 # ----------------------------------------------------------------------

@@ -158,13 +158,6 @@ def _rref_bits(rows: Iterable[int]) -> list[int]:
     return [r for _, r in reversed(reduced)]
 
 
-def _residual_bits(space: "Subspace", v: int) -> int:
-    for p, b in zip(space.pivots, space._basis):
-        if (v >> p) & 1:
-            v ^= b
-    return v
-
-
 # the two-byte key entries of 0 and 1
 _ENTRY_BYTES = (struct.pack(">H", 0), struct.pack(">H", 1))
 
@@ -199,15 +192,14 @@ def _bits_key(m: int, bits: Sequence[int], pivots: Sequence[int]) -> bytes:
 # table's own format are "held" rows.  pack checks a tuple row and
 # holds it, unpack gives it back.  echelon(rows) is an echelon basis
 # (its length is the rank), rref(rows) the reduced basis sorted by
-# pivot, residual(space, v) the reduction of v against a space's
-# canonical basis (falsy exactly when v lies in the space), and
-# reduce(echelon, x) the reduction of x against (pivot, row) pairs whose
-# rows are 1 at their pivot and 0 at the pivots before.  join(left,
-# right, m) puts two rows side by side and right(row, m) takes back the
-# columns from m on, for the doubled-column reductions; column(rows, j)
-# reads one column and dot(x, y) is the dot product of two rows.  span
-# lists the vectors of a span and reduced_bases the reduced bases of
-# every d-dimensional subspace, in canonical order.
+# pivot, and reduce(echelon, x) the reduction of x against (pivot, row)
+# pairs whose rows are 1 at their pivot and 0 at the pivots before; a
+# canonical basis zipped with its pivots is such an echelon, so
+# containment and residuals read against it.  join(left, right, m) puts
+# two rows side by side and right(row, m) takes back the columns from m
+# on, for the doubled-column reductions; dot(x, y) is the dot product of
+# two rows.  span lists the vectors of a span and reduced_bases the
+# reduced bases of every d-dimensional subspace, in canonical order.
 
 class _BitRows:
     """GF(2) rows packed into ints, bit j holding coordinate j."""
@@ -216,7 +208,6 @@ class _BitRows:
 
     echelon = staticmethod(_echelon_bits)
     rref = staticmethod(_rref_bits)
-    residual = staticmethod(_residual_bits)
     matmul = staticmethod(_matmul_bits)
     unpack = staticmethod(_unpack)
     key = staticmethod(_bits_key)
@@ -273,10 +264,6 @@ class _BitRows:
     @staticmethod
     def right(row: int, m: int) -> int:
         return row >> m
-
-    @staticmethod
-    def column(rows: Iterable[int], j: int) -> list[int]:
-        return [(r >> j) & 1 for r in rows]
 
     @staticmethod
     def dot(x: int, y: int) -> int:
@@ -348,10 +335,6 @@ class _TupleRows:
                 x = tuple([field.add(a, field.mul(c, y)) if y else a for a, y in zip(x, b)])
         return x
 
-    def residual(self, space: "Subspace", v: Vector) -> Vector:
-        v = self.reduce(zip(space.pivots, space._basis), v)
-        return v if any(v) else ()
-
     def entry(self, x: Vector) -> Optional[tuple[int, Vector]]:
         """(pivot, x scaled to 1 there), or None for the zero row."""
         p = next((j for j, a in enumerate(x) if a), None)
@@ -376,10 +359,6 @@ class _TupleRows:
     @staticmethod
     def right(row: Vector, m: int) -> Vector:
         return row[m:]
-
-    @staticmethod
-    def column(rows: Iterable[Vector], j: int) -> list[int]:
-        return [r[j] for r in rows]
 
     def dot(self, x: Vector, y: Vector) -> int:
         return vec_dot(self.field, x, y)
@@ -505,19 +484,14 @@ class Subspace:
     def reduce(self, vector: Sequence[int]) -> Vector:
         """Residual of vector after elimination against the basis."""
         k, m = self._k, self.m
-        residual = k.residual(self, k.pack(vector, m))
-        return k.unpack(residual, m) if residual else (0,) * m
+        return k.unpack(k.reduce(zip(self.pivots, self._basis), k.pack(vector, m)), m)
 
     def __contains__(self, vector: Sequence[int]) -> bool:
         return not any(self.reduce(vector))
 
     def __le__(self, other: "Subspace") -> bool:
         _require_same_space(self, other)
-        residual = other._k.residual
-        for b in self._basis:
-            if residual(other, b):
-                return False
-        return True
+        return _echelon_holds(tuple(zip(other.pivots, other._basis)), self)
 
     def __add__(self, other: "Subspace") -> "Subspace":
         _require_same_space(self, other)
@@ -763,8 +737,8 @@ def solve(field: Field, rows: Sequence[Sequence[int]], rhs: Sequence[int]) -> Op
         return None  # 0 = nonzero
     x = [0] * m
     # free variables are zero, other pivot columns are already cleared
-    for p, c in zip(pivots, k.column(reduced, m)):
-        x[p] = c
+    for p, row in zip(pivots, reduced):
+        x[p] = k.unpack(row, m + 1)[m]
     return tuple(x)
 
 

@@ -1,6 +1,6 @@
 """Test-only constructions: the labels and semilinear maps of the partition
-code, the exhaustive list of maximum families, the recovery dimension, and
-repair-slice sums built as canonical subspaces.
+code, the exhaustive list of maximum families, the recovery dimension, the
+recovery test and repair-slice sums built as canonical subspaces.
 
 The program never runs these; tests use them as independent oracles.
 """
@@ -121,6 +121,21 @@ def maximum_collections(model: PartitionModel) -> tuple[tuple[bytes, ...], ...]:
     _, witnesses, _ = _clique_search(tables, collect_all=True)
     return tuple(sorted(tuple(sorted(tables.planes[x].key for x in w))
                         for w in witnesses))
+
+
+def recovery_set_by_sums(spaces: Sequence[Subspace], m: int) -> bool:
+    """is_recovery_set by adding the spaces one at a time as canonical
+    subspaces, stopping once the sum is F_q^m."""
+    if not spaces:
+        return m == 0
+    total = zero_subspace(spaces[0].field, m)
+    for s in spaces:
+        if s.m != m:
+            raise ValueError(f"ambient mismatch: {s.m} != {m}")
+        total = total + s
+        if total.dim == m:
+            return True
+    return total.dim == m
 
 
 def recovery_dimension(spaces: Sequence[Subspace], m: int) -> int:

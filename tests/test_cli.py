@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import pathlib
+import time
 
 import pytest
 
@@ -44,6 +45,15 @@ class TestVerify:
                        "subspace A\n  row 1 0\nend\n")
         assert cli.main(["verify", str(bad)]) == 1
         assert "parse error" in capsys.readouterr().err
+
+    def test_field_order_past_the_maximum_fails_fast(self, tmp_path, capsys):
+        # the order is checked before p is tested by trial division
+        doc = tmp_path / "huge.fsc"
+        doc.write_text("FSC 1\nfield 2305843009213693951 1\nambient 4\nparams 4 2 3 2 1\n")
+        start = time.perf_counter()
+        assert cli.main(["verify", str(doc)]) == 1
+        assert time.perf_counter() - start < 5
+        assert "exceeds the supported maximum" in capsys.readouterr().err
 
     def test_missing_file(self, capsys):
         assert cli.main(["verify", fixture("nope.fsc")]) == 1
@@ -127,6 +137,14 @@ class TestFamily:
         states = document_to_states(doc)
         assert len(states) == 9
         assert states.verify().ok
+
+
+    def test_field_order_past_the_maximum_fails_fast(self, capsys):
+        # the order is checked before q is factored by trial division
+        start = time.perf_counter()
+        assert cli.main(["family", "--r", "2", "--s", "1", "--q", "1000000007"]) == 1
+        assert time.perf_counter() - start < 5
+        assert "exceeds the supported maximum" in capsys.readouterr().err
 
 
 class TestGoodCheck:

@@ -477,38 +477,64 @@ def _direct(r, s, q, collection):
     return found
 
 
-def _transported(code, collections):
-    # valid_newcomers of each collection through one set, which
-    # searches the first and moves its answer to the others
-    found = [valid_newcomers(code, c) for c in collections]
-    assert [rep.key for rep, *_ in code._orbits] == [collections[0].key]
-    return found
+def _along_edges(code, collections, direct):
+    # valid_newcomers of each collection through one set; asking
+    # `c in code` first caches the collection, so it is placed and a
+    # later repair of it is placed along that repair edge.  Returns the
+    # answers and the collections that repair no earlier one, by the
+    # direct search's newcomers: those must be the set's representatives
+    found, unreached = [], []
+    repairs: dict[tuple[bytes, ...], set[bytes]] = {}
+    for c in collections:
+        key = c.key
+        if not any(key[p] in repairs.get(key[:p] + key[p + 1:], ())
+                   for p in range(len(key))):
+            unreached.append(key)
+        for p in range(len(key)):
+            repairs.setdefault(key[:p] + key[p + 1:], set()).update(
+                u.key for u in direct[key])
+        assert c in code
+        found.append(valid_newcomers(code, c))
+    assert [rep.key for rep, *_ in code._orbits] == unreached
+    return found, unreached
 
 
 def test_transported_newcomers_match_direct_search():
-    trail = [c.to_repairing_collection()
-             for c in random_walk(construct_good(3, 1, 2), 29, random.Random(61))]
-    assert len({c.key for c in trail}) > 20
-    moved = _transported(family_state_space(3, 1, 2), trail)
+    walk = [c.to_repairing_collection()
+            for c in random_walk(construct_good(3, 1, 2), 29, random.Random(61))]
+    trail = list({c.key: c for c in walk}.values())
+    assert len(trail) > 20
+    direct = {c.key: _direct(3, 1, 2, c) for c in trail}
+    moved, unreached = _along_edges(family_state_space(3, 1, 2), trail, direct)
+    # each collection of the walk is a repair of the one before it
+    assert unreached == [trail[0].key]
     for collection, newcomers in zip(trail, moved):
-        direct = _direct(3, 1, 2, collection)
         assert newcomers
-        assert [u.key for u in newcomers] == [u.key for u in direct]
+        assert [u.key for u in newcomers] == [u.key for u in direct[collection.key]]
 
 
 def test_transported_newcomers_match_direct_search_over_gf3():
     planes = list(subspaces(F3, 3, 2))
     assert len(planes) == 13
-    pairs = [RepairingCollection(pair) for pair in itertools.combinations(planes, 2)]
     code = family_state_space(2, 1, 3)
     seed = next(iter(code))
-    pairs.sort(key=lambda c: c.key != seed.key)
-    assert pairs[0] == seed
-    moved = _transported(code, pairs)
+    # every pair of planes, breadth-first from the seed along repairs
+    pairs, queued, direct = [seed], {seed.key}, {}
+    for c in pairs:
+        direct[c.key] = _direct(2, 1, 3, c)
+        for u in direct[c.key]:
+            for i in range(len(c)):
+                repaired = c.replace(i, u)
+                if repaired.key not in queued:
+                    queued.add(repaired.key)
+                    pairs.append(repaired)
+    assert sorted(c.key for c in pairs) == sorted(
+        RepairingCollection(pair).key for pair in itertools.combinations(planes, 2))
+    moved, unreached = _along_edges(code, pairs, direct)
+    assert unreached == [seed.key]
     for collection, newcomers in zip(pairs, moved):
-        direct = _direct(2, 1, 3, collection)
         assert len(newcomers) == 9
-        assert [u.key for u in newcomers] == [u.key for u in direct]
+        assert [u.key for u in newcomers] == [u.key for u in direct[collection.key]]
 
 
 def test_transport_falls_back_to_search(monkeypatch):
@@ -614,7 +640,7 @@ def test_family_soak_newcomers_match_direct_search():
         assert [u.key for u in newcomers] == [u.key for u in direct]
 
 
-def test_wrong_edge_map_falls_back_to_a_map_search(monkeypatch):
+def test_wrong_edge_map_falls_back_to_direct_search(monkeypatch):
     from frcodes.groupsearch import LinearMap
 
     trail = [c.to_repairing_collection()
@@ -629,10 +655,20 @@ def test_wrong_edge_map_falls_back_to_a_map_search(monkeypatch):
     for j in range(len(newcomers)):
         for i in range(len(representative)):
             monkeypatch.setitem(code._edges, (0, j, i), (0, identity))
-    searches = _count_map_searches(monkeypatch)
+    failed = []
+    place = code._place
+
+    def checked(collection, orbit, g):
+        placed = place(collection, orbit, g)
+        if placed is None:
+            failed.append(collection.key)
+        return placed
+
+    monkeypatch.setattr(code, "_place", checked)
     for c in trail[1:]:
         assert c in code
         assert valid_newcomers(code, c) == _direct(3, 1, 2, c)
-    assert len(code._orbits) == 1
-    # the composite fails its check, so each collection is searched
-    assert searches == [c.key for c in trail[1:]]
+    # the composite fails its check, so each collection placed along a
+    # wrong edge is searched directly and becomes a representative
+    assert failed[0] == trail[1].key
+    assert [rep.key for rep, *_ in code._orbits] == [trail[0].key] + failed

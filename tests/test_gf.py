@@ -137,6 +137,23 @@ def test_errors():
         f.add(1, 2.0)  # not an int
 
 
+def test_orders_past_the_maximum_fail_before_trial_division(monkeypatch):
+    # trial division of p and the power p ** e take time growing with p
+    # and e, so the order is checked first
+    from frcodes import gf
+
+    is_prime = gf._is_prime
+
+    def bounded(n):
+        assert n <= MAX_ORDER, f"trial division of {n}"
+        return is_prime(n)
+
+    monkeypatch.setattr(gf, "_is_prime", bounded)
+    for p, e in [(2**61 - 1, 1), (MAX_ORDER + 3, 1), (2, 13), (3, 40), (4, 7)]:
+        with pytest.raises(ValueError, match="exceeds the supported maximum"):
+            Field(p, e)
+
+
 def test_cross_field_values_rejected():
     # an element of GF(16) is not accepted by GF(8) operations
     f8, f16 = GF(2, 3), GF(2, 4)

@@ -428,8 +428,9 @@ def soak_against_oracle(code, x, seed, steps, monkeypatch):
     a fresh express, and every k-subset of every configuration visited
     must have a memoized decoder, None exactly when is_recovery_set
     fails.  express may run only when a (collection, newcomer) pair is
-    met for the first time, at most r * beta + alpha times.  Returns the
-    final state.
+    met for the first time, at most alpha times: once per newcomer basis
+    row, since the helper combinations are read at the helpers' pivots.
+    Returns the final state.
     """
     from frcodes import simulator
 
@@ -456,7 +457,7 @@ def soak_against_oracle(code, x, seed, steps, monkeypatch):
         if pair in pairs:
             assert spent == 0
         else:
-            assert spent <= params.r * params.beta + params.alpha
+            assert spent <= params.alpha
             pairs.add(pair)
         flat_rows = []
         flat_downloads = []
@@ -543,6 +544,33 @@ class TestMemos:
         code = family_state_space(3, 1, 2)
         code.verify()
         soak_against_oracle(code, (0, 1, 1, 0, 1), 32, 300, monkeypatch)
+
+
+    @pytest.mark.parametrize("q", [2, 3, 4])
+    def test_plan_combinations_match_express(self, partition_states, q):
+        # the 56-state code over GF(2), and the (2, 1) family codes over
+        # GF(3) and GF(4) on tuple rows: every plan a seeded run builds
+        # holds the combinations express finds in each helper's basis
+        from frcodes.family import family_state_space
+        from frcodes.subspace import _kernels
+
+        code = partition_states if q == 2 else family_state_space(2, 1, q)
+        code.verify()
+        x = tuple((i + 1) % q for i in range(code.params.m))
+        state = dss_init(code, x, seed=5)
+        assert run_random(state, 200).verdict == "ok"
+        field = state.field
+        pack = _kernels(field).pack
+        plans = [(key, plan) for key, (_, by_newcomer) in state.newcomer_cache.items()
+                 for plan in by_newcomer.values()]
+        assert plans
+        for key, plan in plans:
+            collection = code.collections[key]
+            for position, repair_space, combination, held in plan.helpers:
+                helper = collection.spaces[position]
+                assert combination == tuple(express(field, row, helper.rows)
+                                            for row in repair_space.rows)
+                assert held == tuple(pack(coeffs, helper.dim) for coeffs in combination)
 
 
 def tampered_after_warm_up(x=(1, 0, 1, 1, 0), seed=41, warm=100):

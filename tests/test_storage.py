@@ -41,7 +41,7 @@ from frcodes.subspace import (
     subspaces,
     zero_subspace,
 )
-from oracles import recovery_dimension, slice_sums
+from oracles import recovery_dimension, recovery_set_by_sums, slice_sums
 
 
 def test_params_validation():
@@ -122,6 +122,29 @@ def test_recovery_errors():
         recovery_dimension([u], 4)
     assert is_recovery_set([], 0)
     assert not is_recovery_set([], 3)
+    # mixed spaces raise even after the first ones span
+    with pytest.raises(ValueError):
+        is_recovery_set([full_space(field, 4), span(field, 5, [(1, 0, 0, 0, 0)])], 4)
+    with pytest.raises(ValueError):
+        is_recovery_set([full_space(field, 2), full_space(GF(3), 2)], 2)
+
+
+@st.composite
+def _space_lists(draw):
+    field = draw(st.sampled_from([GF(2), GF(3), GF(2, 2)]))
+    m = draw(st.integers(0, 4))
+    vector = st.tuples(*[st.integers(0, field.q - 1)] * m)
+    space = st.lists(vector, max_size=m).map(lambda rows: span(field, m, rows))
+    pool = draw(st.lists(space, min_size=1, max_size=4))
+    # members drawn from a small pool, so some repeat
+    return draw(st.lists(st.sampled_from(pool), max_size=4)), m
+
+
+@settings(max_examples=200, deadline=None)
+@given(_space_lists())
+def test_recovery_set_matches_sums(case):
+    spaces, m = case
+    assert is_recovery_set(spaces, m) == recovery_set_by_sums(spaces, m)
 
 
 def test_obtainable_from_identical_members():

@@ -108,18 +108,20 @@ def _sample_spaces(field, m, rng, count):
     return out
 
 
-@pytest.mark.parametrize("field,m", [(F2, 4), (F3, 2), (F4, 2)])
-def test_sum_intersect_exhaustive_small(field, m):
-    all_subs = [s for d in range(m + 1) for s in subspaces(field, m, d)]
-    for a in all_subs:
-        va = brute_vectors(a)
-        for b in all_subs:
-            vb = brute_vectors(b)
-            inter = a & b
-            assert brute_vectors(inter) == va & vb
-            total = a + b
-            assert brute_vectors(total) == {vec_add(field, x, y) for x in va for y in vb}
-            assert (a <= b) == va.issubset(vb)
+# the last case is GF(2) on the tuple rows, the bit rows' oracle format
+@pytest.mark.parametrize("field,m", [(F2, 4), (F3, 2), (F4, 2), (F2, 3)])
+def test_sum_intersect_exhaustive_small(tuple_rows, field, m):
+    with tuple_rows(F2) if (field, m) == (F2, 3) else contextlib.nullcontext():
+        all_subs = [s for d in range(m + 1) for s in subspaces(field, m, d)]
+        for a in all_subs:
+            va = brute_vectors(a)
+            for b in all_subs:
+                vb = brute_vectors(b)
+                inter = a & b
+                assert brute_vectors(inter) == va & vb
+                total = a + b
+                assert brute_vectors(total) == {vec_add(field, x, y) for x in va for y in vb}
+                assert (a <= b) == va.issubset(vb)
 
 
 @pytest.mark.parametrize("field,m", [(F2, 8), (F2, 10), (F3, 4), (F4, 3), (F8, 3), (GF(5), 4), (GF(7), 3), (GF(3, 2), 3)])
@@ -135,14 +137,17 @@ def test_sum_intersect_sampled(field, m):
         assert (a & b) <= a and (a & b) <= b and a <= total
 
 
-def test_membership_matches_vector_set():
+def test_membership_matches_vector_set(tuple_rows):
     rng = random.Random(5)
-    for field, m in [(F2, 6), (F3, 3), (F8, 2)]:
-        for s in _sample_spaces(field, m, rng, 10):
-            vs = brute_vectors(s)
-            for _ in range(50):
-                v = tuple(rng.randrange(field.q) for _ in range(m))
-                assert (v in s) == (v in vs)
+    plain = contextlib.nullcontext()
+    for field, m, choice in [(F2, 6, plain), (F3, 3, plain), (F8, 2, plain),
+                             (F2, 6, tuple_rows(F2))]:
+        with choice:
+            for s in _sample_spaces(field, m, rng, 10):
+                vs = brute_vectors(s)
+                for _ in range(50):
+                    v = tuple(rng.randrange(field.q) for _ in range(m))
+                    assert (v in s) == (v in vs)
 
 
 def test_mixed_operands_rejected():
@@ -309,14 +314,16 @@ def test_express_outside_span():
     assert express(F2, (0, 0, 1), [(1, 0, 0), (0, 1, 0)]) is None
 
 
-def test_solve_consistent_and_inconsistent():
+def test_solve_consistent_and_inconsistent(tuple_rows):
     rows = [(1, 1, 0), (0, 1, 1), (1, 0, 1)]
-    # rows are dependent over GF(2); consistent rhs
-    x = solve(F2, rows, (1, 1, 0))
-    assert x is not None
-    for r, b in zip(rows, (1, 1, 0)):
-        assert vec_dot(F2, r, x) == b
-    assert solve(F2, rows, (1, 1, 1)) is None
+    for choice in (contextlib.nullcontext(), tuple_rows(F2)):
+        with choice:
+            # rows are dependent over GF(2); consistent rhs
+            x = solve(F2, rows, (1, 1, 0))
+            assert x is not None
+            for r, b in zip(rows, (1, 1, 0)):
+                assert vec_dot(F2, r, x) == b
+            assert solve(F2, rows, (1, 1, 1)) is None
     # unique full-rank solve over GF(3)
     rows3 = [(1, 2), (2, 2)]
     x3 = solve(F3, rows3, (0, 1))
