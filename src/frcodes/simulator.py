@@ -13,11 +13,14 @@ explicit errors, not asserts, so they hold under python -O as well.
 
 The linear algebra of an event depends only on the node spaces, so it
 is done once per distinct configuration, keyed by canonical subspace
-keys: a repair plan (the witness with each helper's combination rows,
-and the newcomer's rebuild rows) per (collection key, newcomer key), a
-decoder (recovery and check rows from one reduction) per sorted key
-tuple of a node subset, and the strict leave-one-out admission per
-sorted key tuple of all n nodes.  No memo holds stored data: every
+keys: the valid newcomers and a repair plan (the witness with each
+helper's combination rows, and the newcomer's rebuild rows) per sorted
+key tuple of the survivors and newcomer key, a decoder (recovery and
+check rows from one reduction) per sorted key tuple of a node subset,
+and the leave-one-out admission with the spanning k-subsets per sorted
+key tuple of all n nodes.  Membership depends on the key alone, so a
+warm event builds no collection and tests no membership: it looks up
+its memos and does its dot products.  No memo holds stored data: every
 download, rebuilt symbol and recovery is computed from the stored
 symbols on every event, as dot products on held rows, and, in strict
 mode, checked against the message.  A helper's combination rows are
@@ -62,10 +65,10 @@ __all__ = [
 class CorruptStateError(RuntimeError):
     """The live nodes no longer match the code or the stored message.
 
-    Raised when the survivors form no collection of the code, when the
-    stored symbols of spanning nodes are inconsistent and, in strict
-    mode, when a download or a rebuilt symbol disagrees with the message
-    or a repair leaves a node set outside the code.
+    Raised when the survivors form no collection of the code, when a
+    repair leaves a node set outside the code, when the stored symbols
+    of spanning nodes are inconsistent and, in strict mode, when a
+    download or a rebuilt symbol disagrees with the message.
     """
 
 
@@ -126,19 +129,22 @@ class RepairTranscript:
 class DssState:
     """A running system: parameters, code, nodes, message and event log.
 
+    Every repair checks that the node set it leaves is in the code.
     strict mode checks every download and rebuilt symbol against the
-    message, and that every node set a repair leaves is in the code,
-    and checks recovery from every spanning subset after each random
-    step; fast mode skips the symbol and node-set checks and samples
-    one subset.
+    message, and checks recovery from every spanning subset after each
+    random step; fast mode skips the symbol checks and samples one
+    subset.
 
     Three memos, each keyed by canonical subspace keys and growing only
     with distinct configurations: newcomer_cache maps a collection key
     to its valid newcomers and to the repair plans built so far, by
     newcomer key; decoders maps the sorted key tuple of a node subset
     to its recovery and check rows, or None when it does not span;
-    admitted holds the sorted key tuples of the configurations whose
-    every leave-one-out collection is in the code.
+    configurations maps the sorted key tuple of all n nodes, once every
+    leave-one-out collection is found in the code, to the k-subsets of
+    its positions that span, in combinations order, or to None until
+    run_random first recovers from it.  held_message is the message
+    packed once, as a held row.
     """
 
     params: CodeParams
@@ -151,7 +157,11 @@ class DssState:
     log: list[str] = dc_field(default_factory=list)
     newcomer_cache: dict = dc_field(default_factory=dict)
     decoders: dict = dc_field(default_factory=dict, init=False, repr=False)
-    admitted: set = dc_field(default_factory=set, init=False, repr=False)
+    configurations: dict = dc_field(default_factory=dict, init=False, repr=False)
+    held_message: object = dc_field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.held_message = _kernels(self.field).pack(self.message, self.params.m)
 
     @property
     def field(self):
@@ -204,12 +214,16 @@ def fail(state: DssState, node_id: int) -> None:
     state.log.append(f"fail: node {node_id}")
 
 
-def _survivor_collection(state: DssState, failed_id: int,
-                         ) -> tuple[RepairingCollection, list[Node]]:
-    survivors = [node for node in state.nodes if node.id != failed_id]
-    _require(all(node.alive for node in survivors), "every survivor is alive")
-    ordered = sorted(survivors, key=lambda node: (node.space.key, node.id))
-    return RepairingCollection([node.space for node in ordered]), ordered
+_by_space = operator.attrgetter("space.key", "id")
+
+
+def _survivor_collection(state: DssState, survivors: list[Node],
+                         failed_id: int) -> RepairingCollection:
+    collection = RepairingCollection([node.space for node in survivors])
+    if collection not in state.code:
+        raise CorruptStateError(
+            f"{_event(state, failed_id)}: the survivors form no admissible collection")
+    return collection
 
 
 def _event(state: DssState, failed_id: int) -> str:
@@ -274,30 +288,29 @@ def repair(state: DssState, node_id: Optional[int] = None,
     if node_id is not None and node_id != failed.id:
         raise ValueError(f"node {node_id} is not the failed node")
     params = state.params
-    collection, ordered = _survivor_collection(state, failed.id)
-    if collection not in state.code:
-        raise CorruptStateError(
-            f"{_event(state, failed.id)}: the survivors form no admissible collection")
-    cached = state.newcomer_cache.get(collection.key)
+    ordered = sorted([node for node in state.nodes if node is not failed], key=_by_space)
+    _require(all(node.alive for node in ordered), "every survivor is alive")
+    key = tuple([node.space.key for node in ordered])
+    collection = None
+    cached = state.newcomer_cache.get(key)
     if cached is None:
-        cached = (valid_newcomers(state.code, collection), {})
-        state.newcomer_cache[collection.key] = cached
+        collection = _survivor_collection(state, ordered, failed.id)
+        cached = state.newcomer_cache[key] = (valid_newcomers(state.code, collection), {})
     choices, plans = cached
     _require(bool(choices), "a verified code offers a newcomer")
     newcomer = state.rng.choice(choices) if randomize else choices[0]
     plan = plans.get(newcomer.key)
     if plan is None:
-        plan = _repair_plan(collection, newcomer, params)
-        plans[newcomer.key] = plan
-    k = _kernels(collection.field)
-    message = k.pack(state.message, params.m)
+        plan = plans[newcomer.key] = _repair_plan(
+            collection or _survivor_collection(state, ordered, failed.id), newcomer, params)
+    k = _kernels(state.field)
     shares = []
     flat_downloads: list[int] = []
     for position, repair_space, combination, held in plan.helpers:
         helper = ordered[position]
         stored = k.pack(helper.stored, helper.space.dim)
         downloads = tuple([k.dot(coeffs, stored) for coeffs in held])
-        if state.strict and any(symbol != k.dot(message, w_row)
+        if state.strict and any(symbol != k.dot(state.held_message, w_row)
                                 for w_row, symbol in zip(repair_space._basis, downloads)):
             raise CorruptStateError(
                 f"{_event(state, failed.id)}: helper node {helper.id} served "
@@ -306,7 +319,7 @@ def repair(state: DssState, node_id: Optional[int] = None,
         flat_downloads.extend(downloads)
     received = k.pack(flat_downloads, len(flat_downloads))
     new_stored = tuple([k.dot(coeffs, received) for coeffs in plan.rebuild])
-    if state.strict and any(symbol != k.dot(message, basis_row)
+    if state.strict and any(symbol != k.dot(state.held_message, basis_row)
                             for basis_row, symbol in zip(newcomer._basis, new_stored)):
         raise CorruptStateError(
             f"{_event(state, failed.id)}: a rebuilt symbol disagrees with the message")
@@ -315,19 +328,11 @@ def repair(state: DssState, node_id: Optional[int] = None,
     failed.alive = True
     transcript = RepairTranscript(
         failed.id, tuple(share.helper_id for share in shares), tuple(shares),
-        collection.key, newcomer, newcomer.rows, new_stored)
+        key, newcomer, newcomer.rows, new_stored)
     _require(transcript.total_download == params.r * params.beta,
              "a repair downloads r * beta symbols")
-    if state.strict:
-        configuration = tuple(sorted(node.space.key for node in state.nodes))
-        if configuration not in state.admitted:
-            for node in state.nodes:
-                next_collection, _ = _survivor_collection(state, node.id)
-                if next_collection not in state.code:
-                    raise CorruptStateError(
-                        f"{_event(state, failed.id)}: without node {node.id} the "
-                        "nodes form no collection of the code")
-            state.admitted.add(configuration)
+    # the node set left must be in the code, checked once per configuration
+    _configuration(state, failed.id)
     state.log.append(
         f"repair: node {failed.id} <- helpers "
         f"{','.join(str(i) for i in transcript.helper_ids)}, "
@@ -335,7 +340,20 @@ def repair(state: DssState, node_id: Optional[int] = None,
     return transcript
 
 
-_by_space = operator.attrgetter("space.key", "id")
+def _configuration(state: DssState, failed_id: int) -> tuple[list[Node], tuple[bytes, ...]]:
+    # the nodes sorted by _by_space and their key tuple, entered in
+    # state.configurations once every leave-one-out collection is in the code
+    ordered = sorted(state.nodes, key=_by_space)
+    key = tuple([node.space.key for node in ordered])
+    if key not in state.configurations:
+        for node in state.nodes:
+            others = RepairingCollection([o.space for o in state.nodes if o is not node])
+            if others not in state.code:
+                raise CorruptStateError(
+                    f"{_event(state, failed_id)}: without node {node.id} the "
+                    "nodes form no collection of the code")
+        state.configurations[key] = None
+    return ordered, key
 
 
 def _node_decoder(state: DssState, nodes: Sequence[Node]) -> Optional[tuple]:
@@ -423,7 +441,6 @@ def run_random(state: DssState, steps: int,
     if seed is not None:
         state.rng = random.Random(seed)
         state.seed = seed
-    params = state.params
     visited: set[tuple[bytes, ...]] = set()
     transcripts: list[RepairTranscript] = []
     downloads = 0
@@ -443,9 +460,15 @@ def run_random(state: DssState, steps: int,
         transcripts.append(transcript)
         visited.add(transcript.collection_key)
         downloads += transcript.total_download
-        combos = itertools.combinations(range(len(state.nodes)), params.k)
-        spanning = [combo for combo in combos if _node_decoder(
-            state, sorted([state.nodes[i] for i in combo], key=_by_space)) is not None]
+        ordered, key = _configuration(state, victim)
+        positions = state.configurations[key]
+        if positions is None:
+            combos = itertools.combinations(range(len(ordered)), state.params.k)
+            positions = state.configurations[key] = tuple([
+                subset for subset in combos
+                if _node_decoder(state, [ordered[p] for p in subset]) is not None])
+        # the spanning node-id combos, in the order of combinations(range(n), k)
+        spanning = sorted([tuple(sorted([ordered[p].id for p in subset])) for subset in positions])
         _require(bool(spanning), "some k nodes span after a verified repair")
         checks = spanning if state.strict else [state.rng.choice(spanning)]
         for combo in checks:

@@ -1,6 +1,7 @@
 """Test-only constructions: the labels and semilinear maps of the partition
 code, the exhaustive list of maximum families, the recovery dimension, the
-recovery test and repair-slice sums built as canonical subspaces.
+recovery test, repair-slice sums built as canonical subspaces and the
+simulator's event loop built from its public calls.
 
 The program never runs these; tests use them as independent oracles.
 """
@@ -8,11 +9,13 @@ The program never runs these; tests use them as independent oracles.
 from __future__ import annotations
 
 import itertools
-from typing import Iterator, Sequence
+import random
+from typing import Iterator, Optional, Sequence
 
 from frcodes.gf import GF
 from frcodes.groupsearch import GroupClosure, LinearMap, group_closure
 from frcodes.partition_code import PartitionModel, _clique_search, _plane_tables
+from frcodes.simulator import CorruptStateError, DssState, RunReport, collect, fail, repair
 from frcodes.storage import CodeParams, RepairingCollection, is_recovery_set
 from frcodes.subspace import Subspace, zero_subspace
 
@@ -172,3 +175,46 @@ def slice_sums(collection: RepairingCollection, params: CodeParams
                 sums.append(sums[-1] + w)
             previous = ws
             yield indices, ws, sums[-1]
+
+
+def run_random_by_collect(state: DssState, steps: int, seed: Optional[int] = None) -> RunReport:
+    """simulator.run_random from the public fail, repair and collect alone.
+
+    Each event lists the k-subsets of node ids that span, by
+    is_recovery_set in the order of itertools.combinations, and collects
+    from each of them (strict mode) or from one seeded choice, drawing
+    from state.rng exactly as run_random does.
+    """
+    if seed is not None:
+        state.rng = random.Random(seed)
+        state.seed = seed
+    params = state.params
+    visited: set[tuple[bytes, ...]] = set()
+    transcripts = []
+    downloads = 0
+
+    def report(verdict: str, line: Optional[str] = None) -> RunReport:
+        if line is not None:
+            state.log.append(line)
+        return RunReport(steps, state.seed, len(visited), downloads, verdict,
+                         tuple(state.log), tuple(transcripts))
+
+    for _ in range(steps):
+        fail(state, state.rng.randrange(len(state.nodes)))
+        try:
+            transcript = repair(state)
+        except CorruptStateError as err:
+            return report("FAILED", f"corrupt state: {err}")
+        transcripts.append(transcript)
+        visited.add(transcript.collection_key)
+        downloads += transcript.total_download
+        spanning = [combo for combo in itertools.combinations(range(len(state.nodes)), params.k)
+                    if is_recovery_set([state.nodes[i].space for i in combo], params.m)]
+        for combo in spanning if state.strict else [state.rng.choice(spanning)]:
+            try:
+                recovered = collect(state, combo)
+            except CorruptStateError as err:
+                return report("FAILED", f"corrupt state: {err}")
+            if recovered != state.message:
+                return report("FAILED", f"integrity failure at nodes {combo}")
+    return report("ok")

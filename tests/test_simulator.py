@@ -8,6 +8,7 @@ import itertools
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
 
@@ -35,7 +36,7 @@ from frcodes.storage import (
     valid_newcomers,
 )
 from frcodes.subspace import express, span, vec_dot
-from oracles import label_of
+from oracles import label_of, run_random_by_collect
 
 
 @pytest.fixture(scope="module")
@@ -166,6 +167,24 @@ class TestRepair:
         fail(state, 3)
         with pytest.raises(CorruptStateError):
             repair(state)
+
+    @pytest.mark.parametrize("strict", [True, False])
+    def test_left_node_set_outside_the_code_detected(self, exact_code, strict, monkeypatch):
+        # a repeated repair finds its survivors and plan memoized; once its
+        # configuration is forgotten and the code admits nothing more, the
+        # leave-one-out check of the node set it leaves fails, in either mode
+        from frcodes import storage
+
+        _, _, code = exact_code
+        state = dss_init(code, (1, 1, 1, 1), strict=strict)
+        fail(state, 0)
+        repair(state)
+        fail(state, 0)
+        state.configurations.clear()
+        monkeypatch.setattr(storage.StateSet, "__contains__", lambda self, collection: False)
+        with pytest.raises(CorruptStateError, match="repair event 1 of node 0: without node 0 "):
+            repair(state)
+        assert state.configurations == {}
 
 
 class TestCollect:
@@ -479,7 +498,7 @@ def soak_against_oracle(code, x, seed, steps, monkeypatch):
             assert (state.decoders[key] is not None) == spans
     # the memos grow only with distinct configurations
     assert sum(len(plans) for _, plans in state.newcomer_cache.values()) == len(pairs)
-    assert state.admitted == configurations
+    assert set(state.configurations) == configurations
     assert set(state.decoders) == subsets
     # single-event runs continue the generator: one run gives the same log
     whole = run_random(dss_init(code, x, seed=seed), steps)
@@ -496,22 +515,23 @@ class TestWorkCounts:
     """
 
     @staticmethod
-    def counted_run(code, x, seed, steps, monkeypatch):
-        from frcodes import simulator, subspace
-
+    def count_calls(bindings, monkeypatch):
+        """A counter of the calls to each (owner, name) binding."""
         calls = collections.Counter()
-
-        def counter(name, fn):
-            def counted(*args, **kwargs):
+        for owner, name in bindings:
+            def counted(*args, name=name, fn=getattr(owner, name), **kwargs):
                 calls[name] += 1
                 return fn(*args, **kwargs)
-            return counted
+            monkeypatch.setattr(owner, name, counted)
+        return calls
+
+    def counted_run(self, code, x, seed, steps, monkeypatch):
+        from frcodes import simulator, subspace
 
         state = dss_init(code, x, seed=seed)
-        for module in (subspace, simulator):
-            for name in ("solve", "vec_dot", "rank_of", "_decoder"):
-                if hasattr(module, name):
-                    monkeypatch.setattr(module, name, counter(name, getattr(module, name)))
+        calls = self.count_calls([(module, name) for module in (subspace, simulator)
+                                  for name in ("solve", "vec_dot", "rank_of", "_decoder")
+                                  if hasattr(module, name)], monkeypatch)
         assert run_random(state, steps).verdict == "ok"
         return state, calls
 
@@ -520,6 +540,31 @@ class TestWorkCounts:
                                         500, monkeypatch)
         assert calls == {"_decoder": 56}
         assert len(state.decoders) == 56
+
+    def test_soak56_warm_run_does_only_dot_products(self, monkeypatch):
+        # the code56 benchmark input, verified as frcodes simulate does: a
+        # second run on the same state meets only the 56 configurations of
+        # the first, so it builds and looks up no collection and finds no
+        # newcomer, witness or decoder.  Every recovery goes through the
+        # public collect, which looks up its subset's decoder
+        from frcodes import simulator, storage
+
+        state = dss_init(code56(), (0, 1, 0, 1, 0), seed=1351038068)
+        calls = self.count_calls(
+            [(storage.RepairingCollection, "__init__"), (storage.StateSet, "__contains__"),
+             (simulator, "valid_newcomers"), (simulator, "find_repair_witness"),
+             (simulator, "collect"), (simulator, "_node_decoder"), (simulator, "_decoder")],
+            monkeypatch)
+        assert run_random(state, 500).verdict == "ok"
+        # a collection per newcomer search replacement, per new survivor
+        # key and per leave-one-out admission; k-subset decoders are looked
+        # up once per configuration, and once per recovery
+        assert calls == {"__init__": 1232, "__contains__": 1232, "valid_newcomers": 56,
+                         "find_repair_witness": 56, "collect": 2000,
+                         "_node_decoder": 224 + 2000, "_decoder": 56}
+        calls.clear()
+        assert run_random(state, 500).verdict == "ok"
+        assert calls == {"collect": 2000, "_node_decoder": 2000}
 
     def test_soak_family_counts(self, monkeypatch):
         from frcodes.family import family_state_space
@@ -530,6 +575,54 @@ class TestWorkCounts:
                                         monkeypatch)
         assert calls == {"_decoder": 574}
         assert len(state.decoders) == 574
+
+
+def code56():
+    """The benchmark's 56-state code, verified as frcodes simulate does."""
+    data = pathlib.Path(__file__).parents[1] / "perfbench" / "data" / "code56.fsc"
+    code = document_to_states(parse_fsc(data.read_text(encoding="utf-8")))
+    code.verify()
+    return code
+
+
+@pytest.fixture(scope="module")
+def loop_codes():
+    from frcodes.family import family_state_space
+
+    codes = {"code56": code56()}
+    for q in (3, 4):
+        codes[f"family21{q}"] = code = family_state_space(2, 1, q)
+        code.verify()
+    return codes
+
+
+@pytest.mark.parametrize("strict", [True, False])
+@pytest.mark.parametrize("name", ["code56", "family213", "family214"])
+def test_run_random_matches_the_loop_by_collect(loop_codes, name, strict):
+    # the memoized event loop against one built from fail, repair,
+    # collect and is_recovery_set, on one pair of states: a cold run, a
+    # warm one, one after randomized repairs spread the configurations
+    # (the family codes run on tuple rows), and one after a stored
+    # symbol is flipped, whose failure line names the nodes that caught it
+    code = loop_codes[name]
+    q = code.params.q
+    x = tuple((3 * i + 1) % q for i in range(code.params.m))
+    states = [dss_init(code, x, seed=12, strict=strict) for _ in range(2)]
+    for phase in ("cold", "warm", "spread", "flipped"):
+        for state in states:
+            if phase == "spread":
+                for _ in range(60):
+                    fail(state, state.rng.randrange(len(state.nodes)))
+                    repair(state, randomize=True)
+            if phase == "flipped":
+                # a node the next event does not fail
+                victim = random.Random()
+                victim.setstate(state.rng.getstate())
+                node = state.nodes[(victim.randrange(len(state.nodes)) + 1) % len(state.nodes)]
+                node.stored = ((node.stored[0] + 1) % q,) + node.stored[1:]
+        report = run_random(states[0], 100)
+        assert report == run_random_by_collect(states[1], 100)
+        assert report.verdict == ("FAILED" if phase == "flipped" else "ok")
 
 
 class TestMemos:
