@@ -36,13 +36,14 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .gf import GF, MAX_ORDER, Field
-from .groupsearch import LinearMap, _traces, _transporter
+from .groupsearch import LinearMap, _moved_witness, _traces, _transporter
 from .storage import (
     CodeParams,
     RepairWitness,
     RepairingCollection,
     StateSet,
     _newcomer_search,
+    find_repair_witness,
     reachable_closure,
 )
 from .subspace import (
@@ -563,7 +564,8 @@ class GoodCollectionSet(StateSet):
     no edge applies, or its map search finds no map or passes its cap,
     or the composite fails its check, the engine enumerates the
     newcomers and the collection becomes a new representative, even
-    when it lies in the orbit of an earlier one.
+    when it lies in the orbit of an earlier one.  _witness gives g(N_j)
+    R's witness for N_j, searched once per (orbit, j) and moved by g.
     """
 
     def __init__(self, r: int, s: int, q: int):
@@ -571,8 +573,9 @@ class GoodCollectionSet(StateSet):
         self.s = s
         seed = construct_good(r, s, q)
         super().__init__(seed.params, [seed.to_repairing_collection()])
+        # R, its newcomers N_j, its member traces, j -> R's witness for N_j
         self._orbits: list[tuple[RepairingCollection, tuple[Subspace, ...],
-                                 tuple[Subspace, ...]]] = []
+                                 tuple[Subspace, ...], dict[int, RepairWitness]]] = []
         # each placed collection minus one member -> the removed member's
         # key -> ((orbit, g, member origins, newcomer key -> j), position)
         self._placements: dict[tuple[bytes, ...], dict[bytes, tuple]] = {}
@@ -584,7 +587,7 @@ class GoodCollectionSet(StateSet):
 
     def _transport(self, collection: RepairingCollection) -> Optional[tuple[int, LinearMap]]:
         # the first representative some map carries onto the collection
-        for orbit, (representative, _, traces) in enumerate(self._orbits):
+        for orbit, (representative, _, traces, _) in enumerate(self._orbits):
             try:
                 g = _transporter(representative, collection, TRANSPORT_CAP, traces)
             except CapExceeded:
@@ -597,7 +600,7 @@ class GoodCollectionSet(StateSet):
                g: Optional[LinearMap]) -> Optional[tuple[Subspace, ...]]:
         """The newcomers of the collection when g carries the orbit's
         representative onto it, else None; records the placement."""
-        representative, newcomers, _ = self._orbits[orbit]
+        representative, newcomers, *_ = self._orbits[orbit]
         members = (representative.spaces if g is None
                    else [g.apply(u) for u in representative.spaces])
         origins = sorted(range(len(members)), key=lambda t: members[t].key)
@@ -624,7 +627,7 @@ class GoodCollectionSet(StateSet):
                 i = origins[q]
                 edge = self._edges.get((orbit, j, i))
                 if edge is None:
-                    representative, newcomers, _ = self._orbits[orbit]
+                    representative, newcomers, *_ = self._orbits[orbit]
                     edge = self._transport(representative.replace(i, newcomers[j]))
                     if edge is None:
                         return None
@@ -638,9 +641,21 @@ class GoodCollectionSet(StateSet):
         if newcomers is not None:
             return newcomers
         _, newcomers = _newcomer_search(self.params, self.__contains__, collection, None, True)
-        self._orbits.append((collection, newcomers, _traces(collection.spaces)))
+        self._orbits.append((collection, newcomers, _traces(collection.spaces), {}))
         self._place(collection, len(self._orbits) - 1, None)
         return newcomers
+
+    def _witness(self, collection: RepairingCollection,
+                 newcomer: Subspace) -> Optional[RepairWitness]:
+        placed = self._placements.get(collection.key[1:], {}).get(collection.key[0])
+        if placed is None or newcomer.key not in placed[0][3]:
+            return None
+        (orbit, g, origins, moved), _ = placed
+        representative, newcomers, _, witnesses = self._orbits[orbit]
+        j = moved[newcomer.key]
+        if j not in witnesses:
+            witnesses[j] = find_repair_witness(representative, newcomers[j], self.params)
+        return witnesses[j] if g is None else _moved_witness({}, g, origins, witnesses[j])
 
     def __contains__(self, item) -> bool:
         if super().__contains__(item):

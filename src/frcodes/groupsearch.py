@@ -686,14 +686,12 @@ def orbit(group: GroupClosure, seed: RepairingCollection,
     return _walk(seed, group.generators, move, cap, RepairingCollection)
 
 
-def _moved_witness(images: dict, g: LinearMap, parent: RepairingCollection,
+def _moved_witness(images: dict, g: LinearMap, origins: Sequence[int],
                    witness: RepairWitness) -> RepairWitness:
-    """The witness carried from parent to g(parent): each slice moved by
-    g, each helper index the sorted position of the helper's image, with
-    equal members kept at distinct positions as the sort keeps them."""
-    moved = [_image(images, g, u).key for u in parent.spaces]
-    order = sorted(range(len(moved)), key=moved.__getitem__)
-    position = {i: p for p, i in enumerate(order)}
+    """The witness carried from a collection P to g(P): each slice moved
+    by g, each helper index i the position p of g(P_i) in g(P), where
+    origins[p] = i, so equal members keep distinct positions."""
+    position = {i: p for p, i in enumerate(origins)}
     pairs = sorted(((position[i], _image(images, g, w))
                     for i, w in zip(witness.repair_indices, witness.repair_spaces)),
                    key=lambda pair: pair[0])
@@ -744,9 +742,11 @@ def orbit_code(group: GroupClosure, walk: dict, params: CodeParams) -> StateSet:
         if edge is not None:
             parent, g = edge
             state = moved[parent]
+            origins = sorted(range(len(member)),
+                             key=lambda i: _image(images, g, state.collection.spaces[i]).key)
             moved[key] = AdmissibleState(
                 member, _image(images, g, state.newcomer),
-                _moved_witness(images, g, state.collection, state.witness))
+                _moved_witness(images, g, origins, state.witness))
     checks = [CollectionCheck(moved[key].collection, True, moved[key]) for key in sorted(moved)]
     states._record(RepairReport(params, checks, False))
     return states

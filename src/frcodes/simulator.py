@@ -20,12 +20,14 @@ check rows from one reduction) per sorted key tuple of a node subset,
 and the leave-one-out admission with the spanning k-subsets per sorted
 key tuple of all n nodes.  Membership depends on the key alone, so a
 warm event builds no collection and tests no membership: it looks up
-its memos and does its dot products.  No memo holds stored data: every
-download, rebuilt symbol and recovery is computed from the stored
-symbols on every event, as dot products on held rows, and, in strict
-mode, checked against the message.  A helper's combination rows are
-the repair rows read at the helper's pivots, where its canonical basis
-is the identity; only the rebuild rows are found by express.
+its memos and does its dot products.  A new plan takes the witness the
+code holds (StateSet._witness), else runs find_repair_witness, and
+checks it.  No memo holds stored data: every download, rebuilt symbol
+and recovery is computed from the stored symbols on every event, as dot
+products on held rows, and, in strict mode, checked against the
+message.  A helper's combination rows are the repair rows read at the
+helper's pivots, where its canonical basis is the identity; only the
+rebuild rows are found by express.
 """
 
 from __future__ import annotations
@@ -144,7 +146,8 @@ class DssState:
     leave-one-out collection is found in the code, to the k-subsets of
     its positions that span, in combinations order, or to None until
     run_random first recovers from it.  held_message is the message
-    packed once, as a held row.
+    packed once, as a held row; _configured, the last repair's sorted
+    nodes and key tuple.
     """
 
     params: CodeParams
@@ -159,6 +162,7 @@ class DssState:
     decoders: dict = dc_field(default_factory=dict, init=False, repr=False)
     configurations: dict = dc_field(default_factory=dict, init=False, repr=False)
     held_message: object = dc_field(init=False, repr=False)
+    _configured: tuple = dc_field(default=(), init=False, repr=False)
 
     def __post_init__(self):
         self.held_message = _kernels(self.field).pack(self.message, self.params.m)
@@ -247,9 +251,10 @@ class _RepairPlan:
     rebuild: tuple
 
 
-def _repair_plan(collection: RepairingCollection, newcomer: Subspace,
-                 params: CodeParams) -> _RepairPlan:
-    witness = find_repair_witness(collection, newcomer, params)
+def _repair_plan(code: StateSet, collection: RepairingCollection,
+                 newcomer: Subspace) -> _RepairPlan:
+    witness = (code._witness(collection, newcomer)
+               or find_repair_witness(collection, newcomer, code.params))
     _require(witness is not None, "a valid newcomer has a repair witness")
     field = collection.field
     k = _kernels(field)
@@ -287,7 +292,6 @@ def repair(state: DssState, node_id: Optional[int] = None,
         raise ValueError("no node has failed")
     if node_id is not None and node_id != failed.id:
         raise ValueError(f"node {node_id} is not the failed node")
-    params = state.params
     ordered = sorted([node for node in state.nodes if node is not failed], key=_by_space)
     _require(all(node.alive for node in ordered), "every survivor is alive")
     key = tuple([node.space.key for node in ordered])
@@ -302,7 +306,7 @@ def repair(state: DssState, node_id: Optional[int] = None,
     plan = plans.get(newcomer.key)
     if plan is None:
         plan = plans[newcomer.key] = _repair_plan(
-            collection or _survivor_collection(state, ordered, failed.id), newcomer, params)
+            state.code, collection or _survivor_collection(state, ordered, failed.id), newcomer)
     k = _kernels(state.field)
     shares = []
     flat_downloads: list[int] = []
@@ -329,10 +333,10 @@ def repair(state: DssState, node_id: Optional[int] = None,
     transcript = RepairTranscript(
         failed.id, tuple(share.helper_id for share in shares), tuple(shares),
         key, newcomer, newcomer.rows, new_stored)
-    _require(transcript.total_download == params.r * params.beta,
+    _require(transcript.total_download == state.params.r * state.params.beta,
              "a repair downloads r * beta symbols")
     # the node set left must be in the code, checked once per configuration
-    _configuration(state, failed.id)
+    state._configured = _configuration(state, failed.id)
     state.log.append(
         f"repair: node {failed.id} <- helpers "
         f"{','.join(str(i) for i in transcript.helper_ids)}, "
@@ -460,7 +464,7 @@ def run_random(state: DssState, steps: int,
         transcripts.append(transcript)
         visited.add(transcript.collection_key)
         downloads += transcript.total_download
-        ordered, key = _configuration(state, victim)
+        ordered, key = state._configured
         positions = state.configurations[key]
         if positions is None:
             combos = itertools.combinations(range(len(ordered)), state.params.k)

@@ -360,8 +360,8 @@ class StateSet:
     and takes the result as the verdict.  verify() runs the full check;
     groupsearch.orbit_code records an orbit's report from its seed's
     verdict instead, and the full check stays the oracle of its tests.
-    _completions gives the newcomer engine its candidates, and
-    _newcomers answers valid_newcomers.
+    _completions gives the newcomer engine its candidates, _newcomers
+    answers valid_newcomers and _witness the simulator's repair plans.
     """
 
     def __init__(self, params: CodeParams, collections: Iterable[RepairingCollection],
@@ -428,6 +428,12 @@ class StateSet:
             return self.transitions[collection.key]
         return _newcomer_search(self.params, self.__contains__, collection,
                                 self._completions(collection), True)[1]
+
+    def _witness(self, collection: RepairingCollection,
+                 newcomer: Subspace) -> Optional[RepairWitness]:
+        """The witness a report recorded with this newcomer, else None."""
+        state = self.witnesses.get(collection.key)
+        return state.witness if state and state.newcomer.key == newcomer.key else None
 
 
 def _has_spanning_subset(collection: RepairingCollection, params: CodeParams) -> bool:

@@ -621,7 +621,7 @@ def test_family_soak_searches_one_map_per_repair_edge(monkeypatch):
     assert report.verdict == "ok"
     assert report.distinct_states > 150
     assert len(code._orbits) == 1
-    representative, newcomers, _ = code._orbits[0]
+    representative, newcomers, *_ = code._orbits[0]
     assert len(newcomers) * len(representative) == 24
     assert len(searches) == len(code._edges) <= 24
 
@@ -648,7 +648,7 @@ def test_wrong_edge_map_falls_back_to_direct_search(monkeypatch):
     code = family_state_space(3, 1, 2)
     assert trail[0] in code
     valid_newcomers(code, trail[0])
-    representative, newcomers, _ = code._orbits[0]
+    representative, newcomers, *_ = code._orbits[0]
     # every edge claims the identity, which carries the representative
     # onto itself and not onto the repaired collection
     identity = LinearMap.identity(representative.field, representative.m)

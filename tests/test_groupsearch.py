@@ -371,9 +371,11 @@ def test_moved_witness_keeps_duplicate_helpers_distinct():
         assert find_repair_witness(member, state.newcomer, params) is not None
     moved = states.witnesses[image.key].witness
     assert [w <= plane_q for w in moved.repair_spaces].count(True) == 2
-    # the seed's witness moved by the swap, with no certificate declared
+    # the seed's witness moved by the swap, with no certificate declared;
+    # origins[p] is the seed member whose image sits at position p
+    origins = sorted(range(3), key=lambda i: swap.apply(seed.spaces[i]).key)
     assert moved == groupsearch._moved_witness(
-        {}, swap, seed, states.witnesses[seed.key].witness)
+        {}, swap, origins, states.witnesses[seed.key].witness)
     assert not states.certificates
     # helper indices read off the first copy of each image would repeat
     # a member, which the witness check refuses
@@ -1068,6 +1070,32 @@ def test_orbit_code_matches_full_check_over_gf3():
     text = emit_fsc(states_to_document(outcome.results[0].states))
     assert hashlib.sha256(text.encode()).hexdigest() == \
         "eab38d4647d25a196234556c4f2ac47cf05a1d4359c81817c2878d40bf5d4463"
+
+
+def test_search_of_the_written_gf3_family_seed_pins_its_smallest_code(tmp_path, capsys):
+    # the (2, 1) family seed over GF(3) with its first valid newcomer,
+    # written as a one-collection document, searched by frcodes search:
+    # the best result is the smallest verified code, 3 states, and the
+    # written code passes the full repair check
+    from frcodes import cli
+
+    good = construct_good(2, 1, 3)
+    params = good.params
+    seed = good.to_repairing_collection()
+    newcomer = valid_newcomers(family_state_space(2, 1, 3), seed)[0]
+    states = StateSet(params, [seed])
+    states.witnesses[seed.key] = storage.AdmissibleState(
+        seed, newcomer, find_repair_witness(seed, newcomer, params))
+    path, found = tmp_path / "seed213.fsc", tmp_path / "found213.fsc"
+    path.write_text(emit_fsc(states_to_document(states)), encoding="utf-8")
+    assert cli.main(["search", str(path), "--group-cap", "5000", "--orbit-cap", "500",
+                     "--out", str(found)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2] == "best result: group order 3, 3 states"
+    text = found.read_text(encoding="utf-8")
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "eab38d4647d25a196234556c4f2ac47cf05a1d4359c81817c2878d40bf5d4463"
+    assert cli.main(["verify", str(found)]) == 0
 
 
 def test_symmetry_search_finds_the_partition_code_from_the_family_seed(partition_states):

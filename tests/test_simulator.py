@@ -511,7 +511,10 @@ class TestWorkCounts:
 
     With the message and seed of each soak's first process (perfbench
     seed 1, index 0), in strict mode: no solve, vec_dot or rank_of call,
-    and one decoder per distinct sorted key tuple of a node subset.
+    one decoder per distinct sorted key tuple of a node subset, and one
+    sort of the n nodes (_configuration) per event.  A repair plan takes
+    the witness the code holds, so find_repair_witness runs only for the
+    family's representatives.
     """
 
     @staticmethod
@@ -526,19 +529,22 @@ class TestWorkCounts:
         return calls
 
     def counted_run(self, code, x, seed, steps, monkeypatch):
-        from frcodes import simulator, subspace
+        from frcodes import family, simulator, subspace
 
         state = dss_init(code, x, seed=seed)
-        calls = self.count_calls([(module, name) for module in (subspace, simulator)
-                                  for name in ("solve", "vec_dot", "rank_of", "_decoder")
-                                  if hasattr(module, name)], monkeypatch)
+        calls = self.count_calls(
+            [(module, name) for module in (subspace, simulator)
+             for name in ("solve", "vec_dot", "rank_of", "_decoder")
+             if hasattr(module, name)]
+            + [(simulator, "_configuration"), (simulator, "find_repair_witness"),
+               (family, "find_repair_witness")], monkeypatch)
         assert run_random(state, steps).verdict == "ok"
         return state, calls
 
     def test_soak56_counts(self, partition_states, monkeypatch):
         state, calls = self.counted_run(partition_states, (0, 1, 0, 1, 0), 1351038068,
                                         500, monkeypatch)
-        assert calls == {"_decoder": 56}
+        assert calls == {"_decoder": 56, "_configuration": 500}
         assert len(state.decoders) == 56
 
     def test_soak56_warm_run_does_only_dot_products(self, monkeypatch):
@@ -558,10 +564,11 @@ class TestWorkCounts:
         assert run_random(state, 500).verdict == "ok"
         # a collection per newcomer search replacement, per new survivor
         # key and per leave-one-out admission; k-subset decoders are looked
-        # up once per configuration, and once per recovery
+        # up once per configuration, and once per recovery.  Each plan
+        # takes the witness verify() recorded, so no witness is searched
         assert calls == {"__init__": 1232, "__contains__": 1232, "valid_newcomers": 56,
-                         "find_repair_witness": 56, "collect": 2000,
-                         "_node_decoder": 224 + 2000, "_decoder": 56}
+                         "collect": 2000, "_node_decoder": 224 + 2000, "_decoder": 56}
+        assert calls["find_repair_witness"] == 0
         calls.clear()
         assert run_random(state, 500).verdict == "ok"
         assert calls == {"collect": 2000, "_node_decoder": 2000}
@@ -573,7 +580,9 @@ class TestWorkCounts:
         code.verify()
         state, calls = self.counted_run(code, (1, 1, 1, 1, 1), 2037067407, 300,
                                         monkeypatch)
-        assert calls == {"_decoder": 574}
+        # one witness search per (orbit, newcomer) the placed plans meet;
+        # every other plan moves its representative's witness
+        assert calls == {"_decoder": 574, "_configuration": 300, "find_repair_witness": 8}
         assert len(state.decoders) == 574
 
 
@@ -664,6 +673,62 @@ class TestMemos:
                 assert combination == tuple(express(field, row, helper.rows)
                                             for row in repair_space.rows)
                 assert held == tuple(pack(coeffs, helper.dim) for coeffs in combination)
+
+
+class TestHeldWitnesses:
+    """Repair plans take the witness the code holds, not a fresh search."""
+
+    @pytest.mark.parametrize("mode", ["strict", "fast", "randomize"])
+    @pytest.mark.parametrize("r, s, q", [(3, 1, 2), (2, 1, 3), (2, 1, 4)])
+    def test_family_repairs_match_a_fresh_witness_search(self, r, s, q, mode):
+        # every repair of a family code, whose plan moves a
+        # representative's witness, serves the slices that a fresh
+        # find_repair_witness on the survivors finds
+        from frcodes.family import family_state_space
+
+        code = family_state_space(r, s, q)
+        code.verify()
+        params = code.params
+        x = tuple((2 * i + 1) % q for i in range(params.m))
+        state = dss_init(code, x, seed=11, strict=mode != "fast")
+        if mode == "randomize":
+            transcripts = []
+            for _ in range(150):
+                fail(state, state.rng.randrange(len(state.nodes)))
+                transcripts.append(repair(state, randomize=True))
+        else:
+            report = run_random(state, 150)
+            assert report.verdict == "ok"
+            transcripts = report.transcripts
+        for transcript in transcripts:
+            collection = code.collections[transcript.collection_key]
+            fresh = find_repair_witness(collection, transcript.newcomer, params)
+            assert tuple(share.repair_space for share in transcript.shares) \
+                == fresh.repair_spaces
+
+    def test_planted_witness_outside_its_helper_is_refused(self):
+        # a recorded witness whose first slice leaves its helper: the plan
+        # check raises before any symbol moves, so no repair completes
+        from frcodes.storage import AdmissibleState
+        from frcodes.subspace import full_space
+
+        code = code56()
+        state = dss_init(code, (0, 1, 0, 1, 0), seed=5)
+        fail(state, 0)
+        collection = RepairingCollection([node.space for node in state.nodes[1:]])
+        newcomer = valid_newcomers(code, collection)[0]
+        held = code.witnesses[collection.key]
+        assert held.newcomer == newcomer
+        helper = collection.spaces[held.witness.repair_indices[0]]
+        outside = next(w for w in full_space(state.field, 5).subspaces(1) if not w <= helper)
+        code.witnesses[collection.key] = AdmissibleState(collection, newcomer, RepairWitness(
+            held.witness.repair_indices, (outside,) + held.witness.repair_spaces[1:]))
+        log = list(state.log)
+        with pytest.raises(RuntimeError, match="lies in its helper"):
+            repair(state)
+        assert not state.nodes[0].alive
+        assert state.log == log
+        assert not state.newcomer_cache[collection.key][1]
 
 
 def tampered_after_warm_up(x=(1, 0, 1, 1, 0), seed=41, warm=100):
