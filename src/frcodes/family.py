@@ -32,8 +32,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .gf import GF, MAX_ORDER, Field
 from .groupsearch import LinearMap, _moved_witness, _traces, _transporter
@@ -134,20 +133,26 @@ def is_good(spaces: Sequence[Subspace], r: int, s: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
 class GoodCollection:
     """An (r, s) good collection, validated on construction.
 
     Member order is preserved: repair choices index into it.
     """
 
-    r: int
-    s: int
-    spaces: tuple[Subspace, ...]
+    __slots__ = ("r", "s", "spaces")
 
-    def __post_init__(self):
-        if not is_good(self.spaces, self.r, self.s):
-            raise ValueError(f"the {self.r} spaces are not ({self.r},{self.s}) good")
+    def __init__(self, r: int, s: int, spaces: tuple[Subspace, ...]):
+        if not is_good(spaces, r, s):
+            raise ValueError(f"the {r} spaces are not ({r},{s}) good")
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "spaces", spaces)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"GoodCollection is immutable: cannot assign {name}")
+
+    def __reduce__(self):
+        return GoodCollection, (self.r, self.s, self.spaces)
 
     @property
     def field(self) -> Field:
@@ -165,8 +170,7 @@ class GoodCollection:
         return RepairingCollection(self.spaces)
 
 
-@dataclass(frozen=True)
-class RepairCode:
+class RepairCode(NamedTuple):
     """The coefficient code C = {c : sum_j c_j w_j lands in the newcomer}."""
 
     field: Field
@@ -397,8 +401,7 @@ def _prime_power(q: int) -> tuple[int, int]:
     raise AssertionError("unreachable")
 
 
-@dataclass(frozen=True)
-class StepResult:
+class StepResult(NamedTuple):
     """One repair move: newcomer, its witness and the r replaced collections."""
 
     collection: GoodCollection

@@ -48,8 +48,7 @@ explicitly instead of silently truncating the result.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field as dc_field
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .gf import Field
 from .storage import (
@@ -105,7 +104,6 @@ def _require(holds: bool, claim: str) -> None:
         raise RuntimeError(f"group search check failed: {claim}")
 
 
-@dataclass(frozen=True)
 class LinearMap:
     """An invertible linear map of F_q^m, acting on row vectors.
 
@@ -120,22 +118,18 @@ class LinearMap:
     point once.
     """
 
-    field: Field
-    m: int
-    rows: tuple[tuple[int, ...], ...]
-    key: bytes = dc_field(init=False, repr=False, compare=False)
-    _k: object = dc_field(init=False, repr=False, compare=False)
-    _matrix: tuple = dc_field(init=False, repr=False, compare=False)
-    _points: dict = dc_field(init=False, repr=False, compare=False)
+    __slots__ = ("field", "m", "rows", "key", "_k", "_matrix", "_points")
 
-    def __post_init__(self) -> None:
-        if len(self.rows) != self.m:
-            raise ValueError(f"matrix must be {self.m}x{self.m}")
+    def __init__(self, field: Field, m: int, rows: tuple[tuple[int, ...], ...]) -> None:
+        if len(rows) != m:
+            raise ValueError(f"matrix must be {m}x{m}")
         # rank_of checks the length and the entries of every row
-        if rank_of(self.field, self.m, self.rows) != self.m:
+        if rank_of(field, m, rows) != m:
             raise ValueError("matrix is singular")
-        k = _kernels(self.field)
-        self._store(k, [k.pack(r, self.m) for r in self.rows])
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "m", m)
+        k = _kernels(field)
+        self._store(k, [k.pack(r, m) for r in rows])
 
     @classmethod
     def _trusted(cls, k, m: int, matrix: Sequence) -> "LinearMap":
@@ -188,6 +182,19 @@ class LinearMap:
             raise ValueError("maps act on different spaces")
         k = self._k
         return LinearMap._trusted(k, self.m, k.matmul(other._matrix, self._matrix))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"LinearMap is immutable: cannot assign {name}")
+
+    def __reduce__(self):
+        return LinearMap, (self.field, self.m, self.rows)
+
+    def __eq__(self, other: object) -> bool:
+        return (isinstance(other, LinearMap)
+                and (self.field, self.m, self.rows) == (other.field, other.m, other.rows))
+
+    def __hash__(self) -> int:
+        return hash((self.field, self.m, self.rows))
 
     def __repr__(self) -> str:
         return f"<LinearMap {_short_hash(self.key)} on F_{self.field.q}^{self.m}>"
@@ -752,8 +759,7 @@ def orbit_code(group: GroupClosure, walk: dict, params: CodeParams) -> StateSet:
     return states
 
 
-@dataclass(frozen=True, eq=False)
-class SearchResult:
+class SearchResult(NamedTuple):
     """One verified code found by symmetry_search."""
 
     transition: LinearMap
@@ -761,8 +767,7 @@ class SearchResult:
     states: StateSet
 
 
-@dataclass(frozen=True, eq=False)
-class SearchOutcome:
+class SearchOutcome(NamedTuple):
     """Everything a symmetry search saw: stabilizer, candidates, successes.
 
     candidate_classes pairs each index with the number of classes of its

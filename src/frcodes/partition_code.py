@@ -21,8 +21,7 @@ checked in the test suite (tests/oracles.py).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .gf import GF, Field
 from .groupsearch import LinearMap
@@ -52,8 +51,7 @@ def partition_params() -> CodeParams:
     return CodeParams(5, 4, 3, 3, 2, 1, 2)
 
 
-@dataclass(frozen=True, eq=False)
-class PartitionModel:
+class PartitionModel(NamedTuple):
     """The fixed coordinates, the plane, and the eight graph spaces.
 
     Vectors are (w, u) pairs: the first three coordinates hold a GF(8)
@@ -189,8 +187,7 @@ def _vector_mask(a: int, b: int) -> int:
     return (1 << a) | (1 << b) | (1 << (a ^ b))
 
 
-@dataclass(frozen=True, eq=False)
-class _PlaneTables:
+class _PlaneTables(NamedTuple):
     """The planes of F_2^5 as indices, with the bitsets of the clique search.
 
     planes is in ascending canonical-key order, and a plane's index is

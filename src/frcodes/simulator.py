@@ -35,8 +35,7 @@ from __future__ import annotations
 import itertools
 import operator
 import random
-from dataclasses import dataclass, field as dc_field
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .storage import (
     CodeParams,
@@ -85,18 +84,19 @@ def _require(holds: bool, claim: str) -> None:
         raise RuntimeError(f"simulator check failed: {claim}")
 
 
-@dataclass
 class Node:
     """One storage node: a subspace and the symbols stored for its basis rows."""
 
-    id: int
-    space: Subspace
-    stored: tuple[int, ...]
-    alive: bool = True
+    __slots__ = ("id", "space", "stored", "alive")
+
+    def __init__(self, id: int, space: Subspace, stored: tuple[int, ...], alive: bool = True):
+        self.id = id
+        self.space = space
+        self.stored = stored
+        self.alive = alive
 
 
-@dataclass(frozen=True)
-class HelperShare:
+class HelperShare(NamedTuple):
     """What one helper contributed to a repair.
 
     The combination rows express the repair space's basis in the
@@ -110,8 +110,7 @@ class HelperShare:
     downloads: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class RepairTranscript:
+class RepairTranscript(NamedTuple):
     """Full record of one repair event."""
 
     failed_id: int
@@ -127,7 +126,6 @@ class RepairTranscript:
         return sum(len(share.downloads) for share in self.shares)
 
 
-@dataclass(eq=False)
 class DssState:
     """A running system: parameters, code, nodes, message and event log.
 
@@ -150,22 +148,25 @@ class DssState:
     nodes and key tuple.
     """
 
-    params: CodeParams
-    code: StateSet
-    nodes: list[Node]
-    message: tuple[int, ...]
-    seed: int
-    strict: bool
-    rng: random.Random
-    log: list[str] = dc_field(default_factory=list)
-    newcomer_cache: dict = dc_field(default_factory=dict)
-    decoders: dict = dc_field(default_factory=dict, init=False, repr=False)
-    configurations: dict = dc_field(default_factory=dict, init=False, repr=False)
-    held_message: object = dc_field(init=False, repr=False)
-    _configured: tuple = dc_field(default=(), init=False, repr=False)
+    __slots__ = ("params", "code", "nodes", "message", "seed", "strict", "rng", "log",
+                 "newcomer_cache", "decoders", "configurations", "held_message", "_configured")
 
-    def __post_init__(self):
-        self.held_message = _kernels(self.field).pack(self.message, self.params.m)
+    def __init__(self, params: CodeParams, code: StateSet, nodes: list[Node],
+                 message: tuple[int, ...], seed: int, strict: bool, rng: random.Random,
+                 log: Optional[list[str]] = None, newcomer_cache: Optional[dict] = None):
+        self.params = params
+        self.code = code
+        self.nodes = nodes
+        self.message = message
+        self.seed = seed
+        self.strict = strict
+        self.rng = rng
+        self.log = [] if log is None else log
+        self.newcomer_cache = {} if newcomer_cache is None else newcomer_cache
+        self.decoders = {}
+        self.configurations = {}
+        self.held_message = _kernels(self.field).pack(message, params.m)
+        self._configured = ()
 
     @property
     def field(self):
@@ -236,8 +237,7 @@ def _event(state: DssState, failed_id: int) -> str:
     return f"repair event {done} of node {failed_id}"
 
 
-@dataclass(frozen=True)
-class _RepairPlan:
+class _RepairPlan(NamedTuple):
     """The linear maps of one (collection, newcomer) repair.
 
     helpers holds, per helper of the repair witness, its sorted position
@@ -404,8 +404,7 @@ def collect(state: DssState, node_ids: Sequence[int]) -> tuple[int, ...]:
     return tuple([k.dot(row, rhs) for row in recover])
 
 
-@dataclass(frozen=True)
-class RunReport:
+class RunReport(NamedTuple):
     """Outcome of a random failure/repair/collect run."""
 
     steps: int

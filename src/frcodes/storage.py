@@ -50,9 +50,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .gf import Field
 from .subspace import (CapExceeded, Subspace, _echelon_extend, _echelon_holds, _echelon_space,
@@ -81,34 +79,51 @@ OBTAINABLE_CAP = 10**5
 CLOSURE_CAP = 100_000
 
 
-@dataclass(frozen=True)
 class CodeParams:
     """Parameters (m; n, k, r, alpha, beta) of a functional-repair code."""
 
-    m: int
-    n: int
-    k: int
-    r: int
-    alpha: int
-    beta: int
-    q: int
+    __slots__ = ("m", "n", "k", "r", "alpha", "beta", "q")
 
-    def __post_init__(self):
+    def __init__(self, m: int, n: int, k: int, r: int, alpha: int, beta: int, q: int):
+        for name, value in zip(self.__slots__, (m, n, k, r, alpha, beta, q)):
+            object.__setattr__(self, name, value)
         checks = [
-            (self.m >= 1, "m must be positive"),
-            (self.n >= 2, "n must be at least 2"),
-            (1 <= self.k <= self.n, "k must satisfy 1 <= k <= n"),
-            (1 <= self.r <= self.n - 1, "r must satisfy 1 <= r <= n - 1"),
-            (1 <= self.alpha <= self.m, "alpha must satisfy 1 <= alpha <= m"),
-            (1 <= self.beta <= self.alpha, "beta must satisfy 1 <= beta <= alpha"),
-            (self.q >= 2, "q must be a field order"),
+            (m >= 1, "m must be positive"),
+            (n >= 2, "n must be at least 2"),
+            (1 <= k <= n, "k must satisfy 1 <= k <= n"),
+            (1 <= r <= n - 1, "r must satisfy 1 <= r <= n - 1"),
+            (1 <= alpha <= m, "alpha must satisfy 1 <= alpha <= m"),
+            (1 <= beta <= alpha, "beta must satisfy 1 <= beta <= alpha"),
+            (q >= 2, "q must be a field order"),
         ]
         for ok, msg in checks:
             if not ok:
                 raise ValueError(f"invalid parameters {self}: {msg}")
 
+    def __setattr__(self, name, value):
+        raise AttributeError(f"CodeParams is immutable: cannot assign {name}")
+
+    def __reduce__(self):
+        # copies and unpickled records pass the checks again
+        return CodeParams, self._values()
+
+    def _values(self) -> tuple:
+        return (self.m, self.n, self.k, self.r, self.alpha, self.beta, self.q)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, CodeParams) and self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"CodeParams({fields})"
+
     @property
-    def rate(self) -> Fraction:
+    def rate(self):
+        """m / (n alpha), as a Fraction."""
+        from fractions import Fraction
         return Fraction(self.m, self.n * self.alpha)
 
 
@@ -159,8 +174,7 @@ class RepairingCollection:
         return f"<Collection of {len(self.spaces)} spaces (dims {dims})>"
 
 
-@dataclass(frozen=True)
-class RepairWitness:
+class RepairWitness(NamedTuple):
     """Proof that a newcomer space is (r, beta) obtainable.
 
     repair_indices point into the sorted member tuple of the collection;
@@ -188,8 +202,7 @@ class RepairWitness:
             raise AssertionError("newcomer is not inside the sum of repair spaces")
 
 
-@dataclass(frozen=True)
-class AdmissibleState:
+class AdmissibleState(NamedTuple):
     """A collection together with a newcomer and its obtainability witness."""
 
     collection: RepairingCollection
@@ -289,8 +302,7 @@ def find_repair_witness(collection: RepairingCollection, target: Subspace,
 # ----------------------------------------------------------------------
 # state sets and the repair property
 
-@dataclass
-class CollectionCheck:
+class CollectionCheck(NamedTuple):
     """Verification record for one collection."""
 
     collection: RepairingCollection
@@ -314,8 +326,7 @@ class CollectionCheck:
         return "ok"
 
 
-@dataclass
-class RepairReport:
+class RepairReport(NamedTuple):
     """Outcome of checking the repair property over a whole state set."""
 
     params: CodeParams

@@ -120,6 +120,9 @@ def test_good_collection_type(functional_triple):
     assert good.params == family_params(3, 1, 2)
     with pytest.raises(ValueError):
         GoodCollection(3, 1, (spaces[0], spaces[0], spaces[1]))
+    # no copy method skips the goodness check
+    for name in ("_replace", "_make", "__replace__"):
+        assert not hasattr(good, name)
 
 
 def test_repair_code_even_weight(functional_triple):

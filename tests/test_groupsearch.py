@@ -180,6 +180,17 @@ def test_linear_map_validation():
     assert ident.apply_vector((1, 0, 1)) == (1, 0, 1)
 
 
+def test_linear_map_equality_follows_the_entries():
+    f = LinearMap(F3, 2, ((1, 1), (0, 1)))
+    twin = LinearMap(F3, 2, ((1, 1), (0, 1)))
+    f._points[0] = "memo"
+    assert f == twin and hash(f) == hash(twin) == hash((F3, 2, f.rows))
+    assert f.compose(LinearMap.identity(F3, 2)) == twin
+    assert f != LinearMap(F3, 2, ((1, 2), (0, 1)))
+    assert f != LinearMap(F2, 2, ((1, 1), (0, 1)))
+    assert len({f, twin, LinearMap.identity(F3, 2)}) == 2
+
+
 def test_linear_map_action():
     f = LinearMap(F3, 2, ((1, 1), (0, 1)))
     g = LinearMap(F3, 2, ((2, 0), (0, 1)))

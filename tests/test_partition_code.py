@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import random
 
@@ -229,7 +228,7 @@ def test_max_collection_size(partition_model):
 
 def test_max_collection_size_rejects_repeated_member(partition_model):
     members = partition_model.members
-    broken = dataclasses.replace(partition_model, members=members[:7] + members[:1])
+    broken = partition_model._replace(members=members[:7] + members[:1])
     with pytest.raises(RuntimeError, match="meet pairwise trivially"):
         max_collection_size(broken)
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import pathlib
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -58,6 +59,20 @@ def test_params_validation():
     for kwargs in bad:
         with pytest.raises(ValueError):
             CodeParams(**kwargs)
+    with pytest.raises(ValueError, match=re.escape(
+            "invalid parameters CodeParams(m=0, n=4, k=2, r=3, alpha=2, beta=1, q=2): "
+            "m must be positive")):
+        CodeParams(0, 4, 2, 3, 2, 1, 2)
+
+
+def test_params_have_no_unchecked_copy():
+    # a NamedTuple's _replace or _make, or copy.replace's __replace__,
+    # would build parameters without the checks
+    params = CodeParams(m=4, n=4, k=2, r=3, alpha=2, beta=1, q=2)
+    for name in ("_replace", "_make", "__replace__"):
+        assert not hasattr(params, name)
+    assert params == CodeParams(4, 4, 2, 3, 2, 1, 2)
+    assert hash(params) == hash((4, 4, 2, 3, 2, 1, 2))
 
 
 def test_params_rate(exact_code_spaces, functional_triple):
