@@ -34,7 +34,7 @@ import itertools
 import random
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .gf import GF, MAX_ORDER, Field
+from .gf import GF, Field, _prime_power
 from .groupsearch import LinearMap, _moved_witness, _traces, _transporter
 from .storage import (
     CodeParams,
@@ -42,6 +42,7 @@ from .storage import (
     RepairingCollection,
     StateSet,
     _newcomer_search,
+    _require,
     find_repair_witness,
     reachable_closure,
 )
@@ -79,13 +80,6 @@ __all__ = [
     "GoodCollectionSet",
     "CODEWORD_CAP",
 ]
-
-
-def _require(holds: bool, claim: str) -> None:
-    # the checks below guard internal constructions and must hold under
-    # python -O as well, so they raise a RuntimeError
-    if not holds:
-        raise RuntimeError(f"family check failed: {claim}")
 
 
 CODEWORD_CAP = 1 << 16
@@ -194,7 +188,7 @@ def _min_weight(words: Iterable[Vector]) -> int:
 
 
 def repair_code(collection: GoodCollection, w: Sequence[Sequence[int]],
-                target: Subspace, cap: int = CODEWORD_CAP) -> RepairCode:
+                target: Subspace) -> RepairCode:
     """Compute C = {c in F^r : sum_j c_j w_j in target} exactly.
 
     The condition is linear in c (reduction modulo target is a linear
@@ -211,14 +205,14 @@ def repair_code(collection: GoodCollection, w: Sequence[Sequence[int]],
         raise ValueError("target space does not match the collection's ambient")
     reduced = [target.reduce(v) for v in w]
     kernel = left_kernel(field, collection.m, reduced)
-    if field.q ** kernel.dim > cap:
-        raise CapExceeded(f"code with q^{kernel.dim} words exceeds cap {cap}")
+    if field.q ** kernel.dim > CODEWORD_CAP:
+        raise CapExceeded(f"code with q^{kernel.dim} words exceeds cap {CODEWORD_CAP}")
     words = tuple(sorted(kernel.vectors()))
     return RepairCode(field, r, words, kernel.rows, kernel.dim, _min_weight(words))
 
 
 def mds_check(field: Field, generator: Sequence[Sequence[int]], r: int, kdim: int,
-              d_target: Optional[int] = None, cap: int = CODEWORD_CAP) -> bool:
+              d_target: Optional[int] = None) -> bool:
     """Whether the generator spans an [r, kdim, r-kdim+1] MDS code.
 
     The minimum distance is computed exhaustively over all q^kdim
@@ -232,15 +226,14 @@ def mds_check(field: Field, generator: Sequence[Sequence[int]], r: int, kdim: in
             raise ValueError(f"generator row of length {len(row)}, expected {r}")
     if len(rows) != kdim or rank_of(field, r, rows) != kdim:
         return False
-    return _min_weight(span(field, r, rows).vectors(cap)) == d_target
+    return _min_weight(span(field, r, rows).vectors(CODEWORD_CAP)) == d_target
 
 
 class NoMDSCodeError(ValueError):
     """No MDS code of the asked length and dimension exists over the field."""
 
 
-def mds_generator(field: Field, r: int, kdim: int,
-                  cap: int = MDS_SEARCH_CAP) -> tuple[Vector, ...]:
+def mds_generator(field: Field, r: int, kdim: int) -> tuple[Vector, ...]:
     """Canonical generator of an [r, kdim, r-kdim+1] MDS code over the field.
 
     Identity, repetition and single-parity codes are hardwired; otherwise
@@ -278,15 +271,15 @@ def mds_generator(field: Field, r: int, kdim: int,
         count = 0
         for cand in subspaces(field, r, kdim):
             count += 1
-            if count > cap:
-                raise CapExceeded(f"MDS search visited more than {cap} candidates")
+            if count > MDS_SEARCH_CAP:
+                raise CapExceeded(f"MDS search visited more than {MDS_SEARCH_CAP} candidates")
             if mds_check(field, cand.rows, r, kdim):
                 rows = cand.rows
                 break
         if rows is None:
             raise NoMDSCodeError(f"no [{r},{kdim},{r - kdim + 1}] MDS code over GF({q})")
-    if not mds_check(field, rows, r, kdim):
-        raise AssertionError(f"canonical [{r},{kdim}] generator is not MDS over GF({q})")
+    _require(mds_check(field, rows, r, kdim),
+             f"the canonical [{r},{kdim}] generator is MDS over GF({q})")
     return rows
 
 
@@ -382,25 +375,6 @@ def construct_good(r: int, s: int, q: int) -> GoodCollection:
     return GoodCollection(r, s, spaces)
 
 
-def _prime_power(q: int) -> tuple[int, int]:
-    if q < 2:
-        raise ValueError(f"field order must be at least 2, got {q}")
-    # before trial division, whose cost grows with q
-    if q > MAX_ORDER:
-        raise ValueError(f"field order {q} exceeds the supported maximum {MAX_ORDER}")
-    for p in range(2, q + 1):
-        if q % p == 0:
-            e = 0
-            n = q
-            while n % p == 0:
-                n //= p
-                e += 1
-            if n != 1:
-                raise ValueError(f"{q} is not a prime power")
-            return p, e
-    raise AssertionError("unreachable")
-
-
 class StepResult(NamedTuple):
     """One repair move: newcomer, its witness and the r replaced collections."""
 
@@ -444,8 +418,7 @@ def choose_repair_vectors(collection: GoodCollection,
             chosen.pop()
         return False
 
-    if not extend(0):
-        raise AssertionError("no independent repair vectors in a good collection")
+    _require(extend(0), "a good collection has independent repair vectors")
     return tuple(chosen)
 
 

@@ -5,21 +5,20 @@ a = sum_j c_j p^j encodes the polynomial sum_j c_j x^j over GF(p), so
 the base-p digits of a are its coefficients (little-endian, c_0 first).
 0 and 1 encode the additive and multiplicative identities.
 
-Extension arithmetic reduces modulo a fixed monic irreducible polynomial
-of degree e.  Three small moduli are pinned so that serialized data and
-test vectors stay reproducible:
+Every field fact follows from one rule.  Extension arithmetic reduces
+modulo the first monic irreducible polynomial of degree e in base-p value
+order, checked by trial division against all monic polynomials of degree
+at most e // 2.  For q = 4, 8 and 16 the rule gives
 
     q = 4  : x^2 + x + 1
     q = 8  : x^3 + x + 1
     q = 16 : x^4 + x + 1
 
-Every other (p, e) uses the first monic irreducible polynomial in
-base-p value order.  Irreducibility is checked by trial division against
-all monic polynomials of degree at most e // 2; the pinned moduli go
-through the same check at construction time.
-
-With the pinned q = 8 modulus the element x (encoded as the integer 2)
-is a primitive element g satisfying g^3 = g + 1.
+and the tests pin these, so serialized data and test vectors stay
+reproducible.  The generator is the first element g = 1, 2, ... in value
+order whose powers reach all q - 1 nonzero elements; that walk of powers
+is both the primitivity test and the exp table.  Over GF(8) it is x
+(encoded as the integer 2), with g^3 = g + 1.
 
 Multiplication, inversion and powers go through exp/log tables, which is
 why construction refuses q > 4096.  Fields are immutable and all
@@ -35,26 +34,9 @@ __all__ = ["Field", "GF", "MAX_ORDER"]
 
 MAX_ORDER = 4096
 
-# Pinned moduli as little-endian coefficient tuples (constant term first).
-_PINNED_MODULI = {
-    (2, 2): (1, 1, 1),
-    (2, 3): (1, 1, 0, 1),
-    (2, 4): (1, 1, 0, 0, 1),
-}
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
 
 def _prime_factors(n: int) -> list[int]:
+    """The distinct prime factors of n, by trial division, in increasing order."""
     out = []
     d = 2
     while d * d <= n:
@@ -106,27 +88,27 @@ def _monic_polys(degree: int, p: int) -> Iterator[tuple[int, ...]]:
 
 
 def _is_irreducible(poly: Sequence[int], p: int) -> bool:
-    degree = len(poly) - 1
-    if degree < 1 or poly[0] == 0 and degree > 1:
-        # a zero constant term means x divides the polynomial
-        return degree == 1
-    for d in range(1, degree // 2 + 1):
-        for div in _monic_polys(d, p):
-            if not any(_poly_rem(poly, div, p)):
-                return False
-    return True
+    # poly has degree at least 1; x, the first divisor tried, catches a zero constant term
+    return all(any(_poly_rem(poly, div, p))
+               for d in range(1, (len(poly) - 1) // 2 + 1) for div in _monic_polys(d, p))
 
 
 def _find_modulus(p: int, e: int) -> tuple[int, ...]:
-    pinned = _PINNED_MODULI.get((p, e))
-    if pinned is not None:
-        return pinned
-    if e == 1:
-        return (0, 1)
-    for cand in _monic_polys(e, p):
-        if _is_irreducible(cand, p):
-            return cand
-    raise RuntimeError(f"no irreducible polynomial of degree {e} over GF({p})")
+    return next(cand for cand in _monic_polys(e, p) if _is_irreducible(cand, p))
+
+
+def _prime_power(q: int) -> tuple[int, int]:
+    """(p, e) with p ** e == q; ValueError unless q is a prime power up to MAX_ORDER."""
+    if q < 2:
+        raise ValueError(f"field order must be at least 2, got {q}")
+    # before trial division, whose cost grows with q
+    if q > MAX_ORDER:
+        raise ValueError(f"field order {q} exceeds the supported maximum {MAX_ORDER}")
+    factors = _prime_factors(q)
+    if len(factors) != 1:
+        raise ValueError(f"{q} is not a prime power")
+    p = factors[0]
+    return p, next(e for e in range(1, q) if p**e == q)
 
 
 # ----------------------------------------------------------------------
@@ -149,16 +131,12 @@ class Field:
         # the order first: trial division of p and p ** e take time growing with p and e
         if p > MAX_ORDER or e >= MAX_ORDER.bit_length() or p**e > MAX_ORDER:
             raise ValueError(f"field order {p}^{e} exceeds the supported maximum {MAX_ORDER}")
-        if not _is_prime(p):
+        if _prime_factors(p) != [p]:
             raise ValueError(f"characteristic must be prime, got {p!r}")
-        q = p**e
         self.p = p
         self.e = e
-        self.q = q
+        self.q = p**e
         self.modulus = _find_modulus(p, e)
-        if e > 1 and not _is_irreducible(self.modulus, p):
-            raise RuntimeError(f"modulus {self.modulus} is reducible over GF({p})")
-        self.generator = self._find_generator()
         self._build_tables()
 
     # -- construction helpers ------------------------------------------
@@ -170,40 +148,20 @@ class Field:
                          self.modulus, self.p)
         return self.from_digits(prod)
 
-    def _find_generator(self) -> int:
-        if self.q == 2:
-            return 1
-        group = self.q - 1
-        factors = _prime_factors(group)
-        # prefer the element x itself when it generates the group
-        candidates = []
-        if self.e > 1:
-            candidates.append(self.p)
-        candidates.extend(v for v in range(2, self.q) if v != self.p or self.e == 1)
-        for g in candidates:
-            if all(self._raw_pow(g, group // f) != 1 for f in factors):
-                return g
-        raise RuntimeError(f"no primitive element found for GF({self.q})")
-
-    def _raw_pow(self, a: int, n: int) -> int:
-        out = 1
-        base = a
-        while n:
-            if n & 1:
-                out = self._raw_mul(out, base)
-            base = self._raw_mul(base, base)
-            n >>= 1
-        return out
-
     def _build_tables(self) -> None:
-        exp = [1] * (self.q - 1)
+        # the first g in value order whose powers reach every nonzero element
+        for g in range(1, self.q):
+            exp = [1]
+            x = g
+            while x != 1:
+                exp.append(x)
+                x = self._raw_mul(x, g)
+            if len(exp) == self.q - 1:
+                break
         log = [-1] * self.q
-        log[1] = 0
-        x = 1
-        for i in range(1, self.q - 1):
-            x = self._raw_mul(x, self.generator)
-            exp[i] = x
+        for i, x in enumerate(exp):
             log[x] = i
+        self.generator = g
         self._exp = exp
         self._log = log
 

@@ -60,6 +60,7 @@ from .storage import (
     RepairingCollection,
     StateSet,
     _check_collection,
+    _require,
     _short_hash,
 )
 from .subspace import (
@@ -95,13 +96,6 @@ __all__ = [
 BACKTRACK_CAP = 10**7
 GROUP_CAP = 10**6
 ORBIT_CAP = 10**5
-
-
-def _require(holds: bool, claim: str) -> None:
-    # the checks below guard internal constructions and must hold under
-    # python -O as well, so they raise a RuntimeError
-    if not holds:
-        raise RuntimeError(f"group search check failed: {claim}")
 
 
 class LinearMap:

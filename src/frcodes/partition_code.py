@@ -25,7 +25,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from .gf import GF, Field
 from .groupsearch import LinearMap
-from .storage import CodeParams, RepairingCollection, StateSet
+from .storage import CodeParams, RepairingCollection, StateSet, _require
 from .subspace import Subspace, full_space, matmul, span, standard_basis_vector, subspaces
 
 __all__ = [
@@ -37,13 +37,6 @@ __all__ = [
     "canonical_seed_state",
     "max_collection_size",
 ]
-
-
-def _require(holds: bool, claim: str) -> None:
-    # the checks below guard internal constructions, and must hold under
-    # python -O as well, so they raise instead of asserting
-    if not holds:
-        raise RuntimeError(f"partition code check failed: {claim}")
 
 
 def partition_params() -> CodeParams:

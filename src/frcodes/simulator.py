@@ -41,6 +41,7 @@ from .storage import (
     CodeParams,
     RepairingCollection,
     StateSet,
+    _require,
     _short_hash,
     find_repair_witness,
     valid_newcomers,
@@ -75,13 +76,6 @@ class CorruptStateError(RuntimeError):
 
 class RecoveryError(RuntimeError):
     """The selected nodes do not hold enough information to recover."""
-
-
-def _require(holds: bool, claim: str) -> None:
-    # internal invariants of a verified code; they must hold under
-    # python -O as well, so they raise a RuntimeError
-    if not holds:
-        raise RuntimeError(f"simulator check failed: {claim}")
 
 
 class Node:
@@ -152,8 +146,7 @@ class DssState:
                  "newcomer_cache", "decoders", "configurations", "held_message", "_configured")
 
     def __init__(self, params: CodeParams, code: StateSet, nodes: list[Node],
-                 message: tuple[int, ...], seed: int, strict: bool, rng: random.Random,
-                 log: Optional[list[str]] = None, newcomer_cache: Optional[dict] = None):
+                 message: tuple[int, ...], seed: int, strict: bool, rng: random.Random):
         self.params = params
         self.code = code
         self.nodes = nodes
@@ -161,8 +154,8 @@ class DssState:
         self.seed = seed
         self.strict = strict
         self.rng = rng
-        self.log = [] if log is None else log
-        self.newcomer_cache = {} if newcomer_cache is None else newcomer_cache
+        self.log = []
+        self.newcomer_cache = {}
         self.decoders = {}
         self.configurations = {}
         self.held_message = _kernels(self.field).pack(message, params.m)

@@ -357,6 +357,12 @@ class RepairReport(NamedTuple):
         return "\n".join(lines)
 
 
+def _require(holds: bool, claim: str) -> None:
+    # internal invariants must hold under python -O as well, so they raise a RuntimeError
+    if not holds:
+        raise RuntimeError(f"internal check failed: {claim}")
+
+
 def _short_hash(data: bytes) -> str:
     """The first 12 hex digits of the SHA-256 of data, for logs and reports."""
     return hashlib.sha256(data).hexdigest()[:12]

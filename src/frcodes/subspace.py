@@ -525,7 +525,7 @@ class Subspace:
         for v in self._span(cap):
             yield k.unpack(v, m)
 
-    def subspaces(self, d: int, cap: int = SUBSPACE_ENUM_CAP) -> Iterator["Subspace"]:
+    def subspaces(self, d: int) -> Iterator["Subspace"]:
         """All d-dimensional subspaces of this space."""
         if d < 0 or d > self.dim:
             return
@@ -533,7 +533,7 @@ class Subspace:
         # a reduced relative basis times a reduced basis is reduced:
         # row i has its pivot where rel[i] picks its pivot row, and
         # a zero in every other row's pivot column
-        for rel in _reduced_bases(k, self.dim, d, cap):
+        for rel in _reduced_bases(k, self.dim, d):
             yield Subspace._canonical(k, m, k.matmul(rel, self._basis))
 
 
@@ -626,22 +626,22 @@ def _pivot_patterns(m: int, d: int) -> Iterator[tuple[tuple[int, ...], list[tupl
                        if j not in pivset]
 
 
-def _reduced_bases(k: _Kernels, m: int, d: int, cap: int) -> Iterator[list]:
+def _reduced_bases(k: _Kernels, m: int, d: int) -> Iterator[list]:
     """Reduced-basis matrices of all d-dim subspaces of F_q^m, canonical order,
     in the table's row format."""
     count = gaussian_binomial(m, d, k.field.q)
-    if count > cap:
-        raise CapExceeded(f"{count} subspaces of dimension {d} exceed cap {cap}")
+    if count > SUBSPACE_ENUM_CAP:
+        raise CapExceeded(f"{count} subspaces of dimension {d} exceed cap {SUBSPACE_ENUM_CAP}")
     return k.reduced_bases(m, d)
 
 
-def subspaces(field: Field, m: int, d: int, cap: int = SUBSPACE_ENUM_CAP) -> Iterator[Subspace]:
+def subspaces(field: Field, m: int, d: int) -> Iterator[Subspace]:
     """All d-dimensional subspaces of F_q^m, in ascending canonical-key order."""
     if not 0 <= d <= m:
         raise ValueError(f"dimension {d} is not between 0 and {m}")
     _check_ambient(m)
     k = _kernels(field)
-    for basis in _reduced_bases(k, m, d, cap):
+    for basis in _reduced_bases(k, m, d):
         yield Subspace._canonical(k, m, basis)
 
 

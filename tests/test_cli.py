@@ -10,7 +10,7 @@ import time
 import pytest
 
 from frcodes import cli, groupsearch, storage
-from frcodes.fsc import document_to_states, parse_fsc
+from frcodes.fsc import FscParseError, document_to_states, parse_fsc
 from frcodes.storage import _short_hash
 from frcodes.subspace import CapExceeded
 
@@ -20,6 +20,33 @@ BENCH_DATA = pathlib.Path(__file__).parents[1] / "perfbench" / "data"
 
 def fixture(name):
     return str(DATA / name)
+
+
+HEADER = "FSC 1\nfield 2 1\nambient 4\nparams 4 2 3 2 1\n"
+# lines 5 to 8
+PLANE = "subspace A\n  row 1 0 0 0\n  row 0 1 0 0\nend\n"
+
+# one malformed text per parse diagnostic: text, line, column, message
+PARSE_ERRORS = [
+    ("FSC 1\nfield two 1\n", 2, 7, "p must be an integer, got 'two'"),
+    ("FSC 1\nambient 4\n", 2, 1, "expected field line, got 'ambient'"),
+    ("FSC 1\nfield 2\n", 2, 1, "field line needs p and e"),
+    ("FSC 1\nfield 2 1\nambient 4 5\n", 3, 1, "ambient line needs one dimension"),
+    ("FSC 1\nfield 2 1\nambient 4\nparams 4 2 3 2\n", 4, 1,
+     "params line needs n k r alpha beta"),
+    (HEADER + "subspace\n", 5, 1, "subspace needs a name"),
+    (HEADER + "subspace 9A\nend\n", 5, 10, "invalid name '9A'"),
+    (HEADER + "subspace A B\nend\n", 5, 12, "unexpected token after subspace name"),
+    (HEADER + "subspace A\n  row 1 0 0 0\nend now\n", 7, 5, "unexpected token after end"),
+    (HEADER + "subspace A\n  rows 1 0 0 0\nend\n", 6, 3, "expected row or end, got 'rows'"),
+    (HEADER + PLANE + "collection C A\ncollection C A\n", 10, 12, "duplicate collection 'C'"),
+    (HEADER + PLANE + "collection C\n", 9, 12, "collection needs at least one member"),
+    (HEADER + PLANE + "collection C A\nstate C A\n", 10, 1,
+     "state line must read: state COLLECTION -> SUBSPACE"),
+    (HEADER + PLANE + "collection C A\nstate C -> B\n", 10, 12, "undefined subspace 'B'"),
+    (HEADER + PLANE + "collection C A\nstate C -> A\nstate C -> A\n", 11, 7,
+     "duplicate state for 'C'"),
+]
 
 
 class TestVerify:
@@ -45,6 +72,19 @@ class TestVerify:
                        "subspace A\n  row 1 0\nend\n")
         assert cli.main(["verify", str(bad)]) == 1
         assert "parse error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, line, col, message", PARSE_ERRORS)
+    def test_parse_diagnostics(self, text, line, col, message, tmp_path, capsys):
+        with pytest.raises(FscParseError) as info:
+            parse_fsc(text)
+        assert (info.value.line, info.value.col) == (line, col)
+        assert str(info.value) == f"line {line}, col {col}: {message}"
+        doc = tmp_path / "broken.fsc"
+        doc.write_text(text)
+        assert cli.main(["verify", str(doc)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"parse error: line {line}, col {col}: {message}\n"
 
     def test_field_order_past_the_maximum_fails_fast(self, tmp_path, capsys):
         # the order is checked before p is tested by trial division
@@ -163,6 +203,15 @@ class TestGoodCheck:
         assert text.count(": good") == 9
 
 
+    def test_document_without_collections(self, tmp_path, capsys):
+        doc = tmp_path / "plane.fsc"
+        doc.write_text(HEADER + PLANE)
+        assert cli.main(["good-check", str(doc), "--r", "3", "--s", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "no collections in document\n"
+
+
 class TestSearch:
     def test_exact_seed(self, tmp_path, capsys):
         out = tmp_path / "found.fsc"
@@ -199,6 +248,15 @@ class TestSearch:
         assert captured.out == ""
         assert captured.err == ("error: the seed's members and newcomer must have "
                                 "dimension alpha = 2\n")
+
+    def test_json_verdict_when_no_orbit_verifies(self, capsys):
+        # an orbit cap below 56 skips every order-168 orbit of the seed
+        assert cli.main(["search", str(BENCH_DATA / "seed56.fsc"),
+                         "--orbit-cap", "55", "--json"]) == 2
+        captured = capsys.readouterr()
+        assert json.loads(captured.out) == {"verdict": "fail", "group_order": 0,
+                                            "orbit_size": 0}
+        assert captured.err == ""
 
     def test_seed_without_state_line(self, tmp_path, capsys):
         doc = tmp_path / "seed.fsc"
@@ -256,6 +314,13 @@ class TestSimulate:
         assert cli.main(["simulate", str(doc), "--data", "1011", "--steps", "1"]) == 1
         assert capsys.readouterr().err == (
             "error: no verified collection to start from: the code is empty\n")
+
+    def test_data_with_commas(self, capsys):
+        args = ["simulate", fixture("example1.fsc"), "--steps", "7", "--seed", "5"]
+        assert cli.main(args + ["--data", "1011"]) == 0
+        digits = capsys.readouterr().out
+        assert cli.main(args + ["--data", "1, 0,1 ,1"]) == 0
+        assert capsys.readouterr().out == digits
 
     def test_bad_data(self, capsys):
         assert cli.main(["simulate", fixture("example1.fsc"), "--data", "10a1",

@@ -235,6 +235,13 @@ class TestConversions:
         with pytest.raises(ValueError, match="members"):
             document_to_states(doc)
 
+    def test_empty_state_set_has_no_document(self):
+        # with no space there is no field to name
+        empty = document_to_states(parse_fsc(MINIMAL))
+        assert len(empty) == 0
+        with pytest.raises(ValueError, match="cannot serialize an empty state set"):
+            states_to_document(empty)
+
     def test_states_round_trip(self, exact_code_spaces):
         params, spaces = exact_code_spaces
         states = exact_to_states(spaces, params)

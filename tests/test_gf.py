@@ -2,7 +2,7 @@
 
 import pytest
 
-from frcodes.gf import GF, MAX_ORDER, Field, _is_irreducible
+from frcodes.gf import GF, MAX_ORDER, Field, _is_irreducible, _prime_power
 
 SMALL_ORDERS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (13, 1), (2, 4)]
 INVERSE_ORDERS = SMALL_ORDERS + [(17, 1), (5, 2), (3, 3), (2, 5), (2, 6), (59, 1), (61, 1)]
@@ -12,6 +12,9 @@ def test_pinned_moduli():
     assert GF(2, 2).modulus == (1, 1, 1)
     assert GF(2, 3).modulus == (1, 1, 0, 1)
     assert GF(2, 4).modulus == (1, 1, 0, 0, 1)
+    # x is primitive in neither field, so both generators are x + 1
+    assert (GF(3, 2).modulus, GF(3, 2).generator) == ((1, 0, 1), 4)
+    assert (GF(5, 2).modulus, GF(5, 2).generator) == ((2, 0, 1), 6)
 
 
 def test_gf8_primitive_element_relation():
@@ -142,16 +145,29 @@ def test_orders_past_the_maximum_fail_before_trial_division(monkeypatch):
     # and e, so the order is checked first
     from frcodes import gf
 
-    is_prime = gf._is_prime
+    prime_factors = gf._prime_factors
 
     def bounded(n):
         assert n <= MAX_ORDER, f"trial division of {n}"
-        return is_prime(n)
+        return prime_factors(n)
 
-    monkeypatch.setattr(gf, "_is_prime", bounded)
+    monkeypatch.setattr(gf, "_prime_factors", bounded)
     for p, e in [(2**61 - 1, 1), (MAX_ORDER + 3, 1), (2, 13), (3, 40), (4, 7)]:
         with pytest.raises(ValueError, match="exceeds the supported maximum"):
             Field(p, e)
+    for q in [2**61 - 1, MAX_ORDER + 1]:
+        with pytest.raises(ValueError, match="exceeds the supported maximum"):
+            _prime_power(q)
+
+
+def test_prime_power_splits_field_orders():
+    assert [_prime_power(q) for q in (2, 4, 9, 4093, 4096)] == [
+        (2, 1), (2, 2), (3, 2), (4093, 1), (2, 12)]
+    with pytest.raises(ValueError, match="at least 2, got 1"):
+        _prime_power(1)
+    for q in (6, 12, 4095):
+        with pytest.raises(ValueError, match=f"{q} is not a prime power"):
+            _prime_power(q)
 
 
 def test_cross_field_values_rejected():

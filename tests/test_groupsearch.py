@@ -191,6 +191,16 @@ def test_linear_map_equality_follows_the_entries():
     assert len({f, twin, LinearMap.identity(F3, 2)}) == 2
 
 
+def test_linear_map_keys_past_one_byte_per_entry():
+    # over GF(257) an entry of 256 has no byte, so the key spells the
+    # entries out, and maps that differ only there keep distinct keys
+    F257 = GF(257)
+    f = LinearMap(F257, 2, ((1, 256), (0, 1)))
+    g = LinearMap(F257, 2, ((1, 1), (0, 1)))
+    assert f.key != g.key and f != g and len({f, g}) == 2
+    assert f.compose(g) == LinearMap(F257, 2, ((1, 0), (0, 1)))
+
+
 def test_linear_map_action():
     f = LinearMap(F3, 2, ((1, 1), (0, 1)))
     g = LinearMap(F3, 2, ((2, 0), (0, 1)))
@@ -515,6 +525,19 @@ def test_symmetry_search_partition_seed(partition_search):
     for res in outcome.results:
         assert res.states.verified
         assert seed in res.states
+
+
+def test_symmetry_search_skips_an_orbit_past_its_cap(partition_search):
+    # under an orbit cap of 55 the 56-state orbit of each order-168
+    # group is cut off while it is walked, so nothing verifies
+    params, seed, outcome = partition_search
+    capped = symmetry_search(seed, _partition_member(6), params,
+                             group_cap=5000, orbit_cap=55)
+    assert capped.results == ()
+    assert capped.candidates == outcome.candidates
+    skipped = [line for line in capped.log if line.endswith("orbit exceeds 55, skipped")]
+    assert skipped and all("group order 168," in line for line in skipped)
+    assert not any("verified" in line for line in capped.log)
 
 
 def _trial_groups(outcome, cap):

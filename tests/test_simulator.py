@@ -686,7 +686,28 @@ class TestHeldWitnesses:
         # find_repair_witness on the survivors finds
         from frcodes.family import family_state_space
 
-        code = family_state_space(r, s, q)
+        self.check_against_fresh_witnesses(family_state_space(r, s, q), q, mode)
+
+    def test_plain_family_code_repairs_match_a_fresh_witness_search(self, monkeypatch):
+        # family_code is a plain StateSet holding one witness per
+        # collection; 3 of its 9 collections have several valid
+        # newcomers, so a random newcomer without a held witness makes
+        # the plan search for one
+        from frcodes import simulator
+        from frcodes.family import family_code
+
+        searched = []
+
+        def counted(*args):
+            searched.append(args)
+            return find_repair_witness(*args)
+
+        monkeypatch.setattr(simulator, "find_repair_witness", counted)
+        self.check_against_fresh_witnesses(family_code(2, 1, 3), 3, "randomize")
+        assert searched
+
+    @staticmethod
+    def check_against_fresh_witnesses(code, q, mode):
         code.verify()
         params = code.params
         x = tuple((2 * i + 1) % q for i in range(params.m))
@@ -729,6 +750,20 @@ class TestHeldWitnesses:
         assert not state.nodes[0].alive
         assert state.log == log
         assert not state.newcomer_cache[collection.key][1]
+
+    def test_tampered_rebuild_rows_are_caught(self):
+        # a memoized plan whose rebuild rows are swapped rebuilds the
+        # newcomer's symbols in the wrong order; strict mode refuses them
+        state = dss_init(code56(), (1, 0, 1, 1, 0), seed=3)
+        fail(state, 0)
+        first = repair(state)
+        assert first.new_stored[0] != first.new_stored[1]
+        _, plans = state.newcomer_cache[first.collection_key]
+        plan = plans[first.newcomer.key]
+        plans[first.newcomer.key] = plan._replace(rebuild=plan.rebuild[::-1])
+        fail(state, 0)
+        with pytest.raises(CorruptStateError, match="a rebuilt symbol disagrees"):
+            repair(state)
 
 
 def tampered_after_warm_up(x=(1, 0, 1, 1, 0), seed=41, warm=100):
