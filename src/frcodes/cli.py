@@ -74,6 +74,12 @@ def _check_out(path: Optional[str]) -> None:
         raise _UsageError(f"output directory {folder!r} does not exist")
 
 
+def _check_steps(steps: int) -> None:
+    # a negative step count fails before the code is built or read
+    if steps < 0:
+        raise _UsageError(f"steps must be non-negative, got {steps}")
+
+
 def _write_states(states, path: str) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(emit_fsc(states_to_document(states)))
@@ -92,6 +98,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_family(args) -> int:
+    _check_steps(args.steps)
     _check_out(args.out)
     try:
         # construction and repair (an [r, s+1, r-s] code) both need MDS codes
@@ -213,6 +220,7 @@ def _render_transcripts(transcripts) -> str:
 
 
 def cmd_simulate(args) -> int:
+    _check_steps(args.steps)
     _check_out(args.transcript)
     doc = _read_document(args.file)
     states = document_to_states(doc)

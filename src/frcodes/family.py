@@ -18,11 +18,11 @@ Then every one-member replacement by U is again good exactly when the
 w_i are independent and C is an [r, s+1, r-s] MDS code.  The avoidance
 hypothesis is essential: without it there are choices whose code is MDS
 while a replacement still fails (the newcomer can meet an unreplaced
-member in a vector the w_i never see).  `verify_replacement_equivalence`
-computes both sides of this equivalence independently and insists they
-agree, `family_step` uses the forward direction to produce newcomers
-that provably preserve goodness, and `construct_good` bootstraps a good
-collection recursively from coordinate axes.
+member in a vector the w_i never see).  `family_step` uses the forward
+direction to produce newcomers that provably preserve goodness, and
+`construct_good` bootstraps a good collection recursively from
+coordinate axes.  The tests check both sides of the equivalence against
+each other.
 
 The parameters meet the storage cutset bound with equality, which
 `cutset_bound` makes checkable.
@@ -51,7 +51,6 @@ from .subspace import (
     Subspace,
     Vector,
     _sum_dim,
-    left_kernel,
     matmul,
     rank_of,
     span,
@@ -63,13 +62,10 @@ __all__ = [
     "family_params",
     "is_good",
     "GoodCollection",
-    "RepairCode",
-    "repair_code",
     "mds_check",
     "mds_generator",
     "NoMDSCodeError",
     "forbidden_traces",
-    "verify_replacement_equivalence",
     "construct_good",
     "StepResult",
     "family_step",
@@ -164,20 +160,6 @@ class GoodCollection:
         return RepairingCollection(self.spaces)
 
 
-class RepairCode(NamedTuple):
-    """The coefficient code C = {c : sum_j c_j w_j lands in the newcomer}."""
-
-    field: Field
-    r: int
-    words: tuple[Vector, ...]
-    generator: tuple[Vector, ...]
-    dim: int
-    min_distance: int
-
-    def is_mds(self, kdim: int, distance: int) -> bool:
-        return self.dim == kdim and self.min_distance == distance
-
-
 def _min_weight(words: Iterable[Vector]) -> int:
     best = 0
     for w in words:
@@ -185,30 +167,6 @@ def _min_weight(words: Iterable[Vector]) -> int:
         if weight and (best == 0 or weight < best):
             best = weight
     return best
-
-
-def repair_code(collection: GoodCollection, w: Sequence[Sequence[int]],
-                target: Subspace) -> RepairCode:
-    """Compute C = {c in F^r : sum_j c_j w_j in target} exactly.
-
-    The condition is linear in c (reduction modulo target is a linear
-    map), so C is the left kernel of the reduced w matrix.
-    """
-    r = collection.r
-    field = collection.field
-    if len(w) != r:
-        raise ValueError(f"expected {r} repair vectors, got {len(w)}")
-    for i, v in enumerate(w):
-        if tuple(v) not in collection.spaces[i]:
-            raise ValueError(f"repair vector {i} is not in its member space")
-    if target.field != field or target.m != collection.m:
-        raise ValueError("target space does not match the collection's ambient")
-    reduced = [target.reduce(v) for v in w]
-    kernel = left_kernel(field, collection.m, reduced)
-    if field.q ** kernel.dim > CODEWORD_CAP:
-        raise CapExceeded(f"code with q^{kernel.dim} words exceeds cap {CODEWORD_CAP}")
-    words = tuple(sorted(kernel.vectors()))
-    return RepairCode(field, r, words, kernel.rows, kernel.dim, _min_weight(words))
 
 
 def mds_check(field: Field, generator: Sequence[Sequence[int]], r: int, kdim: int,
@@ -307,43 +265,6 @@ def _repair_vectors(collection: GoodCollection,
         if v in trace:
             raise ValueError(f"repair vector {i} lies in the span of the other members")
     return w
-
-
-def verify_replacement_equivalence(collection: GoodCollection,
-                                   w: Sequence[Sequence[int]],
-                                   target: Subspace) -> bool:
-    """Evaluate both sides of the replacement equivalence and compare.
-
-    Side one replaces each member by the target in turn and checks
-    goodness; side two checks independence of the w and the MDS property
-    of the coefficient code.  The w_i must stay off the forbidden
-    traces; that hypothesis is what makes the two sides agree.  A
-    disagreement is an implementation bug and raises instead of
-    returning.
-    """
-    r, s = collection.r, collection.s
-    field = collection.field
-    w = _repair_vectors(collection, w)
-    if target.dim != s + 1:
-        raise ValueError(f"newcomer of dimension {target.dim}, expected {s + 1}")
-    hull = span(field, collection.m, w)
-    if not target <= hull:
-        raise ValueError("newcomer is not inside the span of the repair vectors")
-    replaced_good = True
-    for i in range(r):
-        members = list(collection.spaces)
-        members[i] = target
-        if not is_good(members, r, s):
-            replaced_good = False
-            break
-    code = repair_code(collection, w, target)
-    independent = rank_of(field, collection.m, w) == r
-    code_good = independent and code.is_mds(s + 1, r - s)
-    if replaced_good != code_good:
-        raise RuntimeError(
-            f"replacement equivalence violated: replacements good = {replaced_good}, "
-            f"independent w and MDS code = {code_good} (w = {w})")
-    return replaced_good
 
 
 def construct_good(r: int, s: int, q: int) -> GoodCollection:

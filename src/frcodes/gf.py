@@ -188,9 +188,6 @@ class Field:
     def elements(self) -> range:
         return range(self.q)
 
-    def nonzero(self) -> range:
-        return range(1, self.q)
-
     # -- arithmetic ----------------------------------------------------
 
     def add(self, a: int, b: int) -> int:

@@ -69,9 +69,7 @@ from .subspace import (
     _kernels,
     express,  # unused here; kept importable for tracers that wrap every binding
     full_space,
-    matmul,
     rank_of,
-    standard_basis_vector,
     vec_scale,
     zero_subspace,
 )
@@ -150,15 +148,6 @@ class LinearMap:
         object.__setattr__(self, "_matrix", tuple(matrix))
         object.__setattr__(self, "_points", {})
 
-    @classmethod
-    def identity(cls, field: Field, m: int) -> "LinearMap":
-        return cls(field, m, tuple(standard_basis_vector(m, i) for i in range(m)))
-
-    def apply_vector(self, v: Sequence[int]) -> tuple[int, ...]:
-        if len(v) != self.m:
-            raise ValueError(f"vector length {len(v)} does not match ambient {self.m}")
-        return matmul(self.field, [v], self.rows)[0]
-
     def apply(self, space: Subspace) -> Subspace:
         if space.field != self.field:
             raise ValueError("subspace is over a different field")
@@ -166,9 +155,6 @@ class LinearMap:
             raise ValueError(f"subspace ambient {space.m} does not match map ambient {self.m}")
         k = self._k
         return Subspace._canonical(k, self.m, k.rref(k.matmul(space._basis, self._matrix)))
-
-    def apply_collection(self, collection: RepairingCollection) -> RepairingCollection:
-        return RepairingCollection([self.apply(u) for u in collection.spaces])
 
     def compose(self, other: "LinearMap") -> "LinearMap":
         """The map applying other first, then this one."""
@@ -351,21 +337,19 @@ def _traces(spaces: Sequence[Subspace]) -> tuple[Subspace, ...]:
 
 
 def _transporter(source: RepairingCollection, target: RepairingCollection,
-                 cap: int, source_traces: Optional[tuple[Subspace, ...]] = None
-                 ) -> Optional[LinearMap]:
+                 cap: int, traces: tuple[Subspace, ...]) -> Optional[LinearMap]:
     """Some invertible map g with g(source) = target, or None if there is none.
 
     The search of transition_maps, stopped at the first map.  A map
     carrying members onto members carries each member's trace (its meet
     with the other members' sum) along too, so the traces are
-    constrained first; that forces most later basis images.  A caller
-    that transports one source often passes its _traces once computed.
-    Raises CapExceeded past cap backtracking nodes.
+    constrained first; that forces most later basis images.  traces are
+    the _traces of the source, which a caller that transports one source
+    often computes once.  Raises CapExceeded past cap backtracking nodes.
     """
     if (source.field != target.field or source.m != target.m
             or len(source) != len(target)):
         return None
-    traces = source_traces if source_traces is not None else _traces(source.spaces)
     target_traces = {v.key: t for v, t in zip(target.spaces, _traces(target.spaces))}
 
     def assignments() -> Iterator[tuple[Subspace, ...]]:
@@ -379,7 +363,7 @@ def _transporter(source: RepairingCollection, target: RepairingCollection,
 
 
 def transition_maps(collection: RepairingCollection, newcomer: Subspace,
-                    index: int, cap: int = BACKTRACK_CAP) -> tuple[LinearMap, ...]:
+                    index: int) -> tuple[LinearMap, ...]:
     """All invertible maps carrying the collection onto a repaired variant.
 
     The variant replaces the member at index (into the sorted member
@@ -387,8 +371,8 @@ def transition_maps(collection: RepairingCollection, newcomer: Subspace,
     images equals the variant's members exactly.  The search runs over
     dimension-compatible member bijections and then backtracking over
     basis images inside the assigned targets; the result is
-    deduplicated and sorted by matrix key.  Raises CapExceeded past cap
-    backtracking nodes.
+    deduplicated and sorted by matrix key.  Raises CapExceeded past
+    BACKTRACK_CAP backtracking nodes.
 
     A map g carries repair slices, their sums and rank conditions from a
     collection to its image, so whatever they decide (obtainable
@@ -399,7 +383,7 @@ def transition_maps(collection: RepairingCollection, newcomer: Subspace,
     variant = collection.replace(index, newcomer)
     sources = collection.spaces
     maps = _search_maps(field, m, sources,
-                        _assignments(sources, variant.spaces), cap)
+                        _assignments(sources, variant.spaces), BACKTRACK_CAP)
     target_keys = tuple(u.key for u in variant.spaces)
     for mapping in maps:
         image_keys = tuple(sorted(mapping.apply(u).key for u in sources))
@@ -446,8 +430,7 @@ def _orbit_of_first_member(maps: Sequence[LinearMap],
     return reached.keys() == {u.key for u in spaces}
 
 
-def stabilizer(collection: RepairingCollection, newcomer: Subspace,
-               cap: int = BACKTRACK_CAP) -> GroupClosure:
+def stabilizer(collection: RepairingCollection, newcomer: Subspace) -> GroupClosure:
     """All invertible maps fixing the collection setwise and the newcomer.
 
     The result is a full group (the set of such maps is closed under
@@ -457,7 +440,7 @@ def stabilizer(collection: RepairingCollection, newcomer: Subspace,
 
     With the zero space as newcomer this is the setwise stabilizer of
     the collection, whose orbit under GL(m, q) has |GL(m, q)| / order
-    members.
+    members.  Raises CapExceeded past BACKTRACK_CAP backtracking nodes.
     """
     field = collection.field
     m = collection.m
@@ -469,7 +452,7 @@ def stabilizer(collection: RepairingCollection, newcomer: Subspace,
         for member_targets in _assignments(collection.spaces, collection.spaces):
             yield member_targets + (newcomer,)
 
-    maps = _search_maps(field, m, sources, assignments(), cap)
+    maps = _search_maps(field, m, sources, assignments(), BACKTRACK_CAP)
     member_keys = tuple(u.key for u in collection.spaces)
     for mapping in maps:
         image_keys = tuple(sorted(mapping.apply(u).key for u in collection.spaces))
@@ -478,7 +461,7 @@ def stabilizer(collection: RepairingCollection, newcomer: Subspace,
         _require(mapping.apply(newcomer) == newcomer,
                  "a stabilizer element fixes the newcomer")
     transitive = _orbit_of_first_member(maps, collection)
-    return GroupClosure(maps, len(maps), cap, transitive=transitive)
+    return GroupClosure(maps, len(maps), BACKTRACK_CAP, transitive=transitive)
 
 
 def _basis_permutations(generators: Sequence[LinearMap],
@@ -629,14 +612,6 @@ def _chain_order(perms: Sequence[tuple[int, ...]], cap: int) -> Optional[int]:
     return total if total <= cap else None
 
 
-def _group_order(generators: Sequence[LinearMap], cap: int) -> Optional[int]:
-    """The order of the group the maps generate, or None when it exceeds cap."""
-    perms = _basis_permutations(generators, cap)
-    if perms is None:
-        return None
-    return _chain_order(perms, cap)
-
-
 def group_closure(generators: Sequence[LinearMap], cap: int = GROUP_CAP) -> GroupClosure:
     """The group the generators generate, with its order when within cap.
 
@@ -653,7 +628,9 @@ def group_closure(generators: Sequence[LinearMap], cap: int = GROUP_CAP) -> Grou
     for g in generators:
         if g.field != field or g.m != m:
             raise ValueError("generators act on different spaces")
-    return GroupClosure(generators, _group_order(generators, cap), cap)
+    perms = _basis_permutations(generators, cap)
+    order = None if perms is None else _chain_order(perms, cap)
+    return GroupClosure(generators, order, cap)
 
 
 def _image(images: dict, g: LinearMap, space: Subspace) -> Subspace:
@@ -806,8 +783,7 @@ def _cyclic_transitive_generators(stab: GroupClosure, collection: RepairingColle
 
 
 def symmetry_search(collection: RepairingCollection, newcomer: Subspace,
-                    params: CodeParams, *, backtrack_cap: int = BACKTRACK_CAP,
-                    group_cap: int = GROUP_CAP,
+                    params: CodeParams, *, group_cap: int = GROUP_CAP,
                     orbit_cap: int = ORBIT_CAP) -> SearchOutcome:
     """Search for small group-generated codes seeded at one repair state.
 
@@ -828,17 +804,20 @@ def symmetry_search(collection: RepairingCollection, newcomer: Subspace,
     A group whose order exceeds group_cap, or whose orbit exceeds
     orbit_cap or meets an enumeration cap while it is verified, is
     logged and skipped, so callers should size the caps to the instance
-    they search.  A cap below 1, or a member or newcomer whose dimension
-    is not alpha, raises ValueError before any work.
+    they search.  A cap below 1, a seed without n-1 members, or a member
+    or newcomer whose dimension is not alpha raises ValueError before any
+    work.
     """
-    for name, cap in (("backtrack_cap", backtrack_cap), ("group_cap", group_cap),
-                      ("orbit_cap", orbit_cap)):
+    for name, cap in (("group_cap", group_cap), ("orbit_cap", orbit_cap)):
         if cap < 1:
             raise ValueError(f"{name} must be at least 1, got {cap}")
+    if len(collection.spaces) != params.n - 1:
+        raise ValueError(f"collection has {len(collection.spaces)} members, "
+                         f"expected n-1 = {params.n - 1}")
     if any(u.dim != params.alpha for u in collection.spaces + (newcomer,)):
         raise ValueError("the seed's members and newcomer must have dimension "
                          f"alpha = {params.alpha}")
-    stab = stabilizer(collection, newcomer, cap=backtrack_cap)
+    stab = stabilizer(collection, newcomer)
     cyclic = _cyclic_transitive_generators(stab, collection)
     indices = [0] if stab.transitive else list(range(len(collection.spaces)))
     log: list[str] = [
@@ -883,7 +862,7 @@ def symmetry_search(collection: RepairingCollection, newcomer: Subspace,
         return outcomes[signature]
 
     for index in indices:
-        found = transition_maps(collection, newcomer, index, cap=backtrack_cap)
+        found = transition_maps(collection, newcomer, index)
         _require(len(found) % stab.order == 0,
                  "the candidate maps are a union of cosets of the stabilizer")
         classes = len(found) // stab.order

@@ -30,8 +30,9 @@ are valid, given the membership test and the candidates to try:
 - for a set whose membership is a predicate, every space that
   `iter_obtainable` enumerates.
 The repair check, `valid_newcomers` and `reachable_closure` all ask it.
-Only the two enumerations take a cap: `iter_obtainable` on the distinct
-candidates of one collection, `reachable_closure` on its collections.
+Only the two enumerations have a cap: `iter_obtainable` stops at
+OBTAINABLE_CAP distinct candidates of one collection, `reachable_closure`
+at CLOSURE_CAP collections.
 
 Each slice sum W_1 + ... + W_r is held as a subspace echelon, extended
 one slice at a time along the repairs, and a candidate lies in it when
@@ -70,7 +71,6 @@ __all__ = [
     "find_repair_witness",
     "valid_newcomers",
     "check_repair_property",
-    "exact_to_states",
     "reachable_closure",
     "OBTAINABLE_CAP",
 ]
@@ -255,8 +255,8 @@ def _slice_sums(collection: RepairingCollection, params: CodeParams
             yield indices, ws, sums[-1]
 
 
-def iter_obtainable(collection: RepairingCollection, params: CodeParams,
-                    cap: int = OBTAINABLE_CAP) -> Iterator[tuple[Subspace, RepairWitness]]:
+def iter_obtainable(collection: RepairingCollection,
+                    params: CodeParams) -> Iterator[tuple[Subspace, RepairWitness]]:
     """Each newcomer obtainable by an (r, beta) repair, once, with a witness.
 
     Deterministic order: repair sets by ascending index tuples, repair
@@ -265,7 +265,7 @@ def iter_obtainable(collection: RepairingCollection, params: CodeParams,
     dimension at least alpha is made a canonical Subspace to enumerate
     its candidates.  A newcomer reached by several repairs comes once,
     with the witness of its first appearance; CapExceeded is raised past
-    cap distinct candidates.  Every newcomer search here calls it by its
+    OBTAINABLE_CAP distinct candidates.  Every newcomer search here calls it by its
     module-level name.
     """
     seen: set[bytes] = set()
@@ -277,9 +277,9 @@ def iter_obtainable(collection: RepairingCollection, params: CodeParams,
                                    total).subspaces(params.alpha):
             if cand.key in seen:
                 continue
-            if len(seen) >= cap:
-                raise CapExceeded(
-                    f"more than {cap} distinct candidate newcomers for one collection")
+            if len(seen) >= OBTAINABLE_CAP:
+                raise CapExceeded(f"more than {OBTAINABLE_CAP} distinct candidate "
+                                  "newcomers for one collection")
             seen.add(cand.key)
             yield cand, witness
 
@@ -565,42 +565,21 @@ def valid_newcomers(states: StateSet, collection: RepairingCollection) -> tuple[
 
 
 # ----------------------------------------------------------------------
-# conversions and closures
-
-def exact_to_states(node_spaces: Sequence[Subspace], params: CodeParams) -> StateSet:
-    """State set of an exact-repair code: all collections that drop one node.
-
-    Requires each node space to be (r, beta) obtainable from the others,
-    which is exactly the exact-repair property.
-    """
-    if len(node_spaces) != params.n:
-        raise ValueError(f"expected n = {params.n} node spaces, got {len(node_spaces)}")
-    for s in node_spaces:
-        if s.dim != params.alpha:
-            raise ValueError(f"node space of dimension {s.dim}, expected alpha = {params.alpha}")
-    collections = []
-    for i in range(len(node_spaces)):
-        rest = RepairingCollection([s for j, s in enumerate(node_spaces) if j != i])
-        if find_repair_witness(rest, node_spaces[i], params) is None:
-            raise ValueError(f"node space {i} is not obtainable from the remaining nodes")
-        collections.append(rest)
-    return StateSet(params, collections)
-
+# closures
 
 class ClosureError(RuntimeError):
     """A reachable closure could not certify one of its collections."""
 
 
 def reachable_closure(seed: RepairingCollection, params: CodeParams,
-                      admissible: Callable[[Sequence[Subspace]], bool],
-                      cap: int = CLOSURE_CAP) -> StateSet:
+                      admissible: Callable[[Sequence[Subspace]], bool]) -> StateSet:
     """A repair-closed set containing the seed, inside a predicate.
 
     Breadth-first: for each pending collection the newcomer engine finds
     the first obtainable newcomer whose every replacement is already
     found or satisfies the predicate; it is taken as the collection's
-    certificate, and the replaced collections join the set, up to cap
-    collections.  Only that one certificate is expanded per collection,
+    certificate, and the replaced collections join the set, up to
+    CLOSURE_CAP collections.  Only that one certificate is expanded per collection,
     so the result can be much smaller than the full predicate-admissible
     set.  The result carries each pick as its certificate, so verify()
     checks the picks without enumerating.  A pick is also the first
@@ -625,8 +604,8 @@ def reachable_closure(seed: RepairingCollection, params: CodeParams,
         for i in range(len(collection.spaces)):
             rc = collection.replace(i, cand)
             if rc.key not in found:
-                if len(found) >= cap:
-                    raise CapExceeded(f"reachable closure exceeded cap {cap}")
+                if len(found) >= CLOSURE_CAP:
+                    raise CapExceeded(f"reachable closure exceeded cap {CLOSURE_CAP}")
                 found[rc.key] = rc
                 queue.append(rc)
     return StateSet(params, found.values(), picks)

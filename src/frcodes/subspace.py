@@ -17,8 +17,8 @@ groupsearch, is written once over the table of its field.  The key and
 the tuple rows of a subspace are views of its held rows, each built on
 first use and kept.
 
-The public matrix utilities (rank_of, solve, matmul, express,
-left_kernel) take tuple rows and pass each one through the table's
+The public matrix utilities (rank_of, solve, matmul, express) take
+tuple rows and pass each one through the table's
 checked pack, which checks its length and every entry, so a malformed
 row or a value outside the field is a ValueError on every field.
 
@@ -51,7 +51,6 @@ __all__ = [
     "vec_scale",
     "vec_dot",
     "rank_of",
-    "left_kernel",
     "express",
     "solve",
     "matmul",
@@ -102,7 +101,7 @@ def vec_dot(field: Field, u: Sequence[int], v: Sequence[int]) -> int:
 # row-reduction kernels of GF(2) rows packed into ints
 
 def _unpack(row: int, m: int) -> Vector:
-    return tuple(_BIT_BYTES[row][:m] if m <= 8 else _bit_bytes(row, m))
+    return tuple(_bit_bytes(row, m))
 
 
 # byte j of entry i is bit j of i: turns packed rows into entry bytes
@@ -653,34 +652,6 @@ def rank_of(field: Field, m: int, rows: Iterable[Sequence[int]]) -> int:
     return len(k.echelon([k.pack(r, m) for r in rows]))
 
 
-def _eliminate(k: _Kernels, m: int, rows: Sequence[Sequence[int]]) -> tuple[list, list]:
-    """Each row beside its unit coefficient vector, eliminated in insertion order.
-
-    Returns the echelon of the independent rows, as (pivot, row) pairs,
-    and the relations the dependent rows leave in their right halves.
-    """
-    n = len(rows)
-    pack, unit, join, reduce, entry = k.pack, k.unit, k.join, k.reduce, k.entry
-    echelon: list = []
-    relations = []
-    for i, row in enumerate(rows):
-        pivot, x = entry(reduce(echelon, join(pack(row, m), unit(n, i), m)))
-        if pivot < m:
-            echelon.append((pivot, x))
-        else:
-            relations.append(k.right(x, m))
-    return echelon, relations
-
-
-def left_kernel(field: Field, m: int, rows: Sequence[Sequence[int]]) -> Subspace:
-    """Space of coefficient vectors c with sum_i c_i * rows[i] = 0.
-
-    The result lives in F_q^len(rows).
-    """
-    k = _kernels(field)
-    return Subspace._canonical(k, len(rows), k.rref(_eliminate(k, m, rows)[1]))
-
-
 def express(field: Field, target: Sequence[int],
             generators: Sequence[Sequence[int]]) -> Optional[Vector]:
     """Coefficients writing target as a combination of the generators.
@@ -690,11 +661,18 @@ def express(field: Field, target: Sequence[int],
     """
     k = _kernels(field)
     m, n = len(target), len(generators)
-    echelon = _eliminate(k, m, generators)[0]
+    pack, unit, join, reduce, entry = k.pack, k.unit, k.join, k.reduce, k.entry
+    # each generator beside its unit coefficient vector, eliminated in
+    # order; a dependent one leaves no pivot in the left half and is dropped
+    echelon: list = []
+    for i, row in enumerate(generators):
+        new = entry(reduce(echelon, join(pack(row, m), unit(n, i), m)))
+        if new[0] < m:
+            echelon.append(new)
     # (target | 0) minus a combination of the generators leaves
     # (0 | -coefficients), dependent generators taking none
-    x = k.reduce(echelon, k.join(k.pack(target, m), k.zero(n), m))
-    pivot = k.entry(x)
+    x = reduce(echelon, join(pack(target, m), k.zero(n), m))
+    pivot = entry(x)
     if pivot is not None and pivot[0] < m:
         return None
     return vec_scale(field, field.neg(1), k.unpack(k.right(x, m), n))

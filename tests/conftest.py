@@ -89,10 +89,10 @@ def list_group():
     generator until no new element appears; the listing, a dict from
     key to map, must have the order of the stabilizer chain.
     """
-    from frcodes.groupsearch import LinearMap
+    from oracles import identity_map
 
     def listing(group):
-        identity = LinearMap.identity(group.field, group.m)
+        identity = identity_map(group.field, group.m)
         elements = {identity.key: identity}
         queue = [identity]
         for current in queue:

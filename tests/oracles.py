@@ -1,7 +1,10 @@
 """Test-only constructions: the labels and semilinear maps of the partition
 code, the exhaustive list of maximum families, the recovery dimension, the
-recovery test, repair-slice sums built as canonical subspaces and the
-simulator's event loop built from its public calls.
+recovery test, repair-slice sums built as canonical subspaces, the
+simulator's event loop built from its public calls, the identity map and
+the action of a map on vectors and collections, the state set of an
+exact-repair code, and both sides of the family's replacement equivalence
+with the coefficient code found by brute force.
 
 The program never runs these; tests use them as independent oracles.
 """
@@ -10,16 +13,119 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
-from frcodes.gf import GF
+from frcodes.family import GoodCollection, _repair_vectors, is_good
+from frcodes.gf import GF, Field
 from frcodes.groupsearch import GroupClosure, LinearMap, group_closure
 from frcodes.partition_code import PartitionModel, _clique_search, _plane_tables
 from frcodes.simulator import CorruptStateError, DssState, RunReport, collect, fail, repair
-from frcodes.storage import CodeParams, RepairingCollection, is_recovery_set
-from frcodes.subspace import Subspace, zero_subspace
+from frcodes.storage import (CodeParams, RepairingCollection, StateSet, find_repair_witness,
+                             is_recovery_set)
+from frcodes.subspace import (Subspace, Vector, matmul, rank_of, span, standard_basis_vector,
+                              zero_subspace)
 
 F8 = GF(2, 3)
+
+
+def identity_map(field: Field, m: int) -> LinearMap:
+    """The identity map of F_q^m."""
+    return LinearMap(field, m, tuple(standard_basis_vector(m, i) for i in range(m)))
+
+
+def apply_vector(g: LinearMap, v: Sequence[int]) -> Vector:
+    """g(v): the row vector v times the matrix of g."""
+    return matmul(g.field, [v], g.rows)[0]
+
+
+def apply_collection(g: LinearMap, collection: RepairingCollection) -> RepairingCollection:
+    """The collection of the images of the members under g."""
+    return RepairingCollection([g.apply(u) for u in collection.spaces])
+
+
+def exact_to_states(node_spaces: Sequence[Subspace], params: CodeParams) -> StateSet:
+    """State set of an exact-repair code: all collections that drop one node.
+
+    Requires each node space to be (r, beta) obtainable from the others,
+    which is exactly the exact-repair property.
+    """
+    if len(node_spaces) != params.n:
+        raise ValueError(f"expected n = {params.n} node spaces, got {len(node_spaces)}")
+    for s in node_spaces:
+        if s.dim != params.alpha:
+            raise ValueError(f"node space of dimension {s.dim}, expected alpha = {params.alpha}")
+    collections = []
+    for i in range(len(node_spaces)):
+        rest = RepairingCollection([s for j, s in enumerate(node_spaces) if j != i])
+        if find_repair_witness(rest, node_spaces[i], params) is None:
+            raise ValueError(f"node space {i} is not obtainable from the remaining nodes")
+        collections.append(rest)
+    return StateSet(params, collections)
+
+
+class RepairCode(NamedTuple):
+    """The coefficient code C = {c : sum_j c_j w_j lands in the newcomer}."""
+
+    field: Field
+    r: int
+    words: tuple[Vector, ...]
+    generator: tuple[Vector, ...]
+    dim: int
+    min_distance: int
+
+    def is_mds(self, kdim: int, distance: int) -> bool:
+        return self.dim == kdim and self.min_distance == distance
+
+
+def repair_code(collection: GoodCollection, w: Sequence[Sequence[int]],
+                target: Subspace) -> RepairCode:
+    """C = {c in F^r : sum_j c_j w_j in target}, by testing each of the
+    q^r coefficient vectors c; its words are in lexicographic order."""
+    r = collection.r
+    field = collection.field
+    if len(w) != r:
+        raise ValueError(f"expected {r} repair vectors, got {len(w)}")
+    for i, v in enumerate(w):
+        if tuple(v) not in collection.spaces[i]:
+            raise ValueError(f"repair vector {i} is not in its member space")
+    if target.field != field or target.m != collection.m:
+        raise ValueError("target space does not match the collection's ambient")
+    words = tuple(c for c in itertools.product(field.elements(), repeat=r)
+                  if matmul(field, [c], w)[0] in target)
+    code = span(field, r, words)
+    weights = [sum(1 for a in c if a) for c in words if any(c)]
+    return RepairCode(field, r, words, code.rows, code.dim, min(weights, default=0))
+
+
+def verify_replacement_equivalence(collection: GoodCollection,
+                                   w: Sequence[Sequence[int]],
+                                   target: Subspace) -> bool:
+    """Evaluate both sides of the replacement equivalence and compare.
+
+    Side one replaces each member by the target in turn and checks
+    goodness; side two checks independence of the w and the MDS property
+    of the coefficient code.  The w_i must stay off the forbidden
+    traces; that hypothesis is what makes the two sides agree.  A
+    disagreement raises instead of returning.
+    """
+    r, s = collection.r, collection.s
+    field = collection.field
+    w = _repair_vectors(collection, w)
+    if target.dim != s + 1:
+        raise ValueError(f"newcomer of dimension {target.dim}, expected {s + 1}")
+    if not target <= span(field, collection.m, w):
+        raise ValueError("newcomer is not inside the span of the repair vectors")
+    replaced_good = all(
+        is_good(collection.spaces[:i] + (target,) + collection.spaces[i + 1:], r, s)
+        for i in range(r))
+    code = repair_code(collection, w, target)
+    independent = rank_of(field, collection.m, w) == r
+    code_good = independent and code.is_mds(s + 1, r - s)
+    if replaced_good != code_good:
+        raise RuntimeError(
+            f"replacement equivalence violated: replacements good = {replaced_good}, "
+            f"independent w and MDS code = {code_good} (w = {w})")
+    return replaced_good
 
 
 def member_of(model: PartitionModel, label: int) -> Subspace:
@@ -103,7 +209,7 @@ def enumerate_semilinear(model: PartitionModel,
                          ) -> tuple[tuple[tuple[int, int, int], LinearMap], ...]:
     """All 168 parameterized maps, as (parameters, map) pairs."""
     return tuple(((a, b, i), semilinear_map(a, b, i, model))
-                 for a in model.field8.nonzero()
+                 for a in range(1, model.field8.q)
                  for b in model.field8.elements() for i in range(3))
 
 

@@ -22,7 +22,6 @@ from frcodes.family import (
     mds_check,
     message_dimension,
     random_walk,
-    verify_replacement_equivalence,
 )
 from frcodes.fsc import document_to_states, parse_fsc
 from frcodes.gf import GF
@@ -45,7 +44,7 @@ from frcodes.subspace import (
     zero_subspace,
 )
 from oracles import (compose_semilinear, enumerate_semilinear, label_action, label_of,
-                     recovery_dimension)
+                     recovery_dimension, verify_replacement_equivalence)
 
 DATA = pathlib.Path(__file__).parent / "data"
 

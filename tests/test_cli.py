@@ -378,6 +378,21 @@ class TestExitCodes:
             assert len(err) == 1
             assert err[0].startswith("error: steps must be non-negative")
 
+    @pytest.mark.parametrize("argv,work", [
+        (["family", "--r", "2", "--s", "1", "--q", "2", "--steps", "-1"], "construct_good"),
+        (["simulate", fixture("example1.fsc"), "--data", "1011", "--steps", "-1"],
+         "_read_document"),
+    ], ids=["family", "simulate"])
+    def test_negative_steps_fail_before_any_work(self, argv, work, monkeypatch, capsys):
+        def no_work(*args, **kwargs):
+            raise AssertionError(f"{work} ran")
+
+        monkeypatch.setattr(cli, work, no_work)
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: steps must be non-negative, got -1"]
+
 
 class TestPinnedOutputs:
     # sha256 of the standard output of two seeded runs, recorded when

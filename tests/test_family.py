@@ -24,12 +24,11 @@ from frcodes.family import (
     mds_generator,
     message_dimension,
     random_walk,
-    repair_code,
-    verify_replacement_equivalence,
 )
 from frcodes.gf import GF
 from frcodes.storage import RepairingCollection, valid_newcomers
 from frcodes.subspace import Subspace, rank_of, span, subspaces, vec_add, vec_scale
+from oracles import identity_map, repair_code, verify_replacement_equivalence
 
 F2 = GF(2)
 F3 = GF(3)
@@ -644,8 +643,6 @@ def test_family_soak_newcomers_match_direct_search():
 
 
 def test_wrong_edge_map_falls_back_to_direct_search(monkeypatch):
-    from frcodes.groupsearch import LinearMap
-
     trail = [c.to_repairing_collection()
              for c in random_walk(construct_good(3, 1, 2), 12, random.Random(17))]
     code = family_state_space(3, 1, 2)
@@ -654,7 +651,7 @@ def test_wrong_edge_map_falls_back_to_direct_search(monkeypatch):
     representative, newcomers, *_ = code._orbits[0]
     # every edge claims the identity, which carries the representative
     # onto itself and not onto the repaired collection
-    identity = LinearMap.identity(representative.field, representative.m)
+    identity = identity_map(representative.field, representative.m)
     for j in range(len(newcomers)):
         for i in range(len(representative)):
             monkeypatch.setitem(code._edges, (0, j, i), (0, identity))

@@ -17,8 +17,9 @@ from frcodes.fsc import (
     states_to_document,
 )
 from frcodes.gf import GF
-from frcodes.storage import RepairingCollection, exact_to_states
+from frcodes.storage import RepairingCollection
 from frcodes.subspace import span
+from oracles import exact_to_states
 
 DATA = pathlib.Path(__file__).parent / "data"
 

@@ -64,7 +64,7 @@ def test_inverses_up_to_64():
         f = GF(p, e)
         if f.q > 64:
             continue
-        for a in f.nonzero():
+        for a in range(1, f.q):
             assert f.mul(a, f.inv(a)) == 1, (p, e, a)
 
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from frcodes import partition_code
 from frcodes.gf import GF
-from frcodes.groupsearch import GROUP_CAP, GroupClosure, LinearMap, orbit, orbit_code
+from frcodes.groupsearch import GROUP_CAP, GroupClosure, orbit, orbit_code
 from frcodes.partition_code import (
     _clique_search,
     _general_linear_generators,
@@ -29,6 +29,7 @@ from frcodes.subspace import full_space, span, standard_basis_vector, subspaces
 from oracles import (
     compose_semilinear,
     enumerate_semilinear,
+    identity_map,
     label_action,
     label_of,
     maximum_collections,
@@ -169,7 +170,7 @@ def test_canonical_seed_state(partition_model):
 
 
 def test_semilinear_identity(partition_model):
-    assert semilinear_map(1, 0, 0, partition_model) == LinearMap.identity(F2, 5)
+    assert semilinear_map(1, 0, 0, partition_model) == identity_map(F2, 5)
     with pytest.raises(ValueError):
         semilinear_map(0, 3, 1, partition_model)
     assert semilinear_map(3, 5, 3, partition_model) == \

@@ -20,13 +20,14 @@ import pytest
 import frcodes
 from frcodes import family, fsc, groupsearch, partition_code, simulator, storage
 from frcodes.gf import GF
+from oracles import RepairCode, identity_map
 
 MODULES = ("gf", "subspace", "storage", "family", "groupsearch", "partition_code",
            "simulator", "fsc", "cli")
 
 RECORDS = ("storage.CodeParams", "storage.RepairWitness", "storage.AdmissibleState",
            "storage.CollectionCheck", "storage.RepairReport", "family.GoodCollection",
-           "family.RepairCode", "family.StepResult", "groupsearch.LinearMap",
+           "family.StepResult", "groupsearch.LinearMap",
            "groupsearch.SearchResult", "groupsearch.SearchOutcome", "fsc.FscDocument",
            "partition_code.PartitionModel", "partition_code._PlaneTables", "simulator.Node",
            "simulator.HelperShare", "simulator.RepairTranscript", "simulator.DssState",
@@ -62,7 +63,7 @@ F2 = GF(2)
 
 # the records that were frozen dataclasses: the named tuples, and a
 # function building each slotted one
-NAMED_TUPLES = [storage.RepairWitness, storage.AdmissibleState, family.RepairCode,
+NAMED_TUPLES = [storage.RepairWitness, storage.AdmissibleState, RepairCode,
                 family.StepResult, groupsearch.SearchResult, groupsearch.SearchOutcome,
                 partition_code.PartitionModel, partition_code._PlaneTables,
                 simulator.HelperShare, simulator.RepairTranscript, simulator._RepairPlan,
@@ -70,7 +71,7 @@ NAMED_TUPLES = [storage.RepairWitness, storage.AdmissibleState, family.RepairCod
 SLOTTED = {
     "CodeParams": lambda: storage.CodeParams(4, 4, 2, 3, 2, 1, 2),
     "GoodCollection": lambda: family.construct_good(2, 1, 2),
-    "LinearMap": lambda: groupsearch.LinearMap.identity(F2, 3),
+    "LinearMap": lambda: identity_map(F2, 3),
     "FscDocument": lambda: fsc.FscDocument(2, 1, 4, 4, 2, 3, 2, 1),
 }
 

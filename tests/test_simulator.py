@@ -30,13 +30,12 @@ from frcodes.simulator import (
 from frcodes.storage import (
     RepairingCollection,
     RepairWitness,
-    exact_to_states,
     find_repair_witness,
     is_recovery_set,
     valid_newcomers,
 )
 from frcodes.subspace import express, span, vec_dot
-from oracles import label_of, run_random_by_collect
+from oracles import exact_to_states, label_of, run_random_by_collect
 
 
 @pytest.fixture(scope="module")

@@ -26,7 +26,6 @@ from frcodes.storage import (
     _check_collection,
     _short_hash,
     check_repair_property,
-    exact_to_states,
     find_repair_witness,
     is_recovery_set,
     iter_obtainable,
@@ -42,7 +41,7 @@ from frcodes.subspace import (
     subspaces,
     zero_subspace,
 )
-from oracles import recovery_dimension, recovery_set_by_sums, slice_sums
+from oracles import exact_to_states, recovery_dimension, recovery_set_by_sums, slice_sums
 
 
 def test_params_validation():
@@ -392,11 +391,12 @@ def test_stateset_membership(exact_code_spaces):
         StateSet(params5, [rest])
 
 
-def test_iter_obtainable_cap(exact_code_spaces):
+def test_iter_obtainable_cap(exact_code_spaces, monkeypatch):
     params, spaces = exact_code_spaces
     c = RepairingCollection(spaces[1:])
+    monkeypatch.setattr(storage, "OBTAINABLE_CAP", 5)
     with pytest.raises(CapExceeded):
-        list(iter_obtainable(c, params, cap=5))
+        list(iter_obtainable(c, params))
 
 
 def test_iter_obtainable_too_few_members(exact_code_spaces):
@@ -408,15 +408,17 @@ def test_iter_obtainable_too_few_members(exact_code_spaces):
         find_repair_witness(c, spaces[0], params)
 
 
-def test_iter_obtainable_cap_counts_distinct_candidates():
+def test_iter_obtainable_cap_counts_distinct_candidates(monkeypatch):
     # the (3, 1, 2) seed has 183 (repair, candidate) pairs but only 105
     # distinct candidates, and the cap is on the distinct ones
     good = construct_good(3, 1, 2)
     seed, params = good.to_repairing_collection(), good.params
     assert sum(1 for _ in _reference_obtainable(seed, params)) == 183
-    assert len(list(iter_obtainable(seed, params, cap=105))) == 105
+    monkeypatch.setattr(storage, "OBTAINABLE_CAP", 105)
+    assert len(list(iter_obtainable(seed, params))) == 105
+    monkeypatch.setattr(storage, "OBTAINABLE_CAP", 104)
     with pytest.raises(CapExceeded, match="distinct"):
-        list(iter_obtainable(seed, params, cap=104))
+        list(iter_obtainable(seed, params))
 
 
 def _reference_obtainable(collection, params):
@@ -719,17 +721,17 @@ def test_reachable_closure_recovers_exact_code(exact_code_spaces):
     assert states.verify().ok
 
 
-def test_reachable_closure_errors(exact_code_spaces):
+def test_reachable_closure_errors(exact_code_spaces, monkeypatch):
     params, spaces = exact_code_spaces
     seed = RepairingCollection(spaces[1:])
     with pytest.raises(ValueError):
         reachable_closure(seed, params, lambda members: False)
     known = {RepairingCollection([t for j, t in enumerate(spaces) if j != i]).key
              for i in range(4)}
+    monkeypatch.setattr(storage, "CLOSURE_CAP", 2)
     with pytest.raises(CapExceeded):
         reachable_closure(seed, params,
-                          lambda members: RepairingCollection(members).key in known,
-                          cap=2)
+                          lambda members: RepairingCollection(members).key in known)
 
 
 def test_closure_error_when_nothing_certifies(exact_code_spaces):

@@ -19,7 +19,6 @@ from frcodes.subspace import (
     express,
     full_space,
     gaussian_binomial,
-    left_kernel,
     matmul,
     rank_of,
     solve,
@@ -377,32 +376,6 @@ def test_decoder_matches_solve(case):
         assert tuple(k.dot(r, held) for r in recover) == solution
 
 
-def test_left_kernel_matches_bruteforce():
-    rng = random.Random(17)
-    for field, m, n in [(F2, 3, 4), (F2, 4, 3), (F3, 2, 3), (F4, 2, 2), (F2, 5, 6)]:
-        for _ in range(20):
-            rows = [tuple(rng.randrange(field.q) for _ in range(m)) for _ in range(n)]
-            kernel = left_kernel(field, m, rows)
-            expected = set()
-            for c in itertools.product(range(field.q), repeat=n):
-                total = (0,) * m
-                for ci, r in zip(c, rows):
-                    total = vec_add(field, total, vec_scale(field, ci, r))
-                if not any(total):
-                    expected.add(c)
-            assert set(kernel.vectors()) == expected
-            assert kernel.dim == n - rank_of(field, m, rows)
-
-
-def test_left_kernel_edges():
-    assert left_kernel(F2, 3, [(1, 0, 0), (0, 1, 0)]).dim == 0
-    assert left_kernel(F2, 3, [(0, 0, 0)]).dim == 1
-    with pytest.raises(ValueError):
-        left_kernel(F2, 3, [(1, 0)])
-    with pytest.raises(ValueError):
-        left_kernel(F2, 2, [(1, 2)])
-
-
 def test_matmul_and_inverse():
     rng = random.Random(8)
     for field, m in [(F2, 4), (F3, 3), (F4, 2)]:
@@ -434,7 +407,6 @@ def test_out_of_field_entries_rejected(tuple_rows):
         lambda: matmul(F2, ident, [(1, 0), (0, -1)]),
         lambda: express(F2, (2, 0), [(1, 0)]),
         lambda: express(F2, (1, 0), [(1, True), ("1", 0)]),
-        lambda: left_kernel(F2, 2, [(1, 2)]),
         lambda: span(F2, 2, [(1, 0)]).reduce((0, 2)),
         lambda: (3, 0) in span(F2, 2, [(1, 0)]),
         lambda: rank_of(F3, 2, [(1, 5)]),
@@ -460,7 +432,6 @@ def test_malformed_rows_rejected(field):
         lambda: express(field, (1, 0), [(1, 0, 1)]),
         lambda: solve(field, [(1, 0), (1,)], [1, 1]),
         lambda: rank_of(field, 2, [(1, 0, 1)]),
-        lambda: left_kernel(field, 2, [(1, 0, 1)]),
         lambda: span(field, 2, [(1, 0, 1)]),
         lambda: span(field, 2, [(1, 0)]).reduce((1, 0, 0)),
     ]
