@@ -26,7 +26,7 @@ from typing import NamedTuple, Optional, Sequence
 from .gf import GF, Field
 from .groupsearch import LinearMap
 from .storage import CodeParams, RepairingCollection, StateSet, _require
-from .subspace import Subspace, full_space, matmul, span, standard_basis_vector, subspaces
+from .subspace import Subspace, full_space, span, standard_basis_vector, subspaces
 
 __all__ = [
     "PartitionModel",
@@ -187,41 +187,60 @@ class _PlaneTables(NamedTuple):
     its position there; bases[x] holds the points of the canonical rows
     of plane x, and index maps the vector mask of a plane back to its
     index.  Bit y of disjoint[x] is set when planes x and y meet
-    trivially.  For such a pair, bit d of outside[x][y] is set when
-    plane d is not contained in the 4-space x + y, so that x, y and d
-    span F_2^5; outside[x][y] is 0 for every other pair.
+    trivially.  Hyperplane f, for a nonzero functional f, holds the
+    points v for which f & v has even weight; bit f of hyperplanes[x] is
+    set for each of the 7 hyperplanes that contain plane x, and rest
+    maps that single bit to the bitset of the planes outside hyperplane
+    f.  Two disjoint planes span a 4-space, which is the one hyperplane
+    they share, so a third plane spans F_2^5 with them exactly when it
+    lies outside it; _outside reads that row for a pair.
     """
 
     planes: tuple[Subspace, ...]
     bases: tuple[tuple[int, ...], ...]
     index: dict[int, int]
     disjoint: tuple[int, ...]
-    outside: tuple[tuple[int, ...], ...]
+    hyperplanes: tuple[int, ...]
+    rest: dict[int, int]
 
 
 def _plane_tables(model: PartitionModel) -> _PlaneTables:
     planes = tuple(subspaces(model.base, model.m, 2))
     everything = (1 << len(planes)) - 1
     bases = tuple(tuple(_point(row) for row in u.rows) for u in planes)
-    masks = [_vector_mask(*basis) for basis in bases]
-    disjoint = [0] * len(planes)
-    outside = [[0] * len(planes) for _ in planes]
-    # two planes that meet trivially span exactly one of the 31
-    # hyperplanes, so each hyperplane pairs up its own 35 planes once
-    for functional in range(1, 1 << model.m):
-        hyperplane = sum(1 << v for v in range(1 << model.m)
-                         if not (v & functional).bit_count() & 1)
-        inside = [x for x, mask in enumerate(masks) if not mask & ~hyperplane]
-        rest = everything ^ sum(1 << x for x in inside)
-        for i, x in enumerate(inside):
-            for y in inside[i + 1:]:
-                if not masks[x] & masks[y]:
-                    disjoint[x] |= 1 << y
-                    disjoint[y] |= 1 << x
-                    outside[x][y] = outside[y][x] = rest
-    index = {mask: x for x, mask in enumerate(masks)}
-    return _PlaneTables(planes, bases, index, tuple(disjoint),
-                        tuple(tuple(row) for row in outside))
+    points = 1 << model.m
+    # through[v]: the 15 planes through point v; odd[v]: the functionals
+    # f for which f & v has odd weight, linear in v
+    through = [0] * points
+    odd = [0]
+    for j in range(model.m):
+        column = sum(1 << f for f in range(points) if f >> j & 1)
+        odd += [w ^ column for w in odd]
+    functionals = (1 << points) - 2
+    disjoint = []
+    hyperplanes = []
+    for x, (a, b) in enumerate(bases):
+        for v in (a, b, a ^ b):
+            through[v] |= 1 << x
+    for a, b in bases:
+        disjoint.append(everything & ~(through[a] | through[b] | through[a ^ b]))
+        hyperplanes.append(functionals & ~(odd[a] | odd[b]))
+    rest = {}
+    for f in range(1, points):
+        outside = 0
+        for v in range(points):
+            if odd[v] >> f & 1:
+                outside |= through[v]
+        rest[1 << f] = outside
+    index = {_vector_mask(a, b): x for x, (a, b) in enumerate(bases)}
+    return _PlaneTables(planes, bases, index, tuple(disjoint), tuple(hyperplanes), rest)
+
+
+def _outside(tables: _PlaneTables, x: int, y: int) -> int:
+    # for disjoint planes x and y, the bitset of the planes d for which
+    # x, y and d span F_2^5; 0 for every other pair, whose hyperplane
+    # masks share three or seven bits
+    return tables.rest.get(tables.hyperplanes[x] & tables.hyperplanes[y], 0)
 
 
 def _clique_search(tables: _PlaneTables, collect_all: bool,
@@ -234,7 +253,7 @@ def _clique_search(tables: _PlaneTables, collect_all: bool,
     # size, the witnesses as tuples of plane indices (without
     # collect_all only the first family of the best size) and the
     # number of nodes visited.
-    disjoint, outside = tables.disjoint, tables.outside
+    disjoint, hyperplanes, rest = tables.disjoint, tables.hyperplanes, tables.rest
     best_size = 0
     witnesses: list[tuple[int, ...]] = []
     chosen: list[int] = []
@@ -257,11 +276,12 @@ def _clique_search(tables: _PlaneTables, collect_all: bool,
             candidates ^= low
             c = low.bit_length() - 1
             # adding c introduces the pairs (x, c); a later plane stays
-            # viable if it avoids c and escapes the span of each new pair
+            # viable if it avoids c and escapes the span of each new
+            # pair, the hyperplane that x and c share
             narrowed = candidates & disjoint[c]
-            row = outside[c]
+            h = hyperplanes[c]
             for x in chosen:
-                narrowed &= row[x]
+                narrowed &= rest[h & hyperplanes[x]]
             chosen.append(c)
             extend(narrowed)
             chosen.pop()
@@ -270,7 +290,7 @@ def _clique_search(tables: _PlaneTables, collect_all: bool,
     for c in fixed:
         candidates &= disjoint[c]
         for x in chosen:
-            candidates &= outside[c][x]
+            candidates &= _outside(tables, c, x)
         chosen.append(c)
     extend(candidates)
     return best_size, witnesses, nodes
@@ -289,7 +309,7 @@ def _is_clique(tables: _PlaneTables, family: Sequence[int]) -> bool:
         for j, y in enumerate(family[:i]):
             if not tables.disjoint[x] >> y & 1:
                 return False
-            if any(not tables.outside[x][y] >> z & 1 for z in family[:j]):
+            if any(not _outside(tables, x, y) >> z & 1 for z in family[:j]):
                 return False
     return True
 
@@ -297,12 +317,14 @@ def _is_clique(tables: _PlaneTables, family: Sequence[int]) -> bool:
 def _plane_permutations(tables: _PlaneTables,
                         generators: Sequence[LinearMap]) -> list[tuple[int, ...]]:
     # the permutation of plane indices induced by each map, from the
-    # images of all 2^m points, computed once per map
-    m = tables.planes[0].m
-    vectors = [tuple(v >> j & 1 for j in range(m)) for v in range(1 << m)]
+    # images of all 2^m points, XORed together from the images of the
+    # m basis points once per map
     perms = []
     for g in generators:
-        image = [_point(row) for row in matmul(g.field, vectors, g.rows)]
+        image = [0]
+        for row in g.rows:
+            p = _point(row)
+            image += [v ^ p for v in image]
         perms.append(tuple(tables.index[_vector_mask(image[a], image[b])]
                            for a, b in tables.bases))
     return perms
@@ -322,6 +344,15 @@ def _orbit(start: int, perms: Sequence[tuple[int, ...]]) -> set[int]:
     return orbit
 
 
+def _first(mask: int) -> int:
+    # the lowest index in a nonzero bitset
+    return (mask & -mask).bit_length() - 1
+
+
+def _indices(mask: int) -> set[int]:
+    return {x for x in range(mask.bit_length()) if mask >> x & 1}
+
+
 def max_collection_size(model: Optional[PartitionModel] = None) -> int:
     """Largest family of planes that pairwise meet trivially and triple-span.
 
@@ -333,17 +364,21 @@ def max_collection_size(model: Optional[PartitionModel] = None) -> int:
     transitive on the 112 planes that meet it trivially, and every other
     member of a family through plane 0 is one of them, so a family of at
     least two planes is also the image of one that contains plane 0 and
-    the first plane disjoint from it.  The graph spaces are such a
-    family, so the branch-and-bound only searches the families through
-    those two planes.  Both transitivity claims are checked, not
-    assumed: the orbit of plane 0 under the two generators of GL(5, 2)
-    must cover all 155 planes, the hand-written generators of the
-    stabilizer must each fix plane 0, and the orbit of the second plane
-    under them must be exactly the planes disjoint from plane 0.  The
-    graph spaces must pass the pairwise and triple checks in subspace
-    arithmetic, form a family in the bitset tables of the search, and be
-    no larger than the returned maximum.  A failed check raises
-    RuntimeError.
+    plane 10, the first plane disjoint from it.  The stabilizer of both
+    planes (order 576) is transitive on the 72 planes that extend them,
+    those disjoint from both and outside the 4-space they span, so a
+    family of at least three planes is the image of one that contains
+    planes 0, 10 and 20, the first of those 72.  The graph spaces are
+    such a family, so the branch-and-bound only searches the families
+    through those three planes.  The three transitivity claims are
+    checked, not assumed: the orbit of plane 0 under the two generators
+    of GL(5, 2) must cover all 155 planes; the hand-written generators
+    of each stabilizer must fix its planes, and the orbit of the next
+    plane under them must be exactly the planes that extend the fixed
+    ones.  The graph spaces must pass the pairwise and triple checks in
+    subspace arithmetic, form a family in the bitset tables of the
+    search, and be no larger than the returned maximum.  A failed check
+    raises RuntimeError.
     """
     if model is None:
         model = build_partition()
@@ -363,10 +398,18 @@ def max_collection_size(model: Optional[PartitionModel] = None) -> int:
     _require(all(perm[0] == 0 for perm in perms),
              "every stabilizer generator fixes plane 0")
     neighbours = tables.disjoint[0]
-    second = (neighbours & -neighbours).bit_length() - 1
-    _require(_orbit(second, perms) == {y for y in range(count) if neighbours >> y & 1},
+    second = _first(neighbours)
+    _require(_orbit(second, perms) == _indices(neighbours),
              "the stabilizer of plane 0 is transitive on the planes disjoint from it")
-    best, _, _ = _clique_search(tables, collect_all=False, fixed=(0, second))
+    perms = _plane_permutations(tables, _pair_stabilizer_generators(model))
+    _require(all(perm[0] == 0 and perm[second] == second for perm in perms),
+             f"every pair stabilizer generator fixes plane 0 and plane {second}")
+    extending = neighbours & tables.disjoint[second] & _outside(tables, 0, second)
+    third = _first(extending)
+    _require(_orbit(third, perms) == _indices(extending),
+             f"the stabilizer of planes 0 and {second} is transitive on the planes "
+             "that extend them")
+    best, _, _ = _clique_search(tables, collect_all=False, fixed=(0, second, third))
     _require(best >= len(family), "the maximum is at least the number of graph spaces")
     return best
 
@@ -380,9 +423,18 @@ def _general_linear_generators(model: PartitionModel) -> list[LinearMap]:
     return [LinearMap(model.base, m, cycle), LinearMap(model.base, m, shear)]
 
 
-# images of e0..e4, as sets of basis indices, under generators of the
-# stabilizer of plane 0 = span(e0, e1) in GL(5, 2): GL(2, 2) on e0, e1,
-# GL(3, 2) on e2, e3, e4, and the shear e2 -> e2 + e0
+def _basis_image_maps(model: PartitionModel,
+                      table: Sequence[Sequence[Sequence[int]]]) -> list[LinearMap]:
+    # one map per entry of table, which lists the images of e0..e4 as
+    # sets of basis indices
+    m = model.m
+    return [LinearMap(model.base, m,
+                      tuple(tuple(int(j in image) for j in range(m)) for image in images))
+            for images in table]
+
+
+# generators of the stabilizer of plane 0 = span(e0, e1) in GL(5, 2):
+# GL(2, 2) on e0, e1, GL(3, 2) on e2, e3, e4, and the shear e2 -> e2 + e0
 _PLANE_ZERO_STABILIZER = (
     ((1,), (0,), (2,), (3,), (4,)),
     ((0, 1), (1,), (2,), (3,), (4,)),
@@ -391,9 +443,24 @@ _PLANE_ZERO_STABILIZER = (
     ((0,), (1,), (0, 2), (3,), (4,)),
 )
 
+# generators of the stabilizer of plane 0 and plane 10 = span(e0 + e4,
+# e1 + e3), order 576 = 6 * 6 * 16.  In the basis a0 = e0, a1 = e1,
+# b0 = e0 + e4, b1 = e1 + e3, c = e2 they are the swap and a
+# transvection of a0, a1, the same of b0, b1, and the shears c -> c + a0
+# and c -> c + b0
+_PAIR_STABILIZER = (
+    ((1,), (0,), (2,), (0, 1, 3), (0, 1, 4)),
+    ((0, 1), (1,), (2,), (3,), (1, 4)),
+    ((0,), (1,), (2,), (0, 1, 4), (0, 1, 3)),
+    ((0,), (1,), (2,), (3,), (1, 3, 4)),
+    ((0,), (1,), (0, 2), (3,), (4,)),
+    ((0,), (1,), (0, 2, 4), (3,), (4,)),
+)
+
 
 def _plane_zero_stabilizer_generators(model: PartitionModel) -> list[LinearMap]:
-    m = model.m
-    return [LinearMap(model.base, m,
-                      tuple(tuple(int(j in image) for j in range(m)) for image in images))
-            for images in _PLANE_ZERO_STABILIZER]
+    return _basis_image_maps(model, _PLANE_ZERO_STABILIZER)
+
+
+def _pair_stabilizer_generators(model: PartitionModel) -> list[LinearMap]:
+    return _basis_image_maps(model, _PAIR_STABILIZER)

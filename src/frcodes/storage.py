@@ -49,7 +49,6 @@ functions of immutable inputs and safe to call concurrently;
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -365,6 +364,9 @@ def _require(holds: bool, claim: str) -> None:
 
 def _short_hash(data: bytes) -> str:
     """The first 12 hex digits of the SHA-256 of data, for logs and reports."""
+    # imported on first use: hashlib loads OpenSSL, a few milliseconds of
+    # every command's start-up that only reports and logs need
+    import hashlib
     return hashlib.sha256(data).hexdigest()[:12]
 
 

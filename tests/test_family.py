@@ -10,7 +10,6 @@ import pytest
 
 from frcodes.family import (
     GoodCollection,
-    GoodCollectionSet,
     construct_good,
     cutset_bound,
     family_code,
@@ -27,7 +26,7 @@ from frcodes.family import (
 )
 from frcodes.gf import GF
 from frcodes.storage import RepairingCollection, valid_newcomers
-from frcodes.subspace import Subspace, rank_of, span, subspaces, vec_add, vec_scale
+from frcodes.subspace import rank_of, span, subspaces, vec_add, vec_scale
 from oracles import identity_map, repair_code, verify_replacement_equivalence
 
 F2 = GF(2)

@@ -17,7 +17,6 @@ from frcodes.fsc import emit_fsc, states_to_document
 from frcodes.gf import GF
 from frcodes.groupsearch import (
     BACKTRACK_CAP,
-    GroupClosure,
     LinearMap,
     OrbitVerificationError,
     group_closure,

@@ -11,10 +11,12 @@ from hypothesis import strategies as st
 
 from frcodes import partition_code
 from frcodes.gf import GF
-from frcodes.groupsearch import GROUP_CAP, GroupClosure, orbit, orbit_code
+from frcodes.groupsearch import GROUP_CAP, GroupClosure, group_closure, orbit, orbit_code
 from frcodes.partition_code import (
     _clique_search,
     _general_linear_generators,
+    _outside,
+    _pair_stabilizer_generators,
     _plane_permutations,
     _plane_tables,
     _plane_zero_stabilizer_generators,
@@ -265,6 +267,29 @@ def test_max_collection_size_checks_stabilizer_fixes_plane_zero(partition_model,
         max_collection_size(partition_model)
 
 
+def test_max_collection_size_checks_pair_stabilizer_transitivity(partition_model,
+                                                                monkeypatch):
+    # without the shear c -> c + b0 the maps keep span(a0, a1, c) =
+    # span(e0, e1, e2) and reach only 36 of the 72 planes that extend
+    # planes 0 and 10
+    generators = _pair_stabilizer_generators(partition_model)
+    monkeypatch.setattr(partition_code, "_pair_stabilizer_generators",
+                        lambda model: generators[:-1])
+    with pytest.raises(RuntimeError, match="transitive on the planes that extend"):
+        max_collection_size(partition_model)
+
+
+def test_max_collection_size_checks_pair_stabilizer_fixes_both_planes(partition_model,
+                                                                     monkeypatch):
+    # the cycle of GL(5, 2) moves plane 0, so it is no pair stabilizer generator
+    generators = _pair_stabilizer_generators(partition_model)
+    cycle = _general_linear_generators(partition_model)[0]
+    monkeypatch.setattr(partition_code, "_pair_stabilizer_generators",
+                        lambda model: generators[:-1] + [cycle])
+    with pytest.raises(RuntimeError, match="fixes plane 0 and plane 10"):
+        max_collection_size(partition_model)
+
+
 def test_plane_tables_against_subspace_arithmetic(plane_tables):
     tables = plane_tables
     planes = tables.planes
@@ -279,7 +304,7 @@ def test_plane_tables_against_subspace_arithmetic(plane_tables):
         assert bool(tables.disjoint[x] >> y & 1) == trivial
         assert bool(tables.disjoint[y] >> x & 1) == trivial
         if not trivial:
-            assert tables.outside[x][y] == tables.outside[y][x] == 0
+            assert _outside(tables, x, y) == _outside(tables, y, x) == 0
     pairs = [(x, y) for x in range(len(planes)) for y in range(len(planes))
              if tables.disjoint[x] >> y & 1]
     assert len(pairs) == 155 * 112
@@ -287,7 +312,7 @@ def test_plane_tables_against_subspace_arithmetic(plane_tables):
         pair_span = planes[x] + planes[y]
         for d, plane in enumerate(planes):
             spans = (pair_span + plane).dim == 5
-            assert bool(tables.outside[x][y] >> d & 1) == spans
+            assert bool(_outside(tables, x, y) >> d & 1) == spans
 
 
 def test_plane_permutations_match_linear_maps(partition_model, plane_tables):
@@ -305,15 +330,17 @@ def test_maximality_proof_runs_on_tuple_rows(partition_model, plane_tables, tupl
     # the proof reads spaces and maps only through their public rows, so
     # a model whose spaces hold tuple rows gives the same tables
     generators = (_general_linear_generators(partition_model)
-                  + _plane_zero_stabilizer_generators(partition_model))
+                  + _plane_zero_stabilizer_generators(partition_model)
+                  + _pair_stabilizer_generators(partition_model))
     with tuple_rows(F2):
         model = build_partition()
         assert max_collection_size(model) == 8
         tables = _plane_tables(model)
         perms = _plane_permutations(tables, _general_linear_generators(model)
-                                    + _plane_zero_stabilizer_generators(model))
+                                    + _plane_zero_stabilizer_generators(model)
+                                    + _pair_stabilizer_generators(model))
     assert [p.key for p in tables.planes] == [p.key for p in plane_tables.planes]
-    for name in ("bases", "index", "disjoint", "outside"):
+    for name in ("bases", "index", "disjoint", "hyperplanes", "rest"):
         assert getattr(tables, name) == getattr(plane_tables, name)
     assert perms == _plane_permutations(plane_tables, generators)
 
@@ -330,6 +357,39 @@ def test_stabilizer_generators_fix_plane_zero(partition_model, plane_tables):
         assert list(perm) == [index[g.apply(p).key] for p in planes]
         assert g.apply(planes[0]) == planes[0]
         assert perm[0] == 0
+
+
+def _extending(tables, x, y):
+    # the planes that form a family with the disjoint planes x and y
+    return tables.disjoint[x] & tables.disjoint[y] & _outside(tables, x, y)
+
+
+def test_pair_stabilizer_generators_fix_planes_zero_and_ten(partition_model,
+                                                            plane_tables):
+    planes = plane_tables.planes
+    index = {p.key: x for x, p in enumerate(planes)}
+    assert planes[10] == span(F2, 5, [(1, 0, 0, 0, 1), (0, 1, 0, 1, 0)])
+    generators = _pair_stabilizer_generators(partition_model)
+    perms = _plane_permutations(plane_tables, generators)
+    assert len(perms) == len(generators) == 6
+    for g, perm in zip(generators, perms):
+        assert list(perm) == [index[g.apply(p).key] for p in planes]
+        assert g.apply(planes[0]) == planes[0] and g.apply(planes[10]) == planes[10]
+        assert perm[0] == 0 and perm[10] == 10
+    closure = group_closure(generators)
+    assert closure.complete and closure.order == 576
+
+
+def test_pair_stabilizer_is_transitive_on_extending_planes(partition_model, plane_tables):
+    # the orbit-stabilizer count: GL(5, 2) has order 9999360 and 155 * 112
+    # ordered disjoint pairs, all in one orbit, so each pair stabilizer has
+    # order 9999360 / 17360 = 576
+    extending = _extending(plane_tables, 0, 10)
+    assert extending.bit_count() == 72
+    assert (extending & -extending).bit_length() - 1 == 20
+    perms = _plane_permutations(plane_tables, _pair_stabilizer_generators(partition_model))
+    assert partition_code._orbit(20, perms) == {x for x in range(155) if extending >> x & 1}
+    assert 9999360 == 155 * 112 * 576
 
 
 def test_graph_family_is_not_extendable(partition_model):
@@ -373,9 +433,24 @@ def test_fixed_plane_search_matches_exhaustive(plane_tables, maximum_witnesses):
     assert 192 * 8680 == len(maximum_witnesses) * 28
 
 
+def test_fixed_triple_search_matches_exhaustive(plane_tables, maximum_witnesses):
+    best, through_three, _ = _clique_search(plane_tables, collect_all=True,
+                                            fixed=(0, 10, 20))
+    assert best == 8
+    keys = [plane_tables.planes[x].key for x in (0, 10, 20)]
+    keyed = {tuple(sorted(plane_tables.planes[x].key for x in w))
+             for w in through_three}
+    assert len(through_three) == len(keyed) == 16
+    assert keyed == {w for w in maximum_witnesses if all(k in w for k in keys)}
+    # each of the 192 families through planes 0 and 10 holds 6 of the 72
+    # planes that extend them, and each of those lies in equally many
+    assert _extending(plane_tables, 0, 10).bit_count() == 72
+    assert 16 * 72 == 192 * 6
+
+
 def test_clique_search_node_counts(plane_tables):
     # the work count of the maximality search, by planes fixed
-    for fixed, count in [((0,), 158200), ((0, 10), 6457)]:
+    for fixed, count in [((0,), 158200), ((0, 10), 6457), ((0, 10, 20), 342)]:
         best, _, nodes = _clique_search(plane_tables, collect_all=False, fixed=fixed)
         assert (best, nodes) == (8, count)
 
@@ -395,7 +470,7 @@ def test_linear_images_of_graph_family_are_maximum(partition_model, plane_tables
         for j, y in enumerate(image[:i]):
             assert plane_tables.disjoint[x] >> y & 1
             for z in image[:j]:
-                assert plane_tables.outside[x][y] >> z & 1
+                assert _outside(plane_tables, x, y) >> z & 1
     assert tuple(sorted(u.key for u in family)) in maximum_witnesses
 
 

@@ -19,7 +19,6 @@ from frcodes.gf import GF
 from frcodes.storage import (
     ClosureError,
     CodeParams,
-    RepairReport,
     RepairWitness,
     RepairingCollection,
     StateSet,

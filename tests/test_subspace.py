@@ -15,7 +15,6 @@ import frcodes.subspace as sub
 from frcodes.gf import GF
 from frcodes.subspace import (
     CapExceeded,
-    Subspace,
     express,
     full_space,
     gaussian_binomial,
