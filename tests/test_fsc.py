@@ -198,12 +198,11 @@ def test_round_trip_with_state_lines(doc):
     assert emit_fsc(again) == text
 
 
-def test_documents_get_their_own_dicts():
-    one = FscDocument(2, 1, 4, 4, 2, 3, 2, 1)
-    two = FscDocument(p=2, e=1, m=4, n=4, k=2, r=3, alpha=2, beta=1)
+def test_documents_compare_by_value():
+    one = FscDocument(2, 1, 4, 4, 2, 3, 2, 1, {}, {}, {})
+    two = FscDocument(p=2, e=1, m=4, n=4, k=2, r=3, alpha=2, beta=1,
+                      subspaces={}, collections={}, states={})
     assert one == two
-    for name in ("subspaces", "collections", "states"):
-        assert getattr(one, name) == {} and getattr(one, name) is not getattr(two, name)
     one.states["C0"] = "A"
     assert two.states == {} and one != two
 

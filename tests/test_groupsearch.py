@@ -26,6 +26,7 @@ from frcodes.groupsearch import (
     symmetry_search,
     transition_maps,
 )
+from frcodes.partition_code import _STABILIZER_CHAIN
 from frcodes.storage import (
     CodeParams,
     RepairingCollection,
@@ -44,7 +45,8 @@ from frcodes.subspace import (
     subspaces,
     zero_subspace,
 )
-from oracles import apply_collection, apply_vector, exact_to_states, identity_map
+from oracles import (apply_collection, apply_vector, basis_image_map, exact_to_states,
+                     identity_map)
 
 F2 = GF(2)
 F3 = GF(3)
@@ -733,12 +735,11 @@ def test_symmetry_search_skips_an_orbit_whose_verification_hits_a_cap(
 def test_group_closure_composes_no_maps(monkeypatch, rotation_code):
     # the order comes from the stabilizer chain alone, within the cap
     # and past it
-    from frcodes.partition_code import build_partition, _general_linear_generators
+    gl52 = [basis_image_map(images) for images in _STABILIZER_CHAIN[0]]
 
     def no_compose(self, other):
         raise AssertionError("group_closure composed two maps")
 
-    gl52 = _general_linear_generators(build_partition())
     monkeypatch.setattr(LinearMap, "compose", no_compose)
     assert group_closure([rotation_code[2]]).order == 4
     assert group_closure(gl52, cap=10**7).order == 9_999_360
@@ -890,9 +891,7 @@ def test_group_closure_lists_the_chain_order(list_group, which, words):
 
 
 def test_chain_order_of_general_linear_groups():
-    from frcodes.partition_code import build_partition, _general_linear_generators
-
-    gl52 = _general_linear_generators(build_partition())
+    gl52 = [basis_image_map(images) for images in _STABILIZER_CHAIN[0]]
     assert group_closure(gl52, cap=10**8).order == 9_999_360
     expected = 1
     for i in range(5):
@@ -908,9 +907,7 @@ def test_chain_order_of_general_linear_groups():
 def test_large_basis_orbit_decides_without_chain(monkeypatch):
     # e_0 has 31 images under GL(5,2): a cap of 30 is exceeded by that
     # orbit alone, before any Schreier-Sims work; a cap of 31 needs it
-    from frcodes.partition_code import build_partition, _general_linear_generators
-
-    gl52 = _general_linear_generators(build_partition())
+    gl52 = [basis_image_map(images) for images in _STABILIZER_CHAIN[0]]
 
     def no_chain(perms, cap):
         raise LookupError("chain reached")

@@ -13,13 +13,13 @@ from frcodes import partition_code
 from frcodes.gf import GF
 from frcodes.groupsearch import GROUP_CAP, GroupClosure, group_closure, orbit, orbit_code
 from frcodes.partition_code import (
+    _STABILIZER_CHAIN,
     _clique_search,
-    _general_linear_generators,
+    _extensions,
+    _orbit,
     _outside,
-    _pair_stabilizer_generators,
     _plane_permutations,
     _plane_tables,
-    _plane_zero_stabilizer_generators,
     build_partition,
     canonical_seed_state,
     max_collection_size,
@@ -29,6 +29,7 @@ from frcodes.partition_code import (
 from frcodes.storage import RepairingCollection
 from frcodes.subspace import full_space, span, standard_basis_vector, subspaces
 from oracles import (
+    basis_image_map,
     compose_semilinear,
     enumerate_semilinear,
     identity_map,
@@ -236,57 +237,44 @@ def test_max_collection_size_rejects_repeated_member(partition_model):
         max_collection_size(broken)
 
 
-def test_max_collection_size_checks_transitivity(partition_model, monkeypatch):
+def _with_level(level, generators):
+    chain = list(_STABILIZER_CHAIN)
+    chain[level] = generators
+    return tuple(chain)
+
+
+# the cycle e0 -> e1 -> ... -> e4 -> e0 of GL(5, 2), which moves plane 0
+_CYCLE = _STABILIZER_CHAIN[0][0]
+
+CHAIN_FAULTS = {
     # the cycle alone moves plane 0 through at most five planes, so the
     # search through plane 0 would no longer stand for every plane
-    generators = _general_linear_generators(partition_model)
-    monkeypatch.setattr(partition_code, "_general_linear_generators",
-                        lambda model: generators[:1])
-    with pytest.raises(RuntimeError, match="transitive"):
-        max_collection_size(partition_model)
-
-
-def test_max_collection_size_checks_stabilizer_transitivity(partition_model, monkeypatch):
+    "no GL shear": (_with_level(0, _STABILIZER_CHAIN[0][:-1]),
+                    r"planes \[\] is transitive"),
     # without the shear e2 -> e2 + e0 the maps keep span(e2, e3, e4)
     # and reach only 42 of the 112 planes disjoint from plane 0
-    generators = _plane_zero_stabilizer_generators(partition_model)
-    monkeypatch.setattr(partition_code, "_plane_zero_stabilizer_generators",
-                        lambda model: generators[:-1])
-    with pytest.raises(RuntimeError, match="transitive on the planes disjoint"):
-        max_collection_size(partition_model)
-
-
-def test_max_collection_size_checks_stabilizer_fixes_plane_zero(partition_model,
-                                                                monkeypatch):
-    # the cycle of GL(5, 2) moves plane 0, so it is no stabilizer generator
-    generators = _plane_zero_stabilizer_generators(partition_model)
-    cycle = _general_linear_generators(partition_model)[0]
-    monkeypatch.setattr(partition_code, "_plane_zero_stabilizer_generators",
-                        lambda model: generators[:-1] + [cycle])
-    with pytest.raises(RuntimeError, match="fixes plane 0"):
-        max_collection_size(partition_model)
-
-
-def test_max_collection_size_checks_pair_stabilizer_transitivity(partition_model,
-                                                                monkeypatch):
+    "no plane-0 shear": (_with_level(1, _STABILIZER_CHAIN[1][:-1]),
+                         r"planes \[0\] is transitive"),
     # without the shear c -> c + b0 the maps keep span(a0, a1, c) =
     # span(e0, e1, e2) and reach only 36 of the 72 planes that extend
     # planes 0 and 10
-    generators = _pair_stabilizer_generators(partition_model)
-    monkeypatch.setattr(partition_code, "_pair_stabilizer_generators",
-                        lambda model: generators[:-1])
-    with pytest.raises(RuntimeError, match="transitive on the planes that extend"):
-        max_collection_size(partition_model)
+    "no pair shear": (_with_level(2, _STABILIZER_CHAIN[2][:-1]),
+                      r"planes \[0, 10\] is transitive"),
+    "cycle fixing plane 0": (_with_level(1, _STABILIZER_CHAIN[1] + (_CYCLE,)),
+                             r"planes \[0\] fixes them"),
+    "cycle fixing the pair": (_with_level(2, _STABILIZER_CHAIN[2] + (_CYCLE,)),
+                              r"planes \[0, 10\] fixes them"),
+    # e0, e1 -> e0 has rank 4: it sends plane 0 to a line
+    "singular": (_with_level(0, _STABILIZER_CHAIN[0] + (((0,), (0,), (2,), (3,), (4,)),)),
+                 r"planes \[\] is invertible"),
+}
 
 
-def test_max_collection_size_checks_pair_stabilizer_fixes_both_planes(partition_model,
-                                                                     monkeypatch):
-    # the cycle of GL(5, 2) moves plane 0, so it is no pair stabilizer generator
-    generators = _pair_stabilizer_generators(partition_model)
-    cycle = _general_linear_generators(partition_model)[0]
-    monkeypatch.setattr(partition_code, "_pair_stabilizer_generators",
-                        lambda model: generators[:-1] + [cycle])
-    with pytest.raises(RuntimeError, match="fixes plane 0 and plane 10"):
+@pytest.mark.parametrize("chain,message", CHAIN_FAULTS.values(), ids=CHAIN_FAULTS.keys())
+def test_max_collection_size_checks_each_chain_level(partition_model, monkeypatch,
+                                                     chain, message):
+    monkeypatch.setattr(partition_code, "_STABILIZER_CHAIN", chain)
+    with pytest.raises(RuntimeError, match=message):
         max_collection_size(partition_model)
 
 
@@ -315,81 +303,65 @@ def test_plane_tables_against_subspace_arithmetic(plane_tables):
             assert bool(_outside(tables, x, y) >> d & 1) == spans
 
 
-def test_plane_permutations_match_linear_maps(partition_model, plane_tables):
-    planes = plane_tables.planes
-    index = {p.key: x for x, p in enumerate(planes)}
-    generators = _general_linear_generators(partition_model)
-    perms = _plane_permutations(plane_tables, generators)
-    assert len(perms) == len(generators)
-    for g, perm in zip(generators, perms):
-        assert sorted(perm) == list(range(len(planes)))
-        assert list(perm) == [index[g.apply(p).key] for p in planes]
+def test_plane_permutations_of_a_singular_map(plane_tables):
+    # e0, e1 -> e0 kills e0 + e1, point 3, so exactly the 15 planes
+    # through it have no plane as image
+    perm, = _plane_permutations(plane_tables, [((0,), (0,), (2,), (3,), (4,))])
+    through = {x for x, (a, b) in enumerate(plane_tables.bases) if 3 in (a, b, a ^ b)}
+    assert len(through) == 15
+    assert {x for x, y in enumerate(perm) if y is None} == through
 
 
-def test_maximality_proof_runs_on_tuple_rows(partition_model, plane_tables, tuple_rows):
-    # the proof reads spaces and maps only through their public rows, so
-    # a model whose spaces hold tuple rows gives the same tables
-    generators = (_general_linear_generators(partition_model)
-                  + _plane_zero_stabilizer_generators(partition_model)
-                  + _pair_stabilizer_generators(partition_model))
+def test_maximality_proof_runs_on_tuple_rows(plane_tables, tuple_rows):
+    # the proof reads spaces only through their public rows, so a model
+    # whose spaces hold tuple rows gives the same tables, and its plane
+    # permutations agree with the linear maps on tuple rows
+    generators = [images for level in _STABILIZER_CHAIN for images in level]
     with tuple_rows(F2):
         model = build_partition()
         assert max_collection_size(model) == 8
         tables = _plane_tables(model)
-        perms = _plane_permutations(tables, _general_linear_generators(model)
-                                    + _plane_zero_stabilizer_generators(model)
-                                    + _pair_stabilizer_generators(model))
+        index = {p.key: x for x, p in enumerate(tables.planes)}
+        images = [[index[basis_image_map(g).apply(p).key] for p in tables.planes]
+                  for g in generators]
     assert [p.key for p in tables.planes] == [p.key for p in plane_tables.planes]
     for name in ("bases", "index", "disjoint", "hyperplanes", "rest"):
         assert getattr(tables, name) == getattr(plane_tables, name)
-    assert perms == _plane_permutations(plane_tables, generators)
+    assert [list(perm) for perm in _plane_permutations(plane_tables, generators)] == images
 
 
-def test_stabilizer_generators_fix_plane_zero(partition_model, plane_tables):
+@pytest.mark.parametrize("level,fixed,order", [(0, (), 9_999_360), (1, (0,), 64_512),
+                                               (2, (0, 10), 576)])
+def test_stabilizer_chain_level(plane_tables, level, fixed, order):
+    # each level's maps fix the planes chosen before it, their group has
+    # the order of the stabilizer, and it is transitive on the planes
+    # that extend those planes, whose first is the next plane chosen:
+    # orbit-stabilizer gives 9999360 = 155 * 64512 and 64512 = 112 * 576
     planes = plane_tables.planes
     index = {p.key: x for x, p in enumerate(planes)}
     assert planes[0] == span(F2, 5, [standard_basis_vector(5, 0),
                                      standard_basis_vector(5, 1)])
-    generators = _plane_zero_stabilizer_generators(partition_model)
-    perms = _plane_permutations(plane_tables, generators)
-    assert len(perms) == len(generators) == 5
-    for g, perm in zip(generators, perms):
-        assert list(perm) == [index[g.apply(p).key] for p in planes]
-        assert g.apply(planes[0]) == planes[0]
-        assert perm[0] == 0
-
-
-def _extending(tables, x, y):
-    # the planes that form a family with the disjoint planes x and y
-    return tables.disjoint[x] & tables.disjoint[y] & _outside(tables, x, y)
-
-
-def test_pair_stabilizer_generators_fix_planes_zero_and_ten(partition_model,
-                                                            plane_tables):
-    planes = plane_tables.planes
-    index = {p.key: x for x, p in enumerate(planes)}
     assert planes[10] == span(F2, 5, [(1, 0, 0, 0, 1), (0, 1, 0, 1, 0)])
-    generators = _pair_stabilizer_generators(partition_model)
-    perms = _plane_permutations(plane_tables, generators)
-    assert len(perms) == len(generators) == 6
+    generators = [basis_image_map(images) for images in _STABILIZER_CHAIN[level]]
+    perms = _plane_permutations(plane_tables, _STABILIZER_CHAIN[level])
     for g, perm in zip(generators, perms):
         assert list(perm) == [index[g.apply(p).key] for p in planes]
-        assert g.apply(planes[0]) == planes[0] and g.apply(planes[10]) == planes[10]
-        assert perm[0] == 0 and perm[10] == 10
-    closure = group_closure(generators)
-    assert closure.complete and closure.order == 576
-
-
-def test_pair_stabilizer_is_transitive_on_extending_planes(partition_model, plane_tables):
-    # the orbit-stabilizer count: GL(5, 2) has order 9999360 and 155 * 112
-    # ordered disjoint pairs, all in one orbit, so each pair stabilizer has
-    # order 9999360 / 17360 = 576
-    extending = _extending(plane_tables, 0, 10)
-    assert extending.bit_count() == 72
-    assert (extending & -extending).bit_length() - 1 == 20
-    perms = _plane_permutations(plane_tables, _pair_stabilizer_generators(partition_model))
-    assert partition_code._orbit(20, perms) == {x for x in range(155) if extending >> x & 1}
-    assert 9999360 == 155 * 112 * 576
+        assert all(g.apply(planes[x]) == planes[x] for x in fixed)
+    closure = group_closure(generators, cap=order)
+    assert closure.complete and closure.order == order
+    assert not group_closure(generators, cap=order - 1).complete
+    extending = _extensions(plane_tables, fixed)
+    assert {x for x in range(len(planes)) if extending >> x & 1} == {
+        x for x, d in enumerate(planes)
+        if all((d & planes[f]).dim == 0 for f in fixed)
+        and all((planes[f] + planes[g] + d).dim == 5
+                for f, g in itertools.combinations(fixed, 2))}
+    count = extending.bit_count()
+    assert count == (155, 112, 72)[level]
+    assert order == count * (64_512, 576, 8)[level]
+    start = (extending & -extending).bit_length() - 1
+    assert start == (0, 10, 20)[level]
+    assert _orbit(start, perms) == extending
 
 
 def test_graph_family_is_not_extendable(partition_model):
@@ -444,7 +416,7 @@ def test_fixed_triple_search_matches_exhaustive(plane_tables, maximum_witnesses)
     assert keyed == {w for w in maximum_witnesses if all(k in w for k in keys)}
     # each of the 192 families through planes 0 and 10 holds 6 of the 72
     # planes that extend them, and each of those lies in equally many
-    assert _extending(plane_tables, 0, 10).bit_count() == 72
+    assert _extensions(plane_tables, (0, 10)).bit_count() == 72
     assert 16 * 72 == 192 * 6
 
 
@@ -459,7 +431,7 @@ def test_clique_search_node_counts(plane_tables):
 @given(word=st.lists(st.integers(0, 1), max_size=40))
 def test_linear_images_of_graph_family_are_maximum(partition_model, plane_tables,
                                                    maximum_witnesses, word):
-    generators = _general_linear_generators(partition_model)
+    generators = [basis_image_map(images) for images in _STABILIZER_CHAIN[0]]
     family = list(partition_model.members)
     for letter in word:
         family = [generators[letter].apply(u) for u in family]
@@ -481,7 +453,8 @@ def test_unique_maximum_collection(partition_model, maximum_witnesses):
     assert canonical in witnesses
     # they are exactly the images of the graph family under GL(5, 2),
     # walked as collections; the group order is not needed
-    group = GroupClosure(_general_linear_generators(partition_model), None, GROUP_CAP)
+    group = GroupClosure([basis_image_map(images) for images in _STABILIZER_CHAIN[0]],
+                         None, GROUP_CAP)
     walked = orbit(group, RepairingCollection(partition_model.members), cap=10**5)
     assert set(walked) == set(witnesses)
     # the stabilizer of the family inside the full linear group has

@@ -65,14 +65,13 @@ F2 = GF(2)
 # function building each slotted one
 NAMED_TUPLES = [storage.RepairWitness, storage.AdmissibleState, RepairCode,
                 family.StepResult, groupsearch.SearchResult, groupsearch.SearchOutcome,
-                partition_code.PartitionModel, partition_code._PlaneTables,
+                fsc.FscDocument, partition_code.PartitionModel, partition_code._PlaneTables,
                 simulator.HelperShare, simulator.RepairTranscript, simulator._RepairPlan,
                 simulator.RunReport]
 SLOTTED = {
     "CodeParams": lambda: storage.CodeParams(4, 4, 2, 3, 2, 1, 2),
     "GoodCollection": lambda: family.construct_good(2, 1, 2),
     "LinearMap": lambda: identity_map(F2, 3),
-    "FscDocument": lambda: fsc.FscDocument(2, 1, 4, 4, 2, 3, 2, 1),
 }
 
 

@@ -75,9 +75,9 @@ def test_params_have_no_unchecked_copy():
 
 def test_params_rate(exact_code_spaces, functional_triple):
     params, _ = exact_code_spaces
-    assert params.rate == Fraction(1, 2)
+    assert Fraction(params.m, params.n * params.alpha) == Fraction(1, 2)
     params5, _ = functional_triple
-    assert params5.rate == Fraction(5, 8)
+    assert Fraction(params5.m, params5.n * params5.alpha) == Fraction(5, 8)
 
 
 def test_collection_is_sorted_multiset(exact_code_spaces):
