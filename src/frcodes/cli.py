@@ -176,7 +176,9 @@ def cmd_search(args) -> int:
 def cmd_partition(args) -> int:
     _check_out(args.out)
     model = build_partition()
-    # code_states raises unless every collection verifies with its one newcomer
+    # code_states raises unless the seed's full check finds one newcomer, the
+    # group of order 168 moves it to all 56 states, and each moved newcomer
+    # follows the label rule; only tests run the full check of all 56
     states = code_states(model)
     print(f"{len(states)} states verified, unique newcomer per collection")
     if args.max_check:

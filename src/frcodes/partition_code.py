@@ -13,9 +13,12 @@ functional-repair code whose symmetry group has order 168, and eight is
 the largest any such family of planes in F_2^5 can be.
 
 This module keeps the model, the code with its canonical seed state,
-and the maximality proof.  The 168 semilinear maps of the symmetry
-group, and the exhaustive list of all maximum families, are built and
-checked in the test suite (tests/oracles.py).
+the three semilinear maps that generate the symmetry group, and the
+maximality proof.  The code is built as the orbit of the seed state
+under that group, with one full repair check at the seed.  All 168 maps,
+the full repair check of each of the 56 states, and the exhaustive list
+of all maximum families are built and checked in the test suite
+(tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -24,7 +27,9 @@ import itertools
 from typing import NamedTuple, Optional, Sequence
 
 from .gf import GF, Field
-from .storage import CodeParams, RepairingCollection, StateSet, _require
+from .groupsearch import LinearMap, group_closure, orbit, orbit_code
+from .storage import (CodeParams, RepairingCollection, RepairReport, StateSet,
+                      _check_collection, _require)
 from .subspace import Subspace, full_space, span, standard_basis_vector, subspaces
 
 __all__ = [
@@ -60,15 +65,13 @@ class PartitionModel(NamedTuple):
     members: tuple[Subspace, ...]
 
 
+def _vector(field8: Field, w: int, u: int) -> tuple[int, ...]:
+    # the coordinates of the pair (w, u), u on the plane
+    return tuple(field8.digits(w)) + tuple(field8.digits(u)[1:])
+
+
 def _graph_space(base: Field, field8: Field, plane: Sequence[int], scalar: int) -> Subspace:
-    rows = []
-    for u in plane:
-        if u == 0:
-            continue
-        w = field8.mul(scalar, u)
-        row = tuple(field8.digits(w)) + tuple(field8.digits(u)[1:])
-        rows.append(row)
-    return span(base, 5, rows)
+    return span(base, 5, [_vector(field8, field8.mul(scalar, u), u) for u in plane if u])
 
 
 def build_partition() -> PartitionModel:
@@ -131,28 +134,64 @@ def repair_label(beta: int, gamma: int, delta: int) -> int:
     return label
 
 
+def _symmetry_generators(model: PartitionModel) -> list[LinearMap]:
+    # the semilinear maps (w, u) -> (a*w^(2^i) + b*u^(2^i), u^(2^i)) for
+    # (a, b, i) = (alpha, 0, 0), (1, 1, 0) and (1, 0, 1): scaling, shift
+    # and Frobenius, which carry the graph of x to that of a*x^(2^i) + b.
+    # The rows are the images of the three field coordinates and of the
+    # plane's basis alpha, alpha^2; the plane is closed under Frobenius
+    field8 = model.field8
+    maps = []
+    for a, b, i in ((field8.generator, 0, 0), (1, 1, 0), (1, 0, 1)):
+        rows = [_vector(field8, field8.mul(a, field8.frobenius(1 << j, i)), 0)
+                for j in range(3)]
+        for u in model.plane[1:3]:
+            twisted = field8.frobenius(u, i)
+            rows.append(_vector(field8, field8.mul(b, twisted), twisted))
+        maps.append(LinearMap(model.base, model.m, tuple(rows)))
+    return maps
+
+
 def code_states(model: Optional[PartitionModel] = None) -> StateSet:
     """All 56 states of the code, verified with their unique newcomers.
 
-    Every 3-subset of the graph spaces is one collection; verification
-    computes all valid newcomers per collection and checks that the only
-    one is the graph with the closed-form label.
+    The collections are the 3-subsets of the graph spaces, one orbit of
+    the canonical seed state under the group of order 168 that scaling,
+    shift and Frobenius generate.  Only the seed gets the full repair
+    check, which must find exactly one valid newcomer.  A map of the
+    group permutes the graph spaces, hence the state set, so it carries
+    the valid newcomers of C one-to-one onto those of its image: each
+    collection's only newcomer is the seed's, moved along the orbit by
+    groupsearch.orbit_code, and it must be the graph of the closed-form
+    label.  A failed check raises RuntimeError; the full check of all 56
+    collections is the oracle of the tests.
     """
     if model is None:
         model = build_partition()
+    generators = _symmetry_generators(model)
+    keys = {u.key for u in model.members}
+    _require(all(g.apply(u).key in keys for g in generators for u in model.members),
+             "every symmetry generator permutes the graph spaces")
+    group = group_closure(generators)
+    _require(group.complete and group.order == 168, "the symmetry group has order 168")
+    seed, _ = canonical_seed_state(model)
+    walk = orbit(group, seed)
+    _require(len(walk) == 56, "the orbit of the seed state has 56 collections")
     params = partition_params()
-    collections = [RepairingCollection([model.members[b], model.members[g],
-                                        model.members[d]])
-                   for b, g, d in itertools.combinations(range(8), 3)]
-    states = StateSet(params, collections)
-    report = states.verify(all_newcomers=True)
-    _require(report.ok, "the 56 states pass verification")
+    states = orbit_code(group, walk, params)
+    seed_check = _check_collection(states, seed, all_newcomers=True)
+    _require(seed_check.valid_newcomers == (states.witnesses[seed.key].newcomer,),
+             "the seed's only valid newcomer is the one the orbit moves")
     for b, g, d in itertools.combinations(range(8), 3):
         key = RepairingCollection([model.members[b], model.members[g],
                                    model.members[d]]).key
-        expected = model.members[repair_label(b, g, d)]
-        _require(states.transitions[key] == (expected,),
+        state = states.witnesses.get(key)
+        _require(state is not None
+                 and state.newcomer == model.members[repair_label(b, g, d)],
                  "each collection's only newcomer is the graph of its repair label")
+    checks = [check._replace(valid_newcomers=(check.state.newcomer,))
+              for check in states.report.checks]
+    states._record(RepairReport(params, checks, True))
     return states
 
 

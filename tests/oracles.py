@@ -18,7 +18,7 @@ from typing import Iterator, NamedTuple, Optional, Sequence
 from frcodes.family import GoodCollection, _repair_vectors, is_good
 from frcodes.gf import GF, Field
 from frcodes.groupsearch import GroupClosure, LinearMap, group_closure
-from frcodes.partition_code import PartitionModel, _clique_search, _plane_tables
+from frcodes.partition_code import PartitionModel, _outside, _plane_tables
 from frcodes.simulator import CorruptStateError, DssState, RunReport, collect, fail, repair
 from frcodes.storage import (CodeParams, RepairingCollection, StateSet, find_repair_witness,
                              is_recovery_set)
@@ -233,12 +233,42 @@ def symmetry_group(model: PartitionModel) -> GroupClosure:
 def maximum_collections(model: PartitionModel) -> tuple[tuple[bytes, ...], ...]:
     """Every maximum family, as sorted tuples of subspace keys.
 
-    The search runs over all 155 planes with no symmetry reduction.
+    A branch and bound over all 155 planes with no symmetry reduction,
+    written apart from partition_code._clique_search.  Each plane's row
+    of the _outside bitsets is built once, so narrowing the candidates
+    by a new pair is one index, and a child too small to reach the best
+    size is not entered.
     """
     tables = _plane_tables(model)
-    _, witnesses, _ = _clique_search(tables, collect_all=True)
-    return tuple(sorted(tuple(sorted(tables.planes[x].key for x in w))
-                        for w in witnesses))
+    count = len(tables.planes)
+    disjoint = tables.disjoint
+    outside = [[_outside(tables, x, y) for y in range(count)] for x in range(count)]
+    best = 0
+    families: list[tuple[int, ...]] = []
+    chosen: list[int] = []
+
+    def extend(candidates: int) -> None:
+        nonlocal best, families
+        size = len(chosen)
+        if size > best:
+            best, families = size, []
+        if size == best:
+            families.append(tuple(chosen))
+        while candidates and size + candidates.bit_count() >= best:
+            low = candidates & -candidates
+            candidates ^= low
+            c = low.bit_length() - 1
+            narrowed = candidates & disjoint[c]
+            row = outside[c]
+            for x in chosen:
+                narrowed &= row[x]
+            if size + 1 + narrowed.bit_count() >= best:
+                chosen.append(c)
+                extend(narrowed)
+                chosen.pop()
+
+    extend((1 << count) - 1)
+    return tuple(sorted(tuple(sorted(tables.planes[x].key for x in w)) for w in families))
 
 
 def recovery_set_by_sums(spaces: Sequence[Subspace], m: int) -> bool:

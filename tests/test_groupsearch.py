@@ -26,7 +26,8 @@ from frcodes.groupsearch import (
     symmetry_search,
     transition_maps,
 )
-from frcodes.partition_code import _STABILIZER_CHAIN
+from frcodes.partition_code import (_STABILIZER_CHAIN, _is_clique, _plane_tables,
+                                    max_collection_size)
 from frcodes.storage import (
     CodeParams,
     RepairingCollection,
@@ -1142,12 +1143,15 @@ def test_search_of_the_written_gf3_family_seed_pins_its_smallest_code(tmp_path, 
     assert cli.main(["verify", str(found)]) == 0
 
 
-def test_symmetry_search_finds_the_partition_code_from_the_family_seed(partition_states):
+def test_symmetry_search_finds_the_partition_code_from_the_family_seed(partition_model,
+                                                                       partition_states):
     # from the (3, 1) family seed over GF(2), with each of its valid
     # newcomers, the search finds two codes, each a GL(5, 2) image of the
     # 56-state partition code: a map g carrying one partition collection
     # P onto one found collection, followed by some setwise stabilizer
-    # element s of P, carries every partition state into the found set
+    # element s of P, carries every partition state into the found set.
+    # The 8 spaces of each found code are a maximum family, as the paper
+    # claims: a family in the plane tables, as large as the maximum
     good = construct_good(3, 1, 2)
     params = good.params
     seed = good.to_repairing_collection()
@@ -1158,13 +1162,18 @@ def test_symmetry_search_finds_the_partition_code_from_the_family_seed(partition
     stab = stabilizer(first, zero_subspace(F2, 5))
     assert stab.order == 48
     spaces = {u.key: u for c in partition for u in c.spaces}
+    tables = _plane_tables(partition_model)
+    index = {p.key: x for x, p in enumerate(tables.planes)}
+    maximum = max_collection_size(partition_model)
     for newcomer in newcomers:
         outcome = symmetry_search(seed, newcomer, params, group_cap=5000, orbit_cap=500)
         assert len(outcome.results) == 2
         for res in outcome.results:
             found = res.states
             assert len(found) == 56 and res.group.order == 168
-            assert len({u.key for c in found for u in c.spaces}) == 8
+            family = sorted({index[u.key] for c in found for u in c.spaces})
+            assert len(family) == maximum == 8
+            assert _is_clique(tables, family)
             g = groupsearch._transporter(first, next(iter(found)), 10**5,
                                          groupsearch._traces(first.spaces))
             assert g is not None

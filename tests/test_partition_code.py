@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frcodes import partition_code
+from frcodes.fsc import emit_fsc, states_to_document
 from frcodes.gf import GF
 from frcodes.groupsearch import GROUP_CAP, GroupClosure, group_closure, orbit, orbit_code
 from frcodes.partition_code import (
@@ -20,13 +21,15 @@ from frcodes.partition_code import (
     _outside,
     _plane_permutations,
     _plane_tables,
+    _symmetry_generators,
     build_partition,
     canonical_seed_state,
+    code_states,
     max_collection_size,
     partition_params,
     repair_label,
 )
-from frcodes.storage import RepairingCollection
+from frcodes.storage import RepairingCollection, StateSet, _check_collection
 from frcodes.subspace import full_space, span, standard_basis_vector, subspaces
 from oracles import (
     basis_image_map,
@@ -165,6 +168,86 @@ def test_code_states(partition_model, partition_states):
         assert all(w.dim == 1 for w in witness.witness.repair_spaces)
 
 
+def test_code_states_matches_the_full_check_of_every_collection(partition_model,
+                                                                partition_states):
+    # the oracle: the full all-newcomers repair check of each of the 56
+    # collections, with no symmetry argument
+    model = partition_model
+    full = StateSet(partition_params(),
+                    [RepairingCollection([model.members[b], model.members[g],
+                                          model.members[d]])
+                     for b, g, d in itertools.combinations(range(8), 3)])
+    report = full.verify(all_newcomers=True)
+    states = partition_states
+    assert set(states.collections) == set(full.collections)
+    assert states.transitions == full.transitions
+    assert states.witnesses.keys() == full.witnesses.keys()
+    for key, state in full.witnesses.items():
+        assert states.witnesses[key].newcomer == state.newcomer
+        assert states.witnesses[key].witness == state.witness
+    assert states.report.render() == report.render()
+    assert emit_fsc(states_to_document(states)) == emit_fsc(states_to_document(full))
+
+
+def test_symmetry_generators_are_the_semilinear_maps(partition_model):
+    alpha = partition_model.field8.generator
+    assert _symmetry_generators(partition_model) == [
+        semilinear_map(alpha, 0, 0, partition_model),
+        semilinear_map(1, 1, 0, partition_model),
+        semilinear_map(1, 0, 1, partition_model)]
+
+
+# the cycle e0 -> e1 -> ... -> e4 -> e0 of GL(5, 2), which moves plane 0
+_CYCLE = _STABILIZER_CHAIN[0][0]
+
+
+def _odd_seed(model):
+    # two graph spaces and the field block: every generator fixes the
+    # block, so the orbit is that of the 28 pairs of graph spaces
+    return (RepairingCollection([model.members[0], model.members[1], model.field_block]),
+            model.members[6])
+
+
+def _no_valid_newcomer(states, collection, all_newcomers=False):
+    return _check_collection(states, collection, all_newcomers)._replace(valid_newcomers=())
+
+
+CODE_STATE_FAULTS = {
+    # the cycle sends the graph of 0, span(e3, e4), to span(e4, e0),
+    # which meets the field block
+    "generator off the family": (
+        "_symmetry_generators",
+        lambda model: _symmetry_generators(model) + [basis_image_map(_CYCLE)],
+        "permutes the graph spaces"),
+    # the shift alone generates the 8 translations x -> x + b, whose
+    # orbit through the seed has fewer than 56 states; the order check
+    # sees the group is too small before the orbit is walked
+    "shift only": ("_symmetry_generators",
+                   lambda model: _symmetry_generators(model)[1:2], "order 168"),
+    "seed of 28": ("canonical_seed_state", _odd_seed, "has 56 collections"),
+    "no seed newcomer": ("_check_collection", _no_valid_newcomer,
+                         "seed's only valid newcomer"),
+}
+
+
+@pytest.mark.parametrize("name,replacement,message", CODE_STATE_FAULTS.values(),
+                         ids=CODE_STATE_FAULTS.keys())
+def test_code_states_checks_the_orbit_argument(partition_model, monkeypatch,
+                                               name, replacement, message):
+    monkeypatch.setattr(partition_code, name, replacement)
+    with pytest.raises(RuntimeError, match=message):
+        code_states(partition_model)
+
+
+def test_code_states_checks_the_label_rule(partition_model):
+    # swapping two graph spaces keeps the group, the orbit and the seed,
+    # but the newcomers no longer carry the labels of the rule
+    members = list(partition_model.members)
+    members[3], members[5] = members[5], members[3]
+    with pytest.raises(RuntimeError, match="graph of its repair label"):
+        code_states(partition_model._replace(members=tuple(members)))
+
+
 def test_canonical_seed_state(partition_model):
     collection, newcomer = canonical_seed_state(partition_model)
     labels = sorted(label_of(partition_model, u) for u in collection.spaces)
@@ -242,9 +325,6 @@ def _with_level(level, generators):
     chain[level] = generators
     return tuple(chain)
 
-
-# the cycle e0 -> e1 -> ... -> e4 -> e0 of GL(5, 2), which moves plane 0
-_CYCLE = _STABILIZER_CHAIN[0][0]
 
 CHAIN_FAULTS = {
     # the cycle alone moves plane 0 through at most five planes, so the
