@@ -14,20 +14,21 @@ explicit errors, not asserts, so they hold under python -O as well.
 The linear algebra of an event depends only on the node spaces, so it
 is done once per distinct configuration, keyed by canonical subspace
 keys: the valid newcomers and a repair plan (the witness with each
-helper's combination rows, and the newcomer's rebuild rows) per sorted
-key tuple of the survivors and newcomer key, a decoder (recovery and
-check rows from one reduction) per sorted key tuple of a node subset,
-and the leave-one-out admission with the spanning k-subsets per sorted
-key tuple of all n nodes.  Membership depends on the key alone, so a
-warm event builds no collection and tests no membership: it looks up
-its memos and does its dot products.  A new plan takes the witness the
+helper's combination rows, the newcomer's rebuild rows and log label)
+per sorted key tuple of the survivors and newcomer key, a decoder
+(recovery and check rows from one reduction) per sorted key tuple of a
+node subset, and, per sorted key tuple of all n nodes, the leave-one-out
+admission and a recovery table of the spanning k-subsets, as positions
+in the sorted nodes, with their decoders.  A warm event reads its
+tables and does its dot products.  A new plan takes the witness the
 code holds (StateSet._witness), else runs find_repair_witness, and
-checks it.  No memo holds stored data: every download, rebuilt symbol
-and recovery is computed from the stored symbols on every event, as dot
-products on held rows, and, in strict mode, checked against the
-message.  A helper's combination rows are the repair rows read at the
-helper's pivots, where its canonical basis is the identity; only the
-rebuild rows are found by express.
+checks it.  Each node also holds its stored symbols as a held row,
+packed and checked on every assignment.  No memo holds stored data:
+every download, rebuilt symbol and recovery is computed from the held
+rows on every event and, in strict mode, checked against the message.
+A helper's combination rows are the repair rows read at the helper's
+pivots, where its canonical basis is the identity; only the rebuild
+rows are found by express.
 """
 
 from __future__ import annotations
@@ -79,15 +80,24 @@ class RecoveryError(RuntimeError):
 
 
 class Node:
-    """One storage node: a subspace and the symbols stored for its basis rows."""
+    """One storage node: a subspace, the symbols stored for its basis rows, and their held row."""
 
-    __slots__ = ("id", "space", "stored", "alive")
+    __slots__ = ("id", "space", "_stored", "held", "alive")
 
     def __init__(self, id: int, space: Subspace, stored: tuple[int, ...]):
         self.id = id
         self.space = space
         self.stored = stored
         self.alive = True
+
+    @property
+    def stored(self) -> tuple[int, ...]:
+        return self._stored
+
+    @stored.setter
+    def stored(self, symbols: Sequence[int]) -> None:
+        symbols = tuple(symbols)
+        self.held, self._stored = self.space._k.pack(symbols, self.space.dim), symbols
 
 
 class HelperShare(NamedTuple):
@@ -135,11 +145,11 @@ class DssState:
     newcomer key; decoders maps the sorted key tuple of a node subset
     to its recovery and check rows, or None when it does not span;
     configurations maps the sorted key tuple of all n nodes, once every
-    leave-one-out collection is found in the code, to the k-subsets of
-    its positions that span, in combinations order, or to None until
-    run_random first recovers from it.  held_message is the message
-    packed once, as a held row; _configured, the last repair's sorted
-    nodes and key tuple.
+    leave-one-out collection is found in the code, to its spanning
+    k-subsets of sorted positions, in combinations order, each with its
+    decoder, or to None until run_random first recovers from it.
+    held_message is the message packed once, as a held row; _configured,
+    the last repair's sorted nodes and key tuple.
     """
 
     __slots__ = ("params", "code", "nodes", "message", "seed", "strict", "rng", "log",
@@ -237,11 +247,13 @@ class _RepairPlan(NamedTuple):
     in the collection, its repair space and the combination rows (the
     repair basis read at the helper's pivots), as tuples and as held
     rows; rebuild holds the held rows, found by express, that write each
-    newcomer basis row over the concatenated repair rows.
+    newcomer basis row over the concatenated repair rows; label is the
+    newcomer's short hash for the log line.
     """
 
     helpers: tuple[tuple[int, Subspace, tuple[Vector, ...], tuple], ...]
     rebuild: tuple
+    label: str
 
 
 def _repair_plan(code: StateSet, collection: RepairingCollection,
@@ -267,7 +279,7 @@ def _repair_plan(code: StateSet, collection: RepairingCollection,
         coeffs = express(field, basis_row, flat_rows)
         _require(coeffs is not None, "the newcomer lies in the span of the downloads")
         rebuild.append(k.pack(coeffs, len(coeffs)))
-    return _RepairPlan(tuple(helpers), tuple(rebuild))
+    return _RepairPlan(tuple(helpers), tuple(rebuild), _short_hash(newcomer.key))
 
 
 def repair(state: DssState, randomize: bool = False) -> RepairTranscript:
@@ -302,8 +314,7 @@ def repair(state: DssState, randomize: bool = False) -> RepairTranscript:
     flat_downloads: list[int] = []
     for position, repair_space, combination, held in plan.helpers:
         helper = ordered[position]
-        stored = k.pack(helper.stored, helper.space.dim)
-        downloads = tuple([k.dot(coeffs, stored) for coeffs in held])
+        downloads = tuple([k.dot(coeffs, helper.held) for coeffs in held])
         if state.strict and any(symbol != k.dot(state.held_message, w_row)
                                 for w_row, symbol in zip(repair_space._basis, downloads)):
             raise CorruptStateError(
@@ -330,7 +341,7 @@ def repair(state: DssState, randomize: bool = False) -> RepairTranscript:
     state.log.append(
         f"repair: node {failed.id} <- helpers "
         f"{','.join(str(i) for i in transcript.helper_ids)}, "
-        f"newcomer {_short_hash(newcomer.key)}, downloaded {transcript.total_download}")
+        f"newcomer {plan.label}, downloaded {transcript.total_download}")
     return transcript
 
 
@@ -383,10 +394,17 @@ def collect(state: DssState, node_ids: Sequence[int]) -> tuple[int, ...]:
         raise RecoveryError(
             f"nodes {list(node_ids)} span only {rank} of {params.m} dimensions; "
             "insufficient to recover")
+    return _recover(state, nodes, decoder, node_ids)
+
+
+def _recover(state: DssState, nodes: Sequence[Node], decoder: tuple,
+             node_ids: Sequence[int]) -> tuple[int, ...]:
+    # the message from the held rows of nodes sorted as their decoder's rows
     recover, checks = decoder
     k = _kernels(state.field)
-    rhs = k.pack([symbol for node in nodes for symbol in node.stored],
-                 len(recover) + len(checks))
+    rhs, width = nodes[0].held, nodes[0].space.dim
+    for node in nodes[1:]:
+        rhs, width = k.join(rhs, node.held, width), width + node.space.dim
     if any(k.dot(check, rhs) for check in checks):
         raise CorruptStateError(
             f"nodes {list(node_ids)} span the space but their stored symbols "
@@ -450,22 +468,22 @@ def run_random(state: DssState, steps: int) -> RunReport:
         visited.add(transcript.collection_key)
         downloads += transcript.total_download
         ordered, key = state._configured
-        positions = state.configurations[key]
-        if positions is None:
+        table = state.configurations[key]
+        if table is None:
             combos = itertools.combinations(range(len(ordered)), state.params.k)
-            positions = state.configurations[key] = tuple([
-                subset for subset in combos
-                if _node_decoder(state, [ordered[p] for p in subset]) is not None])
-        # the spanning node-id combos, in the order of combinations(range(n), k)
-        spanning = sorted([tuple(sorted([ordered[p].id for p in subset])) for subset in positions])
+            table = state.configurations[key] = tuple([
+                (subset, decoder) for subset in combos
+                if (decoder := _node_decoder(state, [ordered[p] for p in subset])) is not None])
+        # the spanning subsets by node ids, in the order of combinations(range(n), k)
+        spanning = sorted([(tuple(sorted([ordered[p].id for p in subset])), subset, decoder)
+                           for subset, decoder in table])
         _require(bool(spanning), "some k nodes span after a verified repair")
-        checks = spanning if state.strict else [state.rng.choice(spanning)]
-        for combo in checks:
+        for ids, subset, decoder in spanning if state.strict else [state.rng.choice(spanning)]:
             try:
-                recovered = collect(state, combo)
+                recovered = _recover(state, [ordered[p] for p in subset], decoder, ids)
             except CorruptStateError as err:
                 return failed(f"corrupt state: {err}")
             if recovered != state.message:
-                return failed(f"integrity failure at nodes {combo}")
+                return failed(f"integrity failure at nodes {ids}")
     return RunReport(steps, state.seed, len(visited), downloads, "ok",
                      tuple(state.log), tuple(transcripts))

@@ -546,8 +546,8 @@ class TestWorkCounts:
         # the code56 benchmark input, verified as frcodes simulate does: a
         # second run on the same state meets only the 56 configurations of
         # the first, so it builds and looks up no collection and finds no
-        # newcomer, witness or decoder.  Every recovery goes through the
-        # public collect, which looks up its subset's decoder
+        # newcomer, witness or decoder.  A recovery reads its subset's
+        # decoder from the configuration's table, not through collect
         from frcodes import simulator, storage
 
         state = dss_init(code56(), (0, 1, 0, 1, 0), seed=1351038068)
@@ -559,14 +559,15 @@ class TestWorkCounts:
         assert run_random(state, 500).verdict == "ok"
         # a collection per newcomer search replacement, per new survivor
         # key and per leave-one-out admission; k-subset decoders are looked
-        # up once per configuration, and once per recovery.  Each plan
-        # takes the witness verify() recorded, so no witness is searched
+        # up once per (configuration, k-subset), when its table is built.
+        # Each plan takes the witness verify() recorded, so no witness is
+        # searched
         assert calls == {"__init__": 1232, "__contains__": 1232, "valid_newcomers": 56,
-                         "collect": 2000, "_node_decoder": 224 + 2000, "_decoder": 56}
+                         "_node_decoder": 224, "_decoder": 56}
         assert calls["find_repair_witness"] == 0
         calls.clear()
         assert run_random(state, 500).verdict == "ok"
-        assert calls == {"collect": 2000, "_node_decoder": 2000}
+        assert calls == {}
 
     def test_soak_family_counts(self, monkeypatch):
         from frcodes.family import family_state_space
@@ -627,6 +628,46 @@ def test_run_random_matches_the_loop_by_collect(loop_codes, name, strict):
         report = run_random(states[0], 100)
         assert report == run_random_by_collect(states[1], 100)
         assert report.verdict == ("FAILED" if phase == "flipped" else "ok")
+
+
+class TestWarmTables:
+    """Warm configuration tables and held rows follow every node change."""
+
+    @pytest.mark.parametrize("strict", [True, False])
+    def test_space_swapped_after_warm_run_is_caught(self, loop_codes, strict):
+        # after a run that met every configuration, a node the next event
+        # does not fail gets a space outside the code: the next repair
+        # must find its survivors outside the code, not a table entry
+        state = dss_init(loop_codes["code56"], (0, 1, 0, 1, 0), seed=1351038068,
+                         strict=strict)
+        assert run_random(state, 500).verdict == "ok"
+        upcoming = random.Random()
+        upcoming.setstate(state.rng.getstate())
+        node = state.nodes[(upcoming.randrange(len(state.nodes)) + 1) % len(state.nodes)]
+        foreign = span(GF(2), 5, [(1, 0, 0, 0, 0), (0, 1, 0, 0, 0)])
+        assert not any(foreign.key in key for key in state.configurations)
+        node.space = foreign
+        report = run_random(state, 1)
+        assert report.verdict == "FAILED"
+        assert report.log[-1].startswith("corrupt state: repair event 500 of node ")
+        assert report.log[-1].endswith("the survivors form no admissible collection")
+
+    @pytest.mark.parametrize("name, outside", [("code56", 2), ("family213", 3)])
+    def test_bad_stored_symbols_raise_at_assignment(self, loop_codes, name, outside):
+        # GF(2) bit rows and GF(3) tuple rows: the held row is packed when
+        # stored is assigned, so a symbol outside the field or a row of
+        # the wrong length raises there and leaves the node as it was
+        code = loop_codes[name]
+        q = code.params.q
+        x = tuple((3 * i + 1) % q for i in range(code.params.m))
+        state = dss_init(code, x, seed=3)
+        node = state.nodes[0]
+        kept, held = node.stored, node.held
+        for symbols in [(outside,) + kept[1:], kept[:-1] + (-1,), kept + (0,), kept[1:]]:
+            with pytest.raises(ValueError):
+                node.stored = symbols
+            assert (node.stored, node.held) == (kept, held)
+        assert run_random(state, 20).verdict == "ok"
 
 
 class TestMemos:
