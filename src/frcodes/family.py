@@ -19,7 +19,8 @@ w_i are independent and C is an [r, s+1, r-s] MDS code.  The avoidance
 hypothesis is essential: without it there are choices whose code is MDS
 while a replacement still fails (the newcomer can meet an unreplaced
 member in a vector the w_i never see).  `family_step` uses the forward
-direction to produce newcomers that provably preserve goodness, and
+direction, with its own choice of the w_i and of the MDS code, to
+produce newcomers that provably preserve goodness, and
 `construct_good` bootstraps a good collection recursively from
 coordinate axes.  The tests check both sides of the equivalence against
 each other.
@@ -249,21 +250,6 @@ def forbidden_traces(collection: GoodCollection) -> tuple[Subspace, ...]:
     return _traces(collection.spaces)
 
 
-def _repair_vectors(collection: GoodCollection,
-                    w: Sequence[Sequence[int]]) -> tuple[Vector, ...]:
-    """The repair vectors as tuples, each checked to lie in its member
-    and off that member's forbidden trace."""
-    w = tuple(tuple(v) for v in w)
-    if len(w) != collection.r:
-        raise ValueError(f"expected {collection.r} repair vectors, got {len(w)}")
-    for i, (v, trace) in enumerate(zip(w, forbidden_traces(collection))):
-        if v not in collection.spaces[i]:
-            raise ValueError(f"repair vector {i} is not in its member space")
-        if v in trace:
-            raise ValueError(f"repair vector {i} lies in the span of the other members")
-    return w
-
-
 def construct_good(r: int, s: int, q: int) -> GoodCollection:
     """Build an (r, s) good collection deterministically.
 
@@ -340,28 +326,23 @@ def choose_repair_vectors(collection: GoodCollection,
 
 
 def family_step(collection: GoodCollection,
-                w: Optional[Sequence[Sequence[int]]] = None,
-                generator: Optional[Sequence[Sequence[int]]] = None,
                 rng: Optional[random.Random] = None) -> StepResult:
     """Produce a newcomer preserving goodness, with all r replacements.
 
-    The newcomer is the image of the MDS coefficient code under
-    c -> sum_j c_j w_j; the replaced collections are validated on
-    construction.  The witness records the one-dimensional repair space
-    spanned by w_i inside member i.
+    The hypotheses of the forward direction hold by construction:
+    mds_generator gives a checked [r, s+1, r-s] MDS generator (or raises
+    when the field has none), and choose_repair_vectors independent
+    repair vectors w off the forbidden traces.  The newcomer is the
+    image of the MDS coefficient code under c -> sum_j c_j w_j; the
+    replaced collections are validated on construction.  The witness
+    records the one-dimensional repair space spanned by w_i inside
+    member i.
     """
     r, s = collection.r, collection.s
     field = collection.field
     m = collection.m
-    w = _repair_vectors(collection, w if w is not None
-                        else choose_repair_vectors(collection, rng))
-    if rank_of(field, m, w) != r:
-        raise ValueError("repair vectors are not independent")
-    if generator is None:
-        generator = mds_generator(field, r, s + 1)
-    generator = tuple(tuple(row) for row in generator)
-    if not mds_check(field, generator, r, s + 1):
-        raise ValueError(f"generator does not span an [{r},{s + 1},{r - s}] MDS code")
+    generator = mds_generator(field, r, s + 1)
+    w = choose_repair_vectors(collection, rng)
     newcomer = span(field, m, matmul(field, generator, w))
     _require(newcomer.dim == s + 1, "the newcomer has dimension s + 1")
     replacements = []

@@ -711,7 +711,7 @@ def orbit_code(group: GroupClosure, walk: dict, params: CodeParams) -> StateSet:
     if not seed_check.ok:
         raise OrbitVerificationError(
             "orbit fails the repair property; the seed state does not meet "
-            "the hypotheses:\n" + RepairReport(params, [seed_check], False).render()
+            "the hypotheses:\n" + RepairReport(params, [seed_check]).render()
             + f"\nthe group carries the failure to all {len(states)} collections "
             "of the orbit")
     images: dict = {}
@@ -726,7 +726,7 @@ def orbit_code(group: GroupClosure, walk: dict, params: CodeParams) -> StateSet:
                 member, _image(images, g, state.newcomer),
                 _moved_witness(images, g, origins, state.witness))
     checks = [CollectionCheck(moved[key].collection, True, moved[key]) for key in sorted(moved)]
-    states._record(RepairReport(params, checks, False))
+    states._record(RepairReport(params, checks))
     return states
 
 

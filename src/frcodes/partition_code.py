@@ -15,10 +15,10 @@ the largest any such family of planes in F_2^5 can be.
 This module keeps the model, the code with its canonical seed state,
 the three semilinear maps that generate the symmetry group, and the
 maximality proof.  The code is built as the orbit of the seed state
-under that group, with one full repair check at the seed.  All 168 maps,
-the full repair check of each of the 56 states, and the exhaustive list
-of all maximum families are built and checked in the test suite
-(tests/oracles.py).
+under that group, with one repair check and one search of the valid
+newcomers at the seed.  All 168 maps, the valid newcomers of each of
+the 56 states, and the exhaustive list of all maximum families are
+built and checked in the test suite (tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -28,8 +28,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from .gf import GF, Field
 from .groupsearch import LinearMap, group_closure, orbit, orbit_code
-from .storage import (CodeParams, RepairingCollection, RepairReport, StateSet,
-                      _check_collection, _require)
+from .storage import CodeParams, RepairingCollection, StateSet, _require, valid_newcomers
 from .subspace import Subspace, full_space, span, standard_basis_vector, subspaces
 
 __all__ = [
@@ -157,14 +156,15 @@ def code_states(model: Optional[PartitionModel] = None) -> StateSet:
 
     The collections are the 3-subsets of the graph spaces, one orbit of
     the canonical seed state under the group of order 168 that scaling,
-    shift and Frobenius generate.  Only the seed gets the full repair
-    check, which must find exactly one valid newcomer.  A map of the
+    shift and Frobenius generate.  Only the seed is searched: its
+    repair check in groupsearch.orbit_code, and valid_newcomers, which
+    must list exactly one valid newcomer, the certificate.  A map of the
     group permutes the graph spaces, hence the state set, so it carries
     the valid newcomers of C one-to-one onto those of its image: each
     collection's only newcomer is the seed's, moved along the orbit by
-    groupsearch.orbit_code, and it must be the graph of the closed-form
-    label.  A failed check raises RuntimeError; the full check of all 56
-    collections is the oracle of the tests.
+    orbit_code, and it must be the graph of the closed-form label.  A
+    failed check raises RuntimeError; the valid newcomers of all 56
+    collections of a plain listed set are the oracle of the tests.
     """
     if model is None:
         model = build_partition()
@@ -177,10 +177,8 @@ def code_states(model: Optional[PartitionModel] = None) -> StateSet:
     seed, _ = canonical_seed_state(model)
     walk = orbit(group, seed)
     _require(len(walk) == 56, "the orbit of the seed state has 56 collections")
-    params = partition_params()
-    states = orbit_code(group, walk, params)
-    seed_check = _check_collection(states, seed, all_newcomers=True)
-    _require(seed_check.valid_newcomers == (states.witnesses[seed.key].newcomer,),
+    states = orbit_code(group, walk, partition_params())
+    _require(valid_newcomers(states, seed) == (states.witnesses[seed.key].newcomer,),
              "the seed's only valid newcomer is the one the orbit moves")
     for b, g, d in itertools.combinations(range(8), 3):
         key = RepairingCollection([model.members[b], model.members[g],
@@ -189,9 +187,6 @@ def code_states(model: Optional[PartitionModel] = None) -> StateSet:
         _require(state is not None
                  and state.newcomer == model.members[repair_label(b, g, d)],
                  "each collection's only newcomer is the graph of its repair label")
-    checks = [check._replace(valid_newcomers=(check.state.newcomer,))
-              for check in states.report.checks]
-    states._record(RepairReport(params, checks, True))
     return states
 
 

@@ -322,7 +322,8 @@ def repair(state: DssState, randomize: bool = False) -> RepairTranscript:
                 "a symbol that disagrees with the message")
         shares.append(HelperShare(helper.id, repair_space, combination, downloads))
         flat_downloads.extend(downloads)
-    received = k.pack(flat_downloads, len(flat_downloads))
+    downloaded = len(flat_downloads)
+    received = k.pack(flat_downloads, downloaded)
     new_stored = tuple([k.dot(coeffs, received) for coeffs in plan.rebuild])
     if state.strict and any(symbol != k.dot(state.held_message, basis_row)
                             for basis_row, symbol in zip(newcomer._basis, new_stored)):
@@ -334,14 +335,14 @@ def repair(state: DssState, randomize: bool = False) -> RepairTranscript:
     transcript = RepairTranscript(
         failed.id, tuple(share.helper_id for share in shares), tuple(shares),
         key, newcomer, newcomer.rows, new_stored)
-    _require(transcript.total_download == state.params.r * state.params.beta,
+    _require(downloaded == state.params.r * state.params.beta,
              "a repair downloads r * beta symbols")
     # the node set left must be in the code, checked once per configuration
     state._configured = _configuration(state, failed.id)
     state.log.append(
         f"repair: node {failed.id} <- helpers "
         f"{','.join(str(i) for i in transcript.helper_ids)}, "
-        f"newcomer {plan.label}, downloaded {transcript.total_download}")
+        f"newcomer {plan.label}, downloaded {downloaded}")
     return transcript
 
 

@@ -14,11 +14,11 @@ space collections (multisets): A satisfies the repair property when for
 every collection in A there is at least one obtainable newcomer space U
 such that replacing any single member by U lands inside A again, and
 every collection contains a spanning k-subset.  `check_repair_property`
-verifies exactly that, recording one witness per collection (or, on
-request, every valid newcomer); `frcodes verify` runs it on every
-collection.  An orbit of a symmetry group (`groupsearch.orbit_code`) is
-checked at its seed alone, and its other members take the seed's
-verdict.
+verifies exactly that, recording one witness per collection; `frcodes
+verify` runs it on every collection.  `valid_newcomers` lists every
+valid newcomer of one collection.  An orbit of a symmetry group
+(`groupsearch.orbit_code`) is checked at its seed alone, and its other
+members take the seed's verdict.
 
 One engine, `_newcomer_search`, decides which newcomers of a collection
 are valid, given the membership test and the candidates to try:
@@ -301,7 +301,6 @@ class CollectionCheck(NamedTuple):
     collection: RepairingCollection
     spanning_ok: bool
     state: Optional[AdmissibleState]
-    valid_newcomers: Optional[tuple[Subspace, ...]] = None
     declared: Optional[Subspace] = None
 
     @property
@@ -324,7 +323,6 @@ class RepairReport(NamedTuple):
 
     params: CodeParams
     checks: list[CollectionCheck]
-    full: bool
 
     @property
     def ok(self) -> bool:
@@ -343,10 +341,6 @@ class RepairReport(NamedTuple):
                 lines.append(f"  FAIL {c.reason}: {_short_hash(b''.join(c.collection.key))}")
         else:
             lines.append("verdict: repair property holds")
-            if self.full:
-                counts = sorted(len(c.valid_newcomers) for c in self.checks)
-                if counts:
-                    lines.append(f"valid newcomers per collection: min {counts[0]}, max {counts[-1]}")
         return "\n".join(lines)
 
 
@@ -374,7 +368,9 @@ class StateSet:
     groupsearch.orbit_code records an orbit's report from its seed's
     verdict instead, and the full check stays the oracle of its tests.
     _completions gives the newcomer engine its candidates, _newcomers
-    answers valid_newcomers and _witness the simulator's repair plans.
+    answers valid_newcomers, ignoring certificates and caching nothing
+    (the simulator keeps its own answers), and _witness the simulator's
+    repair plans.
     """
 
     def __init__(self, params: CodeParams, collections: Iterable[RepairingCollection],
@@ -393,7 +389,6 @@ class StateSet:
             for i, u in enumerate(c.spaces):
                 self._completion_index.setdefault(c.key[:i] + c.key[i + 1:], {})[u.key] = u
         self.report: Optional[RepairReport] = None
-        self.transitions: Optional[dict[tuple[bytes, ...], tuple[Subspace, ...]]] = None
         self.witnesses: dict[tuple[bytes, ...], AdmissibleState] = {}
         self.certificates = dict(certificates or {})
 
@@ -412,18 +407,15 @@ class StateSet:
     def verified(self) -> bool:
         return self.report is not None and self.report.ok
 
-    def verify(self, all_newcomers: bool = False) -> RepairReport:
+    def verify(self) -> RepairReport:
         """Run (and cache) the repair-property check over this set."""
-        if self.report is None or (all_newcomers and not self.report.full):
-            self._record(check_repair_property(self, all_newcomers=all_newcomers))
+        if self.report is None:
+            self._record(check_repair_property(self))
         return self.report
 
     def _record(self, report: RepairReport) -> None:
-        """Cache a report of this set: its witnesses, and with a full
-        report every collection's valid newcomers."""
+        """Cache a report of this set and its witnesses."""
         self.report = report
-        if report.full:
-            self.transitions = {c.collection.key: c.valid_newcomers for c in report.checks}
         for c in report.checks:
             if c.state is not None:
                 self.witnesses[c.collection.key] = c.state
@@ -435,10 +427,7 @@ class StateSet:
         return self._completion_index.get(collection.key[1:], {}).values()
 
     def _newcomers(self, collection: RepairingCollection) -> tuple[Subspace, ...]:
-        """The valid newcomers of a collection, from the cache of a full
-        report or else from the newcomer engine."""
-        if self.transitions is not None and collection.key in self.transitions:
-            return self.transitions[collection.key]
+        """The valid newcomers of a collection, from the newcomer engine."""
         return _newcomer_search(self.params, self.__contains__, collection,
                                 self._completions(collection), True)[1]
 
@@ -513,43 +502,39 @@ def _newcomer_search(params: CodeParams, inside: Callable[[RepairingCollection],
     return state, tuple(sorted(valid, key=lambda u: u.key))
 
 
-def _check_collection(states: StateSet, collection: RepairingCollection,
-                      all_newcomers: bool = False) -> CollectionCheck:
+def _check_collection(states: StateSet, collection: RepairingCollection) -> CollectionCheck:
     """The repair-property record of one collection of the state set.
 
     A newcomer declared in states.certificates is the engine's only
     candidate, so it is the certificate or the collection fails, naming
-    it.  Otherwise, and whenever every valid newcomer is wanted, the
-    candidates are the set's completions.  check_repair_property calls
-    it on every collection; groupsearch.orbit_code on an orbit's seed
-    alone, whose verdict the other members take.
+    it.  Otherwise the candidates are the set's completions.
+    check_repair_property calls it on every collection;
+    groupsearch.orbit_code on an orbit's seed alone, whose verdict the
+    other members take.
     """
     params = states.params
     spanning = _has_spanning_subset(collection, params)
-    declared = None if all_newcomers else states.certificates.get(collection.key)
+    declared = states.certificates.get(collection.key)
     candidates = states._completions(collection) if declared is None else (declared,)
-    state, valid = _newcomer_search(params, states.__contains__, collection, candidates,
-                                    all_newcomers)
+    state, _ = _newcomer_search(params, states.__contains__, collection, candidates, False)
     if state is not None:
         state.verify(params)
-    return CollectionCheck(collection, spanning, state, valid if all_newcomers else None,
-                           declared)
+    return CollectionCheck(collection, spanning, state, declared)
 
 
-def check_repair_property(states: StateSet, all_newcomers: bool = False) -> RepairReport:
+def check_repair_property(states: StateSet) -> RepairReport:
     """Verify the repair property of a state set.
 
-    For every collection, finds a newcomer whose every single-member
-    replacement stays inside the set, and checks that some k members
-    span.  With all_newcomers=True the full set of valid newcomers is
-    recorded instead of stopping at the first witness.  A collection
+    For every collection, finds the first newcomer whose every
+    single-member replacement stays inside the set, and checks that
+    some k members span; valid_newcomers lists them all.  A collection
     with a declared newcomer (StateSet.certificates) is decided by that
     newcomer alone.  A predicate set enumerates through iter_obtainable,
     whose cap raises CapExceeded.
     """
-    checks = [_check_collection(states, states.collections[key], all_newcomers)
+    checks = [_check_collection(states, states.collections[key])
               for key in sorted(states.collections)]
-    return RepairReport(states.params, checks, all_newcomers)
+    return RepairReport(states.params, checks)
 
 
 def valid_newcomers(states: StateSet, collection: RepairingCollection) -> tuple[Subspace, ...]:

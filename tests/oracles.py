@@ -3,9 +3,10 @@ code, the exhaustive list of maximum families, the recovery dimension, the
 recovery test, repair-slice sums built as canonical subspaces, the
 simulator's event loop built from its public calls, the identity map, a
 map of F_2^5 from a table of basis images, the action of a map on
-vectors and collections, the state set of an exact-repair code, and both
-sides of the family's replacement equivalence with the coefficient code
-found by brute force.
+vectors and collections, the state set of an exact-repair code, every
+valid newcomer of every collection of a plain listed state set, and
+both sides of the family's replacement equivalence with the checked
+repair vectors and the coefficient code found by brute force.
 
 The program never runs these; tests use them as independent oracles.
 """
@@ -15,13 +16,13 @@ from __future__ import annotations
 import itertools
 from typing import Iterator, NamedTuple, Optional, Sequence
 
-from frcodes.family import GoodCollection, _repair_vectors, is_good
+from frcodes.family import GoodCollection, forbidden_traces, is_good
 from frcodes.gf import GF, Field
 from frcodes.groupsearch import GroupClosure, LinearMap, group_closure
 from frcodes.partition_code import PartitionModel, _outside, _plane_tables
 from frcodes.simulator import CorruptStateError, DssState, RunReport, collect, fail, repair
 from frcodes.storage import (CodeParams, RepairingCollection, StateSet, find_repair_witness,
-                             is_recovery_set)
+                             is_recovery_set, valid_newcomers)
 from frcodes.subspace import (Subspace, Vector, matmul, rank_of, span, standard_basis_vector,
                               zero_subspace)
 
@@ -72,6 +73,16 @@ def exact_to_states(node_spaces: Sequence[Subspace], params: CodeParams) -> Stat
     return StateSet(params, collections)
 
 
+def all_valid_newcomers(states: StateSet) -> dict[tuple[bytes, ...], tuple[Subspace, ...]]:
+    """Each collection key of the set -> its valid newcomers, sorted by
+    key, asked of a plain StateSet of the same listing: no orbit, no
+    certificates and no representatives, so every answer is the
+    engine's own search over that collection's listed completions."""
+    plain = StateSet(states.params, states.collections.values())
+    return {key: valid_newcomers(plain, plain.collections[key])
+            for key in sorted(plain.collections)}
+
+
 class RepairCode(NamedTuple):
     """The coefficient code C = {c : sum_j c_j w_j lands in the newcomer}."""
 
@@ -106,6 +117,21 @@ def repair_code(collection: GoodCollection, w: Sequence[Sequence[int]],
     return RepairCode(field, r, words, code.rows, code.dim, min(weights, default=0))
 
 
+def repair_vectors(collection: GoodCollection,
+                   w: Sequence[Sequence[int]]) -> tuple[Vector, ...]:
+    """The repair vectors as tuples, each checked to lie in its member
+    and off that member's forbidden trace."""
+    w = tuple(tuple(v) for v in w)
+    if len(w) != collection.r:
+        raise ValueError(f"expected {collection.r} repair vectors, got {len(w)}")
+    for i, (v, trace) in enumerate(zip(w, forbidden_traces(collection))):
+        if v not in collection.spaces[i]:
+            raise ValueError(f"repair vector {i} is not in its member space")
+        if v in trace:
+            raise ValueError(f"repair vector {i} lies in the span of the other members")
+    return w
+
+
 def verify_replacement_equivalence(collection: GoodCollection,
                                    w: Sequence[Sequence[int]],
                                    target: Subspace) -> bool:
@@ -119,7 +145,7 @@ def verify_replacement_equivalence(collection: GoodCollection,
     """
     r, s = collection.r, collection.s
     field = collection.field
-    w = _repair_vectors(collection, w)
+    w = repair_vectors(collection, w)
     if target.dim != s + 1:
         raise ValueError(f"newcomer of dimension {target.dim}, expected {s + 1}")
     if not target <= span(field, collection.m, w):

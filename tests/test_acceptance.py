@@ -44,8 +44,9 @@ from frcodes.subspace import (
     vec_dot,
     zero_subspace,
 )
-from oracles import (compose_semilinear, enumerate_semilinear, label_action, label_of,
-                     recovery_dimension, verify_replacement_equivalence)
+from oracles import (all_valid_newcomers, compose_semilinear, enumerate_semilinear,
+                     label_action, label_of, recovery_dimension,
+                     verify_replacement_equivalence)
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -154,8 +155,10 @@ def test_criterion_4_partition_code():
         assert total.dim == 5
     states = code_states(model)
     assert len(states) == 56
+    # every valid newcomer of each state, searched on the plain listing
+    valid = all_valid_newcomers(states)
     for collection in states:
-        choices = states.transitions[collection.key]
+        choices = valid[collection.key]
         assert len(choices) == 1
         labels = [label_of(model, space) for space in collection.spaces]
         expected = repair_label(*labels)

@@ -46,8 +46,8 @@ from frcodes.subspace import (
     subspaces,
     zero_subspace,
 )
-from oracles import (apply_collection, apply_vector, basis_image_map, exact_to_states,
-                     identity_map)
+from oracles import (all_valid_newcomers, apply_collection, apply_vector, basis_image_map,
+                     exact_to_states, identity_map)
 
 F2 = GF(2)
 F3 = GF(3)
@@ -461,8 +461,7 @@ def test_orbit_code_records_moved_certificates(rotation_code, exact_search):
     digests = []
     for res in several:
         states = res.states
-        full = StateSet(params, states.collections.values()).verify(all_newcomers=True)
-        valid = {c.collection.key: c.valid_newcomers for c in full.checks}
+        valid = all_valid_newcomers(states)
         assert all(len(v) == 2 for v in valid.values())
         plain = StateSet(params, states.collections.values())
         plain.verify()
@@ -567,7 +566,7 @@ def test_orbit_code_matches_full_orbit_check(partition_search, list_group, monke
     for group in closures:
         orbit_states = StateSet(params, {apply_collection(g, seed)
                                          for g in list_group(group).values()})
-        oracle = check_repair_property(orbit_states, all_newcomers=True)
+        oracle = check_repair_property(orbit_states)
         walk = orbit(group, seed, cap=500)
         assert set(walk) == set(orbit_states.collections)
         try:
@@ -583,7 +582,7 @@ def test_orbit_code_matches_full_orbit_check(partition_search, list_group, monke
         assert [c.collection.key for c in checks] == [c.collection.key for c in oracle.checks]
         assert all(c.ok for c in checks)
         assert set(states.witnesses) == set(orbit_states.collections)
-        valid = {c.collection.key: c.valid_newcomers for c in oracle.checks}
+        valid = all_valid_newcomers(orbit_states)
         for check in checks:
             # the recorded witness is the moved one, checked on its own,
             # and the search, kept as the oracle, obtains the newcomer too
@@ -1081,6 +1080,7 @@ def test_orbit_code_matches_full_check_over_gf3():
     newcomer = valid_newcomers(family_state_space(2, 1, 3), seed)[0]
     outcome = symmetry_search(seed, newcomer, params, group_cap=5000, orbit_cap=500)
     oracles: dict = {}
+    valid: dict = {}
     verdicts = {}
     for group in _trial_groups(outcome, 5000):
         try:
@@ -1092,8 +1092,8 @@ def test_orbit_code_matches_full_check_over_gf3():
             continue
         if members not in oracles:
             plain = StateSet(params, (member for member, _ in walk.values()))
-            oracles[members] = check_repair_property(plain, all_newcomers=True)
-        full = oracles[members]
+            oracles[members] = check_repair_property(plain), plain
+        full, plain = oracles[members]
         try:
             states = orbit_code(group, walk, params)
         except OrbitVerificationError:
@@ -1102,9 +1102,10 @@ def test_orbit_code_matches_full_check_over_gf3():
             continue
         verdicts[group.order, members] = True
         assert full.ok and states.verified
-        valid = {c.collection.key: c.valid_newcomers for c in full.checks}
+        if members not in valid:
+            valid[members] = all_valid_newcomers(plain)
         for key, state in states.witnesses.items():
-            assert state.newcomer in valid[key]
+            assert state.newcomer in valid[members][key]
             state.verify(params)
     assert sum(verdicts.values()) == len(outcome.results) == 45
     assert not all(verdicts.values())

@@ -29,9 +29,10 @@ from frcodes.partition_code import (
     partition_params,
     repair_label,
 )
-from frcodes.storage import RepairingCollection, StateSet, _check_collection
+from frcodes.storage import RepairingCollection, StateSet
 from frcodes.subspace import full_space, span, standard_basis_vector, subspaces
 from oracles import (
+    all_valid_newcomers,
     basis_image_map,
     compose_semilinear,
     enumerate_semilinear,
@@ -154,15 +155,11 @@ def test_code_states(partition_model, partition_states):
     states = partition_states
     assert len(states) == 56
     assert states.verified
-    assert states.report.full
-    for check in states.report.checks:
-        assert check.spanning_ok
-        assert len(check.valid_newcomers) == 1
+    assert all(check.spanning_ok for check in states.report.checks)
     for b, g, d in itertools.combinations(range(8), 3):
         collection = RepairingCollection([member_of(model, b), member_of(model, g),
                                           member_of(model, d)])
         expected = member_of(model, repair_label(b, g, d))
-        assert states.transitions[collection.key] == (expected,)
         witness = states.witnesses[collection.key]
         assert witness.newcomer == expected
         assert all(w.dim == 1 for w in witness.witness.repair_spaces)
@@ -170,17 +167,22 @@ def test_code_states(partition_model, partition_states):
 
 def test_code_states_matches_the_full_check_of_every_collection(partition_model,
                                                                 partition_states):
-    # the oracle: the full all-newcomers repair check of each of the 56
-    # collections, with no symmetry argument
+    # the oracle: the full repair check of each of the 56 collections and
+    # every valid newcomer of each, with no symmetry argument; each has
+    # exactly one, the graph of its repair label
     model = partition_model
     full = StateSet(partition_params(),
                     [RepairingCollection([model.members[b], model.members[g],
                                           model.members[d]])
                      for b, g, d in itertools.combinations(range(8), 3)])
-    report = full.verify(all_newcomers=True)
+    report = full.verify()
+    valid = all_valid_newcomers(full)
+    assert len(valid) == 56
+    for key, newcomers in valid.items():
+        labels = [label_of(model, u) for u in full.collections[key].spaces]
+        assert newcomers == (model.members[repair_label(*labels)],)
     states = partition_states
     assert set(states.collections) == set(full.collections)
-    assert states.transitions == full.transitions
     assert states.witnesses.keys() == full.witnesses.keys()
     for key, state in full.witnesses.items():
         assert states.witnesses[key].newcomer == state.newcomer
@@ -208,8 +210,8 @@ def _odd_seed(model):
             model.members[6])
 
 
-def _no_valid_newcomer(states, collection, all_newcomers=False):
-    return _check_collection(states, collection, all_newcomers)._replace(valid_newcomers=())
+def _no_valid_newcomer(states, collection):
+    return ()
 
 
 CODE_STATE_FAULTS = {
@@ -225,7 +227,7 @@ CODE_STATE_FAULTS = {
     "shift only": ("_symmetry_generators",
                    lambda model: _symmetry_generators(model)[1:2], "order 168"),
     "seed of 28": ("canonical_seed_state", _odd_seed, "has 56 collections"),
-    "no seed newcomer": ("_check_collection", _no_valid_newcomer,
+    "no seed newcomer": ("valid_newcomers", _no_valid_newcomer,
                          "seed's only valid newcomer"),
 }
 

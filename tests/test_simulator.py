@@ -42,8 +42,7 @@ from oracles import exact_to_states, label_of, run_random_by_collect
 def exact_code(exact_code_spaces):
     params, spaces = exact_code_spaces
     code = exact_to_states(spaces, params)
-    report = code.verify(all_newcomers=True)
-    assert report.ok
+    assert code.verify().ok
     return params, spaces, code
 
 

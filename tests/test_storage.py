@@ -40,7 +40,8 @@ from frcodes.subspace import (
     subspaces,
     zero_subspace,
 )
-from oracles import exact_to_states, recovery_dimension, recovery_set_by_sums, slice_sums
+from oracles import (all_valid_newcomers, exact_to_states, recovery_dimension,
+                     recovery_set_by_sums, slice_sums)
 
 
 def test_params_validation():
@@ -262,14 +263,15 @@ def test_exact_code_verifies(exact_code_spaces):
     params, spaces = exact_code_spaces
     states = exact_to_states(spaces, params)
     assert len(states) == 4
-    report = states.verify(all_newcomers=True)
+    report = states.verify()
     assert report.ok
     assert states.verified
     # the only valid newcomer for each collection is the dropped space
+    valid = all_valid_newcomers(states)
     for i, s in enumerate(spaces):
         rest = RepairingCollection([t for j, t in enumerate(spaces) if j != i])
         check = next(c for c in report.checks if c.collection == rest)
-        assert check.valid_newcomers == (s,)
+        assert valid[rest.key] == (s,)
         check.state.verify(params)
         assert check.state.newcomer == s
 
@@ -322,10 +324,7 @@ def test_spanning_failure_reported():
 def test_report_render_success(exact_code_spaces):
     params, spaces = exact_code_spaces
     states = exact_to_states(spaces, params)
-    report = states.verify(all_newcomers=True)
-    text = report.render()
-    assert "repair property holds" in text
-    assert "min 1, max 1" in text
+    assert states.verify().render() == "collections checked: 4\nverdict: repair property holds"
 
 
 def test_collection_check_takes_a_hint(exact_code_spaces, monkeypatch):
@@ -359,20 +358,9 @@ def test_collection_check_takes_a_hint(exact_code_spaces, monkeypatch):
         assert check.spanning_ok and check.state is None and not check.ok
         assert check.declared == bad
         assert check.reason == f"declared newcomer {_short_hash(bad.key)} does not check"
-    # every valid newcomer is always searched for
+    # every valid newcomer is always searched for, declared or not
     with pytest.raises(AssertionError, match="searched"):
-        _check_collection(declared, rest, all_newcomers=True)
-
-
-def test_valid_newcomers_cached_and_direct(exact_code_spaces):
-    params, spaces = exact_code_spaces
-    rest = RepairingCollection(spaces[1:])
-    states = exact_to_states(spaces, params)
-    direct = valid_newcomers(states, rest)
-    assert direct == (spaces[0],)
-    states.verify(all_newcomers=True)
-    assert states.transitions is not None
-    assert valid_newcomers(states, rest) == direct
+        valid_newcomers(declared, rest)
 
 
 def test_stateset_membership(exact_code_spaces):
@@ -436,7 +424,7 @@ def _reference_obtainable(collection, params):
                 yield cand, witness
 
 
-def _assert_engine_matches_reference(states, collection, check):
+def _assert_engine_matches_reference(states, collection, newcomers):
     params = states.params
     firsts = {}
     for cand, witness in _reference_obtainable(collection, params):
@@ -448,15 +436,17 @@ def _assert_engine_matches_reference(states, collection, check):
         assert find_repair_witness(collection, cand, params) == witness
     valid = [cand for cand, _ in firsts.values()
              if storage._replacements_inside(states.__contains__, collection, cand)]
-    assert check.valid_newcomers == tuple(sorted(valid, key=lambda u: u.key))
-    assert check.ok == bool(valid)
+    assert newcomers == tuple(sorted(valid, key=lambda u: u.key))
 
 
 def test_engine_matches_reference_on_partition_code(partition_states):
-    report = check_repair_property(partition_states, all_newcomers=True)
-    assert len(report.checks) == 56
+    valid = all_valid_newcomers(partition_states)
+    report = check_repair_property(partition_states)
+    assert len(report.checks) == len(valid) == 56
     for check in report.checks:
-        _assert_engine_matches_reference(partition_states, check.collection, check)
+        newcomers = valid[check.collection.key]
+        assert check.ok == bool(newcomers)
+        _assert_engine_matches_reference(partition_states, check.collection, newcomers)
 
 
 @pytest.mark.parametrize("r, s, q, steps", [(3, 1, 2, 29), (2, 1, 3, 0)])
@@ -465,29 +455,21 @@ def test_engine_matches_reference_on_family_collections(r, s, q, steps):
     code = family_state_space(r, s, q)
     for good in random_walk(construct_good(r, s, q), steps, random.Random(7)):
         collection = good.to_repairing_collection()
-        check = _check_collection(code, collection, all_newcomers=True)
-        _assert_engine_matches_reference(code, collection, check)
-
-
-class _Enumerated(StateSet):
-    """The same listing with no completions, so its newcomers are found
-    by enumerating every obtainable space: the oracle of the completion
-    search of a listed set."""
-
-    def _completions(self, collection):
-        return None
+        state, newcomers = storage._newcomer_search(code.params, code.__contains__,
+                                                    collection, None, True)
+        assert (state is not None) == bool(newcomers)
+        _assert_engine_matches_reference(code, collection, newcomers)
 
 
 def _assert_completions_match_enumeration(states, collections):
-    enumerated = _Enumerated(states.params, states)
-    assert len(enumerated) == len(states)
+    # the oracle of the completion search of a listed set: the engine
+    # enumerating every obtainable space, with the same membership test
     for collection in collections:
-        want = _check_collection(enumerated, collection, all_newcomers=True)
-        first = _check_collection(states, collection)
-        every = _check_collection(states, collection, all_newcomers=True)
+        want, valid = storage._newcomer_search(states.params, states.__contains__,
+                                               collection, None, True)
         # the certificate newcomer and its first-appearance witness
-        assert first.state == every.state == want.state
-        assert every.valid_newcomers == want.valid_newcomers
+        assert _check_collection(states, collection).state == want
+        assert valid_newcomers(states, collection) == valid
 
 
 def test_completions_match_enumeration_on_partition_code(partition_states):
@@ -578,7 +560,8 @@ def test_listed_set_tests_only_completions(partition_states, monkeypatch):
         completions = list(plain._completions(collection))
         assert len(completions) == 6
         assert set(valid_newcomers(plain, collection)) <= set(completions)
-        assert valid_newcomers(plain, collection) == partition_states.transitions[collection.key]
+        assert valid_newcomers(plain, collection) == (
+            partition_states.witnesses[collection.key].newcomer,)
 
 
 @st.composite
