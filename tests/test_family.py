@@ -238,6 +238,27 @@ def test_family_step_deterministic(functional_triple):
     assert a.newcomer == b.newcomer
 
 
+def test_family_step_rejects_bad_choices(functional_triple):
+    # family_step makes its own choices; the choices it must avoid are
+    # still rejected by the checks they fail: a vector off its member, a
+    # vector inside the span of the other members, a non-MDS generator
+    _, spaces = functional_triple
+    good = GoodCollection(3, 1, tuple(spaces))
+    traces = forbidden_traces(good)
+    off_member = [(0, 0, 0, 1, 1), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0)]
+    assert off_member[0] not in good.spaces[0]
+    in_traces = [(0, 0, 0, 1, 0), (0, 0, 0, 0, 1), (0, 0, 0, 1, 1)]
+    assert all(v in trace for v, trace in zip(in_traces, traces))
+    for w in (off_member, in_traces):
+        with pytest.raises(ValueError):
+            verify_replacement_equivalence(good, w, span(F2, 5, w[:2]))
+    assert not mds_check(F2, [(1, 0, 0), (0, 1, 0)], 3, 2)
+    result = family_step(good, rng=random.Random(3))
+    assert all(v in space and v not in trace
+               for v, space, trace in zip(result.w, good.spaces, traces))
+    assert mds_check(F2, result.generator, 3, 2)
+
+
 def test_family_step_needs_existing_mds():
     # locality 4 at level 1 would need a [4,2,3] code over GF(2)
     good = construct_good(4, 1, 2)

@@ -363,6 +363,19 @@ def test_collection_check_takes_a_hint(exact_code_spaces, monkeypatch):
         valid_newcomers(declared, rest)
 
 
+def test_valid_newcomers_cached_and_direct(exact_code_spaces):
+    # the set keeps no cache of newcomers: the direct answer is the same
+    # before and after verify, and the same as a plain set's
+    params, spaces = exact_code_spaces
+    rest = RepairingCollection(spaces[1:])
+    states = exact_to_states(spaces, params)
+    direct = valid_newcomers(states, rest)
+    assert direct == (spaces[0],)
+    assert states.verify().ok
+    assert valid_newcomers(states, rest) == direct
+    assert all_valid_newcomers(states)[rest.key] == direct
+
+
 def test_stateset_membership(exact_code_spaces):
     params, spaces = exact_code_spaces
     states = exact_to_states(spaces, params)
