@@ -43,6 +43,7 @@ from .storage import (
     RepairingCollection,
     StateSet,
     _newcomer_search,
+    _replacements_inside,
     _require,
     find_repair_witness,
     reachable_closure,
@@ -410,8 +411,9 @@ class GoodCollectionSet(StateSet):
     The explicit collection dict only caches members seen so far (it
     always holds the canonical seed); membership tests cover the whole
     code.  verify() certifies the repair property for the cached
-    members, testing replacements against the full predicate and
-    enumerating newcomers (the listing has no StateSet._completions).
+    members, testing replacements against the full predicate (_stays
+    builds each replaced collection) and enumerating newcomers (the
+    listing has no StateSet._completions).
 
     Goodness is a set of rank conditions on sums of members, so every
     invertible map g carries the code onto itself, and the (r, beta)
@@ -457,6 +459,9 @@ class GoodCollectionSet(StateSet):
 
     def _completions(self, collection: RepairingCollection) -> None:
         return None
+
+    def _stays(self, collection: RepairingCollection, cand: Subspace) -> bool:
+        return _replacements_inside(self.__contains__, collection, cand)
 
     def _transport(self, collection: RepairingCollection) -> Optional[tuple[int, LinearMap]]:
         # the first representative some map carries onto the collection
@@ -513,7 +518,7 @@ class GoodCollectionSet(StateSet):
         newcomers = self._place_by_edge(collection)
         if newcomers is not None:
             return newcomers
-        _, newcomers = _newcomer_search(self.params, self.__contains__, collection, None, True)
+        _, newcomers = _newcomer_search(self.params, self._stays, collection, None, True)
         self._orbits.append((collection, newcomers, _traces(collection.spaces), {}))
         self._place(collection, len(self._orbits) - 1, None)
         return newcomers

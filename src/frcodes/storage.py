@@ -21,14 +21,17 @@ valid newcomer of one collection.  An orbit of a symmetry group
 members take the seed's verdict.
 
 One engine, `_newcomer_search`, decides which newcomers of a collection
-are valid, given the membership test and the candidates to try:
+are valid, given the replacement test and the candidates to try:
 - the completions of a listed A: replacing a member of C by a valid
   newcomer gives a member of A, so only those are tested for
-  obtainability;
+  obtainability.  The replacement test is a lookup in A's completion
+  index: U stays when it completes C less each member, and no replaced
+  collection is built;
 - a newcomer declared for the collection, a certificate that is checked
   alone and is the verdict;
 - for a set whose membership is a predicate, every space that
-  `iter_obtainable` enumerates.
+  `iter_obtainable` enumerates, each replaced collection built and
+  tested.
 The repair check, `valid_newcomers` and `reachable_closure` all ask it.
 Only the two enumerations have a cap: `iter_obtainable` stops at
 OBTAINABLE_CAP distinct candidates of one collection, `reachable_closure`
@@ -36,7 +39,12 @@ at CLOSURE_CAP collections.
 
 Each slice sum W_1 + ... + W_r is held as a subspace echelon, extended
 one slice at a time along the repairs, and a candidate lies in it when
-its basis reduces to zero against it.  A canonical Subspace of a sum is
+its basis reduces to zero against it.  A search for given candidates
+(`find_repair_witness` and the listed ones) walks the last helper U's
+slices under the sum P of the other r-1 only when some candidate u
+passes one rank test, u <= P + U and dim(u + P) <= dim P + beta, which
+holds exactly when some beta-slice w of U has u <= P + w;
+`iter_obtainable` walks every sum.  A canonical Subspace of a sum is
 built in two places only: in `iter_obtainable`, for a sum of dimension
 at least alpha whose subspaces it enumerates, and in `_newcomer_search`,
 to order several pending candidates that first land in the same sum.
@@ -223,16 +231,30 @@ def is_recovery_set(spaces: Sequence[Subspace], m: int) -> bool:
 # ----------------------------------------------------------------------
 # obtainable newcomer spaces
 
-def _slice_sums(collection: RepairingCollection, params: CodeParams
+def _slice_sums(collection: RepairingCollection, params: CodeParams,
+                targets: Optional[Iterable[Subspace]] = None
                 ) -> Iterator[tuple[tuple[int, ...], tuple[Subspace, ...], list]]:
     """(indices, beta-slices, a subspace echelon of their sum, whose length
     is its dimension) of each (r, beta) repair, in the order of
-    iter_obtainable; ValueError when there are fewer than r members."""
+    iter_obtainable; ValueError when there are fewer than r members.
+
+    With targets, read again under each prefix, only the sums that may
+    hold one of them come.  Let P be the sum of the first r-1 slices of
+    a helper set and U its last helper: some beta-slice w of U has
+    u <= P + w exactly when u <= P + U and dim(u + P) <= dim P + beta,
+    so U's slices are walked under P only when some target passes that
+    rank test.
+    """
     n1 = len(collection.spaces)
     if params.r > n1:
         raise ValueError(f"r={params.r} helpers but only {n1} members")
+    beta = params.beta
     for indices in itertools.combinations(range(n1), params.r):
-        slice_choices = [list(collection.spaces[i].subspaces(params.beta)) for i in indices]
+        *helpers, last = (collection.spaces[i] for i in indices)
+        slice_choices = [list(u.subspaces(beta)) for u in helpers]
+        last_slices = list(last.subspaces(beta))
+        if not last_slices:
+            continue
         # product advances the last slice fastest, so the echelons of the
         # slices before the first changed one carry over
         sums: list[list] = [[]]
@@ -245,7 +267,15 @@ def _slice_sums(collection: RepairingCollection, params: CodeParams
             for w in ws[kept:]:
                 sums.append(_echelon_extend(sums[-1], w))
             previous = ws
-            yield indices, ws, sums[-1]
+            prefix = sums[-1]
+            if targets is not None:
+                whole, room = _echelon_extend(prefix, last), len(prefix) + beta
+                if not any(_echelon_holds(whole, u) and (
+                        len(whole) <= room or len(_echelon_extend(prefix, u)) <= room)
+                        for u in targets):
+                    continue
+            for w in last_slices:
+                yield indices, ws + (w,), _echelon_extend(prefix, w)
 
 
 def iter_obtainable(collection: RepairingCollection,
@@ -282,13 +312,14 @@ def find_repair_witness(collection: RepairingCollection, target: Subspace,
     """First witness showing the target is obtainable, or None.
 
     The first repair in the order of iter_obtainable whose slice sum
-    contains the target; candidate spaces are never generated.  Raises
-    ValueError when the collection has fewer than r members or the
-    target lives in another space.
+    contains the target; candidate spaces are never generated, and the
+    last helper's slices are walked only under a prefix that passes the
+    rank test of _slice_sums.  Raises ValueError when the collection has
+    fewer than r members or the target lives in another space.
     """
     _require_same_space(target, collection.spaces[0])
     return next((RepairWitness(indices, ws)
-                 for indices, ws, total in _slice_sums(collection, params)
+                 for indices, ws, total in _slice_sums(collection, params, (target,))
                  if _echelon_holds(total, target)), None)
 
 
@@ -367,10 +398,10 @@ class StateSet:
     and takes the result as the verdict.  verify() runs the full check;
     groupsearch.orbit_code records an orbit's report from its seed's
     verdict instead, and the full check stays the oracle of its tests.
-    _completions gives the newcomer engine its candidates, _newcomers
-    answers valid_newcomers, ignoring certificates and caching nothing
-    (the simulator keeps its own answers), and _witness the simulator's
-    repair plans.
+    _completions gives the newcomer engine its candidates and _stays its
+    replacement test, _newcomers answers valid_newcomers, ignoring
+    certificates and caching nothing (the simulator keeps its own
+    answers), and _witness the simulator's repair plans.
     """
 
     def __init__(self, params: CodeParams, collections: Iterable[RepairingCollection],
@@ -422,13 +453,24 @@ class StateSet:
 
     def _completions(self, collection: RepairingCollection) -> Optional[Iterable[Subspace]]:
         """The listed spaces U with collection.replace(0, U) in the set, of
-        which every valid newcomer is one; None for a set whose listing is
-        not its whole membership, whose newcomers are enumerated instead."""
+        which every valid newcomer is one, read from the completion index
+        that _stays looks up too; None for a set whose listing is not its
+        whole membership, whose newcomers are enumerated instead."""
         return self._completion_index.get(collection.key[1:], {}).values()
+
+    def _stays(self, collection: RepairingCollection, cand: Subspace) -> bool:
+        """True when every single-member replacement of the collection by
+        cand is in the set.  Looked up, no replaced collection is built:
+        cand must be a completion of the collection less each member."""
+        key, index = collection.key, self._completion_index
+        for i in range(len(key)):
+            if cand.key not in index.get(key[:i] + key[i + 1:], ()):
+                return False
+        return True
 
     def _newcomers(self, collection: RepairingCollection) -> tuple[Subspace, ...]:
         """The valid newcomers of a collection, from the newcomer engine."""
-        return _newcomer_search(self.params, self.__contains__, collection,
+        return _newcomer_search(self.params, self._stays, collection,
                                 self._completions(collection), True)[1]
 
     def _witness(self, collection: RepairingCollection,
@@ -447,7 +489,9 @@ def _has_spanning_subset(collection: RepairingCollection, params: CodeParams) ->
 
 def _replacements_inside(inside: Callable[[RepairingCollection], bool],
                          collection: RepairingCollection, cand: Subspace) -> bool:
-    """True when every single-member replacement by cand satisfies inside."""
+    """True when every single-member replacement by cand satisfies inside:
+    the replacement test of a membership predicate, which builds each
+    replaced collection."""
     for i in range(len(collection.spaces)):
         if i > 0 and collection.spaces[i].key == collection.spaces[i - 1].key:
             continue  # duplicate member, same replaced collection
@@ -456,25 +500,28 @@ def _replacements_inside(inside: Callable[[RepairingCollection], bool],
     return True
 
 
-def _newcomer_search(params: CodeParams, inside: Callable[[RepairingCollection], bool],
+def _newcomer_search(params: CodeParams,
+                     stays: Callable[[RepairingCollection, Subspace], bool],
                      collection: RepairingCollection,
                      candidates: Optional[Iterable[Subspace]], all_newcomers: bool
                      ) -> tuple[Optional[AdmissibleState], tuple[Subspace, ...]]:
     """The certificate of a collection and, with all_newcomers, its valid
     newcomers sorted by key (else an empty tuple).
 
-    A valid newcomer is obtainable and has every replacement inside.
-    The certificate is the first one in the order of iter_obtainable,
-    with the witness of its first appearance.  Listed candidates (a
-    set's completions, or one declared newcomer) are tested by dimension
-    and replacements first, then placed in one pass over the slice sums;
+    A valid newcomer is obtainable and stays: stays(collection, cand)
+    holds when every replacement by cand is inside.  The certificate is
+    the first one in the order of iter_obtainable, with the witness of
+    its first appearance.  Listed candidates (a set's completions, or
+    one declared newcomer) are tested by dimension and stays first.  A
+    single one left is placed by find_repair_witness; several are placed
+    in one pass over the slice sums that may hold one of them.
     candidates=None tests the newcomers of iter_obtainable in turn.
     """
     state = None
     valid: list[Subspace] = []
     if candidates is None:
         for cand, witness in iter_obtainable(collection, params):
-            if _replacements_inside(inside, collection, cand):
+            if stays(collection, cand):
                 if state is None:
                     state = AdmissibleState(collection, cand, witness)
                 if not all_newcomers:
@@ -482,8 +529,16 @@ def _newcomer_search(params: CodeParams, inside: Callable[[RepairingCollection],
                 valid.append(cand)
     else:
         pending = {u.key: u for u in candidates
-                   if u.dim == params.alpha and _replacements_inside(inside, collection, u)}
-        for indices, ws, total in _slice_sums(collection, params) if pending else ():
+                   if u.dim == params.alpha and stays(collection, u)}
+        if len(pending) == 1:
+            # a declared newcomer, or a lone completion: its first witness decides
+            cand = pending.popitem()[1]
+            witness = find_repair_witness(collection, cand, params)
+            if witness is not None:
+                state = AdmissibleState(collection, cand, witness)
+                valid.append(cand)
+        for indices, ws, total in _slice_sums(collection, params, pending.values()) \
+                if pending else ():
             held = [u for u in pending.values() if _echelon_holds(total, u)]
             if not held:
                 continue
@@ -499,7 +554,7 @@ def _newcomer_search(params: CodeParams, inside: Callable[[RepairingCollection],
             valid.extend(pending.pop(u.key) for u in held)
             if not pending:
                 break
-    return state, tuple(sorted(valid, key=lambda u: u.key))
+    return state, tuple(sorted(valid, key=lambda u: u.key)) if all_newcomers else ()
 
 
 def _check_collection(states: StateSet, collection: RepairingCollection) -> CollectionCheck:
@@ -516,7 +571,7 @@ def _check_collection(states: StateSet, collection: RepairingCollection) -> Coll
     spanning = _has_spanning_subset(collection, params)
     declared = states.certificates.get(collection.key)
     candidates = states._completions(collection) if declared is None else (declared,)
-    state, _ = _newcomer_search(params, states.__contains__, collection, candidates, False)
+    state, _ = _newcomer_search(params, states._stays, collection, candidates, False)
     if state is not None:
         state.verify(params)
     return CollectionCheck(collection, spanning, state, declared)
@@ -571,13 +626,17 @@ def reachable_closure(seed: RepairingCollection, params: CodeParams,
         raise ValueError("the seed collection does not satisfy the predicate")
     found: dict[tuple[bytes, ...], RepairingCollection] = {seed.key: seed}
     picks: dict[tuple[bytes, ...], Subspace] = {}
+
+    def stays(collection: RepairingCollection, cand: Subspace) -> bool:
+        return _replacements_inside(lambda rc: rc.key in found or admissible(rc.spaces),
+                                    collection, cand)
+
     queue = [seed]
     qi = 0
     while qi < len(queue):
         collection = queue[qi]
         qi += 1
-        state, _ = _newcomer_search(params, lambda rc: rc.key in found or admissible(rc.spaces),
-                                    collection, None, False)
+        state, _ = _newcomer_search(params, stays, collection, None, False)
         if state is None:
             raise ClosureError(
                 f"no certifying newcomer for collection {_short_hash(b''.join(collection.key))}")

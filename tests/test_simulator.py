@@ -556,12 +556,13 @@ class TestWorkCounts:
              (simulator, "collect"), (simulator, "_node_decoder"), (simulator, "_decoder")],
             monkeypatch)
         assert run_random(state, 500).verdict == "ok"
-        # a collection per newcomer search replacement, per new survivor
-        # key and per leave-one-out admission; k-subset decoders are looked
-        # up once per (configuration, k-subset), when its table is built.
-        # Each plan takes the witness verify() recorded, so no witness is
-        # searched
-        assert calls == {"__init__": 1232, "__contains__": 1232, "valid_newcomers": 56,
+        # a collection per new survivor key (56) and per leave-one-out
+        # admission (4 for each of the 56 configurations), and none per
+        # newcomer search, whose replacements are looked up in the code's
+        # completion index; k-subset decoders are looked up once per
+        # (configuration, k-subset), when its table is built.  Each plan
+        # takes the witness verify() recorded, so no witness is searched
+        assert calls == {"__init__": 280, "__contains__": 280, "valid_newcomers": 56,
                          "_node_decoder": 224, "_decoder": 56}
         assert calls["find_repair_witness"] == 0
         calls.clear()

@@ -468,18 +468,41 @@ def test_engine_matches_reference_on_family_collections(r, s, q, steps):
     code = family_state_space(r, s, q)
     for good in random_walk(construct_good(r, s, q), steps, random.Random(7)):
         collection = good.to_repairing_collection()
-        state, newcomers = storage._newcomer_search(code.params, code.__contains__,
+        state, newcomers = storage._newcomer_search(code.params, code._stays,
                                                     collection, None, True)
         assert (state is not None) == bool(newcomers)
         _assert_engine_matches_reference(code, collection, newcomers)
 
 
+def _replacements_built(states):
+    # the replacement test that builds each replaced collection
+    return lambda c, u: storage._replacements_inside(states.__contains__, c, u)
+
+
+def _assert_lookup_matches_replacements(states, collections):
+    # StateSet._stays answers from the completion index; every space the
+    # set lists, and each collection's members, against building each
+    # replaced collection and testing membership.  Returns the number of
+    # spaces that stay
+    built = _replacements_built(states)
+    listed = {u.key: u for c in states for u in c.spaces}
+    stays = 0
+    for collection in collections:
+        for u in {**listed, **{u.key: u for u in collection.spaces}}.values():
+            want = built(collection, u)
+            assert states._stays(collection, u) == want
+            stays += want
+    return stays
+
+
 def _assert_completions_match_enumeration(states, collections):
     # the oracle of the completion search of a listed set: the engine
-    # enumerating every obtainable space, with the same membership test
+    # enumerating every obtainable space, testing each replaced collection
+    # for membership
+    built = _replacements_built(states)
+    _assert_lookup_matches_replacements(states, collections)
     for collection in collections:
-        want, valid = storage._newcomer_search(states.params, states.__contains__,
-                                               collection, None, True)
+        want, valid = storage._newcomer_search(states.params, built, collection, None, True)
         # the certificate newcomer and its first-appearance witness
         assert _check_collection(states, collection).state == want
         assert valid_newcomers(states, collection) == valid
@@ -560,6 +583,12 @@ def test_completions_match_enumeration_on_small_codes(exact_code_spaces):
     _assert_completions_match_enumeration(family, family)
 
 
+def test_lookup_matches_replacements_on_code56():
+    # 5 of the 6 completions of each collection stay, and no other space
+    code = _code56()
+    assert _assert_lookup_matches_replacements(code, code) == 56 * 5
+
+
 def test_listed_set_tests_only_completions(partition_states, monkeypatch):
     # a listed set never enumerates obtainable spaces; its valid
     # newcomers are among the 6 members its listed neighbours add
@@ -581,7 +610,8 @@ def test_listed_set_tests_only_completions(partition_states, monkeypatch):
 def _small_collections(draw):
     """A collection over GF(2), GF(3) or GF(4) with m <= 4, r <= 3 and
     beta <= alpha <= 2, its members drawn from a pool that may repeat
-    them, and a few spaces of dimension at most alpha."""
+    them, and a few spaces of dimension at most alpha.  A pool space
+    spans 0 to alpha drawn vectors, so a helper may lie below beta."""
     field = draw(st.sampled_from([GF(2), GF(3), GF(2, 2)]))
     alpha = draw(st.integers(1, 2))
     beta = draw(st.integers(1, alpha))
@@ -591,7 +621,8 @@ def _small_collections(draw):
     vector = st.tuples(*[st.integers(0, field.q - 1)] * m)
     space = st.lists(vector, min_size=alpha, max_size=alpha).map(
         lambda rows: span(field, m, rows))
-    pool = draw(st.lists(space, min_size=1, max_size=size))
+    member = st.lists(vector, max_size=alpha).map(lambda rows: span(field, m, rows))
+    pool = draw(st.lists(member, min_size=1, max_size=size))
     members = draw(st.lists(st.sampled_from(pool), min_size=size, max_size=size))
     params = CodeParams(m=m, n=size + 1, k=draw(st.integers(1, size + 1)), r=r,
                         alpha=alpha, beta=beta, q=field.q)
@@ -649,13 +680,97 @@ def test_echelon_slice_sums_match_subspace_sums(case, data):
         if data.draw(st.booleans()):
             allowed.update(collection.replace(i, u).key for i in range(len(collection)))
     inside = lambda rc: rc.key in allowed  # noqa: E731
+    stays = lambda c, u: storage._replacements_inside(inside, c, u)  # noqa: E731
     for all_newcomers in (False, True):
-        assert storage._newcomer_search(params, inside, collection, candidates,
+        assert storage._newcomer_search(params, stays, collection, candidates,
                                         all_newcomers) == _oracle_newcomer_search(
             params, inside, collection, candidates, all_newcomers)
     declared = (data.draw(st.sampled_from(candidates)),)
-    assert storage._newcomer_search(params, inside, collection, declared, False) == \
-        _oracle_newcomer_search(params, inside, collection, declared, False)
+    for all_newcomers in (False, True):
+        assert storage._newcomer_search(params, stays, collection, declared,
+                                        all_newcomers) == _oracle_newcomer_search(
+            params, inside, collection, declared, all_newcomers)
+
+
+def _rank_test_cases(field):
+    """(name, params, members) of collections in F_q^4 whose walks meet
+    each edge of the rank test of _slice_sums."""
+    e = field.q - 1  # neither 0 nor 1 over GF(3) and GF(4)
+
+    def space(*rows):
+        return span(field, 4, rows)
+
+    a = space((1, 0, 0, 0), (0, 1, 0, 0))
+    b = space((0, 0, 1, 0), (0, 0, 0, 1))
+    c = space((1, 0, 1, 0), (0, 1, 0, e))
+    d = space((1, 1, 0, 0), (0, 0, 1, e))
+    # two more planes of the span of e1, e2, e3
+    f, g = space((1, 0, 0, 0), (0, 0, 1, 0)), space((0, 1, e, 0), (1, 1, 0, 0))
+    lines = space((1, 1, 1, 1)), space((1, e, 0, 1))
+
+    def params(n, r, alpha, beta):
+        return CodeParams(m=4, n=n, k=2, r=r, alpha=alpha, beta=beta, q=field.q)
+
+    return [
+        # the last slice is the whole helper
+        ("beta equals alpha", params(4, 2, 2, 2), [a, f, g]),
+        # a helper of dimension 1 has no 2-dimensional slice
+        ("helpers below beta", params(5, 2, 2, 2), [a, lines[0], lines[1], f]),
+        # no prefix: each helper alone
+        ("one helper", params(4, 1, 1, 1), [a, b, c]),
+        # 6 helper sets of 2 out of 4 members
+        ("several helper sets", params(5, 2, 2, 1), [a, b, c, d]),
+        ("repeated members", params(4, 2, 2, 1), [a, a, c]),
+        ("one member thrice", params(4, 3, 2, 1), [c, c, c]),
+    ]
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3), GF(2, 2)], ids=["GF2", "GF3", "GF4"])
+def test_rank_test_matches_the_full_walk(field):
+    # the sums of _slice_sums under targets are the last-helper blocks of
+    # the full product walk (oracles.slice_sums) holding one, and
+    # find_repair_witness and the listed newcomer search give the walk's
+    # answers, for each target alone and for several
+    m = 4
+    for name, params, members in _rank_test_cases(field):
+        collection = RepairingCollection(members)
+        walk = list(slice_sums(collection, params))
+        blocks = [list(block) for _, block in
+                  itertools.groupby(walk, key=lambda s: (s[0], s[1][:-1]))]
+        if name == "helpers below beta":
+            # a line is the last helper of some helper set
+            assert any(collection.spaces[i[-1]].dim < params.beta
+                       for i in itertools.combinations(range(len(members)), params.r))
+        # alpha-spaces some sum holds and none holds, the members and the
+        # trivial spaces
+        held = {c.key: c for *_, total in walk if total.dim >= params.alpha
+                for c in total.subspaces(params.alpha)}
+        missed = list(itertools.islice(
+            (u for u in subspaces(field, m, params.alpha)
+             if not any(u <= total for *_, total in walk)), 4))
+        assert held and missed, name
+        targets = (list(held.values())[:8] + missed + list(collection.spaces)
+                   + [zero_subspace(field, m), full_space(field, m)])
+        # the blocks holding each target
+        holding = {t.key: {b for b, block in enumerate(blocks)
+                           if any(t <= total for *_, total in block)} for t in targets}
+        for chosen in [[t] for t in targets] + [targets]:
+            hit = set().union(*(holding[t.key] for t in chosen))
+            want = [s for b, block in enumerate(blocks) if b in hit for s in block]
+            got = list(storage._slice_sums(collection, params, chosen))
+            assert [(i, ws) for i, ws, _ in got] == [(i, ws) for i, ws, _ in want], name
+            assert [_echelon_space(field, m, e) for *_, e in got] == [t for *_, t in want]
+        for target in targets:
+            assert find_repair_witness(collection, target, params) == next(
+                (RepairWitness(i, ws) for i, ws, total in walk if target <= total), None)
+        # every replacement inside: a listed candidate is valid when obtainable
+        inside = lambda rc: True  # noqa: E731
+        stays = lambda c, u: True  # noqa: E731
+        for chosen in [targets, list(held.values()), missed, targets[:1], targets[8:9]]:
+            for all_newcomers in (False, True):
+                assert storage._newcomer_search(params, stays, collection, chosen,
+                                                all_newcomers) == _oracle_newcomer_search(
+                    params, inside, collection, chosen, all_newcomers), name
 
 
 def _code56():
@@ -674,8 +789,11 @@ def _newcomers_and_witnesses(states):
 def test_newcomer_work_builds_no_subspace_sums(monkeypatch):
     # the newcomers and first witnesses of every collection of the
     # 56-state code come from echelons of the slice sums: no Subspace
-    # is summed or compared, and the sums are extended 3,354 times and
-    # tested for a candidate 7,608 times
+    # is summed or compared.  The echelons are extended 2,404 times (a
+    # slice onto a prefix, the last helper or a target onto a prefix for
+    # the rank test of _slice_sums) and tested for a candidate 3,357
+    # times (a target against a prefix plus the last helper, or against
+    # a slice sum); the whole walk made 3,354 and 7,608
     states = _code56()
     calls = {"__add__": 0, "__le__": 0, "_echelon_extend": 0, "_echelon_holds": 0}
     for name in ("__add__", "__le__"):
@@ -690,7 +808,7 @@ def test_newcomer_work_builds_no_subspace_sums(monkeypatch):
         monkeypatch.setattr(storage, name, counted)
     found = _newcomers_and_witnesses(states)
     assert len(found) == 56 and all(w is not None for _, w in found)
-    assert calls == {"__add__": 0, "__le__": 0, "_echelon_extend": 3354, "_echelon_holds": 7608}
+    assert calls == {"__add__": 0, "__le__": 0, "_echelon_extend": 2404, "_echelon_holds": 3357}
 
 
 def test_newcomer_work_on_tuple_rows_matches_bit_rows(tuple_rows):
