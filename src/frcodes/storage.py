@@ -40,14 +40,13 @@ at CLOSURE_CAP collections.
 Each slice sum W_1 + ... + W_r is held as a subspace echelon, extended
 one slice at a time along the repairs, and a candidate lies in it when
 its basis reduces to zero against it.  A search for given candidates
-(`find_repair_witness` and the listed ones) walks the last helper U's
-slices under the sum P of the other r-1 only when some candidate u
-passes one rank test, u <= P + U and dim(u + P) <= dim P + beta, which
-holds exactly when some beta-slice w of U has u <= P + w;
-`iter_obtainable` walks every sum.  A canonical Subspace of a sum is
-built in two places only: in `iter_obtainable`, for a sum of dimension
-at least alpha whose subspaces it enumerates, and in `_newcomer_search`,
-to order several pending candidates that first land in the same sum.
+(`find_repair_witness` and the listed ones) skips, by the rank test of
+`_slice_sums`, the last helper's slices under a prefix that cannot
+reach any of them; `iter_obtainable` walks every sum.  A canonical
+Subspace of a sum is built in two places only: in `iter_obtainable`,
+for a sum of dimension at least alpha whose subspaces it enumerates,
+and in `_newcomer_search`, to order several pending candidates that
+first land in the same sum.
 
 Collections are multisets: members are kept sorted by canonical key and
 duplicates are significant.  All verification routines are pure
@@ -512,9 +511,9 @@ def _newcomer_search(params: CodeParams,
     holds when every replacement by cand is inside.  The certificate is
     the first one in the order of iter_obtainable, with the witness of
     its first appearance.  Listed candidates (a set's completions, or
-    one declared newcomer) are tested by dimension and stays first.  A
-    single one left is placed by find_repair_witness; several are placed
-    in one pass over the slice sums that may hold one of them.
+    one declared newcomer) are tested by dimension and stays first, then
+    placed in one pass over the slice sums that pass the rank test of
+    _slice_sums for one of them.
     candidates=None tests the newcomers of iter_obtainable in turn.
     """
     state = None
@@ -530,13 +529,6 @@ def _newcomer_search(params: CodeParams,
     else:
         pending = {u.key: u for u in candidates
                    if u.dim == params.alpha and stays(collection, u)}
-        if len(pending) == 1:
-            # a declared newcomer, or a lone completion: its first witness decides
-            cand = pending.popitem()[1]
-            witness = find_repair_witness(collection, cand, params)
-            if witness is not None:
-                state = AdmissibleState(collection, cand, witness)
-                valid.append(cand)
         for indices, ws, total in _slice_sums(collection, params, pending.values()) \
                 if pending else ():
             held = [u for u in pending.values() if _echelon_holds(total, u)]
@@ -554,7 +546,7 @@ def _newcomer_search(params: CodeParams,
             valid.extend(pending.pop(u.key) for u in held)
             if not pending:
                 break
-    return state, tuple(sorted(valid, key=lambda u: u.key)) if all_newcomers else ()
+    return state, tuple(sorted(valid, key=lambda u: u.key))
 
 
 def _check_collection(states: StateSet, collection: RepairingCollection) -> CollectionCheck:
